@@ -4,21 +4,26 @@
 // point it happens to be in — mid-epoch, mid-append, mid-checkpoint —
 // and then verifies that recovery from the write-ahead log yields a
 // state *bit-identical* to a synchronous oracle: every acknowledged
-// operation present with its exact value, nothing invented, and at
-// most the single in-flight unacknowledged operation either way.
+// operation present with its exact value, nothing invented, and of the
+// unacknowledged operations in flight at the kill exactly a FIFO prefix.
 //
 // The protocol that makes exact verification possible:
 //
 //   - Operations are a pure function of (seed, index) — OpAt — so the
 //     parent and child agree on the workload without shipping it.
-//   - The child submits strictly sequentially and journals its progress
-//     in an O_APPEND ops log: an "I i" line lands before op i is
-//     submitted, an "A i" line after the server acknowledges it. SIGKILL
-//     preserves the OS page cache, so these plain write(2)s — like the
-//     WAL's own — survive the kill.
-//   - Sequential submission means at most one op is in flight at the
-//     kill, so the recovered state must equal oracle(ops[:m]) for
-//     m ∈ {acks, acks+1} — no search over interleavings.
+//   - The child submits in op order from one goroutine, keeping a
+//     window of childWindow writes in flight so that write epochs (and
+//     WAL records) hold several ops of both kinds and the kill lands
+//     inside mixed records. It journals its progress in an O_APPEND ops
+//     log: an "I i" line lands before op i is submitted, an "A i" line
+//     after the server acknowledges it. SIGKILL preserves the OS page
+//     cache, so these plain write(2)s — like the WAL's own — survive the
+//     kill.
+//   - Ops enter the server's write FIFO in op order and every write
+//     epoch is a prefix of that FIFO, serially equivalent to its ops in
+//     order; the log holds whole epochs. So the recovered state must
+//     equal oracle(ops[:m]) for some m with acks ≤ m ≤ intents — a
+//     search over at most childWindow+1 prefixes, not interleavings.
 //   - After each kill the parent resolves which m it was and records it
 //     (the resolved file); the next child resumes at exactly op m, so
 //     the oracle prefix stays exact across any number of crashes.
@@ -55,6 +60,9 @@ const (
 	// epochs this small a multi-round chaos run crosses several
 	// checkpoint+prune cycles, so kills land inside them too.
 	childCheckpointEvery = 16
+
+	// childWindow is the number of writes the child keeps in flight.
+	childWindow = 16
 )
 
 func mix(x uint64) uint64 {
@@ -190,10 +198,11 @@ func readOpsLog(dir string) (maxIntent, maxAck int, err error) {
 
 // RunChild is the chaos child body. It recovers the durable server
 // from dir (verifying the recovered state against the oracle prefix
-// the parent resolved), then submits ops sequentially forever —
-// journaling each intent before submit and each ack after — until the
-// parent kills it. On any error it writes the child-error marker so
-// the parent can distinguish a harness bug from a chaos kill.
+// the parent resolved), then submits ops in order forever, childWindow
+// of them in flight — journaling each intent before submit and each
+// ack, in op order, after — until the parent kills it. On any error it
+// writes the child-error marker so the parent can distinguish a harness
+// bug from a chaos kill.
 func RunChild(dir string, seed uint64, policy wal.SyncPolicy, newIndex func() *pimtrie.Index) error {
 	fail := func(err error) error {
 		os.WriteFile(filepath.Join(dir, errFile), []byte(err.Error()), 0o644)
@@ -219,22 +228,27 @@ func RunChild(dir string, seed uint64, policy wal.SyncPolicy, newIndex func() *p
 	if err != nil {
 		return fail(err)
 	}
+	var inflight [childWindow]func() error // op i's wait, at slot i % childWindow
 	for i := start; ; i++ {
+		if wait := inflight[i%childWindow]; wait != nil {
+			acked := i - childWindow
+			if err := wait(); err != nil {
+				return fail(fmt.Errorf("restart child: op %d: %w", acked, err))
+			}
+			if _, err := fmt.Fprintf(j, "A %d\n", acked); err != nil {
+				return fail(err)
+			}
+		}
 		op, k, v := OpAt(seed, i)
 		if _, err := fmt.Fprintf(j, "I %d\n", i); err != nil {
 			return fail(err)
 		}
 		switch op {
 		case wal.OpInsert:
-			err = srv.InsertAsync([]serve.Key{k}, []uint64{v}).Wait()
+			inflight[i%childWindow] = srv.InsertAsync([]serve.Key{k}, []uint64{v}).Wait
 		case wal.OpDelete:
-			_, err = srv.DeleteAsync(k).Wait()
-		}
-		if err != nil {
-			return fail(fmt.Errorf("restart child: op %d: %w", i, err))
-		}
-		if _, err := fmt.Fprintf(j, "A %d\n", i); err != nil {
-			return fail(err)
+			f := srv.DeleteAsync(k)
+			inflight[i%childWindow] = func() error { _, err := f.Wait(); return err }
 		}
 	}
 }
@@ -253,20 +267,21 @@ func statesEqual(a, b map[string]uint64) bool {
 
 // VerifyRound runs after a kill: recover the WAL directory into a
 // fresh index and require the result be bit-identical to the oracle at
-// one of the (at most two) prefixes the journal permits — all acked
-// ops, plus optionally the single in-flight one. The winning prefix
-// becomes the resolved count the next child resumes from.
-func VerifyRound(dir string, seed uint64, newIndex func() *pimtrie.Index) (resolved int, err error) {
+// one of the prefixes the journal permits — every acked op, plus any
+// FIFO prefix of the ops that were in flight. The first matching prefix
+// becomes the resolved count the next child resumes from (two prefixes
+// that match hold the same state, so either is exact). mixed is the
+// number of replayed records that held both an insert and a delete
+// section: the records this harness exists to kill.
+func VerifyRound(dir string, seed uint64, newIndex func() *pimtrie.Index) (resolved, mixed int, err error) {
+	fail := func(err error) (int, int, error) { return 0, 0, err }
 	maxIntent, maxAck, err := readOpsLog(dir)
 	if err != nil {
-		return 0, err
+		return fail(err)
 	}
 	prior, err := readResolved(dir)
 	if err != nil {
-		return 0, err
-	}
-	if maxIntent > maxAck+1 {
-		return 0, fmt.Errorf("restart: journal shows %d unacked intents; child must submit sequentially", maxIntent-maxAck)
+		return fail(err)
 	}
 	lo := maxAck + 1 // every acked op MUST be present
 	if lo < prior {  // resolution never goes backward
@@ -274,16 +289,21 @@ func VerifyRound(dir string, seed uint64, newIndex func() *pimtrie.Index) (resol
 	}
 	hi := maxIntent + 1 // beyond the last intent nothing can exist
 	if hi < lo {
-		return 0, fmt.Errorf("restart: journal regressed: maxIntent %d < resolved floor %d", maxIntent, lo)
+		return fail(fmt.Errorf("restart: journal regressed: maxIntent %d < resolved floor %d", maxIntent, lo))
 	}
 
 	info, err := wal.Recover(filepath.Join(dir, walSubdir))
 	if err != nil {
-		return 0, fmt.Errorf("restart: recover: %w", err)
+		return fail(fmt.Errorf("restart: recover: %w", err))
+	}
+	for _, e := range info.Epochs {
+		if len(e.Inserts) > 0 && len(e.Deletes) > 0 {
+			mixed++
+		}
 	}
 	ix := newIndex()
 	if err := serve.Restore(ix, info); err != nil {
-		return 0, fmt.Errorf("restart: replay: %w", err)
+		return fail(fmt.Errorf("restart: replay: %w", err))
 	}
 	got := dump(ix.Snapshot())
 
@@ -294,13 +314,13 @@ func VerifyRound(dir string, seed uint64, newIndex func() *pimtrie.Index) (resol
 		}
 		if statesEqual(got, oracle) {
 			if err := writeResolved(dir, m); err != nil {
-				return 0, err
+				return fail(err)
 			}
-			return m, nil
+			return m, mixed, nil
 		}
 	}
-	return 0, fmt.Errorf("restart: recovered state matches no legal prefix in [%d,%d]: %s",
-		lo, hi, diffStates(got, Oracle(seed, hi)))
+	return fail(fmt.Errorf("restart: recovered state matches no legal prefix in [%d,%d]: %s",
+		lo, hi, diffStates(got, Oracle(seed, hi))))
 }
 
 // Config parameterizes a parent chaos run.
@@ -342,7 +362,7 @@ func RunParent(cfg Config, spawn func(dir string) *exec.Cmd) (int, error) {
 		cfg.Logf = func(string, ...any) {}
 	}
 	r := rand.New(rand.NewSource(int64(cfg.Seed)))
-	resolved, stalls := 0, 0
+	resolved, stalls, mixedRecords := 0, 0, 0
 	for round := 1; round <= cfg.Rounds; round++ {
 		cmd := spawn(cfg.Dir)
 		var out bytes.Buffer
@@ -363,13 +383,14 @@ func RunParent(cfg Config, spawn func(dir string) *exec.Cmd) (int, error) {
 		if b, rerr := os.ReadFile(filepath.Join(cfg.Dir, errFile)); rerr == nil {
 			return 0, fmt.Errorf("restart: round %d: child failed before the kill: %s", round, b)
 		}
-		m, err := VerifyRound(cfg.Dir, cfg.Seed, cfg.NewIndex)
+		m, mixed, err := VerifyRound(cfg.Dir, cfg.Seed, cfg.NewIndex)
 		if err != nil {
 			return 0, fmt.Errorf("restart: round %d (killed after %v): %w\nchild output:\n%s",
 				round, life.Round(time.Millisecond), err, out.String())
 		}
-		cfg.Logf("restart round %d: killed after %v, %d ops verified bit-identical (+%d)",
-			round, life.Round(time.Millisecond), m, m-resolved)
+		mixedRecords += mixed
+		cfg.Logf("restart round %d: killed after %v, %d ops verified bit-identical (+%d), %d mixed records replayed",
+			round, life.Round(time.Millisecond), m, m-resolved, mixed)
 		if m == resolved {
 			stalls++
 		} else {
@@ -379,6 +400,9 @@ func RunParent(cfg Config, spawn func(dir string) *exec.Cmd) (int, error) {
 		if stalls >= 4 {
 			return 0, fmt.Errorf("restart: no progress across %d consecutive rounds — child never serves (last output:\n%s)", stalls, out.String())
 		}
+	}
+	if resolved > 0 && mixedRecords == 0 {
+		return 0, fmt.Errorf("restart: %d ops resolved but no replayed record held both inserts and deletes — the child is not keeping writes in flight", resolved)
 	}
 	return resolved, nil
 }

@@ -50,7 +50,9 @@ type Durable struct {
 	// OwnLog transfers Log ownership to the server: Close closes it.
 	OwnLog bool
 	// Recovery, when set (OpenDurable does), publishes the recovery
-	// gauges on the metrics registry.
+	// gauges on the metrics registry. The server reads its counts at
+	// construction and keeps no reference: the image holds the whole
+	// checkpoint and replay tail.
 	Recovery *wal.RecoveryInfo
 }
 
@@ -91,6 +93,8 @@ func newDurableState(ix *pimtrie.Index, cfg Durable, reg *metrics.Registry, labe
 		panic("serve: Options.Durable requires a recoverable index " +
 			"(set pimtrie.Options.Recoverable: checkpoints freeze the host shadow)")
 	}
+	info := cfg.Recovery
+	cfg.Recovery = nil
 	d := &durableState{
 		cfg:       cfg.withDefaults(),
 		sinceCkpt: cfg.PendingEpochs,
@@ -98,7 +102,7 @@ func newDurableState(ix *pimtrie.Index, cfg Durable, reg *metrics.Registry, labe
 	}
 	if reg != nil {
 		d.met = newDurMetrics(reg, labels)
-		if info := cfg.Recovery; info != nil {
+		if info != nil {
 			d.met.recoveredEpochs.Set(float64(len(info.Epochs)))
 			d.met.recoveredKeys.Set(float64(len(info.Keys)))
 			if info.TornTail {
@@ -116,11 +120,7 @@ func newDurableState(ix *pimtrie.Index, cfg Durable, reg *metrics.Registry, labe
 // triggers a checkpoint when due. Runs on the executor goroutine,
 // between the index apply and the future resolution.
 func (d *durableState) commitEpoch(ix *pimtrie.Index, plan *epochPlan) error {
-	op := wal.OpInsert
-	if plan.op == OpDelete {
-		op = wal.OpDelete
-	}
-	seq, err := d.cfg.Log.Append(op, plan.keys, plan.values)
+	seq, err := d.cfg.Log.AppendEpoch(plan.ins.keys, plan.ins.values, plan.del.keys)
 	if err != nil {
 		d.noteErr(err)
 		return err
@@ -229,7 +229,8 @@ func (s *Server) DurabilityErr() error {
 
 // Restore replays recovered durable state into an index: the
 // checkpoint contents through the bulk-load path, then the WAL tail
-// epoch by epoch through the ordinary batch paths — the same
+// epoch by epoch (insert section, then delete section, as the executor
+// applied them) through the ordinary batch paths — the same
 // full-reload repair machinery module-loss recovery uses, so the
 // rebuilt PIM state is exactly what the shadow dictates.
 func Restore(ix *pimtrie.Index, info *wal.RecoveryInfo) error {
@@ -239,17 +240,15 @@ func Restore(ix *pimtrie.Index, info *wal.RecoveryInfo) error {
 		}
 	}
 	for _, e := range info.Epochs {
-		var err error
-		switch e.Op {
-		case wal.OpInsert:
-			err = ix.TryInsert(e.Keys, e.Values)
-		case wal.OpDelete:
-			_, err = ix.TryDelete(e.Keys)
-		default:
-			err = fmt.Errorf("unknown op %d", e.Op)
+		if len(e.Inserts) > 0 {
+			if err := ix.TryInsert(e.Inserts, e.Values); err != nil {
+				return fmt.Errorf("serve: replay epoch %d inserts: %w", e.Seq, err)
+			}
 		}
-		if err != nil {
-			return fmt.Errorf("serve: replay epoch %d: %w", e.Seq, err)
+		if len(e.Deletes) > 0 {
+			if _, err := ix.TryDelete(e.Deletes); err != nil {
+				return fmt.Errorf("serve: replay epoch %d deletes: %w", e.Seq, err)
+			}
 		}
 	}
 	return nil
@@ -285,15 +284,15 @@ func OpenDurable(dir string, wopts wal.Options, sopts Options, newIndex func() *
 	if err != nil {
 		return nil, nil, err
 	}
-	d := sopts.Durable
-	if d == nil {
-		d = &Durable{}
+	var d Durable // a copy: the caller's struct must not end up holding the recovery image
+	if sopts.Durable != nil {
+		d = *sopts.Durable
 	}
 	d.Log = log
 	d.OwnLog = true
 	d.PendingEpochs = len(info.Epochs)
 	d.Recovery = info
-	sopts.Durable = d
+	sopts.Durable = &d
 	return NewServer(ix, sopts), info, nil
 }
 

@@ -138,6 +138,9 @@ func TestDurableRecoveryEquivalence(t *testing.T) {
 	if info.CheckpointSeq == 0 {
 		t.Fatal("no checkpoint was written despite CheckpointEvery=4")
 	}
+	if srv2.opts.Durable != nil || srv2.dur.cfg.Recovery != nil {
+		t.Fatal("the restarted server still references the recovery image (checkpoint arrays + replay tail)")
+	}
 	got := dumpIndex(srv2.ix)
 	if len(got) != len(want) {
 		t.Fatalf("restart 1: %d keys, want %d", len(got), len(want))
@@ -177,6 +180,38 @@ func TestDurableRecoveryEquivalence(t *testing.T) {
 	// And the replayed state matches the client-visible history too.
 	if len(want2) != len(want) {
 		t.Fatalf("oracle drift: snapshot dump %d keys, tracked %d", len(want2), len(want))
+	}
+}
+
+// TestRestoreAppliesInsertsThenDeletes pins the replay order of a
+// record's two sections: a key the epoch inserted and then deleted must
+// be gone, which "deletes first" would get wrong.
+func TestRestoreAppliesInsertsThenDeletes(t *testing.T) {
+	dir := t.TempDir()
+	log, err := wal.Open(wal.Options{Dir: dir, Policy: wal.SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b, c := bitstr.FromUint64(1, 24), bitstr.FromUint64(2, 24), bitstr.FromUint64(3, 24)
+	if _, err := log.AppendEpoch([]Key{c}, []uint64{30}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := log.AppendEpoch([]Key{a, b}, []uint64{10, 20}, []Key{a, c}); err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	info, err := wal.Recover(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix := newRecoverableIndex()
+	if err := Restore(ix, info); err != nil {
+		t.Fatal(err)
+	}
+	if got := dumpIndex(ix); len(got) != 1 || got[b.String()] != 20 {
+		t.Fatalf("restored %v, want only %s=20", got, b)
 	}
 }
 

@@ -5,8 +5,9 @@ package serve
 // against a sequential oracle must reproduce every recorded response —
 // the property the soak test asserts.
 type EpochRecord struct {
-	// Write marks a write epoch; its Ops share one op type and committed
-	// in slice order. A read epoch's Ops all observed the same state.
+	// Write marks a write epoch; its Ops may mix inserts and deletes and
+	// committed as if applied one by one in slice order. A read epoch's
+	// Ops all observed the same state.
 	Write bool
 	Ops   []*OpRecord
 }

@@ -26,6 +26,13 @@ const (
 	stageExecute
 )
 
+// Why a write epoch ended before the write FIFO did; indexes
+// serveMetrics.writeCuts.
+const (
+	cutConflict = iota
+	cutMaxBatch
+)
+
 // serveMetrics is the Server's instrument set.
 type serveMetrics struct {
 	requests [numOps]*metrics.Counter
@@ -38,6 +45,7 @@ type serveMetrics struct {
 	epochKeys   *metrics.Histogram
 	readEpochs  *metrics.Counter
 	writeEpochs *metrics.Counter
+	writeCuts   [2]*metrics.Counter // cutConflict, cutMaxBatch
 	deduped     *metrics.Counter
 	dedupRatio  *metrics.Gauge
 
@@ -76,7 +84,7 @@ func newServeMetrics(reg *metrics.Registry, base []metrics.Label) *serveMetrics 
 	m := &serveMetrics{
 		queueDepth:    reg.Gauge("pimtrie_serve_queue_depth", "requests admitted but not yet formed into an epoch", lbl()...),
 		linger:        reg.Histogram("pimtrie_serve_linger_seconds", "time a request waited in the queue before its epoch formed", lbl()...),
-		epochKeys:     reg.Histogram("pimtrie_serve_epoch_keys", "unique keys per executed sub-batch", lbl()...),
+		epochKeys:     reg.Histogram("pimtrie_serve_epoch_keys", "unique keys per executed read sub-batch, or per write epoch over both its sections", lbl()...),
 		readEpochs:    reg.Counter("pimtrie_serve_read_epochs_total", "committed read epochs", lbl()...),
 		writeEpochs:   reg.Counter("pimtrie_serve_write_epochs_total", "committed write epochs", lbl()...),
 		deduped:       reg.Counter("pimtrie_serve_read_keys_deduped_total", "read keys absorbed by singleflight dedupe within an epoch", lbl()...),
@@ -108,6 +116,10 @@ func newServeMetrics(reg *metrics.Registry, base []metrics.Label) *serveMetrics 
 		m.keysReq[op] = reg.Counter("pimtrie_serve_keys_requested_total", "keys across admitted requests", lbl(l)...)
 		m.keysExec[op] = reg.Counter("pimtrie_serve_keys_executed_total", "unique keys sent to the index", lbl(l)...)
 		m.latency[op] = reg.Histogram("pimtrie_serve_request_seconds", "end-to-end request latency, admission to resolution", lbl(l)...)
+	}
+	for cut, reason := range [...]string{cutConflict: "conflict", cutMaxBatch: "max_batch"} {
+		m.writeCuts[cut] = reg.Counter("pimtrie_serve_write_epoch_cuts_total",
+			"write epochs that left writes queued: an insert hit a key the epoch deletes, or MaxBatch was reached", lbl(metrics.L("reason", reason))...)
 	}
 	for kind, name := range [...]string{"crash", "straggle", "truncate"} {
 		m.faults[kind] = reg.Counter("pimtrie_index_faults_total", "injected faults observed, by kind", lbl(metrics.L("kind", name))...)

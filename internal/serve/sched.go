@@ -1,8 +1,9 @@
 package serve
 
 // The epoch scheduler. A single batcher goroutine drains the request
-// queues into epoch plans — a write epoch is a maximal same-op run of
-// the write FIFO, a read epoch groups one deduplicated sub-batch per
+// queues into epoch plans — a write epoch is the longest prefix of the
+// write FIFO that commutes into "all its inserts, then all its deletes"
+// (formWriteLocked), a read epoch groups one deduplicated sub-batch per
 // read op — and runs the host-side preparation (Index.PrepareBatch) for
 // each sub-batch. A single executor goroutine consumes plans in
 // formation order and runs them on the index, so the committed epoch
@@ -11,7 +12,8 @@ package serve
 // two-stage host/PIM pipeline.
 //
 // Consistency: the index is only touched by the executor, epochs never
-// interleave, reads and writes never share an epoch, and cache-served
+// interleave, reads and writes never share an epoch, a write epoch is
+// serially equivalent to its calls in arrival order, and cache-served
 // reads are only admitted when their entry's write-epoch stamp is
 // current — so every response equals a serial replay of the committed
 // epoch order.
@@ -49,16 +51,23 @@ type epochPlan struct {
 	write bool
 	// Read epoch: sub-batches indexed by OpGet/OpLCP/OpSubtree.
 	reads [3]readBatch
-	// Write epoch: calls in arrival order and their concatenation.
-	op     Op
-	calls  []*call
-	keys   []Key
-	values []uint64
-	prep   *pimtrie.PreparedBatch
+	// Write epoch: calls in arrival order, and the two sections the
+	// executor applies — every insert call's pairs, then every delete
+	// call's keys, each in arrival order.
+	calls []*call
+	ins   writeSection
+	del   writeSection
 	// stamp is the write-epoch counter at formation: the number of write
 	// epochs ordered before this one. Read results executed under this
 	// stamp fill the cache with it.
 	stamp uint64
+}
+
+// writeSection is one op's share of a write epoch.
+type writeSection struct {
+	keys   []Key
+	values []uint64 // insert section only
+	prep   *pimtrie.PreparedBatch
 }
 
 // Server fronts a pimtrie.Index with the concurrent serving layer; see
@@ -111,6 +120,14 @@ type Server struct {
 // index execution from now on: direct Index batch calls concurrent with
 // a live Server panic by design (the index's single-flight guard).
 func NewServer(ix *pimtrie.Index, opts Options) *Server {
+	s := newServer(ix, opts)
+	s.start()
+	return s
+}
+
+// newServer builds a Server whose scheduler goroutines are not running
+// yet; tests form and execute epochs on it by hand.
+func newServer(ix *pimtrie.Index, opts Options) *Server {
 	s := &Server{
 		ix:       ix,
 		opts:     opts.withDefaults(),
@@ -131,6 +148,7 @@ func NewServer(ix *pimtrie.Index, opts Options) *Server {
 	}
 	if s.opts.Durable != nil {
 		s.dur = newDurableState(ix, *s.opts.Durable, s.opts.Metrics, s.opts.MetricLabels)
+		s.opts.Durable = nil // s.dur.cfg is the server's copy, without the recovery image
 	}
 	if s.opts.SnapshotReads {
 		if !ix.Health().Recoverable {
@@ -139,10 +157,17 @@ func NewServer(ix *pimtrie.Index, opts Options) *Server {
 		s.snapFilter = newWriteFilter(s.opts.SnapshotFilterBits)
 		s.snapDirty = make(chan struct{}, 1)
 		s.publishSnapshot() // a snapshot is live before the first request
+	}
+	s.sampleHealth() // baseline before the scheduler goroutines exist
+	return s
+}
+
+// start launches the scheduler goroutines.
+func (s *Server) start() {
+	if s.snapDirty != nil {
 		s.wg.Add(1)
 		go s.publisher()
 	}
-	s.sampleHealth() // baseline before the scheduler goroutines exist
 	if !s.opts.NoPipeline {
 		// Formation is demand-paced: the executor emits one demand token
 		// when it starts an epoch, and the batcher forms exactly one plan
@@ -169,7 +194,6 @@ func NewServer(ix *pimtrie.Index, opts Options) *Server {
 	}
 	s.wg.Add(1)
 	go s.batcher()
-	return s
 }
 
 // Close drains every queued request, waits for the final epoch to
@@ -571,40 +595,76 @@ func (s *Server) formLocked() *epochPlan {
 	return s.formReadLocked()
 }
 
-// formWriteLocked takes the maximal same-op prefix of the write FIFO,
-// capped at MaxBatch keys (always at least one request).
+// formWriteLocked takes the longest prefix of the write FIFO that is
+// serially equivalent to "all its inserts, then all its deletes",
+// capped at MaxBatch keys (calls are admitted whole, always at least
+// one). Moving a delete behind a later insert changes nothing unless
+// both touch one key, so the prefix is cut only at an insert of a key
+// that a delete already admitted to this epoch touches: delete→insert
+// of one key is the one order the two batches cannot reproduce.
+// insert→delete of one key already is the batch order; duplicate
+// inserts stay last-wins and duplicate deletes first-finds inside the
+// index, as in a same-op batch. The conflict set is built only when an
+// insert follows a delete, so an epoch of one op never pays for it; it
+// holds key hashes, so a collision can only cut an epoch early.
 func (s *Server) formWriteLocked() *epochPlan {
-	op := s.writeQ[0].op
-	plan := &epochPlan{write: true, op: op}
-	total := 0
+	plan := &epochPlan{write: true}
+	var deleted map[uint64]struct{} // keyHash of plan.del.keys[:hashed], filled when an insert has to look
+	hashed := 0
+	cut := -1 // cutConflict or cutMaxBatch once the prefix is cut short
 	i := 0
-	for ; i < len(s.writeQ) && s.writeQ[i].op == op; i++ {
+admit:
+	for ; i < len(s.writeQ); i++ {
 		c := s.writeQ[i]
-		if total > 0 && total+len(c.keys) > s.opts.MaxBatch {
+		if total := len(plan.ins.keys) + len(plan.del.keys); total > 0 && total+len(c.keys) > s.opts.MaxBatch {
+			cut = cutMaxBatch
 			break
 		}
-		total += len(c.keys)
-		plan.calls = append(plan.calls, c)
-		plan.keys = append(plan.keys, c.keys...)
-		if op == OpInsert {
-			plan.values = append(plan.values, c.values...)
+		if c.op == OpDelete {
+			plan.del.keys = append(plan.del.keys, c.keys...)
+		} else {
+			if hashed < len(plan.del.keys) {
+				if deleted == nil {
+					deleted = make(map[uint64]struct{}, len(plan.del.keys))
+				}
+				for _, k := range plan.del.keys[hashed:] {
+					deleted[keyHash(k)] = struct{}{}
+				}
+				hashed = len(plan.del.keys)
+			}
+			if hashed > 0 {
+				for _, k := range c.keys {
+					if _, hit := deleted[keyHash(k)]; hit {
+						cut = cutConflict
+						break admit
+					}
+				}
+			}
+			plan.ins.keys = append(plan.ins.keys, c.keys...)
+			plan.ins.values = append(plan.ins.values, c.values...)
 		}
+		plan.calls = append(plan.calls, c)
 	}
 	s.writeQ = append(s.writeQ[:0], s.writeQ[i:]...)
 	s.formedWrites++
 	plan.stamp = s.formedWrites
 	s.stats.WriteEpochs++
-	s.notePrefixLoadLocked(plan.keys)
-	s.noteExecutedLocked(op, len(plan.keys))
+	s.notePrefixLoadLocked(plan.ins.keys)
+	s.notePrefixLoadLocked(plan.del.keys)
+	s.noteExecutedLocked(OpInsert, len(plan.ins.keys))
+	s.noteExecutedLocked(OpDelete, len(plan.del.keys))
 	if s.met != nil {
 		s.met.writeEpochs.Inc()
-		s.met.epochKeys.Observe(float64(len(plan.keys)))
+		s.met.epochKeys.Observe(float64(len(plan.ins.keys) + len(plan.del.keys)))
+		if cut >= 0 {
+			s.met.writeCuts[cut].Inc()
+		}
 		s.met.noteFormed(plan.calls, time.Now())
 	}
 	if s.opts.RecordHistory {
 		rec := &EpochRecord{Write: true}
 		for _, c := range plan.calls {
-			c.rec = &OpRecord{Op: op, Keys: c.keys, Values: c.values}
+			c.rec = &OpRecord{Op: c.op, Keys: c.keys, Values: c.values}
 			rec.Ops = append(rec.Ops, c.rec)
 		}
 		s.hist = append(s.hist, rec)
@@ -751,7 +811,11 @@ func (s *Server) prepare(plan *epochPlan) {
 		}()
 	}
 	if plan.write {
-		plan.prep = s.ix.PrepareBatch(plan.keys)
+		for _, sec := range []*writeSection{&plan.ins, &plan.del} {
+			if len(sec.keys) > 0 {
+				sec.prep = s.ix.PrepareBatch(sec.keys)
+			}
+		}
 		return
 	}
 	for op := range plan.reads {
@@ -788,6 +852,9 @@ func (s *Server) execute(plan *epochPlan) {
 			// left alone instead of being double-closed.
 			err := fmt.Errorf("serve: index failure: %v", r)
 			if plan.write {
+				if s.dur != nil {
+					s.dur.noteErr(err) // see executeWrite: memory may be ahead of the log
+				}
 				for _, c := range plan.calls {
 					s.finishErr(c, err)
 				}
@@ -807,13 +874,22 @@ func (s *Server) execute(plan *epochPlan) {
 	s.executeRead(plan)
 }
 
+// executeWrite applies a write epoch — insert section, then delete
+// section — under one write stamp, logs it as one record and resolves
+// every call at once. The epoch is all-or-nothing towards its callers:
+// if either section panics in the index (execute recovers it) or the
+// append fails, every future fails and nothing is logged. The index
+// may then hold the insert section without the delete section; a
+// durable server records either failure as its sticky DurabilityErr,
+// because its memory is now ahead of its log and a restart rolls the
+// epoch back.
 func (s *Server) executeWrite(plan *epochPlan) {
 	var found []bool
-	switch plan.op {
-	case OpInsert:
-		s.ix.InsertPrepared(plan.prep, plan.values)
-	case OpDelete:
-		found = s.ix.DeletePrepared(plan.prep)
+	if len(plan.ins.keys) > 0 {
+		s.ix.InsertPrepared(plan.ins.prep, plan.ins.values)
+	}
+	if len(plan.del.keys) > 0 {
+		found = s.ix.DeletePrepared(plan.del.prep)
 	}
 	// Snapshot-path ordering: stamp the recent-writes filter, THEN
 	// advance the committed-write counter, THEN (below) acknowledge.
@@ -822,8 +898,10 @@ func (s *Server) executeWrite(plan *epochPlan) {
 	// epoch path or reads a snapshot that contains the write — never a
 	// stale snapshot answer for an acknowledged key.
 	if s.snapFilter != nil {
-		for _, k := range plan.keys {
-			s.snapFilter.note(keyHash(k), plan.stamp)
+		for _, keys := range [][]Key{plan.ins.keys, plan.del.keys} {
+			for _, k := range keys {
+				s.snapFilter.note(keyHash(k), plan.stamp)
+			}
 		}
 		s.committedW.Store(plan.stamp)
 		select {
@@ -845,15 +923,16 @@ func (s *Server) executeWrite(plan *epochPlan) {
 			return
 		}
 	}
-	if plan.op == OpDelete {
-		off := 0
-		for _, c := range plan.calls {
-			c.fut.found = found[off : off+len(c.keys) : off+len(c.keys)]
-			if c.rec != nil {
-				c.rec.Found = c.fut.found
-			}
-			off += len(c.keys)
+	off := 0
+	for _, c := range plan.calls {
+		if c.op != OpDelete {
+			continue
 		}
+		c.fut.found = found[off : off+len(c.keys) : off+len(c.keys)]
+		if c.rec != nil {
+			c.rec.Found = c.fut.found
+		}
+		off += len(c.keys)
 	}
 	s.deliver(plan.calls)
 }
@@ -862,7 +941,7 @@ func (s *Server) executeWrite(plan *epochPlan) {
 // index — the K of the adaptive controller's service-time samples.
 func planUniqueKeys(plan *epochPlan) int {
 	if plan.write {
-		return len(plan.keys)
+		return len(plan.ins.keys) + len(plan.del.keys)
 	}
 	n := 0
 	for op := range plan.reads {

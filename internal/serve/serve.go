@@ -79,8 +79,8 @@ func (o Op) isRead() bool { return o == OpGet || o == OpLCP || o == OpSubtree }
 // Options configures a Server. The zero value serves with the defaults
 // noted on each field.
 type Options struct {
-	// MaxBatch bounds the unique keys per executed sub-batch (default
-	// 1024).
+	// MaxBatch bounds the unique keys per executed read sub-batch, and
+	// the keys of a write epoch over both its sections (default 1024).
 	MaxBatch int
 	// MaxLinger bounds how long the batcher holds a non-full epoch open
 	// for more requests before dispatching it. The default 0 dispatches as

@@ -9,6 +9,7 @@ import (
 
 	"github.com/pimlab/pimtrie"
 	"github.com/pimlab/pimtrie/internal/bitstr"
+	"github.com/pimlab/pimtrie/internal/metrics"
 	"github.com/pimlab/pimtrie/internal/serve"
 	"github.com/pimlab/pimtrie/internal/trie"
 )
@@ -176,6 +177,82 @@ func TestServeSoak(t *testing.T) {
 				t.Fatalf("soak formed no epochs of one kind: %+v", st)
 			}
 			replayHistory(t, srv.History(), oracle)
+		})
+	}
+}
+
+// TestServeMixedEpochSoak is the adversarial input for the write-epoch
+// cut rule: many writers keep several inserts and deletes of a 16-key
+// hot set in flight, so nearly every write epoch holds both ops and
+// inserts keep landing on keys the same wave deletes, while strong reads
+// observe the states in between. Every response must equal a replay of
+// the recorded epoch order, call by call. Run under -race.
+func TestServeMixedEpochSoak(t *testing.T) {
+	configs := []struct {
+		name string
+		opts serve.Options
+	}{
+		{"pipelined", serve.Options{MaxBatch: 64, RecordHistory: true}},
+		{"small-batch+cache", serve.Options{MaxBatch: 8, CacheSize: 32, RecordHistory: true}},
+		{"no-pipeline", serve.Options{MaxBatch: 64, NoPipeline: true, RecordHistory: true}},
+	}
+	for _, tc := range configs {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := metrics.NewRegistry()
+			tc.opts.Metrics = reg
+			srv, oracle, hot := newServed(t, 8, 16, tc.opts)
+			const workers = 8
+			const iters = 50
+			const burst = 4
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func(seed int64) {
+					defer wg.Done()
+					r := rand.New(rand.NewSource(seed))
+					for it := 0; it < iters; it++ {
+						var waits [burst + 1]func() error
+						for b := 0; b < burst; b++ {
+							keys := []serve.Key{hot[r.Intn(len(hot))], hot[r.Intn(len(hot))]}[:1+r.Intn(2)]
+							if r.Intn(2) == 0 {
+								waits[b] = srv.InsertAsync(keys, []uint64{r.Uint64(), r.Uint64()}[:len(keys)]).Wait
+							} else {
+								f := srv.DeleteAsync(keys...)
+								waits[b] = func() error { _, err := f.Wait(); return err }
+							}
+						}
+						g := srv.GetAsync(hot[r.Intn(len(hot))])
+						waits[burst] = func() error { _, _, err := g.Wait(); return err }
+						for _, wait := range waits {
+							if err := wait(); err != nil {
+								t.Errorf("request: %v", err)
+							}
+						}
+					}
+				}(int64(500 + w))
+			}
+			wg.Wait()
+			srv.Close()
+			hist := srv.History()
+			mixed := 0
+			for _, er := range hist {
+				if !er.Write {
+					continue
+				}
+				var has [2]bool // insert, delete
+				for _, op := range er.Ops {
+					has[op.Op-serve.OpInsert] = true
+				}
+				if has[0] && has[1] {
+					mixed++
+				}
+			}
+			cuts := reg.Varz()[`pimtrie_serve_write_epoch_cuts_total{reason="conflict"}`].(uint64)
+			t.Logf("%d of %d write epochs mixed, %d cut at a conflict", mixed, srv.Stats().WriteEpochs, cuts)
+			if mixed == 0 || cuts == 0 {
+				t.Fatal("the soak is vacuous: it needs write epochs holding both ops and epochs cut at a delete→insert conflict")
+			}
+			replayHistory(t, hist, oracle)
 		})
 	}
 }

@@ -63,7 +63,7 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 }
 
 const (
-	segMagic  = "PIMWAL1\n"
+	segMagic  = "PIMWAL2\n" // 2: two-section epoch records; a PIMWAL1 directory fails Recover with "bad magic"
 	segPrefix = "wal-"
 	segSuffix = ".log"
 	segHdrLen = 16 // magic + u64 firstSeq
@@ -227,11 +227,12 @@ func (l *Log) openSegmentLocked() error {
 	return nil
 }
 
-// Append logs one committed write epoch and returns its assigned
-// sequence number. The record bytes reach the kernel before Append
-// returns under every sync policy; SyncEveryEpoch additionally fsyncs
-// inline.
-func (l *Log) Append(op uint8, keys []bitstr.String, values []uint64) (uint64, error) {
+// AppendEpoch logs one committed write epoch — its insert section and
+// its delete section in one record — and returns the assigned sequence
+// number. The record bytes reach the kernel before AppendEpoch returns
+// under every sync policy; SyncEveryEpoch additionally fsyncs inline,
+// once per record.
+func (l *Log) AppendEpoch(inserts []bitstr.String, values []uint64, deletes []bitstr.String) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
@@ -241,7 +242,7 @@ func (l *Log) Append(op uint8, keys []bitstr.String, values []uint64) (uint64, e
 	l.buf = l.buf[:0]
 	l.buf = append(l.buf, 0, 0, 0, 0, 0, 0, 0, 0) // frame header placeholder
 	var err error
-	l.buf, err = appendPayload(l.buf, seq, op, keys, values)
+	l.buf, err = appendPayload(l.buf, seq, inserts, values, deletes)
 	if err != nil {
 		return 0, err
 	}
@@ -266,6 +267,19 @@ func (l *Log) Append(op uint8, keys []bitstr.String, values []uint64) (uint64, e
 	}
 	l.publish()
 	return seq, nil
+}
+
+// Append logs an epoch that holds one section only, for callers that
+// log one op at a time: op selects whether keys are the insert section
+// (with values) or the delete section. The record is AppendEpoch's.
+func (l *Log) Append(op uint8, keys []bitstr.String, values []uint64) (uint64, error) {
+	switch op {
+	case OpInsert:
+		return l.AppendEpoch(keys, values, nil)
+	case OpDelete:
+		return l.AppendEpoch(nil, nil, keys)
+	}
+	return 0, fmt.Errorf("wal: unknown op %d", op)
 }
 
 func (l *Log) syncLocked() error {

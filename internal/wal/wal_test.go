@@ -1,8 +1,10 @@
 package wal
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -16,35 +18,46 @@ func testKey(i int) bitstr.String {
 	return bitstr.FromUint64(uint64(i)*0x9e3779b97f4a7c15+1, bits)
 }
 
-// appendEpochs logs n epochs (inserts, with every 5th a delete of the
-// previous insert's keys) and returns the expected replay tail.
+// appendEpochs logs n epochs cycling through the record's shapes —
+// inserts only, both sections, deletes only (of earlier inserts) — and
+// returns the expected replay tail.
 func appendEpochs(t *testing.T, l *Log, n, startID int) []Epoch {
 	t.Helper()
 	var want []Epoch
 	for e := 0; e < n; e++ {
-		op := OpInsert
-		if e%5 == 4 {
-			op = OpDelete
-		}
-		nk := 1 + e%3
-		keys := make([]bitstr.String, nk)
-		var values []uint64
-		for k := range keys {
-			keys[k] = testKey(startID + e*3 + k)
-		}
-		if op == OpInsert {
-			values = make([]uint64, nk)
-			for k := range values {
-				values[k] = uint64(startID+e*3+k) * 31
+		var ep Epoch
+		id := startID + e*3
+		if e%3 != 2 {
+			for k := 0; k < 1+e%3; k++ {
+				ep.Inserts = append(ep.Inserts, testKey(id+k))
+				ep.Values = append(ep.Values, uint64(id+k)*31)
 			}
 		}
-		seq, err := l.Append(op, keys, values)
+		if e%3 != 0 {
+			for k := 0; k < 1+e%2; k++ {
+				ep.Deletes = append(ep.Deletes, testKey(id-3+k))
+			}
+		}
+		seq, err := l.AppendEpoch(ep.Inserts, ep.Values, ep.Deletes)
 		if err != nil {
 			t.Fatalf("append %d: %v", e, err)
 		}
-		want = append(want, Epoch{Seq: seq, Op: op, Keys: keys, Values: values})
+		ep.Seq = seq
+		want = append(want, ep)
 	}
 	return want
+}
+
+func checkKeys(t *testing.T, what string, got, want []bitstr.String) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: got %d keys, want %d", what, len(got), len(want))
+	}
+	for k := range want {
+		if !bitstr.Equal(got[k], want[k]) {
+			t.Fatalf("%s key %d: got %v want %v", what, k, got[k], want[k])
+		}
+	}
 }
 
 func checkEpochs(t *testing.T, got, want []Epoch) {
@@ -54,15 +67,16 @@ func checkEpochs(t *testing.T, got, want []Epoch) {
 	}
 	for i := range want {
 		g, w := got[i], want[i]
-		if g.Seq != w.Seq || g.Op != w.Op || len(g.Keys) != len(w.Keys) {
-			t.Fatalf("epoch %d: got seq=%d op=%d nkeys=%d, want seq=%d op=%d nkeys=%d",
-				i, g.Seq, g.Op, len(g.Keys), w.Seq, w.Op, len(w.Keys))
+		if g.Seq != w.Seq {
+			t.Fatalf("epoch %d: got seq=%d, want %d", i, g.Seq, w.Seq)
 		}
-		for k := range w.Keys {
-			if !bitstr.Equal(g.Keys[k], w.Keys[k]) {
-				t.Fatalf("epoch %d key %d: got %v want %v", i, k, g.Keys[k], w.Keys[k])
-			}
-			if w.Op == OpInsert && g.Values[k] != w.Values[k] {
+		checkKeys(t, fmt.Sprintf("epoch %d inserts", i), g.Inserts, w.Inserts)
+		checkKeys(t, fmt.Sprintf("epoch %d deletes", i), g.Deletes, w.Deletes)
+		if len(g.Values) != len(w.Values) {
+			t.Fatalf("epoch %d: got %d values, want %d", i, len(g.Values), len(w.Values))
+		}
+		for k := range w.Values {
+			if g.Values[k] != w.Values[k] {
 				t.Fatalf("epoch %d value %d: got %d want %d", i, k, g.Values[k], w.Values[k])
 			}
 		}
@@ -181,73 +195,133 @@ func TestPruneRemovesCoveredSegments(t *testing.T) {
 }
 
 // TestTornTailFuzz truncates the log at every byte offset inside the
-// final record and asserts recovery yields exactly the preceding
-// epochs — the acknowledged prefix (satellite: fuzz-style loop).
+// final record — for each shape a record can take: both sections, or
+// either one empty — and asserts recovery yields exactly the preceding
+// epochs, the acknowledged prefix.
 func TestTornTailFuzz(t *testing.T) {
+	ins, vals := []bitstr.String{testKey(500), testKey(501)}, []uint64{5, 6}
+	dels := []bitstr.String{testKey(3), testKey(500), testKey(4)}
+	for _, shape := range []struct {
+		name string
+		last Epoch
+	}{
+		{"mixed", Epoch{Inserts: ins, Values: vals, Deletes: dels}},
+		{"inserts-only", Epoch{Inserts: ins, Values: vals}},
+		{"deletes-only", Epoch{Deletes: dels}},
+	} {
+		t.Run(shape.name, func(t *testing.T) {
+			dir := t.TempDir()
+			l, err := Open(Options{Dir: dir, Policy: SyncNone})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := appendEpochs(t, l, 7, 0)
+			seg := segmentPath(dir, 1)
+			fi, err := os.Stat(seg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sizeBefore := fi.Size()
+			final := shape.last
+			if final.Seq, err = l.AppendEpoch(final.Inserts, final.Values, final.Deletes); err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			raw, err := os.ReadFile(seg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if int64(len(raw)) <= sizeBefore {
+				t.Fatalf("final record added no bytes (%d <= %d)", len(raw), sizeBefore)
+			}
+			recoverFrom := func(what string, content []byte) *RecoveryInfo {
+				tdir := t.TempDir()
+				if err := os.WriteFile(filepath.Join(tdir, filepath.Base(seg)), content, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				info, err := Recover(tdir)
+				if err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+				return info
+			}
+
+			for cut := sizeBefore; cut < int64(len(raw)); cut++ {
+				info := recoverFrom(fmt.Sprintf("cut=%d", cut), raw[:cut])
+				checkEpochs(t, info.Epochs, want)
+				if torn := cut > sizeBefore; info.TornTail != torn {
+					t.Fatalf("cut=%d: TornTail=%v want %v", cut, info.TornTail, torn)
+				}
+			}
+			info := recoverFrom("untruncated", raw)
+			checkEpochs(t, info.Epochs, append(append([]Epoch{}, want...), final))
+			if info.TornTail {
+				t.Fatal("full log reported torn")
+			}
+
+			// A bit flip inside the final record's payload must also drop
+			// exactly that record.
+			for _, flip := range []int64{sizeBefore + frameHeaderSize, int64(len(raw)) - 1} {
+				mut := append([]byte{}, raw...)
+				mut[flip] ^= 0x40
+				info := recoverFrom(fmt.Sprintf("flip=%d", flip), mut)
+				checkEpochs(t, info.Epochs, want)
+				if !info.TornTail {
+					t.Fatalf("flip=%d: corrupt final record not reported torn", flip)
+				}
+			}
+		})
+	}
+}
+
+// TestAppendOneSection pins the one-section shorthand: it writes the
+// same record AppendEpoch does, with the other section empty.
+func TestAppendOneSection(t *testing.T) {
 	dir := t.TempDir()
 	l, err := Open(Options{Dir: dir, Policy: SyncNone})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := appendEpochs(t, l, 7, 0)
-	seg := segmentPath(dir, 1)
-	fi, err := os.Stat(seg)
-	if err != nil {
+	keys, vals := []bitstr.String{testKey(1), testKey(2)}, []uint64{10, 20}
+	if _, err := l.Append(OpInsert, keys, vals); err != nil {
 		t.Fatal(err)
 	}
-	sizeBefore := fi.Size()
-	final := appendEpochs(t, l, 1, 500)
+	if _, err := l.Append(OpDelete, keys[:1], nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Append(2, keys, vals); err == nil {
+		t.Fatal("Append accepted an unknown op")
+	}
+	if _, err := l.AppendEpoch(keys, vals[:1], nil); err == nil {
+		t.Fatal("AppendEpoch accepted 2 insert keys with 1 value")
+	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	raw, err := os.ReadFile(seg)
+	info, err := Recover(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if int64(len(raw)) <= sizeBefore {
-		t.Fatalf("final record added no bytes (%d <= %d)", len(raw), sizeBefore)
-	}
+	checkEpochs(t, info.Epochs, []Epoch{
+		{Seq: 1, Inserts: keys, Values: vals},
+		{Seq: 2, Deletes: keys[:1]},
+	})
+}
 
-	for cut := sizeBefore; cut <= int64(len(raw)); cut++ {
-		tdir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(tdir, filepath.Base(seg)), raw[:cut], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		info, err := Recover(tdir)
-		if err != nil {
-			t.Fatalf("cut=%d: %v", cut, err)
-		}
-		switch {
-		case cut == int64(len(raw)): // untruncated control
-			checkEpochs(t, info.Epochs, append(append([]Epoch{}, want...), final...))
-			if info.TornTail {
-				t.Fatalf("cut=%d: full log reported torn", cut)
-			}
-		default:
-			checkEpochs(t, info.Epochs, want)
-			if torn := cut > sizeBefore; info.TornTail != torn {
-				t.Fatalf("cut=%d: TornTail=%v want %v", cut, info.TornTail, torn)
-			}
-		}
+// TestOldSegmentMagicRejected: a directory written before the record
+// gained its delete section must fail recovery, not be misread.
+func TestOldSegmentMagicRejected(t *testing.T) {
+	dir := t.TempDir()
+	hdr := make([]byte, segHdrLen)
+	copy(hdr, "PIMWAL1\n")
+	hdr[8] = 1 // firstSeq 1, little-endian
+	if err := os.WriteFile(segmentPath(dir, 1), hdr, 0o644); err != nil {
+		t.Fatal(err)
 	}
-
-	// A bit flip inside the final record's payload must also drop
-	// exactly that record.
-	for _, flip := range []int64{sizeBefore + frameHeaderSize, int64(len(raw)) - 1} {
-		tdir := t.TempDir()
-		mut := append([]byte{}, raw...)
-		mut[flip] ^= 0x40
-		if err := os.WriteFile(filepath.Join(tdir, filepath.Base(seg)), mut, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		info, err := Recover(tdir)
-		if err != nil {
-			t.Fatalf("flip=%d: %v", flip, err)
-		}
-		checkEpochs(t, info.Epochs, want)
-		if !info.TornTail {
-			t.Fatalf("flip=%d: corrupt final record not reported torn", flip)
-		}
+	if _, err := Recover(dir); err == nil || !strings.Contains(err.Error(), "bad magic") {
+		t.Fatalf("Recover of a PIMWAL1 segment: err=%v, want bad magic", err)
 	}
 }
 
