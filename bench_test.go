@@ -187,6 +187,36 @@ func BenchmarkOpSubtree(b *testing.B) {
 	reportModel(b, idx, before, b.N, b.N)
 }
 
+// oneKeyGets times one-key Gets, 1 000 per b.N iteration so a
+// -benchtime=1x smoke run still measures something. With largeFirst the
+// index first serves one 4096-key LCP+Get+Insert+Delete cycle: a batch
+// must cost O(its own size), so the two variants should report the same
+// ns/op (internal/core's TestSmallBatchCostIgnoresHistory gates the
+// ratio).
+func oneKeyGets(b *testing.B, largeFirst bool) {
+	idx, keys := loadedIndex(b, 32, 20000)
+	g := workload.New(12)
+	if largeFirst {
+		idx.LCP(g.PrefixQueries(keys, 4096, 16))
+		idx.Get(g.Zipf(keys, 4096, 1.2))
+		fresh := g.FixedLen(4096, 128)
+		idx.Insert(fresh, g.Values(len(fresh)))
+		idx.Delete(fresh)
+	}
+	queries := g.Zipf(keys, 1000, 1.2)
+	b.ResetTimer()
+	before := idx.Metrics()
+	for i := 0; i < b.N; i++ {
+		for j := range queries {
+			idx.Get(queries[j : j+1])
+		}
+	}
+	reportModel(b, idx, before, b.N*len(queries), b.N*len(queries))
+}
+
+func BenchmarkOpOneKeyGetFresh(b *testing.B)           { oneKeyGets(b, false) }
+func BenchmarkOpOneKeyGetAfterLargeBatch(b *testing.B) { oneKeyGets(b, true) }
+
 func BenchmarkOpBulkLoad(b *testing.B) {
 	g := workload.New(6)
 	keys := g.VarLen(8000, 48, 192)

@@ -1,13 +1,13 @@
 package core
 
-// Allocation regression tests for the batch host path. PR 3's kernel
-// layer pools the per-batch scratch on the PIMTrie, so a steady-state
-// LCP batch should allocate proportionally to the batch itself (query
-// trie nodes, result slices, per-piece task closures) — a few dozen
-// objects per key — never to the phases it runs. The bound here is
-// deliberately loose (~3× observed) so it only trips on a structural
-// regression, e.g. un-pooling a map or reintroducing per-bit Slice
-// copies, not on incidental churn.
+// Allocation regression tests for the batch host path. The per-batch
+// scratch is pooled on the PIMTrie, so a steady-state batch should
+// allocate proportionally to the batch itself (query trie nodes, result
+// slices, per-piece task closures) — a few dozen objects per key —
+// never to the phases it runs, and a one-key call a fixed few dozen
+// whatever the index served before. The bounds are deliberately loose
+// so they only trip on a structural regression, e.g. a per-phase slice
+// made afresh or per-bit Slice copies, not on incidental churn.
 
 import (
 	"math/rand"
@@ -15,6 +15,11 @@ import (
 
 	"github.com/pimlab/pimtrie/internal/bitstr"
 )
+
+// oneKeyGetAllocBound is ~1.5× the observed count (see the test log):
+// the query trie and its hashes, three rounds' response slices and task
+// closures, the result slices.
+const oneKeyGetAllocBound = 100
 
 func TestLCPBatchAllocsPerOp(t *testing.T) {
 	if testing.Short() {
@@ -50,5 +55,33 @@ func TestLCPBatchAllocsPerOp(t *testing.T) {
 	t.Logf("LCP batch: %.0f allocs (%.1f per key)", perRun, perKey)
 	if perKey > 40 {
 		t.Fatalf("LCP host path allocates %.0f objects per batch (%.1f per key); pooled scratch bound is 40 per key", perRun, perKey)
+	}
+}
+
+func TestOneKeyGetAllocsPerOp(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation calibration is not meaningful under -short")
+	}
+	r := rand.New(rand.NewSource(23))
+	pt, _ := newTestTrie(8, Config{})
+	const nKeys = 4096
+	keys := make([]bitstr.String, nKeys)
+	vals := make([]uint64, nKeys)
+	for i := range keys {
+		keys[i] = randomKey(r, 160)
+		vals[i] = uint64(i)
+	}
+	pt.Build(keys, vals)
+	// A large batch first: the one-key path must not pay for it, and it
+	// grows every pooled buffer past what one key needs.
+	pt.Get(keys)
+	i := 0
+	perRun := testing.AllocsPerRun(200, func() {
+		pt.Get(keys[i%nKeys : i%nKeys+1])
+		i++
+	})
+	t.Logf("one-key Get: %.1f allocs", perRun)
+	if perRun > oneKeyGetAllocBound {
+		t.Fatalf("one-key Get allocates %.1f objects; bound is %d", perRun, oneKeyGetAllocBound)
 	}
 }

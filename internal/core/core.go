@@ -209,29 +209,35 @@ type PIMTrie struct {
 	// path allocates proportionally to its results, not to the phases it
 	// runs. PIMTrie is not safe for concurrent use (batches are the unit
 	// of parallelism), so plain fields suffice; everything here is dead
-	// between operations.
+	// between operations. All of it is slices addressed by position or by
+	// the query trie's dense preorder index and reset in O(this batch):
+	// nothing on the batch path may cost O(a previous batch), which is
+	// why there is no map here (DESIGN.md §9).
 	prepScratch prep
-	rawHitBuf   []rawHit
-	verifyRecs  []hitRec
+	segArena    [][]segment // master-round chunks
+	taskBuf     []pim.Task  // the round being assembled
+	modBuf      []int       // master-round target modules
+	rawHitBuf   []rawHit    // a round's unverified hits
+	verifyRecs  []hitRec    // verifyHits' per-hit verdicts
 	verifyOK    []bool
-	dedupeSeen  map[qposKey]bool
-	insGroups   map[pim.Addr][]insOp
-	delGroups   map[pim.Addr][]delOp
-	groupWords  map[pim.Addr]int
-	groupOrder  []pim.Addr
-	pieceBuf    []*piece
-	relBuf      []bitstr.String
+	hitBuf      []hitRec       // verified hits, root hit first
+	regionBuf   []regionShare  // region-round shares
+	shareHitBuf [][]rawHit     // raw hits per region-round share
+	cpuBuf      []int          // host work per pulled region share or block piece
+	repBuf      []*matchReport // block-round reports in task order
 	pieceArena  []*piece
 	pieceUsed   int
-	byEdgeBuf   map[*trie.Edge]int
-	edgeHitBuf  [][]int
-	edgeHitUsed int
-	pieceOfBuf  []*piece
+	stops       edgeStops // per-edge hit offsets of the last decompose
+	anchorBuf   []*piece  // owner piece per query node
+	pieceOfBuf  []*piece  // piece per hit, nil for dropped duplicates
 	piecesBuf   []*piece
-	segArena    [][]segment
-	reachBuf    map[*trie.Node]int
-	exactBuf    map[*trie.Node]exactHit
-	anchorBuf   map[*trie.Node]*piece
+	outcome     matchOutcome
+	pieceBuf    []*piece        // update ops: anchor piece per unique key
+	relBuf      []bitstr.String // remainder below the anchor per unique key
+	groupBuf    []keyGroup      // update ops: per-block key groups
+	groupKeyBuf []int32         // the groups' key ordinals, back to back
+	groupOrdBuf []int32         // group ordinals sorted by block address
+	groupToBuf  []int32         // group ordinal after folding shared blocks
 }
 
 // New creates an empty PIM-trie on the given system.

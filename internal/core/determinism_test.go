@@ -7,6 +7,7 @@ package core
 // by the round structure alone.
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -175,5 +176,143 @@ func TestDeterminismAcrossParallelismWithFaults(t *testing.T) {
 	}
 	if hSerial.RecoveryCost.Rounds <= 0 || hSerial.RecoveryCost.IOTime <= 0 {
 		t.Errorf("recovery cost not accounted: %+v", hSerial.RecoveryCost)
+	}
+}
+
+// sizeSeqResult is everything observable from one run of the batch-size
+// sequence: every answer of every batch and the metrics after each.
+type sizeSeqResult struct {
+	lcps     [][]int
+	values   [][]uint64
+	found    [][]bool
+	deleted  [][]bool
+	subtrees [][][]trie.KV
+	metrics  []pim.Metrics
+	stats    Stats
+}
+
+// runSizeSequence drives one index through batches of 4096, 1, 3, 64,
+// 1, 4096 and 1 keys — LCP, Get, Insert, Delete and SubtreeQueryBatch
+// at every size — checking each answer against the sequential trie
+// oracle and Validate() after every mutation. The per-batch scratch is
+// sized by the largest batch so far, so a small batch after a large one
+// is where state left behind by the large one would show. Batches hold
+// duplicates, keys that are prefixes of one another, extensions of
+// stored keys and the empty key.
+func runSizeSequence(t *testing.T, par int, cfg Config) sizeSeqResult {
+	t.Helper()
+	prev := parallel.SetMaxProcs(par)
+	defer parallel.SetMaxProcs(prev)
+
+	g := workload.New(7)
+	keys := g.VarLen(5000, 8, 200)
+	keys = append(keys, g.SharedPrefix(1500, 90, 60)...)
+	keys = append(keys, g.PrefixChain(300, 7)...)
+	values := g.Values(len(keys))
+	sys := pim.NewSystem(16, pim.WithSeed(3), pim.WithMaxParallelism(par))
+	defer sys.Close()
+	pt := New(sys, cfg)
+	pt.Build(keys, values)
+	oracle := trie.New()
+	for i, k := range keys {
+		oracle.Insert(k, values[i])
+	}
+
+	r := rand.New(rand.NewSource(9))
+	var res sizeSeqResult
+	for step, n := range []int{4096, 1, 3, 64, 1, 4096, 1} {
+		q := make([]bitstr.String, n)
+		for i := range q {
+			k := keys[r.Intn(len(keys))]
+			switch r.Intn(5) {
+			case 0:
+				q[i] = k.Prefix(r.Intn(k.Len() + 1))
+			case 1:
+				q[i] = k.Concat(randomKey(r, 30))
+			case 2:
+				q[i] = bitstr.Empty
+			default:
+				q[i] = k
+			}
+			if i > 0 && r.Intn(8) == 0 {
+				q[i] = q[r.Intn(i)]
+			}
+		}
+		lcp := pt.LCP(q)
+		vals, found := pt.Get(q)
+		for i, k := range q {
+			if want := oracle.LCPLen(k); lcp[i] != want {
+				t.Fatalf("step %d (%d keys): LCP(%q) = %d, want %d", step, n, k, lcp[i], want)
+			}
+			if wv, wok := oracle.Get(k); found[i] != wok || (wok && vals[i] != wv) {
+				t.Fatalf("step %d (%d keys): Get(%q) = %d,%v want %d,%v", step, n, k, vals[i], found[i], wv, wok)
+			}
+		}
+		fresh := make([]uint64, n)
+		for i := range fresh {
+			fresh[i] = r.Uint64()
+			oracle.Insert(q[i], fresh[i])
+		}
+		pt.Insert(q, fresh)
+		if err := pt.Validate(); err != nil {
+			t.Fatalf("step %d (%d keys): after Insert: %v", step, n, err)
+		}
+		del := pt.Delete(q[:n/2+1])
+		for i, k := range q[:n/2+1] {
+			if want := oracle.Delete(k); del[i] != want {
+				t.Fatalf("step %d (%d keys): Delete(%q) = %v, want %v", step, n, k, del[i], want)
+			}
+		}
+		if err := pt.Validate(); err != nil {
+			t.Fatalf("step %d (%d keys): after Delete: %v", step, n, err)
+		}
+		if pt.KeyCount() != oracle.KeyCount() {
+			t.Fatalf("step %d (%d keys): KeyCount = %d, oracle %d", step, n, pt.KeyCount(), oracle.KeyCount())
+		}
+		prefixes := q[:min(n, 4)]
+		subs := pt.SubtreeQueryBatch(prefixes)
+		for i, p := range prefixes {
+			want := oracle.SubtreeKeys(p)
+			if len(want) == 0 {
+				want = nil
+			}
+			if !reflect.DeepEqual(subs[i], want) {
+				t.Fatalf("step %d (%d keys): Subtree(%q) has %d pairs, oracle %d", step, n, p, len(subs[i]), len(want))
+			}
+		}
+		res.lcps = append(res.lcps, lcp)
+		res.values = append(res.values, vals)
+		res.found = append(res.found, found)
+		res.deleted = append(res.deleted, del)
+		res.subtrees = append(res.subtrees, subs)
+		res.metrics = append(res.metrics, sys.Metrics())
+	}
+	res.stats = pt.CollectStats()
+	return res
+}
+
+// TestSizeSequenceDifferential checks the size sequence against the
+// oracle and requires bit-identical answers and metrics at 1 and 8
+// workers — under -race this is the check that the block round's module
+// programs share nothing. The narrow-hash run adds false-positive hits
+// and re-hashes over the same scratch; the low pull threshold sends
+// most pieces down the pull paths.
+func TestSizeSequenceDifferential(t *testing.T) {
+	for name, cfg := range map[string]Config{
+		"default":     {HashSeed: 5},
+		"narrow-hash": {HashSeed: 5, HashWidth: 20, MaxRedo: 80},
+		"pull-heavy":  {HashSeed: 5, PullThreshold: 40, BlockWords: 32, PivotProbing: true},
+	} {
+		t.Run(name, func(t *testing.T) {
+			serial := runSizeSequence(t, 1, cfg)
+			wide := runSizeSequence(t, 8, cfg)
+			if !reflect.DeepEqual(serial.metrics, wide.metrics) {
+				t.Errorf("metrics differ between 1 and 8 workers:\n serial: %+v\n wide:   %+v",
+					serial.metrics[len(serial.metrics)-1], wide.metrics[len(wide.metrics)-1])
+			}
+			if !reflect.DeepEqual(serial, wide) {
+				t.Errorf("answers differ between 1 and 8 workers")
+			}
+		})
 	}
 }

@@ -9,6 +9,7 @@ package core
 // roots and compares edge labels word-at-a-time.
 
 import (
+	"slices"
 	"sync"
 
 	"github.com/pimlab/pimtrie/internal/bitstr"
@@ -44,61 +45,71 @@ func (p qpos) depth() int {
 	return p.edge.From.Depth + p.off
 }
 
-// qposKey is a comparable identity for hit bookkeeping.
-type qposKey struct {
-	node *trie.Node
-	edge *trie.Edge
-	off  int
-}
-
-func (p qpos) key() qposKey { return qposKey{p.node, p.edge, p.off} }
-
 // exactHit records that a query node's string coincided with a data
-// compressed node.
+// compressed node; the zero value (set false) records nothing.
 type exactHit struct {
+	set      bool
 	hasValue bool
 	value    uint64
 	isMirror bool
 }
 
-// matchReport is the outcome of matching one piece against one block.
-// All depths are absolute (from the data-trie root), which makes host
-// merging a plain max.
+// reachEntry and exactEntry are the sparse records of a matchReport.
+// idx is the query node's dense preorder Node.Index.
+type reachEntry struct {
+	idx   int32
+	depth int32 // bits of the node's root-path matched
+}
+
+type exactEntry struct {
+	idx int32
+	hit exactHit
+}
+
+// matchReport is the outcome of matching one piece against one block: a
+// sparse list of the query nodes the walk touched. A module program
+// fills its own report and shares nothing with the others, so the block
+// round stays race-free; the host folds the reports into the dense
+// matchOutcome in task order. All depths are absolute (from the
+// data-trie root), which makes folding a plain max.
 type matchReport struct {
-	// reach[n] = bits of n's root-path matched, for every query
-	// compressed node in the piece.
-	reach map[*trie.Node]int
-	// exact[n] is set when n's string coincided with a data node.
-	exact map[*trie.Node]exactHit
-	words int // wire size when fetched from a module
-}
-
-func (r *matchReport) setReach(n *trie.Node, d int) {
-	if old, ok := r.reach[n]; !ok || d > old {
-		r.reach[n] = d
-		r.words++
-	}
-}
-
-// merge folds o into r by max-reach; exact entries prefer real nodes
-// over mirrors (the deeper pair is authoritative at a block boundary).
-func (r *matchReport) merge(o *matchReport) {
-	for n, d := range o.reach {
-		r.setReach(n, d)
-	}
-	for n, e := range o.exact {
-		if old, ok := r.exact[n]; !ok || (old.isMirror && !e.isMirror) {
-			r.exact[n] = e
-		}
-	}
+	reach []reachEntry // one entry per node touched, holding its deepest claim
+	exact []exactEntry // nodes whose string coincided with a data node
+	words int          // wire size when fetched from a module
 }
 
 // matcher carries the walk state.
 type matcher struct {
 	rep   *matchReport
-	stop  map[qposKey]bool
+	stops *edgeStops
 	work  func(int) // bit-operation accounting hook
 	block *trie.Trie
+	// slot[i] is the position of node i's entry in rep.reach, valid only
+	// when that entry names i — a sparse set, so slot is never cleared
+	// and stale contents from an earlier walk are harmless.
+	slot []int32
+}
+
+// setReach raises node n's claim to d. The wire count grows on every
+// raise, not per node: a divergence at offset 0 of an edge re-marks the
+// whole subtree below the edge's From node, siblings already walked
+// included.
+func (m *matcher) setReach(n *trie.Node, d int) {
+	i, rep := n.Index, m.rep
+	if i >= len(m.slot) {
+		m.slot = slices.Grow(m.slot, i+1-len(m.slot))
+		m.slot = m.slot[:cap(m.slot)]
+	}
+	if s := int(m.slot[i]); s < len(rep.reach) && rep.reach[s].idx == int32(i) {
+		if int32(d) > rep.reach[s].depth {
+			rep.reach[s].depth = int32(d)
+			rep.words++
+		}
+		return
+	}
+	m.slot[i] = int32(len(rep.reach))
+	rep.reach = append(rep.reach, reachEntry{idx: int32(i), depth: int32(d)})
+	rep.words++
 }
 
 // matcherPool and reportPool recycle the per-piece walk state.
@@ -106,35 +117,35 @@ type matcher struct {
 // workers, so a sync.Pool (not a PIMTrie field) is required. The
 // matcher is returned to its pool before matchPiece returns; the report
 // escapes to the caller, which hands it back via recycleReport once
-// merged (callers that never recycle, e.g. tests, just let it be
+// folded (callers that never recycle, e.g. tests, just let it be
 // garbage).
 var matcherPool = sync.Pool{New: func() any { return new(matcher) }}
 
+// A typical piece touches a handful of query nodes; starting a fresh
+// report there saves the first few append doublings.
 var reportPool = sync.Pool{New: func() any {
-	return &matchReport{reach: map[*trie.Node]int{}, exact: map[*trie.Node]exactHit{}}
+	return &matchReport{reach: make([]reachEntry, 0, 8), exact: make([]exactEntry, 0, 4)}
 }}
 
 func newReport() *matchReport {
 	rep := reportPool.Get().(*matchReport)
-	clear(rep.reach)
-	clear(rep.exact)
-	rep.words = 0
+	rep.reach, rep.exact, rep.words = rep.reach[:0], rep.exact[:0], 0
 	return rep
 }
 
 // recycleReport returns a report to the pool. The caller must hold the
-// only reference — in particular the report's maps must no longer be
-// reachable from a matchOutcome.
+// only reference.
 func recycleReport(rep *matchReport) { reportPool.Put(rep) }
 
 // matchPiece walks the query trie from start (whose represented string
 // equals the block root's string) against the block's local trie,
-// halting at the positions in stop. work receives word-granularity
-// operation counts so callers can charge PIM or CPU work.
-func matchPiece(start qpos, stop map[qposKey]bool, block *trie.Trie, work func(int)) *matchReport {
+// halting at the next hit position in stops (nil: none). work receives
+// word-granularity operation counts so callers can charge PIM or CPU
+// work.
+func matchPiece(start qpos, stops *edgeStops, block *trie.Trie, work func(int)) *matchReport {
 	m := matcherPool.Get().(*matcher)
 	m.rep = newReport()
-	m.stop = stop
+	m.stops = stops
 	m.work = work
 	m.block = block
 	droot := atNode(block.Root())
@@ -145,16 +156,18 @@ func matchPiece(start qpos, stop map[qposKey]bool, block *trie.Trie, work func(i
 		m.matchEdge(start.edge, start.off, droot)
 	}
 	rep := m.rep
-	*m = matcher{}
+	*m = matcher{slot: m.slot}
 	matcherPool.Put(m)
 	return rep
 }
 
 // record notes that query node n matched fully, with the data side at d.
 func (m *matcher) record(n *trie.Node, d qpos) {
-	m.rep.setReach(n, n.Depth)
+	m.setReach(n, n.Depth)
 	if d.node != nil {
-		m.rep.exact[n] = exactHit{hasValue: d.node.HasValue, value: d.node.Value, isMirror: d.node.Mirror}
+		m.rep.exact = append(m.rep.exact, exactEntry{idx: int32(n.Index), hit: exactHit{
+			set: true, hasValue: d.node.HasValue, value: d.node.Value, isMirror: d.node.Mirror,
+		}})
 		m.rep.words++
 	}
 }
@@ -172,7 +185,7 @@ func (m *matcher) diverge(p qpos, depth int) {
 }
 
 func (m *matcher) divergeRec(v *trie.Node, depth int) {
-	m.rep.setReach(v, depth)
+	m.setReach(v, depth)
 	for b := 0; b < 2; b++ {
 		if e := v.Child[b]; e != nil {
 			m.divergeRec(e.To, depth)
@@ -190,23 +203,20 @@ func (m *matcher) fromNode(qn *trie.Node, d qpos) {
 	}
 }
 
-// nextStop returns the smallest stop offset on edge e strictly greater
-// than off (edge-end stops are keyed as the To node), or label length+1
-// if none.
+// nextStop returns where a walk standing off bits down edge e must halt:
+// the smallest hit offset strictly greater than off, or the label length
+// if the To node is a hit (even when the walk already stands on it — a
+// hit on the To node bars the descent below it), or label length+1 if
+// neither. The walk never passes a hit, so the first one past off is
+// this piece's stop whichever piece the later ones bound.
 func (m *matcher) nextStop(e *trie.Edge, off int) int {
-	best := e.Label.Len() + 1
-	if len(m.stop) == 0 {
-		return best
-	}
-	for s := off + 1; s < e.Label.Len(); s++ {
-		if m.stop[(qpos{edge: e, off: s}).key()] {
-			return s
+	end := e.Label.Len()
+	for _, s := range m.stops.on(e) {
+		if int(s) > off || int(s) == end {
+			return int(s)
 		}
 	}
-	if m.stop[(qpos{node: e.To}).key()] {
-		return e.Label.Len()
-	}
-	return best
+	return end + 1
 }
 
 // matchEdge matches query edge qe from offset qoff onward against the

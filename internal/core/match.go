@@ -119,7 +119,7 @@ func probeSegments(h *hashing.Hasher, segs []segment, lookup func(uint64) (metaI
 				}
 			}
 			// Pass 3: resolve probes in position order (hit order is part
-			// of the determinism contract — dedupeHits keeps the first).
+			// of the determinism contract — decompose keeps the first).
 			for j := 0; j < k; j++ {
 				if info, ok := lookup(outs[j]); ok {
 					hits = append(hits, rawHit{edge: s.edge, off: i + j + 1, val: vals[j], info: info})
@@ -280,40 +280,79 @@ func (t *PIMTrie) prepare(batch []bitstr.String) *prep {
 }
 
 // matchOutcome is the merged result of one successful matching pass.
+// reach, exact and anchorPiece are indexed by the query node's dense
+// preorder Node.Index (len(qt.PreNodes) entries each).
 type matchOutcome struct {
 	qt    *querytrie.QueryTrie
-	reach map[*trie.Node]int
-	exact map[*trie.Node]exactHit
-	// anchorPiece[n] is the piece (bottommost hit) owning query node n.
-	anchorPiece map[*trie.Node]*piece
+	reach []int      // bits of the node's root-path present in the index
+	exact []exactHit // set when the node's string coincided with a data node
+	// anchorPiece[i] is the piece (bottommost hit) owning query node i.
+	anchorPiece []*piece
 	pieces      []*piece
 }
 
 // lcpOf returns the LCP length for unique key i.
-func (o *matchOutcome) lcpOf(i int) int {
-	if d, ok := o.reach[o.qt.Nodes[i]]; ok {
-		return d
+func (o *matchOutcome) lcpOf(i int) int { return o.reach[o.qt.Nodes[i].Index] }
+
+// fold merges one piece's report into the outcome by max-reach; exact
+// entries prefer real nodes over mirrors (the deeper pair is
+// authoritative at a block boundary), the first report winning
+// otherwise.
+func (o *matchOutcome) fold(rep *matchReport) {
+	for _, r := range rep.reach {
+		if int(r.depth) > o.reach[r.idx] {
+			o.reach[r.idx] = int(r.depth)
+		}
 	}
-	return 0
+	for _, e := range rep.exact {
+		if old := o.exact[e.idx]; !old.set || (old.isMirror && !e.hit.isMirror) {
+			o.exact[e.idx] = e.hit
+		}
+	}
+}
+
+// sized returns buf resliced to n elements, reallocated when its
+// capacity is short. The contents are unspecified: callers overwrite or
+// clear them, which costs O(n) however large buf has grown.
+func sized[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+// regionShare is one master piece's share of the region round: pushed to
+// its region's module, or (pull) probed on the host against the region
+// fetched by task.
+type regionShare struct {
+	pc   *piece
+	task int // index of the round task whose response serves this piece
+	pull bool
 }
 
 // match runs phases B–D for a prepared batch. Each phase is annotated
 // as a span (see DESIGN.md §7): "master-match" and "region-match" are
 // the two HashMatching stages of §4.3–4.4 (Algorithms 4 and 5's roles),
 // "block-match" is the bit-by-bit push-pull of Algorithm 2.
+//
+// Every per-phase slice is scratch pooled on the PIMTrie and dead when
+// match returns, except the outcome, which lives until the operation
+// that asked for it returns.
 func (t *PIMTrie) match(p *prep) (*matchOutcome, error) {
 	// ----- Phase B: master matching -----------------------------------
 	endMaster := t.sys.Phase("master-match")
 	chunks := t.chunkEdges(p)
 	rootVal := hashing.EmptyValue()
-	rootHit := hitRec{
+	hits := append(t.hitBuf[:0], hitRec{
 		pos: atNode(p.qt.Trie.Root()), depth: 0, val: rootVal,
 		info: t.masterInfo(t.h.Out(rootVal)),
-	}
-	tasks := make([]pim.Task, len(chunks))
+	})
+	t.taskBuf = sized(t.taskBuf, len(chunks))
+	bTasks := t.taskBuf
 	// Target modules are drawn serially first so the RNG sequence matches
 	// the serial loop; task construction then fans out (disjoint writes).
-	mods := make([]int, len(chunks))
+	t.modBuf = sized(t.modBuf, len(chunks))
+	mods := t.modBuf
 	for i := range mods {
 		mods[i] = t.sys.RandModule()
 	}
@@ -324,7 +363,7 @@ func (t *PIMTrie) match(p *prep) (*matchOutcome, error) {
 			words += s.words()
 		}
 		addrs := t.masterAddrs
-		tasks[i] = pim.Task{
+		bTasks[i] = pim.Task{
 			Module:    mods[i],
 			SendWords: words,
 			Run: func(m *pim.Module) pim.Resp {
@@ -341,32 +380,25 @@ func (t *PIMTrie) match(p *prep) (*matchOutcome, error) {
 		}
 	})
 	masterRaw := t.rawHitBuf[:0]
-	for _, r := range t.sys.Round(tasks) {
+	for _, r := range t.sys.Round(bTasks) {
 		masterRaw = append(masterRaw, r.Value.([]rawHit)...)
 	}
 	t.rawHitBuf = masterRaw
-	masterHits := append([]hitRec{rootHit}, t.verifyHits(masterRaw)...)
-	masterHits = t.dedupeHits(masterHits)
+	hits = t.verifyHits(hits, masterRaw)
 	endMaster()
 
 	// ----- Phase C: region matching ------------------------------------
 	endRegion := t.sys.Phase("region-match")
-	masterPieces := t.decompose(p, masterHits, t.cfg.PivotProbing)
-	var cTasks []pim.Task
-	type cKind struct {
-		pc   *piece
-		pull bool
-	}
-	var cKinds []cKind
-	pulledRegion := map[pim.Addr]int{} // region -> task index of its fetch
+	masterPieces := t.decompose(p, hits, t.cfg.PivotProbing)
+	cTasks := t.taskBuf[:0]
+	shares := t.regionBuf[:0]
 	for _, pc := range masterPieces {
 		if pc.words == 0 {
 			continue
 		}
-		pc := pc
 		regAddr := pc.hit.info.Region
-		if pc.words <= t.cfg.PullThreshold {
-			cKinds = append(cKinds, cKind{pc: pc})
+		sh := regionShare{pc: pc, task: len(cTasks), pull: pc.words > t.cfg.PullThreshold}
+		if !sh.pull {
 			cTasks = append(cTasks, pim.Task{
 				Module:    regAddr.Module,
 				SendWords: pc.words + 2,
@@ -376,11 +408,9 @@ func (t *PIMTrie) match(p *prep) (*matchOutcome, error) {
 					return pim.Resp{RecvWords: len(hits)*metaInfoWords + 1, Value: hits}
 				},
 			})
-			continue
-		}
-		cKinds = append(cKinds, cKind{pc: pc, pull: true})
-		if _, done := pulledRegion[regAddr]; !done {
-			pulledRegion[regAddr] = len(cTasks)
+		} else if fetch := fetchOf(shares, regAddr); fetch >= 0 {
+			sh.task = fetch // the region is already on its way
+		} else {
 			cTasks = append(cTasks, pim.Task{
 				Module:    regAddr.Module,
 				SendWords: 1,
@@ -389,85 +419,53 @@ func (t *PIMTrie) match(p *prep) (*matchOutcome, error) {
 					return pim.Resp{RecvWords: ro.SizeWords(), Value: ro}
 				},
 			})
-		} else {
-			cKinds[len(cKinds)-1].pull = true
 		}
+		shares = append(shares, sh)
 	}
+	t.taskBuf, t.regionBuf = cTasks, shares
 	cResps := t.sys.Round(cTasks)
-	// Map each kind to its response slot serially (the walk mirrors the
-	// order tasks were appended), then run the host-side probes of pulled
-	// regions in parallel — they only read the fetched snapshots.
-	respOf := make([]int, len(cKinds))
-	respIdx := 0
-	for i, k := range cKinds {
-		if !k.pull {
-			respOf[i] = respIdx
-			respIdx++
-			continue
-		}
-		ti := pulledRegion[k.pc.hit.info.Region]
-		respOf[i] = ti
-		if ti == respIdx {
-			respIdx++ // consume the fetch response slot
-		}
-	}
-	hitsByKind := make([][]rawHit, len(cKinds))
-	cpuByKind := make([]int, len(cKinds))
-	parallel.For(len(cKinds), func(i int) {
-		k := cKinds[i]
-		if !k.pull {
-			hitsByKind[i] = cResps[respOf[i]].Value.([]rawHit)
+	// The host-side probes of pulled regions run in parallel — they only
+	// read the fetched snapshots.
+	t.shareHitBuf, t.cpuBuf = sized(t.shareHitBuf, len(shares)), sized(t.cpuBuf, len(shares))
+	hitsByShare, probeCPUBy := t.shareHitBuf, t.cpuBuf
+	parallel.For(len(shares), func(i int) {
+		sh := shares[i]
+		probeCPUBy[i] = 0
+		if !sh.pull {
+			hitsByShare[i] = cResps[sh.task].Value.([]rawHit)
 			return
 		}
-		ro := cResps[respOf[i]].Value.(*regionObj)
-		cpu := 0
-		hitsByKind[i] = t.regionProbe(k.pc.segs, ro.r, k.pc.hit.info.Region, func(w int) { cpu += w })
-		cpuByKind[i] = cpu
+		ro := cResps[sh.task].Value.(*regionObj)
+		hitsByShare[i] = t.regionProbe(sh.pc.segs, ro.r, sh.pc.hit.info.Region, func(w int) { probeCPUBy[i] += w })
 	})
 	probeCPU := 0
 	regionRaw := t.rawHitBuf[:0]
-	for i := range cKinds {
-		probeCPU += cpuByKind[i]
-		regionRaw = append(regionRaw, hitsByKind[i]...)
+	for i := range shares {
+		probeCPU += probeCPUBy[i]
+		regionRaw = append(regionRaw, hitsByShare[i]...)
 	}
+	clear(hitsByShare) // do not pin the modules' reply slices
 	t.rawHitBuf = regionRaw
 	if probeCPU > 0 {
 		t.sys.CPUWork(probeCPU)
 	}
-	regionHits := t.verifyHits(regionRaw)
+	hits = t.verifyHits(hits, regionRaw)
+	t.hitBuf = hits
 	endRegion()
 
 	// ----- Phase D: block matching -------------------------------------
 	endBlock := t.sys.Phase("block-match")
 	defer endBlock()
-	allHits := t.dedupeHits(append(masterHits, regionHits...))
-	pieces := t.decompose(p, allHits, false)
-	// The outcome maps are pooled on the PIMTrie: an outcome is only read
-	// until its operation returns, so clearing them at the next match call
-	// is safe and keeps their buckets warm across batches.
-	if t.reachBuf == nil {
-		t.reachBuf = map[*trie.Node]int{}
-		t.exactBuf = map[*trie.Node]exactHit{}
-		t.anchorBuf = map[*trie.Node]*piece{}
-	} else {
-		clear(t.reachBuf)
-		clear(t.exactBuf)
-		clear(t.anchorBuf)
-	}
-	out := &matchOutcome{
-		qt:          p.qt,
-		reach:       t.reachBuf,
-		exact:       t.exactBuf,
-		anchorPiece: t.anchorBuf,
-		pieces:      pieces,
-	}
-	merged := &matchReport{reach: out.reach, exact: out.exact}
-	for _, pc := range pieces {
-		for _, n := range pc.nodes {
-			out.anchorPiece[n] = pc
-		}
-	}
-	dTasks := make([]pim.Task, len(pieces))
+	pieces := t.decompose(p, hits, false)
+	nodes := len(p.qt.PreNodes)
+	out := &t.outcome
+	out.qt, out.pieces, out.anchorPiece = p.qt, pieces, t.anchorBuf
+	out.reach, out.exact = sized(out.reach, nodes), sized(out.exact, nodes)
+	clear(out.reach)
+	clear(out.exact)
+	t.taskBuf = sized(t.taskBuf, len(pieces))
+	dTasks := t.taskBuf
+	stops := &t.stops
 	parallel.For(len(pieces), func(i int) {
 		pc := pieces[i]
 		blk := pc.hit.info.Block
@@ -477,7 +475,7 @@ func (t *PIMTrie) match(p *prep) (*matchOutcome, error) {
 				SendWords: pc.words + 2,
 				Run: func(m *pim.Module) pim.Resp {
 					bo := m.Get(blk.ID).(*blockObj)
-					rep := matchPiece(pc.root, pc.childKeys, bo.tr, m.Work)
+					rep := matchPiece(pc.root, stops, bo.tr, m.Work)
 					return pim.Resp{RecvWords: rep.words + 1, Value: rep}
 				},
 			}
@@ -493,33 +491,43 @@ func (t *PIMTrie) match(p *prep) (*matchOutcome, error) {
 		}
 	})
 	// Host-side matching of pulled blocks fans out; reports are folded
-	// serially in task order because merge prefers the first non-mirror
+	// serially in task order because fold prefers the first non-mirror
 	// exact entry.
 	dResps := t.sys.Round(dTasks)
-	reps := make([]*matchReport, len(dResps))
-	cpuByPiece := make([]int, len(dResps))
+	t.repBuf, t.cpuBuf = sized(t.repBuf, len(dResps)), sized(t.cpuBuf, len(dResps))
+	reps, matchCPUBy := t.repBuf, t.cpuBuf
 	parallel.For(len(dResps), func(i int) {
-		switch v := dResps[i].Value.(type) {
-		case *matchReport:
-			reps[i] = v
-		case *blockObj:
-			cpu := 0
-			reps[i] = matchPiece(pieces[i].root, pieces[i].childKeys, v.tr, func(w int) { cpu += w })
-			cpuByPiece[i] = cpu
+		matchCPUBy[i] = 0
+		if bo, pulled := dResps[i].Value.(*blockObj); pulled {
+			reps[i] = matchPiece(pieces[i].root, stops, bo.tr, func(w int) { matchCPUBy[i] += w })
+		} else {
+			reps[i] = dResps[i].Value.(*matchReport)
 		}
 	})
 	matchCPU := 0
 	for i, rep := range reps {
-		matchCPU += cpuByPiece[i]
-		if rep != nil {
-			merged.merge(rep)
-			recycleReport(rep)
-		}
+		matchCPU += matchCPUBy[i]
+		out.fold(rep)
+		recycleReport(rep)
 	}
 	if matchCPU > 0 {
 		t.sys.CPUWork(matchCPU)
 	}
 	return out, nil
+}
+
+// fetchOf returns the round task that already fetches region reg for an
+// earlier pulled piece, or -1. Distinct master hits name distinct
+// regions unless a hash false positive slipped through, and pulled
+// pieces are few (each exceeds PullThreshold words), so the scan is
+// short.
+func fetchOf(shares []regionShare, reg pim.Addr) int {
+	for _, sh := range shares {
+		if sh.pull && sh.pc.hit.info.Region == reg {
+			return sh.task
+		}
+	}
+	return -1
 }
 
 // masterInfo builds the metaInfo for a known master entry.
@@ -551,37 +559,32 @@ func (t *PIMTrie) checkHit(rh rawHit) (hitRec, bool) {
 	return hitRec{pos: onEdge(rh.edge, rh.off), depth: depth, val: rh.val, info: rh.info}, true
 }
 
-// verifyHits applies checkHit to every raw hit in parallel, preserving
-// input order in the output. Accounting matches the serial loop exactly
-// — 2 CPUWork units per hit and one falseHits increment per rejection —
-// but is folded in once on the host goroutine after the workers join.
-// The per-hit scratch is pooled on the PIMTrie; only the surviving hits
-// are allocated (they outlive the batch phases).
-func (t *PIMTrie) verifyHits(raw []rawHit) []hitRec {
+// verifyHits applies checkHit to every raw hit in parallel and appends
+// the survivors to dst in input order. Accounting matches the serial
+// loop exactly — 2 CPUWork units per hit and one falseHits increment
+// per rejection — but is folded in once on the host goroutine after the
+// workers join. The per-hit scratch is pooled on the PIMTrie.
+func (t *PIMTrie) verifyHits(dst []hitRec, raw []rawHit) []hitRec {
 	n := len(raw)
 	if n == 0 {
-		return nil
+		return dst
 	}
-	if cap(t.verifyRecs) < n {
-		t.verifyRecs = make([]hitRec, n)
-		t.verifyOK = make([]bool, n)
-	}
-	recs, ok := t.verifyRecs[:n], t.verifyOK[:n]
+	t.verifyRecs, t.verifyOK = sized(t.verifyRecs, n), sized(t.verifyOK, n)
+	recs, ok := t.verifyRecs, t.verifyOK
 	parallel.ForChunked(n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			recs[i], ok[i] = t.checkHit(raw[i])
 		}
 	})
 	t.sys.CPUWork(2 * n)
-	out := make([]hitRec, 0, n)
 	for i := range recs {
 		if !ok[i] {
 			t.falseHits++
 			continue
 		}
-		out = append(out, recs[i])
+		dst = append(dst, recs[i])
 	}
-	return out
+	return dst
 }
 
 // suffixWindow reconstructs the last min(depth, w) bits of the string
@@ -636,28 +639,6 @@ func suffixWindowEqual(e *trie.Edge, off int, want bitstr.String) bool {
 		label, end = pe.Label, pe.Label.Len()
 		cur = pe.From
 	}
-}
-
-// dedupeHits removes duplicate positions (e.g. a region root seen by
-// both the master table and its own region index), keeping the first.
-// The seen set is pooled on the PIMTrie across batches.
-func (t *PIMTrie) dedupeHits(hits []hitRec) []hitRec {
-	seen := t.dedupeSeen
-	if seen == nil {
-		seen = map[qposKey]bool{}
-		t.dedupeSeen = seen
-	} else {
-		clear(seen)
-	}
-	out := hits[:0]
-	for _, h := range hits {
-		k := h.pos.key()
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, h)
-		}
-	}
-	return out
 }
 
 // chunkEdges splits the query trie's edges into chunks of bounded words
@@ -731,12 +712,11 @@ func touchNode(n *trie.Node) int {
 // piece is the query-trie region below one hit, truncated at deeper
 // hits: the unit of region probing and block matching.
 type piece struct {
-	hit       hitRec
-	root      qpos
-	segs      []segment
-	words     int
-	childKeys map[qposKey]bool
-	nodes     []*trie.Node // compressed nodes owned by this piece
+	hit   hitRec
+	root  qpos
+	segs  []segment
+	words int
+	group int32 // ordinal among an update's block groups; -1 until grouped
 }
 
 // newPiece hands out a piece from the batch-scoped arena, reset for
@@ -746,7 +726,7 @@ type piece struct {
 // pieces are dead once its operation returns.
 func (t *PIMTrie) newPiece(hit hitRec, root qpos) *piece {
 	if t.pieceUsed == len(t.pieceArena) {
-		t.pieceArena = append(t.pieceArena, &piece{childKeys: map[qposKey]bool{}})
+		t.pieceArena = append(t.pieceArena, new(piece))
 	}
 	pc := t.pieceArena[t.pieceUsed]
 	t.pieceUsed++
@@ -754,110 +734,127 @@ func (t *PIMTrie) newPiece(hit hitRec, root qpos) *piece {
 	pc.root = root
 	pc.segs = pc.segs[:0]
 	pc.words = 0
-	clear(pc.childKeys)
-	pc.nodes = pc.nodes[:0]
+	pc.group = -1
 	return pc
 }
 
-// edgeHitList appends hit index i to edge e's list, kept in a pooled
-// slice arena indexed through byEdge.
-func (t *PIMTrie) edgeHitAdd(byEdge map[*trie.Edge]int, e *trie.Edge, i int) {
-	si, ok := byEdge[e]
-	if !ok {
-		if t.edgeHitUsed == len(t.edgeHitBuf) {
-			t.edgeHitBuf = append(t.edgeHitBuf, nil)
-		}
-		si = t.edgeHitUsed
-		t.edgeHitUsed++
-		t.edgeHitBuf[si] = t.edgeHitBuf[si][:0]
-		byEdge[e] = si
+// edgeStops lists the hits on every query-trie edge, the edge addressed
+// by its To node's dense preorder Index: offs[lo:lo+n] of span[i] are
+// the hit offsets (1..label length, a hit on the To node being the label
+// length) on the edge into node i, ascending and distinct, and hits the
+// matching indices into the hit list decompose was given. decompose
+// rebuilds it in O(nodes + hits) of its own batch; the block round's
+// module programs then only read it (a piece's walk halts at the next
+// hit below it).
+type edgeStops struct {
+	span []hitSpan
+	offs []int32
+	hits []int32
+}
+
+type hitSpan struct{ lo, n int32 }
+
+// on returns the hit offsets on edge e; a nil table has none.
+func (s *edgeStops) on(e *trie.Edge) []int32 {
+	if s == nil {
+		return nil
 	}
-	t.edgeHitBuf[si] = append(t.edgeHitBuf[si], i)
+	sp := s.span[e.To.Index]
+	return s.offs[sp.lo : sp.lo+sp.n]
+}
+
+// settle orders one edge's hits by offset — a stable insertion sort,
+// the lists hold one or two entries — and drops every hit that repeats
+// an earlier one's position (e.g. a region root seen by both the master
+// table and its own region index), keeping the first seen.
+func (s *edgeStops) settle(sp *hitSpan) {
+	offs, hits := s.offs[sp.lo:sp.lo+sp.n], s.hits[sp.lo:sp.lo+sp.n]
+	for i := 1; i < len(offs); i++ {
+		for j := i; j > 0 && offs[j] < offs[j-1]; j-- {
+			offs[j], offs[j-1] = offs[j-1], offs[j]
+			hits[j], hits[j-1] = hits[j-1], hits[j]
+		}
+	}
+	w := 1
+	for i := 1; i < len(offs); i++ {
+		if offs[i] != offs[w-1] {
+			offs[w], hits[w] = offs[i], hits[i]
+			w++
+		}
+	}
+	sp.n = int32(w)
 }
 
 // decompose partitions the query trie by the hit positions: every
 // position belongs to the piece of the nearest hit at or above it. The
-// hits must include the root hit. With withPre, every segment carries
-// the ≤w bits above its start (needed by pivot probing). All bookkeeping
-// (pieces, hit lists, result slices) lives in arenas on the PIMTrie that
-// are recycled wholesale at the next call.
+// hits must include the root hit; hits repeating a position are dropped,
+// the first one kept. With withPre, every segment carries the ≤w bits
+// above its start (needed by pivot probing). Pieces come back in hit
+// order. All bookkeeping (pieces, the per-edge hit table t.stops, the
+// per-node owner t.anchorBuf, result slices) is addressed by the query
+// trie's dense preorder index, lives on the PIMTrie and is rebuilt
+// wholesale at the next call.
 func (t *PIMTrie) decompose(p *prep, hits []hitRec, withPre bool) []*piece {
 	t.pieceUsed = 0
-	t.edgeHitUsed = 0
-	byEdge := t.byEdgeBuf
-	if byEdge == nil {
-		byEdge = map[*trie.Edge]int{}
-		t.byEdgeBuf = byEdge
-	} else {
-		clear(byEdge)
-	}
-	var rootPiece *piece
-	if cap(t.pieceOfBuf) < len(hits) {
-		t.pieceOfBuf = make([]*piece, len(hits))
-	}
-	pieceOf := t.pieceOfBuf[:len(hits)]
-	for i := range pieceOf {
-		pieceOf[i] = nil
-	}
+	pre, par := p.qt.PreNodes, p.qt.PreParent
+	st := &t.stops
+	st.span = sized(st.span, len(pre))
+	clear(st.span)
+	pieceOf := sized(t.pieceOfBuf, len(hits))
+	clear(pieceOf)
+	t.pieceOfBuf = pieceOf
+	anchor := sized(t.anchorBuf, len(pre))
+	t.anchorBuf = anchor
+	// Bucket the hits by edge with a counting sort, which keeps each
+	// edge's hits in hit order.
+	anchor[0] = nil
 	for i, h := range hits {
-		if h.pos.node != nil && h.pos.node.Parent == nil {
-			rootPiece = t.newPiece(h, h.pos)
-			pieceOf[i] = rootPiece
-			continue
+		if e := hitEdge(h); e != nil {
+			st.span[e.To.Index].n++
+		} else if anchor[0] == nil {
+			anchor[0] = t.newPiece(h, h.pos)
+			pieceOf[i] = anchor[0]
 		}
-		var e *trie.Edge
-		if h.pos.node != nil {
-			e = h.pos.node.ParentEdge
-		} else {
-			e = h.pos.edge
-		}
-		t.edgeHitAdd(byEdge, e, i)
 	}
-	if rootPiece == nil {
+	if anchor[0] == nil {
 		panic("core: decompose without a root hit")
 	}
-	// Per-edge hit lists are tiny (usually one or two entries), so an
-	// in-place insertion sort beats sort.Slice and allocates nothing.
-	for e, si := range byEdge {
-		idxs := t.edgeHitBuf[si]
-		for i := 1; i < len(idxs); i++ {
-			for j := i; j > 0 && hitOff(hits[idxs[j]], e) < hitOff(hits[idxs[j-1]], e); j-- {
-				idxs[j], idxs[j-1] = idxs[j-1], idxs[j]
-			}
+	total := int32(0)
+	for i := range st.span {
+		sp := &st.span[i]
+		sp.lo, total, sp.n = total, total+sp.n, 0
+	}
+	st.offs, st.hits = sized(st.offs, int(total)), sized(st.hits, int(total))
+	for i, h := range hits {
+		if e := hitEdge(h); e != nil {
+			sp := &st.span[e.To.Index]
+			st.offs[sp.lo+sp.n], st.hits[sp.lo+sp.n] = int32(hitOff(h, e)), int32(i)
+			sp.n++
 		}
 	}
-	var rec func(n *trie.Node, cur *piece)
-	rec = func(n *trie.Node, cur *piece) {
-		cur.nodes = append(cur.nodes, n)
-		for b := 0; b < 2; b++ {
-			e := n.Child[b]
-			if e == nil {
-				continue
-			}
-			from := 0
-			fromVal := p.hashes[n.Index]
-			edgePiece := cur
-			if si, ok := byEdge[e]; ok {
-				for _, hi := range t.edgeHitBuf[si] {
-					off := hitOff(hits[hi], e)
-					if off > from {
-						edgePiece.addSeg(mkSeg(e, from, off, fromVal, withPre))
-					}
-					edgePiece.childKeys[onEdge(e, off).key()] = true
-					np := t.newPiece(hits[hi], onEdge(e, off))
-					pieceOf[hi] = np
-					edgePiece = np
-					from = off
-					fromVal = hits[hi].val
-				}
-			}
-			if from < e.Label.Len() {
-				edgePiece.addSeg(mkSeg(e, from, e.Label.Len(), fromVal, withPre))
-			}
-			rec(e.To, edgePiece)
+	// One preorder scan cuts every edge at its hits: a node's parent edge
+	// is visited right before the node's subtree, after everything left of
+	// it, so segments join their pieces in the order of a recursive walk.
+	for i := 1; i < len(pre); i++ {
+		e := pre[i].ParentEdge
+		cur := anchor[par[i]]
+		from, fromVal := 0, p.hashes[par[i]]
+		sp := &st.span[i]
+		if sp.n > 1 {
+			st.settle(sp)
 		}
+		for k := sp.lo; k < sp.lo+sp.n; k++ {
+			off, hi := int(st.offs[k]), st.hits[k]
+			cur.addSeg(mkSeg(e, from, off, fromVal, withPre))
+			cur = t.newPiece(hits[hi], onEdge(e, off))
+			pieceOf[hi] = cur
+			from, fromVal = off, hits[hi].val
+		}
+		if from < e.Label.Len() {
+			cur.addSeg(mkSeg(e, from, e.Label.Len(), fromVal, withPre))
+		}
+		anchor[i] = cur
 	}
-	rec(p.qt.Trie.Root(), rootPiece)
 	out := t.piecesBuf[:0]
 	for _, pc := range pieceOf {
 		if pc != nil {
@@ -880,6 +877,15 @@ func mkSeg(e *trie.Edge, from, end int, fromVal hashing.Value, withPre bool) seg
 func (pc *piece) addSeg(s segment) {
 	pc.segs = append(pc.segs, s)
 	pc.words += s.words()
+}
+
+// hitEdge returns the query-trie edge a hit lies on (the parent edge of
+// a hit on a node), nil for the root.
+func hitEdge(h hitRec) *trie.Edge {
+	if h.pos.node != nil {
+		return h.pos.node.ParentEdge
+	}
+	return h.pos.edge
 }
 
 func hitOff(h hitRec, e *trie.Edge) int {

@@ -6,6 +6,7 @@ package core
 // the merged match outcome.
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -15,46 +16,108 @@ import (
 	"github.com/pimlab/pimtrie/internal/trie"
 )
 
-// insOp and delOp are the per-key payloads of the Insert and Delete
-// group-by-block maps. They live at package scope so the maps holding
-// them can be pooled on the PIMTrie across batches.
-type insOp struct {
-	rel   bitstr.String
-	value uint64
-}
-
-type delOp struct {
-	rel bitstr.String
-	u   int
+// keyGroup is the share of an update batch that lands in one block: the
+// unique keys whose anchor piece is a hit on that block's root.
+type keyGroup struct {
+	blk   pim.Addr
+	words int     // wire size: each key's remainder plus two words
+	n     int     // number of keys
+	keys  []int32 // ordinals into the outcome's unique keys, ascending
 }
 
 // keyScratch returns the pooled per-unique-key piece and remainder
 // slices, zeroed and sized to n.
 func (t *PIMTrie) keyScratch(n int) ([]*piece, []bitstr.String) {
-	if cap(t.pieceBuf) < n {
-		t.pieceBuf = make([]*piece, n)
-		t.relBuf = make([]bitstr.String, n)
-	}
-	pcs, rels := t.pieceBuf[:n], t.relBuf[:n]
-	for i := range pcs {
-		pcs[i] = nil
-		rels[i] = bitstr.Empty
-	}
-	return pcs, rels
+	t.pieceBuf, t.relBuf = sized(t.pieceBuf, n), sized(t.relBuf, n)
+	clear(t.pieceBuf)
+	clear(t.relBuf)
+	return t.pieceBuf, t.relBuf
 }
 
-// groupScratch returns the pooled per-block word-count map (cleared) and
-// first-seen order slice (emptied); the caller stores the grown order
-// slice back into t.groupOrder.
-func (t *PIMTrie) groupScratch() (map[pim.Addr]int, []pim.Addr) {
-	words := t.groupWords
-	if words == nil {
-		words = map[pim.Addr]int{}
-		t.groupWords = words
-	} else {
-		clear(words)
+// groupByBlock buckets the unique keys that have an anchor piece
+// (pcs[u] != nil) by that piece's block. Groups come in first-seen block
+// order, which keeps task emission (and the RandModule draws any
+// follow-up split consumes) deterministic for a fixed seed; each group
+// lists its keys in ascending order. A group is found through its
+// piece's ordinal, not through a table over block addresses, and the
+// key lists are carved out of one arena, so grouping costs O(keys of
+// this batch) plus mergeSharedBlocks' sort of the groups.
+func (t *PIMTrie) groupByBlock(pcs []*piece, rels []bitstr.String) []keyGroup {
+	groups := t.groupBuf[:0]
+	for _, pc := range pcs {
+		if pc != nil && pc.group < 0 {
+			pc.group = int32(len(groups))
+			groups = append(groups, keyGroup{blk: pc.hit.info.Block})
+		}
 	}
-	return words, t.groupOrder[:0]
+	groups = t.mergeSharedBlocks(groups)
+	t.groupBuf = groups
+	for u, pc := range pcs {
+		if pc != nil {
+			g := &groups[pc.group]
+			// Shared prefixes below the anchor travel once in the real
+			// protocol; charge the unmatched remainder, which dominates.
+			g.words += rels[u].Words() + 2
+			g.n++
+		}
+	}
+	t.groupKeyBuf = sized(t.groupKeyBuf, len(pcs))
+	arena := t.groupKeyBuf
+	for i := range groups {
+		g := &groups[i]
+		g.keys, arena = arena[:0:g.n], arena[g.n:]
+	}
+	for u, pc := range pcs {
+		if pc != nil {
+			g := &groups[pc.group]
+			g.keys = append(g.keys, int32(u))
+		}
+	}
+	return groups
+}
+
+// mergeSharedBlocks folds the groups of pieces that name one block into
+// the first seen of them, so a block gets one task. Distinct hits name
+// distinct blocks unless a query-side hash false positive slipped
+// through verification, so there is almost never anything to fold;
+// finding out takes a sort of the group ordinals by block address.
+func (t *PIMTrie) mergeSharedBlocks(groups []keyGroup) []keyGroup {
+	t.groupOrdBuf, t.groupToBuf = sized(t.groupOrdBuf, len(groups)), sized(t.groupToBuf, len(groups))
+	ord, to := t.groupOrdBuf, t.groupToBuf
+	for i := range ord {
+		ord[i] = int32(i)
+	}
+	slices.SortFunc(ord, func(a, b int32) int {
+		x, y := groups[a].blk, groups[b].blk
+		return cmp.Or(cmp.Compare(x.Module, y.Module), cmp.Compare(x.ID, y.ID), cmp.Compare(a, b))
+	})
+	// to[g] is first the head of g's run in ord — the first-seen group
+	// with g's block — and then g's ordinal among the groups kept.
+	shared := false
+	for k, g := range ord {
+		to[g] = g
+		if k > 0 && groups[g].blk == groups[ord[k-1]].blk {
+			to[g], shared = to[ord[k-1]], true
+		}
+	}
+	if !shared {
+		return groups
+	}
+	kept := groups[:0]
+	for g := range groups {
+		if to[g] == int32(g) {
+			to[g] = int32(len(kept))
+			kept = append(kept, groups[g])
+		} else {
+			to[g] = to[to[g]] // the head came earlier and is renumbered already
+		}
+	}
+	for _, pc := range t.pieceArena[:t.pieceUsed] {
+		if pc.group >= 0 {
+			pc.group = to[pc.group]
+		}
+	}
+	return kept
 }
 
 // matchWithRedo runs the matching protocol, re-hashing and redoing the
@@ -139,10 +202,8 @@ func (t *PIMTrie) getOnce(batch []bitstr.String, pb *Prepared) (values []uint64,
 	for i := range batch {
 		u := out.qt.Slot[i]
 		n := out.qt.Nodes[u]
-		if out.reach[n] == n.Depth {
-			if ex, ok := out.exact[n]; ok && ex.hasValue {
-				values[i], found[i] = ex.value, true
-			}
+		if ex := out.exact[n.Index]; out.reach[n.Index] == n.Depth && ex.hasValue {
+			values[i], found[i] = ex.value, true
 		}
 	}
 	return
@@ -185,81 +246,51 @@ func (t *PIMTrie) insertOnce(keys []bitstr.String, values []uint64, pb *Prepared
 	}
 	// Group keys by anchor block: each key is inserted into the block of
 	// its bottommost verified hit, as the remainder relative to that
-	// block's root.
-	// Per-key remainder extraction (the allocating part) fans out; the
-	// map grouping stays serial so per-block lists keep ascending key
-	// order.
+	// block's root. Per-key remainder extraction (the allocating part)
+	// fans out; the grouping stays serial.
 	pcs, rels := t.keyScratch(len(out.qt.Keys))
 	parallel.For(len(out.qt.Keys), func(u int) {
-		pc := out.anchorPiece[out.qt.Nodes[u]]
+		pc := out.anchorPiece[out.qt.Nodes[u].Index]
 		pcs[u] = pc
-		if pc != nil {
-			rels[u] = out.qt.Keys[u].Suffix(pc.hit.depth)
-		}
+		rels[u] = out.qt.Keys[u].Suffix(pc.hit.depth)
 	})
-	groups := t.insGroups
-	if groups == nil {
-		groups = map[pim.Addr][]insOp{}
-		t.insGroups = groups
-	} else {
-		clear(groups)
-	}
-	words, order := t.groupScratch()
-	// order is the first-seen block order: it keeps task emission (and
-	// the RandModule draws any follow-up split consumes) deterministic
-	// for a fixed seed.
-	for u := range out.qt.Keys {
-		if pcs[u] == nil {
-			panic("core: key without an anchor piece")
-		}
-		blk := pcs[u].hit.info.Block
-		if _, seen := groups[blk]; !seen {
-			order = append(order, blk)
-		}
-		groups[blk] = append(groups[blk], insOp{rel: rels[u], value: val[u]})
-		// Shared prefixes below the anchor travel once in the real
-		// protocol; charge the unmatched remainder, which dominates.
-		words[blk] += rels[u].Words() + 2
-	}
-	t.groupOrder = order
+	groups := t.groupByBlock(pcs, rels)
 	type insReply struct {
 		newKeys   int
 		sizeWords int
 		region    pim.Addr
 		keyCount  int
 	}
-	tasks := make([]pim.Task, 0, len(groups))
-	addrs := make([]pim.Addr, 0, len(groups))
-	for _, blk := range order {
-		blk, g := blk, groups[blk]
+	tasks := t.taskBuf[:0]
+	for _, g := range groups {
 		tasks = append(tasks, pim.Task{
-			Module:    blk.Module,
-			SendWords: words[blk],
+			Module:    g.blk.Module,
+			SendWords: g.words,
 			Run: func(m *pim.Module) pim.Resp {
-				bo := m.Get(blk.ID).(*blockObj)
+				bo := m.Get(g.blk.ID).(*blockObj)
 				fresh := 0
 				work := 0
-				for _, in := range g {
-					if bo.tr.Insert(in.rel, in.value) {
+				for _, u := range g.keys {
+					if bo.tr.Insert(rels[u], val[u]) {
 						fresh++
 					}
-					work += in.rel.Words() + 1
+					work += rels[u].Words() + 1
 				}
 				m.Work(work)
-				m.Resize(blk.ID)
+				m.Resize(g.blk.ID)
 				return pim.Resp{RecvWords: 4, Value: insReply{
 					newKeys: fresh, sizeWords: bo.tr.SizeWords(), region: bo.region, keyCount: bo.tr.KeyCount(),
 				}}
 			},
 		})
-		addrs = append(addrs, blk)
 	}
+	t.taskBuf = tasks
 	var oversized []pim.Addr
 	for i, r := range t.sys.Round(tasks) {
 		rep := r.Value.(insReply)
 		t.nKeys += rep.newKeys
 		if rep.sizeWords > t.cfg.BlockWords {
-			oversized = append(oversized, addrs[i])
+			oversized = append(oversized, groups[i].blk)
 		}
 	}
 	endApply()
@@ -317,44 +348,19 @@ func (t *PIMTrie) deleteOnce(keys []bitstr.String, pb *Prepared) []bool {
 	out := t.matchWithRedo(keys, pb)
 	endApply := t.sys.Phase("apply")
 	t.dirty++ // module state is mixed until the apply (and any removal) lands
-	groups := t.delGroups
-	if groups == nil {
-		groups = map[pim.Addr][]delOp{}
-		t.delGroups = groups
-	} else {
-		clear(groups)
-	}
-	present := make([]bool, len(out.qt.Keys))
 	// Presence checks and remainder extraction fan out; grouping stays
-	// serial (same ascending-key order per block as the serial loop).
+	// serial. pcs[u] stays nil for a key that is not stored.
 	pcs, rels := t.keyScratch(len(out.qt.Keys))
 	parallel.For(len(out.qt.Keys), func(u int) {
 		n := out.qt.Nodes[u]
-		if out.reach[n] != n.Depth {
+		if out.reach[n.Index] != n.Depth || !out.exact[n.Index].hasValue {
 			return
 		}
-		ex, ok := out.exact[n]
-		if !ok || !ex.hasValue {
-			return
-		}
-		present[u] = true
-		pc := out.anchorPiece[n]
+		pc := out.anchorPiece[n.Index]
 		pcs[u] = pc
 		rels[u] = out.qt.Keys[u].Suffix(pc.hit.depth)
 	})
-	words, order := t.groupScratch() // first-seen order, as in Insert
-	for u := range out.qt.Keys {
-		if !present[u] {
-			continue
-		}
-		blk := pcs[u].hit.info.Block
-		if _, seen := groups[blk]; !seen {
-			order = append(order, blk)
-		}
-		groups[blk] = append(groups[blk], delOp{rel: rels[u], u: u})
-		words[blk] += rels[u].Words() + 2
-	}
-	t.groupOrder = order
+	groups := t.groupByBlock(pcs, rels)
 	type delReply struct {
 		removed  int
 		empty    bool
@@ -362,24 +368,22 @@ func (t *PIMTrie) deleteOnce(keys []bitstr.String, pb *Prepared) []bool {
 		isLeaf   bool
 		rootHash uint64
 	}
-	tasks := make([]pim.Task, 0, len(groups))
-	addrs := make([]pim.Addr, 0, len(groups))
-	for _, blk := range order {
-		blk, g := blk, groups[blk]
+	tasks := t.taskBuf[:0]
+	for _, g := range groups {
 		tasks = append(tasks, pim.Task{
-			Module:    blk.Module,
-			SendWords: words[blk],
+			Module:    g.blk.Module,
+			SendWords: g.words,
 			Run: func(m *pim.Module) pim.Resp {
-				bo := m.Get(blk.ID).(*blockObj)
+				bo := m.Get(g.blk.ID).(*blockObj)
 				removed, work := 0, 0
-				for _, d := range g {
-					if bo.tr.Delete(d.rel) {
+				for _, u := range g.keys {
+					if bo.tr.Delete(rels[u]) {
 						removed++
 					}
-					work += d.rel.Words() + 1
+					work += rels[u].Words() + 1
 				}
 				m.Work(work)
-				m.Resize(blk.ID)
+				m.Resize(g.blk.ID)
 				live := 0
 				for _, c := range bo.children {
 					if !c.IsNil() {
@@ -393,14 +397,14 @@ func (t *PIMTrie) deleteOnce(keys []bitstr.String, pb *Prepared) []bool {
 				}}
 			},
 		})
-		addrs = append(addrs, blk)
 	}
+	t.taskBuf = tasks
 	var emptied []pim.Addr
 	for i, r := range t.sys.Round(tasks) {
 		rep := r.Value.(delReply)
 		t.nKeys -= rep.removed
-		if rep.empty && addrs[i] != t.rootBlock {
-			emptied = append(emptied, addrs[i])
+		if blk := groups[i].blk; rep.empty && blk != t.rootBlock {
+			emptied = append(emptied, blk)
 		}
 	}
 	endApply()
@@ -413,7 +417,7 @@ func (t *PIMTrie) deleteOnce(keys []bitstr.String, pb *Prepared) []bool {
 	reported := make([]bool, len(out.qt.Keys))
 	for i := range keys {
 		u := out.qt.Slot[i]
-		if present[u] && !reported[u] {
+		if pcs[u] != nil && !reported[u] {
 			res[i] = true
 			reported[u] = true
 		}
@@ -469,10 +473,10 @@ func (t *PIMTrie) subtreeOnce(prefixes []bitstr.String, pb *Prepared) [][]trie.K
 	for i, prefix := range prefixes {
 		u := out.qt.Slot[i]
 		n := out.qt.Nodes[u]
-		if out.reach[n] != n.Depth {
+		if out.reach[n.Index] != n.Depth {
 			continue // prefix not present: empty result
 		}
-		pc := out.anchorPiece[n]
+		pc := out.anchorPiece[n.Index]
 		level = append(level, fetch{
 			q:     i,
 			addr:  pc.hit.info.Block,
