@@ -15,23 +15,10 @@
 // the machine's true capability from above. Benchmarks present in only
 // one file are reported and skipped: a new benchmark must not fail the
 // gate that introduces it.
-//
-// The second mode gates pimbench JSON reports instead of `go test
-// -bench` text:
-//
-//	benchguard -oldjson base/BENCH_PR8.json -newjson BENCH_PR8.json
-//
-// Reports are walked structurally: every object carrying a name (or
-// source) plus one of the known throughput fields (ops_per_sec,
-// wall_ops_per_sec, model_ops_per_kunit, rounds_per_sec) contributes a
-// gauge, scored best-sample (maximum — throughput is higher-is-better)
-// and failed on drops beyond the threshold. Entries present in only
-// one report are skipped exactly like text benchmarks.
 package main
 
 import (
 	"bufio"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -80,104 +67,6 @@ func best(samples []float64) float64 {
 	return b
 }
 
-func bestMax(samples []float64) float64 {
-	b := samples[0]
-	for _, s := range samples[1:] {
-		if s > b {
-			b = s
-		}
-	}
-	return b
-}
-
-// jsonGaugeFields are the throughput fields a pimbench JSON report can
-// carry; all are higher-is-better.
-var jsonGaugeFields = []string{
-	"ops_per_sec", "wall_ops_per_sec", "model_ops_per_kunit", "rounds_per_sec",
-}
-
-// parseJSONReport walks a pimbench JSON report and collects throughput
-// gauges from every object naming itself via "name" (or "source" for
-// sweep points). The walk is structural, not schema-bound, so the gate
-// keeps working as reports grow fields.
-func parseJSONReport(path string) (map[string][]float64, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var root any
-	if err := json.Unmarshal(data, &root); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	out := map[string][]float64{}
-	var walk func(node any, path string)
-	walk = func(node any, path string) {
-		switch n := node.(type) {
-		case map[string]any:
-			name := path
-			if s, ok := n["name"].(string); ok && s != "" {
-				name = s
-			} else if s, ok := n["source"].(string); ok && s != "" {
-				name = s
-			}
-			for _, f := range jsonGaugeFields {
-				if v, ok := n[f].(float64); ok && v > 0 {
-					key := name + " " + f
-					out[key] = append(out[key], v)
-				}
-			}
-			for k, child := range n {
-				walk(child, path+"/"+k)
-			}
-		case []any:
-			for _, c := range n {
-				walk(c, path)
-			}
-		}
-	}
-	walk(root, "")
-	return out, nil
-}
-
-// compareJSON scores old vs new throughput gauges (best = maximum
-// sample, higher is better) and flags drops beyond threshold percent.
-// Gauges present in only one report are reported and skipped, exactly
-// like text benchmarks.
-func compareJSON(old, neu map[string][]float64, thresholdPct float64) (lines []string, regressed []string) {
-	names := make([]string, 0, len(old))
-	for name := range old {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		ns, ok := neu[name]
-		if !ok {
-			lines = append(lines, fmt.Sprintf("%-52s only in old report; skipped", name))
-			continue
-		}
-		o, n := bestMax(old[name]), bestMax(ns)
-		dropPct := 100 * (o - n) / o
-		verdict := "ok"
-		if dropPct > thresholdPct {
-			verdict = "REGRESSED"
-			regressed = append(regressed, name)
-		}
-		lines = append(lines, fmt.Sprintf("%-52s %14.2f -> %14.2f  %+6.1f%%  %s",
-			name, o, n, -dropPct, verdict))
-	}
-	onlyNew := make([]string, 0)
-	for name := range neu {
-		if _, ok := old[name]; !ok {
-			onlyNew = append(onlyNew, name)
-		}
-	}
-	sort.Strings(onlyNew)
-	for _, name := range onlyNew {
-		lines = append(lines, fmt.Sprintf("%-52s new gauge; no baseline", name))
-	}
-	return lines, regressed
-}
-
 // compare scores old vs new and returns the formatted report lines and
 // the names that regressed beyond threshold percent.
 func compare(old, neu map[string][]float64, thresholdPct float64) (lines []string, regressed []string) {
@@ -218,32 +107,19 @@ func compare(old, neu map[string][]float64, thresholdPct float64) (lines []strin
 func main() {
 	oldP := flag.String("old", "", "baseline `go test -bench` output")
 	newP := flag.String("new", "", "candidate `go test -bench` output")
-	oldJ := flag.String("oldjson", "", "baseline pimbench JSON report")
-	newJ := flag.String("newjson", "", "candidate pimbench JSON report")
-	threshold := flag.Float64("threshold", 10, "max allowed regression (ns/op increase or throughput drop), percent")
+	threshold := flag.Float64("threshold", 10, "max allowed ns/op regression, percent")
 	flag.Parse()
 
-	jsonMode := *oldJ != "" || *newJ != ""
-	if jsonMode && (*oldP != "" || *newP != "") {
-		fmt.Fprintln(os.Stderr, "benchguard: use either -old/-new or -oldjson/-newjson, not both")
-		os.Exit(2)
-	}
-	parse, oldPath, newPath, unit := parseBench, *oldP, *newP, "benchmark"
-	cmp := compare
-	if jsonMode {
-		parse, oldPath, newPath, unit = parseJSONReport, *oldJ, *newJ, "gauge"
-		cmp = compareJSON
-	}
-	if oldPath == "" || newPath == "" {
+	if *oldP == "" || *newP == "" {
 		fmt.Fprintln(os.Stderr, "benchguard: both a baseline and a candidate file are required")
 		os.Exit(2)
 	}
-	old, err := parse(oldPath)
+	old, err := parseBench(*oldP)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchguard: %v\n", err)
 		os.Exit(2)
 	}
-	neu, err := parse(newPath)
+	neu, err := parseBench(*newP)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchguard: %v\n", err)
 		os.Exit(2)
@@ -251,17 +127,17 @@ func main() {
 	if len(old) == 0 {
 		// An empty baseline (first run of the gate, base predates the
 		// suite) cannot gate anything.
-		fmt.Printf("benchguard: no %ss in baseline; nothing to gate\n", unit)
+		fmt.Println("benchguard: no benchmarks in baseline; nothing to gate")
 		return
 	}
-	lines, regressed := cmp(old, neu, *threshold)
+	lines, regressed := compare(old, neu, *threshold)
 	for _, l := range lines {
 		fmt.Println(l)
 	}
 	if len(regressed) > 0 {
-		fmt.Fprintf(os.Stderr, "\nbenchguard: %d %s(s) regressed more than %.0f%%: %v\n",
-			len(regressed), unit, *threshold, regressed)
+		fmt.Fprintf(os.Stderr, "\nbenchguard: %d benchmark(s) regressed more than %.0f%%: %v\n",
+			len(regressed), *threshold, regressed)
 		os.Exit(1)
 	}
-	fmt.Printf("\nbenchguard: %d %s(s) within %.0f%% threshold\n", len(old), unit, *threshold)
+	fmt.Printf("\nbenchguard: %d benchmark(s) within %.0f%% threshold\n", len(old), *threshold)
 }

@@ -11,11 +11,8 @@
 //	pimbench -exp E2 -trace t.jsonl  # phase-attributed trace (pimtrie-trace reads it)
 //	pimbench -faults                 # fault-injection/recovery experiment (EF)
 //	pimbench -json results.json      # machine-readable tables
-//	pimbench -bench BENCH.json       # wall-clock suite (ns/op, allocs/op, rounds/s)
-//	pimbench -bench - -cpuprofile cpu.pprof -memprofile mem.pprof
-//	pimbench -serve BENCH_PR5.json -conc 64 -zipf 1.0   # concurrent serving suite
-//	pimbench -serve-read BENCH_PR10.json             # strong vs snapshot read paths
-//	pimbench -durable BENCH_PR9.json                 # WAL fsync-policy overhead
+//	pimbench -exp E2 -cpuprofile cpu.pprof -memprofile mem.pprof
+//	pimbench -metrics-addr 127.0.0.1:9090            # live /metrics while the run lasts
 //	pimbench -restart-chaos 8                        # SIGKILL + bit-exact recovery
 package main
 
@@ -25,14 +22,15 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
 
 	"github.com/pimlab/pimtrie/internal/experiments"
+	"github.com/pimlab/pimtrie/internal/metrics"
 	"github.com/pimlab/pimtrie/internal/obs"
 	"github.com/pimlab/pimtrie/internal/pim"
+	"github.com/pimlab/pimtrie/internal/telemetry"
 )
 
 var registry = []struct {
@@ -113,23 +111,10 @@ func main() {
 		flts  = flag.Bool("faults", false, "run the fault-injection/recovery experiment (shorthand for -exp EF)")
 		trace = flag.String("trace", "", "write a phase-attributed JSONL trace of every system to this path")
 		jsonP = flag.String("json", "", "write machine-readable results (experiment id -> table) to this path")
-		bench = flag.String("bench", "", "run the wall-clock benchmark suite and write a JSON report to this path (\"-\" for stdout only)")
-		srvP  = flag.String("serve", "", "run the concurrent-serving benchmark and write a JSON report to this path (\"-\" for stdout only)")
-		srdP  = flag.String("serve-read", "", "run the read-path benchmark (read-mix x consistency-mode x clients grid) and write a JSON report to this path (\"-\" for stdout only)")
-		durbP = flag.String("durable", "", "run the write-durability benchmark (WAL fsync policies vs non-durable baseline) and write a JSON report to this path (\"-\" for stdout only)")
-		walD  = flag.String("wal-dir", "", "durability: directory for write-ahead-log state (default: a temp dir)")
-		walS  = flag.String("wal-sync", "interval", "durability: WAL fsync policy — epoch, interval or off")
+		walD  = flag.String("wal-dir", "", "-restart-chaos: directory for write-ahead-log state (default: a temp dir)")
+		walS  = flag.String("wal-sync", "interval", "-restart-chaos: WAL fsync policy — epoch, interval or off")
 		chaoN = flag.Int("restart-chaos", 0, "run this many crash-restart chaos rounds (SIGKILL a serving child, verify bit-exact recovery) and exit")
 		chaoC = flag.Bool("restart-chaos-child", false, "internal: run as the -restart-chaos serving child")
-		swpP  = flag.String("serve-sweep", "", "sweep the linger/epoch policy space (static grid + adaptive controller) plus the host-probe scenario; write a JSON report to this path (\"-\" for stdout only)")
-		shdP  = flag.String("shards", "", "run the sharded scale-out benchmark (scaling curve + hot-range migration) and write a JSON report to this path (\"-\" for stdout only)")
-		shdC  = flag.String("shard-counts", "1,2,4,8", "-shards: comma-separated shard counts of the scaling curve")
-		swpB  = flag.String("sweep-baseline", "BENCH_PR6.json", "-serve-sweep: prior -serve report to quote as the delta baseline")
-		conc  = flag.Int("conc", 64, "-serve: closed-loop client goroutines")
-		depth = flag.Int("depth", 32, "-serve: async requests each client keeps in flight (naive baseline always 1)")
-		zipfS = flag.Float64("zipf", 1.0, "-serve: Zipf exponent of the key stream (0 = uniform; values <= 1 clamp to 1.01)")
-		dur   = flag.Duration("dur", 2*time.Second, "-serve: measured duration per scenario")
-		lngr  = flag.Duration("linger", 200*time.Microsecond, "-serve: Server max-linger (group-commit window)")
 		cpuP  = flag.String("cpuprofile", "", "write a CPU profile of the run to this path (analyze with go tool pprof)")
 		memP  = flag.String("memprofile", "", "write an allocation profile of the run to this path")
 		maddr = flag.String("metrics-addr", "", "serve live telemetry (/metrics, /varz, /healthz, /debug/pprof) on this address while the run lasts")
@@ -150,25 +135,24 @@ func main() {
 		return
 	}
 
-	var plane *obsPlane
 	if *maddr != "" {
-		pl, ts, err := startTelemetry(*maddr)
+		reg := metrics.NewRegistry()
+		ts, err := telemetry.Start(telemetry.Options{Addr: *maddr, Registry: reg})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "pimbench: %v\n", err)
 			os.Exit(1)
 		}
-		plane = pl
 		fmt.Printf("telemetry: http://%s/metrics (also /varz, /healthz, /debug/pprof)\n", ts.Addr())
 		defer ts.Close()
-	}
-	if plane != nil && *trace == "" && *srvP == "" {
-		// Outside the serving suite, observe every system the run creates.
-		// -trace claims the hook for the Tracer instead (full round log
-		// beats live counters when both are asked for).
-		pim.SetSystemHook(func(sys *pim.System) {
-			sys.SetRecorder(obs.NewMonitor(plane.reg, sys.P()))
-		})
-		defer pim.SetSystemHook(nil)
+		if *trace == "" {
+			// Observe every system the run creates. -trace claims the hook
+			// for the Tracer instead (full round log beats live counters
+			// when both are asked for).
+			pim.SetSystemHook(func(sys *pim.System) {
+				sys.SetRecorder(obs.NewMonitor(reg, sys.P()))
+			})
+			defer pim.SetSystemHook(nil)
+		}
 	}
 
 	if *cpuP != "" {
@@ -200,69 +184,6 @@ func main() {
 			}
 			f.Close()
 		}()
-	}
-
-	if *bench != "" {
-		sc := experiments.Scale{P: *p, N: *n, Batch: *batch, Seed: *seed}
-		if err := runBenchSuite(sc, *bench); err != nil {
-			fmt.Fprintf(os.Stderr, "pimbench: bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *durbP != "" {
-		sc := experiments.Scale{P: *p, N: *n, Batch: *batch, Seed: *seed}
-		if err := runDurableSuite(sc, *conc, *depth, *dur, *walD, *durbP); err != nil {
-			fmt.Fprintf(os.Stderr, "pimbench: durable: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *srdP != "" {
-		sc := experiments.Scale{P: *p, N: *n, Batch: *batch, Seed: *seed}
-		if err := runServeReadSuite(sc, *depth, *zipfS, *dur, *lngr, *srdP); err != nil {
-			fmt.Fprintf(os.Stderr, "pimbench: serve-read: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *srvP != "" {
-		sc := experiments.Scale{P: *p, N: *n, Batch: *batch, Seed: *seed}
-		if err := runServeSuite(sc, *conc, *depth, *zipfS, *dur, *lngr, *srvP, plane); err != nil {
-			fmt.Fprintf(os.Stderr, "pimbench: serve: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *swpP != "" {
-		sc := experiments.Scale{P: *p, N: *n, Batch: *batch, Seed: *seed}
-		if err := runServeSweep(sc, *conc, *depth, *zipfS, *dur, *swpP, *swpB, plane); err != nil {
-			fmt.Fprintf(os.Stderr, "pimbench: serve-sweep: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *shdP != "" {
-		sc := experiments.Scale{P: *p, N: *n, Batch: *batch, Seed: *seed}
-		var counts []int
-		for _, s := range strings.Split(*shdC, ",") {
-			v, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil || v < 1 {
-				fmt.Fprintf(os.Stderr, "pimbench: bad -shard-counts entry %q\n", s)
-				os.Exit(1)
-			}
-			counts = append(counts, v)
-		}
-		if err := runShardSuite(sc, *conc, *depth, *zipfS, *dur, *lngr, counts, *shdP); err != nil {
-			fmt.Fprintf(os.Stderr, "pimbench: shards: %v\n", err)
-			os.Exit(1)
-		}
-		return
 	}
 
 	if *list {

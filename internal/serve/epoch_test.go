@@ -188,6 +188,38 @@ func TestFormWriteEpoch(t *testing.T) {
 	}
 }
 
+// TestServeDedupe asserts singleflight: N identical Gets queued before
+// the scheduler starts form one read epoch that executes one key.
+func TestServeDedupe(t *testing.T) {
+	ix := pimtrie.New(4, pimtrie.Options{Seed: 11})
+	hot := epochKey(1)
+	ix.Load([]Key{hot, epochKey(2)}, []uint64{100, 200})
+	s := newServer(ix, Options{})
+	const n = 32
+	futs := make([]*GetFuture, n)
+	for i := range futs {
+		futs[i] = s.GetAsync(hot)
+	}
+	s.start()
+	defer s.Close()
+	for i, f := range futs {
+		vals, found, err := f.Wait()
+		if err != nil || !found[0] || vals[0] != 100 {
+			t.Fatalf("Get %d of the hot key = %v,%v,%v, want 100", i, vals, found, err)
+		}
+	}
+	st := s.Stats()
+	if st.KeysRequested[OpGet] != n {
+		t.Fatalf("KeysRequested[get] = %d, want %d", st.KeysRequested[OpGet], n)
+	}
+	if st.KeysExecuted[OpGet] != 1 {
+		t.Fatalf("KeysExecuted[get] = %d, want 1 (singleflight)", st.KeysExecuted[OpGet])
+	}
+	if st.ReadEpochs != 1 {
+		t.Fatalf("ReadEpochs = %d, want 1", st.ReadEpochs)
+	}
+}
+
 // mixedEpoch queues insert(a,b) delete(a) insert(c) on a fresh durable
 // server over ix and forms them into one epoch.
 func mixedEpoch(t *testing.T, ix *pimtrie.Index) (*Server, *epochPlan, []*call) {

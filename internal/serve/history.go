@@ -21,7 +21,4 @@ type OpRecord struct {
 	Vals   []uint64 // OpGet
 	Found  []bool   // OpGet, OpDelete
 	KVs    [][]KV   // OpSubtree
-	// Cached marks a read served from the hot-key cache; it forms its own
-	// single-op read epoch at its admission point in the serial order.
-	Cached bool
 }

@@ -12,13 +12,12 @@ package serve
 // two-stage host/PIM pipeline.
 //
 // Consistency: the index is only touched by the executor, epochs never
-// interleave, reads and writes never share an epoch, a write epoch is
-// serially equivalent to its calls in arrival order, and cache-served
-// reads are only admitted when their entry's write-epoch stamp is
-// current — so every response equals a serial replay of the committed
-// epoch order.
+// interleave, reads and writes never share an epoch, and a write epoch
+// is serially equivalent to its calls in arrival order — so every
+// response equals a serial replay of the committed epoch order.
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -42,7 +41,6 @@ type call struct {
 type readBatch struct {
 	calls []*call
 	uniq  []Key
-	dups  []int // per unique key: how many admitted requests asked for it
 	prep  *pimtrie.PreparedBatch
 }
 
@@ -57,9 +55,8 @@ type epochPlan struct {
 	calls []*call
 	ins   writeSection
 	del   writeSection
-	// stamp is the write-epoch counter at formation: the number of write
-	// epochs ordered before this one. Read results executed under this
-	// stamp fill the cache with it.
+	// stamp is a write epoch's position in the write order (1-based); the
+	// snapshot path's recent-writes filter and committed counter carry it.
 	stamp uint64
 }
 
@@ -81,7 +78,6 @@ type Server struct {
 	writeQ       []*call    // mixed insert/delete FIFO, arrival order
 	closed       bool
 	formedWrites uint64 // write epochs formed so far
-	cache        *hotCache
 	hist         []*EpochRecord
 	stats        Stats
 	idBuf        []byte   // scratch for appendKeyID, reused under mu
@@ -102,9 +98,8 @@ type Server struct {
 	snapKeys      atomic.Uint64             // keys served from the snapshot
 	snapFallbacks atomic.Uint64             // ReadSnapshot keys bounced to the epoch path
 
-	met *serveMetrics       // nil unless Options.Metrics is set
-	ctl *adaptiveController // nil unless Options.AdaptiveLinger is set
-	dur *durableState       // nil unless Options.Durable is set
+	met *serveMetrics // nil unless Options.Metrics is set
+	dur *durableState // nil unless Options.Durable is set
 
 	// health is the post-epoch Index.Health sample behind Server.Health;
 	// written only by the goroutine that owns the index. keyCount and
@@ -126,7 +121,8 @@ func NewServer(ix *pimtrie.Index, opts Options) *Server {
 }
 
 // newServer builds a Server whose scheduler goroutines are not running
-// yet; tests form and execute epochs on it by hand.
+// yet; tests form and execute epochs on it by hand (of at most
+// inlineCompletion calls each: a larger delivery needs the completers).
 func newServer(ix *pimtrie.Index, opts Options) *Server {
 	s := &Server{
 		ix:       ix,
@@ -134,17 +130,11 @@ func newServer(ix *pimtrie.Index, opts Options) *Server {
 		kick:     make(chan struct{}, 1),
 		closedCh: make(chan struct{}),
 	}
-	if s.opts.CacheSize > 0 {
-		s.cache = newHotCache(s.opts.CacheSize)
-	}
 	if s.opts.PrefixLoadBits > 0 {
 		s.prefixLoad = make([]uint64, 1<<uint(s.opts.PrefixLoadBits))
 	}
 	if s.opts.Metrics != nil {
 		s.met = newServeMetrics(s.opts.Metrics, s.opts.MetricLabels)
-	}
-	if s.opts.AdaptiveLinger {
-		s.ctl = newAdaptiveController(s.opts, s.opts.Metrics, s.opts.MetricLabels)
 	}
 	if s.opts.Durable != nil {
 		s.dur = newDurableState(ix, *s.opts.Durable, s.opts.Metrics, s.opts.MetricLabels)
@@ -168,29 +158,27 @@ func (s *Server) start() {
 		s.wg.Add(1)
 		go s.publisher()
 	}
-	if !s.opts.NoPipeline {
-		// Formation is demand-paced: the executor emits one demand token
-		// when it starts an epoch, and the batcher forms exactly one plan
-		// per token. Epoch k+1 is therefore formed (and host-prepared,
-		// overlapping k's PIM rounds) from everything queued at the moment
-		// k starts — one full wave of arrivals. Forming any earlier
-		// fragments waves into small epochs that then persist: each epoch's
-		// completers resubmit together, so epoch sizes are self-reproducing
-		// and the pipeline would inherit its startup fragmentation forever.
-		s.plans = make(chan *epochPlan)
-		s.demand = make(chan struct{}, 1)
-		s.demand <- struct{}{}
+	// Formation is demand-paced: the executor emits one demand token
+	// when it starts an epoch, and the batcher forms exactly one plan
+	// per token. Epoch k+1 is therefore formed (and host-prepared,
+	// overlapping k's PIM rounds) from everything queued at the moment
+	// k starts — one full wave of arrivals. Forming any earlier
+	// fragments waves into small epochs that then persist: each epoch's
+	// completers resubmit together, so epoch sizes are self-reproducing
+	// and the pipeline would inherit its startup fragmentation forever.
+	s.plans = make(chan *epochPlan)
+	s.demand = make(chan struct{}, 1)
+	s.demand <- struct{}{}
+	s.wg.Add(1)
+	go s.executor()
+	// Completion delivery is batched: the executor hands each epoch's
+	// resolved calls to the completers in chunks instead of settling
+	// every future inline, so result distribution stops scaling the
+	// executor's critical path with the client count.
+	s.compCh = make(chan []*call, completionQueue)
+	for i := 0; i < completionWorkers; i++ {
 		s.wg.Add(1)
-		go s.executor()
-		// Completion delivery is batched: the executor hands each epoch's
-		// resolved calls to the completers in chunks instead of settling
-		// every future inline, so result distribution stops scaling the
-		// executor's critical path with the client count.
-		s.compCh = make(chan []*call, completionQueue)
-		for i := 0; i < completionWorkers; i++ {
-			s.wg.Add(1)
-			go s.completer()
-		}
+		go s.completer()
 	}
 	s.wg.Add(1)
 	go s.batcher()
@@ -242,8 +230,8 @@ func (s *Server) kickBatcher() {
 	}
 }
 
-// submit admits one request: resolve trivially, serve from cache, or
-// enqueue for the batcher.
+// submit admits one request: resolve trivially or enqueue for the
+// batcher.
 func (s *Server) submit(op Op, keys []Key, values []uint64) *future {
 	f := newFuture()
 	if len(keys) == 0 {
@@ -263,16 +251,6 @@ func (s *Server) submit(op Op, keys []Key, values []uint64) *future {
 		s.met.requests[op].Inc()
 		s.met.keysReq[op].Add(uint64(len(keys)))
 	}
-	if op.isRead() && s.cache != nil && (op == OpGet || op == OpLCP) {
-		if s.tryCacheLocked(c) {
-			s.mu.Unlock()
-			return f
-		}
-		s.stats.CacheMisses++
-		if s.met != nil {
-			s.met.cacheMisses.Inc()
-		}
-	}
 	if op.isRead() {
 		s.readQ[op] = append(s.readQ[op], c)
 	} else {
@@ -282,11 +260,6 @@ func (s *Server) submit(op Op, keys []Key, values []uint64) *future {
 		s.met.queueDepth.Add(1)
 	}
 	s.mu.Unlock()
-	if s.ctl != nil {
-		// Only enqueued work counts toward the arrival rate; cache hits
-		// and trivial requests never cost the index an epoch slot.
-		s.ctl.noteArrival(len(keys), c.enq)
-	}
 	s.kickBatcher()
 	return f
 }
@@ -305,92 +278,29 @@ func (s *Server) resolveEmpty(op Op, f *future) {
 	f.settle()
 }
 
-// tryCacheLocked serves c entirely from the hot-key cache if every key
-// hits with a current write-epoch stamp. A cache-served read commits
-// logically as its own read epoch at the current point of the serial
-// order (after every formed write epoch, before any later one), which
-// is exactly the state its cached values reflect. Probing is
-// allocation-free until every key has hit.
-func (s *Server) tryCacheLocked(c *call) bool {
-	var stack [4]cacheVal
-	hits := stack[:0]
-	if len(c.keys) > len(stack) {
-		hits = make([]cacheVal, 0, len(c.keys))
-	}
-	for _, k := range c.keys {
-		s.idBuf = appendKeyID(s.idBuf[:0], k)
-		e, ok := s.cache.get(c.op, s.idBuf, s.formedWrites)
-		if !ok {
-			return false
-		}
-		hits = append(hits, e)
-	}
-	s.stats.CacheHits++
-	if s.met != nil {
-		s.met.cacheHits.Inc()
-	}
-	if c.op == OpGet {
-		vals := make([]uint64, len(hits))
-		found := make([]bool, len(hits))
-		for i, e := range hits {
-			vals[i], found[i] = e.value, e.found
-		}
-		c.fut.vals, c.fut.found = vals, found
-	} else {
-		ints := make([]int, len(hits))
-		for i, e := range hits {
-			ints[i] = e.lcp
-		}
-		c.fut.ints = ints
-	}
-	if s.opts.RecordHistory {
-		rec := &OpRecord{Op: c.op, Keys: c.keys, Cached: true}
-		if c.op == OpGet {
-			rec.Vals, rec.Found = c.fut.vals, c.fut.found
-		} else {
-			rec.LCPs = c.fut.ints
-		}
-		s.hist = append(s.hist, &EpochRecord{Ops: []*OpRecord{rec}})
-	}
-	s.finish(c)
-	return true
-}
-
 // batcher is pipeline stage A: await executor demand, form the next
 // epoch, run its host-side preparation, hand it to the executor.
 func (s *Server) batcher() {
 	defer s.wg.Done()
 	for {
-		if s.plans != nil && !s.awaitDemand() {
-			// Closed: stop pacing on demand and just drain the queues.
-		}
+		s.awaitDemand()
 		plan := s.nextPlan()
 		if plan == nil {
-			if s.plans != nil {
-				close(s.plans)
-			} else {
-				s.finishExec() // NoPipeline: this goroutine was the executor
-			}
+			close(s.plans)
 			return
 		}
 		s.prepare(plan)
-		if s.plans != nil {
-			s.plans <- plan
-		} else {
-			s.execute(plan)
-		}
+		s.plans <- plan
 	}
 }
 
-// awaitDemand blocks until the executor asks for the next plan; it
-// returns false once the server is closed (drain mode: form as fast as
-// the unbuffered plans channel allows).
-func (s *Server) awaitDemand() bool {
+// awaitDemand blocks until the executor asks for the next plan. Once
+// the server is closed it returns at once — drain mode: stop pacing on
+// demand and form as fast as the unbuffered plans channel allows.
+func (s *Server) awaitDemand() {
 	select {
 	case <-s.demand:
-		return true
 	case <-s.closedCh:
-		return false
 	}
 }
 
@@ -409,13 +319,11 @@ func (s *Server) executor() {
 	s.finishExec()
 }
 
-// finishExec runs on the executing goroutine once the last epoch has
-// committed: it stops the completers and the snapshot publisher (whose
-// final publish then captures the fully drained state).
+// finishExec runs on the executor once the last epoch has committed:
+// it stops the completers and the snapshot publisher (whose final
+// publish then captures the fully drained state).
 func (s *Server) finishExec() {
-	if s.compCh != nil {
-		close(s.compCh)
-	}
+	close(s.compCh)
 	if s.snapDirty != nil {
 		close(s.snapDirty)
 	}
@@ -465,7 +373,7 @@ func (s *Server) finishErr(c *call, err error) {
 // larger ones are chunked onto the completion workers so the executor
 // can move to the next epoch while futures resolve.
 func (s *Server) deliver(calls []*call) {
-	if s.compCh == nil || len(calls) <= inlineCompletion {
+	if len(calls) <= inlineCompletion {
 		for _, c := range calls {
 			s.finish(c)
 		}
@@ -490,87 +398,37 @@ func (s *Server) deliver(calls []*call) {
 	}
 }
 
-// pendingLocked reports queued requests and the arrival time of the
-// oldest one.
-func (s *Server) pendingLocked() (n int, oldest time.Time) {
-	first := true
-	note := func(q []*call) {
-		n += len(q)
-		if len(q) > 0 && (first || q[0].enq.Before(oldest)) {
-			oldest, first = q[0].enq, false
-		}
-	}
+// pendingLocked reports whether any request is queued.
+func (s *Server) pendingLocked() bool {
 	for op := range s.readQ {
-		note(s.readQ[op])
-	}
-	note(s.writeQ)
-	return n, oldest
-}
-
-// fullLocked reports whether any queue already holds target keys —
-// a full epoch's worth — which cuts the linger short.
-func (s *Server) fullLocked(target int) bool {
-	count := func(q []*call) int {
-		n := 0
-		for _, c := range q {
-			n += len(c.keys)
-		}
-		return n
-	}
-	for op := range s.readQ {
-		if count(s.readQ[op]) >= target {
+		if len(s.readQ[op]) > 0 {
 			return true
 		}
 	}
-	return count(s.writeQ) >= target
+	return len(s.writeQ) > 0
 }
 
-// lingerPolicy returns the linger bound and the epoch-key target that
-// cuts it short: the static options, or the adaptive controller's
-// current plan.
-func (s *Server) lingerPolicy() (time.Duration, int) {
-	if s.ctl != nil {
-		return s.ctl.plan(time.Now())
-	}
-	return s.opts.MaxLinger, s.opts.MaxBatch
-}
-
-// nextPlan blocks until requests are pending (respecting the linger
-// policy), then forms the next epoch. It returns nil when the server is
-// closed and fully drained.
+// nextPlan blocks until requests are pending, then forms the next epoch
+// from everything queued at that moment: there is no timer and no
+// controller, coalescing comes from executor backpressure alone. It
+// returns nil when the server is closed and fully drained.
 func (s *Server) nextPlan() *epochPlan {
 	for {
 		s.mu.Lock()
-		n, oldest := s.pendingLocked()
-		if n == 0 {
-			closed := s.closed
+		if s.pendingLocked() {
+			plan := s.formLocked()
 			s.mu.Unlock()
-			if closed {
-				return nil
-			}
-			select {
-			case <-s.kick:
-			case <-s.closedCh:
-			}
-			continue
+			return plan
 		}
-		if linger, target := s.lingerPolicy(); linger > 0 && !s.closed && !s.fullLocked(target) {
-			wait := linger - time.Since(oldest)
-			if wait > 0 {
-				s.mu.Unlock()
-				t := time.NewTimer(wait)
-				select {
-				case <-s.kick: // new arrival: a queue may be full now
-				case <-t.C:
-				case <-s.closedCh:
-				}
-				t.Stop()
-				continue
-			}
-		}
-		plan := s.formLocked()
+		closed := s.closed
 		s.mu.Unlock()
-		return plan
+		if closed {
+			return nil
+		}
+		select {
+		case <-s.kick:
+		case <-s.closedCh:
+		}
 	}
 }
 
@@ -672,12 +530,24 @@ admit:
 	return plan
 }
 
+// appendKeyID appends k's canonical map identity — bit length plus
+// payload words (tail bits are always zeroed by bitstr) — to buf.
+// Callers reuse one scratch buffer under Server.mu; map lookups via
+// string(buf) do not allocate, only insertions intern the string.
+func appendKeyID(buf []byte, k Key) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(k.Len()))
+	for _, w := range k.RawWords() {
+		buf = binary.LittleEndian.AppendUint64(buf, w)
+	}
+	return buf
+}
+
 // formReadLocked drains up to MaxBatch unique keys per read op into one
 // epoch, deduplicating identical keys within each sub-batch
 // (singleflight): every request records, per key, the slot of its
 // unique representative.
 func (s *Server) formReadLocked() *epochPlan {
-	plan := &epochPlan{stamp: s.formedWrites}
+	plan := &epochPlan{}
 	var rec *EpochRecord
 	if s.opts.RecordHistory {
 		rec = &EpochRecord{}
@@ -710,9 +580,7 @@ func (s *Server) formReadLocked() *epochPlan {
 					si = len(rb.uniq)
 					slot[string(s.idBuf)] = si
 					rb.uniq = append(rb.uniq, k)
-					rb.dups = append(rb.dups, 0)
 				}
-				rb.dups[si]++
 				c.slots[j] = si
 			}
 			rb.calls = append(rb.calls, c)
@@ -729,9 +597,6 @@ func (s *Server) formReadLocked() *epochPlan {
 			admitted += len(c.keys)
 		}
 		s.stats.DedupedKeys += uint64(admitted - len(rb.uniq))
-		if s.ctl != nil {
-			s.ctl.noteDedupe(admitted, len(rb.uniq))
-		}
 		if s.met != nil {
 			s.met.deduped.Add(uint64(admitted - len(rb.uniq)))
 			s.met.epochKeys.Observe(float64(len(rb.uniq)))
@@ -830,12 +695,6 @@ func (s *Server) prepare(plan *epochPlan) {
 // futures instead of killing the scheduler.
 func (s *Server) execute(plan *epochPlan) {
 	defer s.sampleHealth()
-	if s.ctl != nil {
-		start := time.Now()
-		defer func() {
-			s.ctl.noteEpoch(planUniqueKeys(plan), time.Since(start))
-		}()
-	}
 	if s.met != nil {
 		start := time.Now()
 		s.met.stageBusy[stageExecute].Set(1)
@@ -937,19 +796,6 @@ func (s *Server) executeWrite(plan *epochPlan) {
 	s.deliver(plan.calls)
 }
 
-// planUniqueKeys is the number of unique keys an epoch sends to the
-// index — the K of the adaptive controller's service-time samples.
-func planUniqueKeys(plan *epochPlan) int {
-	if plan.write {
-		return len(plan.ins.keys) + len(plan.del.keys)
-	}
-	n := 0
-	for op := range plan.reads {
-		n += len(plan.reads[op].uniq)
-	}
-	return n
-}
-
 // slabKeys sums the requested key counts of a sub-batch's calls, so
 // result distribution can carve per-call views out of one allocation.
 func slabKeys(calls []*call) int {
@@ -963,7 +809,6 @@ func slabKeys(calls []*call) int {
 func (s *Server) executeRead(plan *epochPlan) {
 	if rb := &plan.reads[OpGet]; len(rb.uniq) > 0 {
 		vals, found := s.ix.GetPrepared(rb.prep)
-		s.fillCache(OpGet, rb, plan.stamp, vals, found, nil)
 		nslab := slabKeys(rb.calls)
 		vslab := make([]uint64, nslab)
 		fslab := make([]bool, nslab)
@@ -982,7 +827,6 @@ func (s *Server) executeRead(plan *epochPlan) {
 	}
 	if rb := &plan.reads[OpLCP]; len(rb.uniq) > 0 {
 		lcps := s.ix.LCPPrepared(rb.prep)
-		s.fillCache(OpLCP, rb, plan.stamp, nil, nil, lcps)
 		islab := make([]int, slabKeys(rb.calls))
 		for _, c := range rb.calls {
 			n := len(c.keys)
@@ -1009,37 +853,4 @@ func (s *Server) executeRead(plan *epochPlan) {
 		}
 		s.deliver(rb.calls)
 	}
-}
-
-// fillCache stores executed read results under the epoch's write stamp.
-// If a write epoch formed after this read epoch, the stamp is already
-// stale and the entries will simply never hit — correctness never
-// depends on the cache. Admission is skew-aware: once the cache is
-// full, only keys the epoch proved hot — requested more than once, so
-// the singleflight dedupe collapsed them — may displace an entry.
-// Without that rule every large epoch floods the cache with cold keys
-// and evicts the hot set it exists for.
-func (s *Server) fillCache(op Op, rb *readBatch, stamp uint64, vals []uint64, found []bool, lcps []int) {
-	if s.cache == nil {
-		return
-	}
-	s.mu.Lock()
-	for i, k := range rb.uniq {
-		s.idBuf = appendKeyID(s.idBuf[:0], k)
-		if !s.cache.admit(op, s.idBuf, rb.dups[i] > 1) {
-			continue
-		}
-		s.stats.CacheAdmissions++
-		if s.met != nil {
-			s.met.cacheAdmits.Inc()
-		}
-		e := cacheVal{stamp: stamp}
-		if op == OpGet {
-			e.value, e.found = vals[i], found[i]
-		} else {
-			e.lcp = lcps[i]
-		}
-		s.cache.put(op, s.idBuf, e, s.formedWrites)
-	}
-	s.mu.Unlock()
 }

@@ -8,7 +8,9 @@
 //
 //   - Admission/coalescing: single- and multi-key async requests (Get,
 //     LCP, Subtree, Insert, Delete) are queued per op type and coalesced
-//     into batches under a max-batch-size / max-linger policy.
+//     into batches of at most MaxBatch keys. An epoch is formed when the
+//     executor asks for one, from everything queued at that moment;
+//     there is no timer and no controller.
 //   - Read/write epochs: reads from one epoch are grouped and
 //     deduplicated together (singleflight on identical in-flight keys);
 //     mutations form ordered write epochs that fence reads. Every
@@ -16,9 +18,9 @@
 //   - Host/PIM pipelining: the host-side preparation of epoch k+1
 //     (query-trie construction, sorting, hashing — Index.PrepareBatch)
 //     overlaps with the PIM rounds of epoch k in a two-stage pipeline.
-//   - Hot-key cache (opt-in): read results are cached and invalidated by
-//     the write-epoch counter, so Zipfian traffic short-circuits before
-//     touching the simulator.
+//   - Two answer paths for a Get: the strong epoch path above, and
+//     (opt-in, Options.SnapshotReads) wait-free ReadSnapshot probes of
+//     the latest published snapshot; see snapshot.go.
 //
 // Model metrics for any individual executed batch are bit-identical to
 // direct Index calls on the same batch; the serving layer changes which
@@ -29,7 +31,6 @@ package serve
 import (
 	"errors"
 	"sync/atomic"
-	"time"
 
 	"github.com/pimlab/pimtrie"
 	"github.com/pimlab/pimtrie/internal/metrics"
@@ -82,32 +83,6 @@ type Options struct {
 	// MaxBatch bounds the unique keys per executed read sub-batch, and
 	// the keys of a write epoch over both its sections (default 1024).
 	MaxBatch int
-	// MaxLinger bounds how long the batcher holds a non-full epoch open
-	// for more requests before dispatching it. The default 0 dispatches as
-	// soon as the executor frees up; coalescing then comes purely from
-	// executor backpressure, adding no idle latency. With AdaptiveLinger
-	// set it is the upper clamp on the controller's choice instead
-	// (default then 5ms).
-	MaxLinger time.Duration
-	// AdaptiveLinger replaces the static MaxLinger policy with the
-	// adaptive epoch controller: linger and target epoch size are chosen
-	// per epoch from the observed arrival rate and a live fit of the
-	// index's epoch service time, collapsing to MinLinger under light
-	// load and growing toward MaxBatch/MaxLinger under bursts. See
-	// adaptive.go for the policy.
-	AdaptiveLinger bool
-	// MinLinger is the lower clamp on the adaptive controller's linger
-	// (default 0: dispatch immediately when underloaded). Ignored
-	// without AdaptiveLinger.
-	MinLinger time.Duration
-	// CacheSize enables the hot-key read cache with room for that many
-	// entries (default 0: disabled). Cached Get/LCP results are stamped
-	// with the write-epoch counter and invalidated by any later write
-	// epoch.
-	CacheSize int
-	// NoPipeline disables the two-stage host pipeline; epoch formation,
-	// host preparation and index execution then share one goroutine.
-	NoPipeline bool
 	// RecordHistory retains the committed epoch order together with every
 	// request's inputs and responses so tests can replay it against a
 	// serial oracle. Memory grows without bound; testing only.
@@ -115,7 +90,7 @@ type Options struct {
 	// Metrics, when non-nil, registers the live serving instruments in
 	// the given registry and keeps them updated: per-op arrival counters
 	// and end-to-end latency histograms, queue-depth and pipeline-stage
-	// gauges, linger and epoch-size histograms, dedupe/cache counters,
+	// gauges, linger and epoch-size histograms, dedupe counters,
 	// and the post-epoch index health feed behind Server.Health. Nil
 	// (the default) disables instrumentation entirely — the hot path
 	// then pays one nil check per site.
@@ -161,9 +136,6 @@ func (o Options) withDefaults() Options {
 	if o.MaxBatch <= 0 {
 		o.MaxBatch = 1024
 	}
-	if o.AdaptiveLinger && o.MaxLinger <= 0 {
-		o.MaxLinger = defaultAdaptiveMaxLinger
-	}
 	if o.PrefixLoadBits > 16 {
 		o.PrefixLoadBits = 16
 	}
@@ -189,17 +161,10 @@ type Stats struct {
 	// KeysRequested counts keys across admitted requests per op.
 	KeysRequested [numOps]uint64
 	// KeysExecuted counts unique keys actually sent to the index per op —
-	// the difference to KeysRequested is singleflight dedupe plus cache
-	// short-circuits.
+	// the difference to KeysRequested is singleflight dedupe.
 	KeysExecuted [numOps]uint64
 	// ReadEpochs and WriteEpochs count committed epochs by kind.
 	ReadEpochs, WriteEpochs uint64
-	// CacheHits counts read requests served entirely from the hot-key
-	// cache; CacheMisses counts read requests that reached the queues.
-	CacheHits, CacheMisses uint64
-	// CacheAdmissions counts read results admitted into the hot-key
-	// cache (skew-aware admission may reject cold keys).
-	CacheAdmissions uint64
 	// DedupedKeys counts read keys absorbed by singleflight dedupe: keys
 	// admitted into read epochs minus the unique keys executed for them.
 	DedupedKeys uint64

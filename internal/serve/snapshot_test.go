@@ -151,7 +151,7 @@ func TestTrySnapshotGetPartial(t *testing.T) {
 // strong path stays bit-identical to serial replay (history oracle).
 func TestSnapshotSoak(t *testing.T) {
 	srv, oracle, pool := newServedSnap(t, 8, 400, serve.Options{
-		MaxBatch: 64, SnapshotReads: true, RecordHistory: true, CacheSize: 128,
+		MaxBatch: 64, SnapshotReads: true, RecordHistory: true,
 	})
 	cold := pool[200:] // never written below
 	hot := pool[:8]
@@ -343,42 +343,35 @@ func TestSnapshotMetricsLint(t *testing.T) {
 	}
 }
 
-// TestServeCacheDeleteThenGet is the hot-key cache invalidation audit:
-// a cached Get must not survive a Delete of the same key — the next Get
-// (strong or snapshot) sees the deletion, even when both land within
-// one linger window.
-func TestServeCacheDeleteThenGet(t *testing.T) {
-	srv, _, pool := newServedSnap(t, 4, 64, serve.Options{CacheSize: 32, SnapshotReads: true})
+// TestSnapshotDeleteThenGet is the invalidation audit: a key read
+// before a Delete of it must not be found after the Delete's ack, by a
+// strong Get or a snapshot one.
+func TestSnapshotDeleteThenGet(t *testing.T) {
+	srv, _, pool := newServedSnap(t, 4, 64, serve.Options{SnapshotReads: true})
 	defer srv.Close()
 	hot := pool[0]
-	// Heat the cache.
-	for i := 0; i < 3; i++ {
-		if _, ok, err := srv.Get(hot); err != nil || !ok {
-			t.Fatalf("warm Get = %v,%v", ok, err)
+	for _, mode := range []serve.Consistency{serve.ReadStrong, serve.ReadSnapshot} {
+		if _, ok, err := srv.GetWith(mode, hot); err != nil || !ok {
+			t.Fatalf("Get (mode %d) before Delete = %v,%v", mode, ok, err)
 		}
-	}
-	if st := srv.Stats(); st.CacheHits == 0 {
-		t.Fatalf("cache never hit during warmup: %+v", st)
 	}
 	if found, err := srv.Delete(hot); err != nil || !found {
 		t.Fatalf("Delete = %v,%v", found, err)
 	}
 	if _, ok, err := srv.Get(hot); err != nil || ok {
-		t.Fatalf("strong Get after Delete = found=%v,%v, want miss (stale cache?)", ok, err)
+		t.Fatalf("strong Get after Delete = found=%v,%v, want miss", ok, err)
 	}
 	if _, ok, err := srv.GetWith(serve.ReadSnapshot, hot); err != nil || ok {
 		t.Fatalf("snapshot Get after Delete = found=%v,%v, want miss (stale snapshot?)", ok, err)
 	}
 }
 
-// TestServeCacheDeleteSoak races deleters, re-inserters, and readers on
+// TestSnapshotDeleteSoak races deleters, re-inserters, and readers on
 // a small hot set under -race: a Get that starts after a Delete ack and
 // before any re-insert ack must miss. Writers serialize per key through
 // a mutex so the ack ordering the assertion needs is well-defined.
-func TestServeCacheDeleteSoak(t *testing.T) {
-	srv, _, pool := newServedSnap(t, 4, 64, serve.Options{
-		CacheSize: 64, SnapshotReads: true, MaxLinger: 100 * time.Microsecond,
-	})
+func TestSnapshotDeleteSoak(t *testing.T) {
+	srv, _, pool := newServedSnap(t, 4, 64, serve.Options{SnapshotReads: true})
 	defer srv.Close()
 	hot := pool[:4]
 	// present[i] tracks the acked state of hot[i]: 1 = last acked write
@@ -437,7 +430,7 @@ func TestServeCacheDeleteSoak(t *testing.T) {
 					return
 				}
 				if ok != want {
-					t.Errorf("hot[%d]: found=%v but acked state says present=%v (stale cache/snapshot)", i, ok, want)
+					t.Errorf("hot[%d]: found=%v but acked state says present=%v (stale snapshot)", i, ok, want)
 					return
 				}
 			}

@@ -36,7 +36,7 @@ func liveSetup(t *testing.T, health func() pimtrie.Health) (*metrics.Registry, s
 	mon := obs.NewMonitor(reg, ix.P())
 	ix.SetRecorder(mon)
 	ix.Load(keys, values)
-	srv := serve.NewServer(ix, serve.Options{MaxBatch: 32, CacheSize: 64, Metrics: reg})
+	srv := serve.NewServer(ix, serve.Options{MaxBatch: 32, Metrics: reg})
 	for i := 0; i < 30; i++ {
 		if _, _, err := srv.GetAsync(keys[i%7], keys[i%len(keys)]).Wait(); err != nil {
 			t.Fatalf("get: %v", err)
