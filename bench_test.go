@@ -133,11 +133,32 @@ func reportModel(b *testing.B, idx *Index, before Metrics, batches int, ops int)
 	b.ReportMetric(float64(d.Rounds)/float64(batches), "rounds/batch")
 	b.ReportMetric(float64(d.IOWords)/float64(ops), "words/op")
 	b.ReportMetric(d.IOBalance(), "balance")
+	b.ReportMetric(float64(d.PIMWork)/float64(ops), "pimwork/op")
 }
 
 func BenchmarkOpLCPBatch(b *testing.B) {
 	idx, keys := loadedIndex(b, 16, 8000)
 	g := workload.New(2)
+	queries := g.PrefixQueries(keys, 1024, 16)
+	b.ResetTimer()
+	before := idx.Metrics()
+	for i := 0; i < b.N; i++ {
+		idx.LCP(queries)
+	}
+	reportModel(b, idx, before, b.N, b.N*len(queries))
+}
+
+// BenchmarkOpLCPDeepPrefix is the unfavourable side of the depth bound
+// HashMatching stops at: every key shares a 512-bit prefix, block roots
+// sit ≥ 512 bits deep, and the queries are prefixes of stored keys, so
+// there is no fresh-key tail below the roots to skip
+// (BenchmarkOpInsertDeleteBatch, fresh 128-bit keys over shallow roots,
+// is the favourable side).
+func BenchmarkOpLCPDeepPrefix(b *testing.B) {
+	g := workload.New(10)
+	keys := g.SharedPrefix(2000, 512, 128)
+	idx := New(16, Options{Seed: 10})
+	idx.Load(keys, g.Values(len(keys)))
 	queries := g.PrefixQueries(keys, 1024, 16)
 	b.ResetTimer()
 	before := idx.Metrics()

@@ -79,6 +79,8 @@ func main() {
 	fmt.Printf("keys            %d\n", st.Keys)
 	fmt.Printf("blocks          %d (K_B=%d words)\n", st.Blocks, pt.Config().BlockWords)
 	fmt.Printf("regions         %d (K_MB=%d metas)\n", st.Regions, pt.Config().MetaBlockMax)
+	fmt.Printf("depth bounds    master %d; regions median %d / max %d bits (hashing stops there; ≈ key length means deep data)\n",
+		st.MasterBound, st.RegionBoundMedian, st.RegionBoundMax)
 	fmt.Printf("space           %d words total; per-module min %d / avg %d / max %d\n",
 		total, min, total / *p, max)
 	fmt.Printf("space balance   %.2f (P·max/total)\n", float64(max)*float64(*p)/float64(total))

@@ -5,9 +5,14 @@ package core
 // allocate proportionally to the batch itself (query trie nodes, result
 // slices, per-piece task closures) — a few dozen objects per key —
 // never to the phases it runs, and a one-key call a fixed few dozen
-// whatever the index served before. The bounds are deliberately loose
-// so they only trip on a structural regression, e.g. a per-phase slice
-// made afresh or per-bit Slice copies, not on incidental churn.
+// whatever the index served before. The counts repeat to within a few
+// objects per batch (AllocsPerRun pins GOMAXPROCS to 1), so the bounds
+// sit just above them: close enough that one allocation per probe task
+// — e.g. a reply taken from the heap rather than the reply arena, which
+// cost 14.1 objects per key and 64 per one-key Get (regrown from nil by
+// doubling: 14.9 and 67) — trips them. Under the race
+// detector sync.Pool drops a quarter of its Puts on purpose, so only the
+// old loose bounds apply there.
 
 import (
 	"math/rand"
@@ -16,10 +21,15 @@ import (
 	"github.com/pimlab/pimtrie/internal/bitstr"
 )
 
-// oneKeyGetAllocBound is ~1.5× the observed count (see the test log):
-// the query trie and its hashes, three rounds' response slices and task
-// closures, the result slices.
-const oneKeyGetAllocBound = 100
+// Observed (see the test log): 13.3 objects per key for the LCP batch,
+// 60 for a one-key Get — the query trie and its hashes, three rounds'
+// response slices and task closures, the result slices.
+func allocBound(tight, underRace float64) float64 {
+	if raceEnabled {
+		return underRace
+	}
+	return tight
+}
 
 func TestLCPBatchAllocsPerOp(t *testing.T) {
 	if testing.Short() {
@@ -53,8 +63,8 @@ func TestLCPBatchAllocsPerOp(t *testing.T) {
 	})
 	perKey := perRun / batch
 	t.Logf("LCP batch: %.0f allocs (%.1f per key)", perRun, perKey)
-	if perKey > 40 {
-		t.Fatalf("LCP host path allocates %.0f objects per batch (%.1f per key); pooled scratch bound is 40 per key", perRun, perKey)
+	if bound := allocBound(13.7, 40); perKey > bound {
+		t.Fatalf("LCP host path allocates %.0f objects per batch (%.1f per key); pooled scratch bound is %.1f per key", perRun, perKey, bound)
 	}
 }
 
@@ -81,7 +91,7 @@ func TestOneKeyGetAllocsPerOp(t *testing.T) {
 		i++
 	})
 	t.Logf("one-key Get: %.1f allocs", perRun)
-	if perRun > oneKeyGetAllocBound {
-		t.Fatalf("one-key Get allocates %.1f objects; bound is %d", perRun, oneKeyGetAllocBound)
+	if bound := allocBound(61, 100); perRun > bound {
+		t.Fatalf("one-key Get allocates %.1f objects; bound is %.0f", perRun, bound)
 	}
 }

@@ -13,9 +13,11 @@
 //
 // Matching (§4.3). A batch is turned into a query trie on the host; its
 // edges are chunked and pushed to random modules, which probe every bit
-// position against the replicated master table (Algorithm 4's role).
-// Each master hit assigns the query piece below it to one region, which
-// is then probed push-pull style for interior block-root hits
+// position down to the master table's depth bound — the largest root
+// length it holds; nothing deeper can hit — against the replicated
+// master table (Algorithm 4's role). Each master hit assigns the query
+// piece below it to one region, which is then probed push-pull style,
+// down to the region's own depth bound, for interior block-root hits
 // (Algorithm 5's role). Finally the pieces below the bottommost hits are
 // matched bit-by-bit against their blocks, again push-pull (Algorithm
 // 2). Every hash hit is verified by length and S_last before being
@@ -32,6 +34,7 @@ package core
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -217,7 +220,8 @@ type PIMTrie struct {
 	segArena    [][]segment // master-round chunks
 	taskBuf     []pim.Task  // the round being assembled
 	modBuf      []int       // master-round target modules
-	rawHitBuf   []rawHit    // a round's unverified hits
+	rawHitBuf   []rawHit    // a round's unverified hits, in task order
+	replies     replyArena  // where the round's probe tasks wrote them
 	verifyRecs  []hitRec    // verifyHits' per-hit verdicts
 	verifyOK    []bool
 	hitBuf      []hitRec       // verified hits, root hit first
@@ -401,7 +405,21 @@ func (t *PIMTrie) masterDelta(add map[uint64]masterEntry) error {
 // MasterEntries returns the size of the replicated master table.
 func (t *PIMTrie) MasterEntries() int { return len(t.master) }
 
+// masterBound scans the host replica for the master table's depth bound
+// (diagnostics only: the modules keep theirs incrementally, metaTable).
+func (t *PIMTrie) masterBound() int {
+	bound := 0
+	for _, e := range t.master {
+		bound = max(bound, e.Len)
+	}
+	return bound
+}
+
 // Stats summarizes structural state for diagnostics and experiments.
+// The depth bounds are where HashMatching stops hashing a query edge
+// (see match.go): MasterBound in the master round, a region's bound in
+// the region round. Bounds near the key length mean deep data — block
+// roots all the way down, nothing for the bounded walk to skip.
 type Stats struct {
 	Keys       int
 	Blocks     int
@@ -409,6 +427,10 @@ type Stats struct {
 	SpaceWords int
 	Rehashes   int
 	Redos      int
+
+	MasterBound       int // largest region-root length in the master table
+	RegionBoundMedian int // over the regions' largest member lengths
+	RegionBoundMax    int
 }
 
 // CollectStats walks all module memory (an unaccounted diagnostic pass).
@@ -416,15 +438,22 @@ func (t *PIMTrie) CollectStats() Stats {
 	s := Stats{Keys: t.nKeys, Rehashes: t.rehashes, Redos: t.redos}
 	total, _ := t.sys.SpaceWords()
 	s.SpaceWords = total
+	s.MasterBound = t.masterBound()
+	var bounds []int
 	for i := 0; i < t.sys.P(); i++ {
 		t.sys.Module(i).Each(func(o any) {
-			switch o.(type) {
+			switch o := o.(type) {
 			case *blockObj:
 				s.Blocks++
 			case *regionObj:
 				s.Regions++
+				bounds = append(bounds, o.r.MaxLen())
 			}
 		})
+	}
+	if len(bounds) > 0 {
+		slices.Sort(bounds)
+		s.RegionBoundMedian, s.RegionBoundMax = bounds[len(bounds)/2], bounds[len(bounds)-1]
 	}
 	return s
 }

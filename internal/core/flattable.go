@@ -16,10 +16,22 @@ package core
 // cost never degrades with churn. The table is a module-side replica:
 // probed read-only during match rounds, mutated only in broadcast
 // rounds — never both at once.
+//
+// The table also keeps its depth bound: MaxLen, the largest Len any
+// entry holds. A probe at depth d can only verify against an entry of
+// Len d, so the master round stops hashing a query edge at MaxLen
+// (probeSegments). The bound is exact at all times, not a high-water
+// mark — byLen counts the entries of each Len, so a replace or a delete
+// of the last deepest entry lowers it again and the index does not age
+// (a stale bound would only cost work, never answers). It is maintained
+// by the same Put/Delete calls that maintain the table, so every way a
+// replica is built or patched keeps it without shipping an extra word.
 type metaTable struct {
-	slots []metaSlot
-	mask  uint64
-	n     int
+	slots  []metaSlot
+	mask   uint64
+	n      int
+	byLen  []int // byLen[l] = entries whose Len is l
+	maxLen int   // largest l with byLen[l] > 0; 0 when empty
 }
 
 type metaSlot struct {
@@ -38,6 +50,37 @@ func newMetaTable(capacity int) *metaTable {
 }
 
 func (t *metaTable) Len() int { return t.n }
+
+// MaxLen returns the largest Len of any entry, 0 for an empty table.
+func (t *metaTable) MaxLen() int { return t.maxLen }
+
+// scanMaxLen recomputes MaxLen from the slots, for Validate.
+func (t *metaTable) scanMaxLen() int {
+	m := 0
+	for i := range t.slots {
+		if s := &t.slots[i]; s.used && s.e.Len > m {
+			m = s.e.Len
+		}
+	}
+	return m
+}
+
+func (t *metaTable) countLen(l int) {
+	if l >= len(t.byLen) {
+		t.byLen = append(t.byLen, make([]int, l+1-len(t.byLen))...)
+	}
+	t.byLen[l]++
+	if l > t.maxLen {
+		t.maxLen = l
+	}
+}
+
+func (t *metaTable) uncountLen(l int) {
+	t.byLen[l]--
+	for t.maxLen > 0 && t.byLen[t.maxLen] == 0 {
+		t.maxLen--
+	}
+}
 
 // Get returns the entry stored under h.
 func (t *metaTable) Get(h uint64) (masterEntry, bool) {
@@ -70,9 +113,14 @@ func (t *metaTable) Put(h uint64, e masterEntry) {
 		if !s.used {
 			*s = metaSlot{key: h, used: true, e: e}
 			t.n++
+			t.countLen(e.Len)
 			return
 		}
 		if s.key == h {
+			if s.e.Len != e.Len {
+				t.countLen(e.Len)
+				t.uncountLen(s.e.Len)
+			}
 			s.e = e
 			return
 		}
@@ -93,6 +141,7 @@ func (t *metaTable) Delete(h uint64) {
 		}
 		i = (i + 1) & t.mask
 	}
+	t.uncountLen(t.slots[i].e.Len)
 	// Backward-shift: pull every displaced successor into the hole.
 	j := i
 	for {
@@ -117,7 +166,8 @@ func (t *metaTable) grow() {
 	old := t.slots
 	t.slots = make([]metaSlot, len(old)*2)
 	t.mask = uint64(len(t.slots) - 1)
-	t.n = 0
+	t.n, t.maxLen = 0, 0
+	clear(t.byLen)
 	for i := range old {
 		if old[i].used {
 			t.Put(old[i].key, old[i].e)

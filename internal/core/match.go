@@ -5,9 +5,11 @@ package core
 // (*PIMTrie).match runs, for a prepared query trie:
 //
 //	phase B — master round: query-trie chunks to random modules, every
-//	          bit position probed against the replicated master table;
+//	          bit position down to the master table's depth bound probed
+//	          against the replicated master table;
 //	phase C — region round: pieces below master hits probed against
-//	          their region's index, push-pull by piece size;
+//	          their region's index down to the region's depth bound,
+//	          push-pull by piece size;
 //	phase D — block round: pieces below the combined hits matched
 //	          bit-by-bit against their blocks, push-pull.
 //
@@ -16,8 +18,20 @@ package core
 // comes from hashes + S_last; leaf-ward content from phase D's
 // bit-by-bit walk). A verification failure aborts the pass; the caller
 // re-hashes globally and redoes the batch.
+//
+// Depth bounds. HashMatching looks for block roots, and a probe at depth
+// d can only verify against a root of length d, so each probe target
+// carries the largest root length it holds (metaTable.MaxLen,
+// hvm.Region.MaxLen — exact at all times) and the module program stops
+// hashing a query edge there: the tail of a fresh key below every stored
+// root costs one compare per segment. Segments are still shipped whole —
+// what is sent, and with it rounds, IO words and the RandModule draw
+// order, is the same as if every bit were probed; only PIM work (charged
+// for what the module does) and wall-clock fall.
 
 import (
+	"sync/atomic"
+
 	"github.com/pimlab/pimtrie/internal/bitstr"
 	"github.com/pimlab/pimtrie/internal/hashing"
 	"github.com/pimlab/pimtrie/internal/hvm"
@@ -68,11 +82,67 @@ var probeSink uint64
 
 const sinkSentinel = 0x9e3779b97f4a7c15
 
+// replyArena is the slab a round's probe tasks write their replies
+// into, kept on the PIMTrie from batch to batch so that the replies of a
+// small batch — a served epoch, a one-key call — are not garbage the
+// moment match has read them. Tasks run concurrently on module executors
+// and host workers, so a chunk is reserved with one atomic add; a reply
+// that outgrows its chunk reserves one twice the size and moves over,
+// leaving the old chunk unused until the reset. Once match has copied a
+// round's replies out in task order it resets the arena: the slots
+// handed out are cleared (they would pin the query trie; clearing them
+// costs O(this round), not O(the arena)), and if the round asked for
+// more slots than there were, the arena grows towards what it asked for.
+//
+// The arena is bounded: it never holds more than replyArenaMax slots,
+// and whatever a round asks for beyond what is there comes from the
+// heap. So it cannot ratchet up to the largest batch the index has ever
+// served; a 4096-key batch, whose replies are a small share of what it
+// allocates, measured no faster with a slab of its own size (2.4 MB). A
+// sync.Pool of reply slices is bounded by nothing: it holds one slice
+// per task, each grown to the largest reply any task ever made.
+type replyArena struct {
+	buf  []rawHit
+	next atomic.Int64 // slots asked for since the reset, possibly past len(buf)
+}
+
+const (
+	// replyChunk is a reply's first reservation; an empty reply makes none.
+	replyChunk = 4
+	// replyArenaMax bounds the arena (448 KB of 112-byte hits): the
+	// demand of an epoch of several hundred keys.
+	replyArenaMax = 4096
+)
+
+// extend moves hits, which is full, to a chunk with room for as many
+// again; an exhausted arena serves the chunk from the heap.
+func (a *replyArena) extend(hits []rawHit) []rawHit {
+	n := max(replyChunk, 2*cap(hits))
+	if end := int(a.next.Add(int64(n))); end <= len(a.buf) {
+		return append(a.buf[end-n:end-n:end], hits...)
+	}
+	return append(make([]rawHit, 0, n), hits...)
+}
+
+// reset takes back every chunk handed out since the last reset; the
+// caller holds no reply any more.
+func (a *replyArena) reset() {
+	want := int(a.next.Swap(0))
+	clear(a.buf[:min(want, len(a.buf))])
+	if want = min(want, replyArenaMax); want > len(a.buf) {
+		a.buf = make([]rawHit, want)
+	}
+}
+
 // probeSegments extends hash values bit-by-bit along each segment and
-// probes every position against lookup, reporting all hits. Every hidden
-// position is probed, so the extension stays per-bit; the label bits are
-// pulled one packed word at a time instead of through per-bit BitAt
-// calls.
+// probes every position no deeper than bound — the largest Len the
+// lookup target holds — reporting all hits. A hit must verify against an
+// entry whose Len is the probed depth, so positions below bound cannot
+// hit and are neither hashed nor probed: each segment is clamped to
+// end' = min(end, bound − From.Depth), and a segment that starts at or
+// below bound costs one compare. Within the clamp every position is
+// probed, so the extension stays per-bit; the label bits are pulled one
+// packed word at a time instead of through per-bit BitAt calls.
 //
 // The probes of one ≤w-bit window run in three grouped passes so their
 // cache misses overlap instead of serializing (memory-level
@@ -81,27 +151,37 @@ const sinkSentinel = 0x9e3779b97f4a7c15
 // target supports it, a touch sweep issues the home-slot load of every
 // key back-to-back (all independent, so the memory system runs them
 // concurrently); finally the probe pass resolves each key in position
-// order. Hit order and work accounting are bit-identical to the
-// straight-line loop: one work unit per probe plus one per 8 bits
-// hashed (the byte-table hashing cost of the unoptimized Algorithm 3;
-// the pivot optimization of §4.4.2 reduces the probe count to one per w
-// bits instead).
+// order. Hits and their order are those of the straight-line loop over
+// every bit of every segment (the reference in match_test.go) as long as
+// bound is sound, which Validate checks — less only the hash false
+// positives that loop raises below bound under a narrow test hash, which
+// checkHit drops anyway. Work is charged for what runs: per clamped
+// segment one unit per probe plus one per 8 bits hashed (the byte-table
+// hashing cost of the unoptimized Algorithm 3) plus one, and one unit
+// for a skipped segment.
 //
 // touch may be nil when the lookup target has no useful early-load form
-// (e.g. a pointer-chasing map). Scratch lives on the stack because
-// probeSegments runs concurrently on module executors and host workers.
-func probeSegments(h *hashing.Hasher, segs []segment, lookup func(uint64) (metaInfo, bool), touch func(uint64) uint64, work func(int)) []rawHit {
+// (e.g. a pointer-chasing map). The window scratch lives on the stack
+// and the reply in chunks of arena, because probeSegments runs
+// concurrently on module executors and host workers; the reply is nil
+// when nothing hit and is the caller's until it resets the arena.
+func probeSegments(h *hashing.Hasher, segs []segment, bound int, arena *replyArena, lookup func(uint64) (metaInfo, bool), touch func(uint64) uint64, work func(int)) []rawHit {
 	var hits []rawHit
 	var outs [bitstr.WordBits]uint64
 	var vals [bitstr.WordBits]hashing.Value
 	sink := uint64(0)
 	for _, s := range segs {
+		end := min(s.end, bound-s.edge.From.Depth)
+		if end <= s.off {
+			work(1)
+			continue
+		}
 		v := s.startVal
 		l := s.edge.Label
-		for i := s.off; i < s.end; {
+		for i := s.off; i < end; {
 			to := (i | (bitstr.WordBits - 1)) + 1
-			if to > s.end {
-				to = s.end
+			if to > end {
+				to = end
 			}
 			w := l.RangeWord(i, to)
 			k := to - i
@@ -122,12 +202,15 @@ func probeSegments(h *hashing.Hasher, segs []segment, lookup func(uint64) (metaI
 			// of the determinism contract — decompose keeps the first).
 			for j := 0; j < k; j++ {
 				if info, ok := lookup(outs[j]); ok {
+					if len(hits) == cap(hits) {
+						hits = arena.extend(hits)
+					}
 					hits = append(hits, rawHit{edge: s.edge, off: i + j + 1, val: vals[j], info: info})
 				}
 			}
 			i = to
 		}
-		work((s.end-s.off)/8 + (s.end - s.off) + 1)
+		work((end-s.off)/8 + (end - s.off) + 1)
 	}
 	if sink == sinkSentinel {
 		probeSink = sink
@@ -143,7 +226,8 @@ func probeSegments(h *hashing.Hasher, segs []segment, lookup func(uint64) (metaI
 // deepest one, and complete because any root in a probed window is an
 // ancestor of (or equal to) that window's max-LCP candidate. Chain nodes
 // are pre-verified against the local bit window, so emitted hits carry
-// the same confidence as per-bit probes.
+// the same confidence as per-bit probes. Like probeSegments it stops at
+// the region's depth bound: classes past it hold no member.
 //
 // The conceptual window preBits ++ label[off:end] is never materialized:
 // hash values come from the range kernels over the two underlying
@@ -155,7 +239,11 @@ func probeSegmentsPivot(h *hashing.Hasher, segs []segment, reg *hvm.Region, regA
 	for _, s := range segs {
 		s := s
 		d0 := s.edge.From.Depth + s.off
-		dEnd := s.edge.From.Depth + s.end
+		dEnd := min(s.edge.From.Depth+s.end, reg.MaxLen())
+		if dEnd <= d0 {
+			work(1)
+			continue
+		}
 		l := s.edge.Label
 		base := d0 - s.preBits.Len()
 		// valAt moves the start value to an absolute depth in [base, dEnd]:
@@ -225,7 +313,7 @@ func probeSegmentsPivot(h *hashing.Hasher, segs []segment, reg *hvm.Region, regA
 				emitChain(cand)
 			}
 		}
-		work((s.end-s.off)/8 + classes*8 + ops)
+		work((dEnd-d0)/8 + classes*8 + ops)
 	}
 	return hits
 }
@@ -251,7 +339,7 @@ func (t *PIMTrie) regionProbe(segs []segment, reg *hvm.Region, regAddr pim.Addr,
 	if t.cfg.PivotProbing {
 		return probeSegmentsPivot(t.h, segs, reg, regAddr, work)
 	}
-	return probeSegments(t.h, segs, func(h uint64) (metaInfo, bool) {
+	return probeSegments(t.h, segs, reg.MaxLen(), &t.replies, func(h uint64) (metaInfo, bool) {
 		n := reg.Lookup(h)
 		if n == nil {
 			return metaInfo{}, false
@@ -368,7 +456,7 @@ func (t *PIMTrie) match(p *prep) (*matchOutcome, error) {
 			SendWords: words,
 			Run: func(m *pim.Module) pim.Resp {
 				mo := m.Get(addrs[m.ID()].ID).(*masterObj)
-				hits := probeSegments(t.h, ch, func(h uint64) (metaInfo, bool) {
+				hits := probeSegments(t.h, ch, mo.entries.MaxLen(), &t.replies, func(h uint64) (metaInfo, bool) {
 					e, ok := mo.entries.Get(h)
 					if !ok {
 						return metaInfo{}, false
@@ -384,6 +472,7 @@ func (t *PIMTrie) match(p *prep) (*matchOutcome, error) {
 		masterRaw = append(masterRaw, r.Value.([]rawHit)...)
 	}
 	t.rawHitBuf = masterRaw
+	t.replies.reset()
 	hits = t.verifyHits(hits, masterRaw)
 	endMaster()
 
@@ -444,8 +533,9 @@ func (t *PIMTrie) match(p *prep) (*matchOutcome, error) {
 		probeCPU += probeCPUBy[i]
 		regionRaw = append(regionRaw, hitsByShare[i]...)
 	}
-	clear(hitsByShare) // do not pin the modules' reply slices
+	clear(hitsByShare) // do not pin the pivot variant's reply slices
 	t.rawHitBuf = regionRaw
+	t.replies.reset()
 	if probeCPU > 0 {
 		t.sys.CPUWork(probeCPU)
 	}

@@ -6,10 +6,13 @@ package core
 import (
 	"math/rand"
 	"reflect"
+	"sort"
+	"sync"
 	"testing"
 
 	"github.com/pimlab/pimtrie/internal/bitstr"
 	"github.com/pimlab/pimtrie/internal/hashing"
+	"github.com/pimlab/pimtrie/internal/hvm"
 	"github.com/pimlab/pimtrie/internal/pim"
 	"github.com/pimlab/pimtrie/internal/querytrie"
 	"github.com/pimlab/pimtrie/internal/trie"
@@ -434,5 +437,364 @@ func TestGroupByBlockMergesSharedBlocks(t *testing.T) {
 	}
 	if unused.group != -1 {
 		t.Fatalf("piece without keys joined group %d", unused.group)
+	}
+}
+
+// probeEveryBit is the straight-line HashMatching loop of Algorithm 3:
+// every bit of every segment hashed and probed, no depth bound, no word
+// windows. It is the reference the bounded probeSegments is held to.
+func probeEveryBit(h *hashing.Hasher, segs []segment, lookup func(uint64) (metaInfo, bool)) []rawHit {
+	var hits []rawHit
+	for _, s := range segs {
+		v := s.startVal
+		for i := s.off; i < s.end; i++ {
+			v = h.ExtendBit(v, s.edge.Label.BitAt(i))
+			if info, ok := lookup(h.Out(v)); ok {
+				hits = append(hits, rawHit{edge: s.edge, off: i + 1, val: v, info: info})
+			}
+		}
+	}
+	return hits
+}
+
+func sameHits(a, b []rawHit) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		x, y := a[i], b[i]
+		if x.edge != y.edge || x.off != y.off || x.val != y.val ||
+			x.info.Hash != y.info.Hash || x.info.Len != y.info.Len || !bitstr.Equal(x.info.SLast, y.info.SLast) ||
+			x.info.Block != y.info.Block || x.info.Region != y.info.Region {
+			return false
+		}
+	}
+	return true
+}
+
+// probeFixture is a query trie cut into segments plus the strings of
+// random positions on it (candidate block roots).
+type probeFixture struct {
+	h     *hashing.Hasher
+	keys  []bitstr.String
+	segs  []segment
+	roots []bitstr.String // ε first
+	deep  int             // longest key
+}
+
+func newProbeFixture(r *rand.Rand, width uint, withPre bool) *probeFixture {
+	fx := &probeFixture{h: hashing.New(uint64(r.Int63()), width), roots: []bitstr.String{bitstr.Empty}}
+	batch := skewedKeys(r, 30, 70, 200)
+	for i := 0; i < 30; i++ {
+		batch = append(batch, randomKey(r, 260))
+	}
+	fx.keys = batch
+	for _, k := range batch {
+		fx.deep = max(fx.deep, k.Len())
+		for j := 0; j < 3; j++ {
+			fx.roots = append(fx.roots, k.Prefix(r.Intn(k.Len()+1)))
+		}
+	}
+	qt := querytrie.Build(batch)
+	hashes := qt.NodeHashes(fx.h, nil)
+	for i, nd := range qt.PreNodes {
+		for b := 0; b < 2; b++ {
+			e := nd.Child[b]
+			if e == nil {
+				continue
+			}
+			// Mostly whole edges (the master round's shape), some cut at
+			// random offsets (the region round's, below a hit).
+			off, end := 0, e.Label.Len()
+			if r.Intn(3) == 0 {
+				off = r.Intn(end + 1)
+				end = off + r.Intn(end-off+1)
+			}
+			fx.segs = append(fx.segs, mkSeg(e, off, end, fx.h.ExtendRange(hashes[i], e.Label, 0, off), withPre))
+		}
+	}
+	return fx
+}
+
+// rootsWithin returns the fixture's roots no longer than bound, plus —
+// when some key reaches that deep — one of exactly that length, so the
+// table built from them has depth bound `bound`.
+func (fx *probeFixture) rootsWithin(bound int) []bitstr.String {
+	var out []bitstr.String
+	for _, s := range fx.roots {
+		if s.Len() <= bound {
+			out = append(out, s)
+		}
+	}
+	for _, k := range fx.keys {
+		if k.Len() >= bound {
+			return append(out, k.Prefix(bound))
+		}
+	}
+	return out
+}
+
+// probeBounds lists the depth bounds worth trying on a fixture: 0, the
+// 64-bit window edges, inside a window, at a segment's own start (nothing
+// to probe), in its middle, at its end, and past every key.
+func (fx *probeFixture) probeBounds(r *rand.Rand) []int {
+	bounds := []int{0, 1, 63, 64, 65, 100, 127, 128, 129, 192, fx.deep, fx.deep + 70}
+	for i := 0; i < 6; i++ {
+		s := fx.segs[r.Intn(len(fx.segs))]
+		d := s.edge.From.Depth
+		bounds = append(bounds, d+s.off, d+s.off+(s.end-s.off)/2, d+s.end)
+	}
+	return bounds
+}
+
+// TestProbeSegmentsBoundedMatchesEveryBit: over randomized tables and
+// segments, the bounded word-stepped walk reports exactly the hits of the
+// unbounded per-bit reference, in the same order, minus hits deeper than
+// the bound — which exist only under a narrow hash and are all false
+// positives (the entry's Len is not the probed depth, so checkHit would
+// drop them). PIM work is charged for the clamped walk.
+func TestProbeSegmentsBoundedMatchesEveryBit(t *testing.T) {
+	r := rand.New(rand.NewSource(71))
+	var slab replyArena
+	for _, width := range []uint{0, 0, 12, 7} {
+		fx := newProbeFixture(r, width, false)
+		falseAbove, falseBelow, trueHits := 0, 0, 0
+		for _, want := range fx.probeBounds(r) {
+			tbl := newMetaTable(0)
+			for i, s := range fx.rootsWithin(want) {
+				tbl.Put(fx.h.HashOut(s), masterEntry{Len: s.Len(), SLast: slastOf(s), Block: pim.Addr{Module: 1, ID: uint64(i)}})
+			}
+			bound := tbl.MaxLen()
+			if want <= fx.deep && bound != want {
+				t.Fatalf("width %d: table built for bound %d reports %d", width, want, bound)
+			}
+			lookup := func(h uint64) (metaInfo, bool) {
+				e, ok := tbl.Get(h)
+				return metaInfo{Hash: h, Len: e.Len, SLast: e.SLast, Block: e.Block, Region: e.Region}, ok
+			}
+			var ref []rawHit
+			for _, rh := range probeEveryBit(fx.h, fx.segs, lookup) {
+				depth := rh.edge.From.Depth + rh.off
+				switch {
+				case depth <= bound:
+					ref = append(ref, rh)
+					if rh.info.Len == depth {
+						trueHits++
+					} else {
+						falseAbove++
+					}
+				case rh.info.Len == depth:
+					t.Fatalf("width %d bound %d: reference hit at depth %d on an entry of that Len — the bound is unsound", width, bound, depth)
+				default:
+					falseBelow++
+				}
+			}
+			work, wantWork := 0, 0
+			for _, s := range fx.segs {
+				if end := min(s.end, bound-s.edge.From.Depth); end > s.off {
+					wantWork += (end-s.off)/8 + (end - s.off) + 1
+				} else {
+					wantWork++
+				}
+			}
+			// The reply is the same from the heap (an arena that holds
+			// nothing yet), from an arena too small for it (the first
+			// rounds) and from one that has grown to the round's demand.
+			for i, touch := range []func(uint64) uint64{tbl.Touch, nil, tbl.Touch} {
+				arena := &slab
+				if i == 1 {
+					arena = new(replyArena)
+				}
+				work = 0
+				got := probeSegments(fx.h, fx.segs, bound, arena, lookup, touch, func(w int) { work += w })
+				if !sameHits(got, ref) {
+					t.Fatalf("width %d bound %d: %d hits, reference has %d within the bound (or they differ in content/order)",
+						width, bound, len(got), len(ref))
+				}
+				if work != wantWork {
+					t.Fatalf("width %d bound %d: charged %d work, the clamped walk costs %d", width, bound, work, wantWork)
+				}
+				slab.reset()
+			}
+		}
+		if trueHits == 0 {
+			t.Fatalf("width %d: fixture produced no true hits", width)
+		}
+		if width != 0 && width <= 12 && (falseAbove == 0 || falseBelow == 0) {
+			t.Fatalf("width %d: false positives above/below the bound = %d/%d; want both kinds", width, falseAbove, falseBelow)
+		}
+		if width == 0 && falseAbove+falseBelow != 0 {
+			t.Fatalf("full-width hash produced %d false positives", falseAbove+falseBelow)
+		}
+	}
+}
+
+// TestReplyArena: chunks handed out between two resets are disjoint,
+// also when tasks extend concurrently; a reply keeps its contents across
+// moves; a round that asks for more than the arena holds is served from
+// the heap and the arena then grows to the round's demand, up to its
+// bound; reset clears what was handed out and nothing else.
+func TestReplyArena(t *testing.T) {
+	var a replyArena
+	edges := make([]trie.Edge, 8)
+	fill := func(task, n int) []rawHit {
+		var hits []rawHit
+		for i := 0; i < n; i++ {
+			if len(hits) == cap(hits) {
+				hits = a.extend(hits)
+			}
+			hits = append(hits, rawHit{edge: &edges[task], off: i + 1})
+		}
+		return hits
+	}
+	inArena := func(hits []rawHit) bool {
+		for i := range a.buf {
+			if &a.buf[i] == &hits[0] {
+				return true
+			}
+		}
+		return false
+	}
+	sizes := []int{0, 1, 4, 5, 33, 2, 100, 7}
+	for round := 0; round < 3; round++ {
+		replies := make([][]rawHit, len(sizes))
+		var wg sync.WaitGroup
+		for task, n := range sizes {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				replies[task] = fill(task, n)
+			}()
+		}
+		wg.Wait()
+		for task, hits := range replies {
+			if len(hits) != sizes[task] || (sizes[task] == 0) != (hits == nil) {
+				t.Fatalf("round %d task %d: reply of %d hits, want %d (nil when empty)", round, task, len(hits), sizes[task])
+			}
+			for i, rh := range hits {
+				if rh.edge != &edges[task] || rh.off != i+1 {
+					t.Fatalf("round %d task %d hit %d: %+v — another task wrote here, or a move lost it", round, task, i, rh)
+				}
+			}
+			if round > 0 && len(hits) > 0 && !inArena(hits) {
+				t.Fatalf("round %d task %d: reply came from the heap although the arena had grown to the round's demand", round, task)
+			}
+		}
+		demand := int(a.next.Load())
+		held := len(a.buf)
+		a.reset()
+		if round == 0 && (held != 0 || len(a.buf) != demand) {
+			t.Fatalf("first round: arena held %d slots and grew to %d, want 0 and the demand %d", held, len(a.buf), demand)
+		}
+		if round > 0 && len(a.buf) != held {
+			t.Fatalf("round %d: arena resized %d → %d on an equal round", round, held, len(a.buf))
+		}
+		for i, rh := range a.buf {
+			if rh.edge != nil || rh.off != 0 {
+				t.Fatalf("round %d: slot %d survives the reset and pins its query edge", round, i)
+			}
+		}
+	}
+	// reset clears the slots handed out, not the arena.
+	a.buf[len(a.buf)-1].off = 7
+	fill(0, 1)
+	a.reset()
+	if a.buf[len(a.buf)-1].off != 7 {
+		t.Fatal("reset after a one-chunk round cleared the whole arena")
+	}
+	// The arena is bounded: a round that asks for more than replyArenaMax
+	// slots gets the excess from the heap, whole, and the arena stops at
+	// the bound however often that happens.
+	for round := 0; round < 2; round++ {
+		big := fill(1, 3*replyArenaMax)
+		for i, rh := range big {
+			if rh.edge != &edges[1] || rh.off != i+1 {
+				t.Fatalf("oversized reply lost hit %d: %+v", i, rh)
+			}
+		}
+		a.reset()
+		if len(a.buf) != replyArenaMax {
+			t.Fatalf("arena holds %d slots after an oversized round, want the bound %d", len(a.buf), replyArenaMax)
+		}
+	}
+}
+
+// pivotRegion builds a region holding ε and the given roots, linked by
+// the prefix relation as the meta-tree is. With unbounded, one extra
+// member of enormous Len in a pivot class no probe can name lifts the
+// region's depth bound out of the way without adding a reachable
+// candidate: probing it is the unbounded reference.
+func pivotRegion(t *testing.T, h *hashing.Hasher, roots []bitstr.String, unbounded bool) *hvm.Region {
+	t.Helper()
+	pt := &PIMTrie{h: h}
+	uniq := map[string]bool{"": true}
+	sorted := []bitstr.String{bitstr.Empty}
+	for _, s := range roots {
+		if !uniq[s.String()] {
+			uniq[s.String()] = true
+			sorted = append(sorted, s)
+		}
+	}
+	sort.SliceStable(sorted, func(a, b int) bool { return sorted[a].Len() < sorted[b].Len() })
+	var reg *hvm.Region
+	var nodes []*hvm.MetaNode
+	for i, s := range sorted {
+		val := h.Hash(s)
+		hashPre, srem := pt.pivotAug(val, slastOf(s))
+		n := &hvm.MetaNode{Hash: h.Out(val), Len: s.Len(), SLast: slastOf(s), Block: pim.Addr{Module: 1, ID: uint64(i)}, HashPre: hashPre, SRem: srem}
+		if i == 0 {
+			reg = hvm.NewRegion(n)
+			nodes = append(nodes, n)
+			continue
+		}
+		parent := 0
+		for j := 1; j < i; j++ {
+			if p := sorted[j]; nodes[j] != nil && p.Len() < s.Len() && bitstr.Equal(s.Prefix(p.Len()), p) && p.Len() > sorted[parent].Len() {
+				parent = j
+			}
+		}
+		if err := reg.Insert(nodes[parent], n); err != nil {
+			n = nil // a narrow hash collided two roots; the index keeps the first, in both twins alike
+		}
+		nodes = append(nodes, n)
+	}
+	if unbounded {
+		if err := reg.Insert(reg.Root, &hvm.MetaNode{Hash: ^uint64(0), Len: 1 << 30, HashPre: ^uint64(0)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return reg
+}
+
+// TestProbeSegmentsPivotBoundedMatchesUnbounded: the pivot walk clamped
+// at the region's depth bound emits the hits of the same walk with the
+// bound out of the way, contents and order.
+func TestProbeSegmentsPivotBoundedMatchesUnbounded(t *testing.T) {
+	r := rand.New(rand.NewSource(73))
+	regAddr := pim.Addr{Module: 2, ID: 9}
+	for _, width := range []uint{0, 0, 12, 7} {
+		fx := newProbeFixture(r, width, true)
+		emitted := 0
+		for _, want := range fx.probeBounds(r) {
+			roots := fx.rootsWithin(want)
+			reg, ref := pivotRegion(t, fx.h, roots, false), pivotRegion(t, fx.h, roots, true)
+			if want <= fx.deep && width == 0 && reg.MaxLen() != want {
+				t.Fatalf("region built for bound %d reports %d", want, reg.MaxLen())
+			}
+			work, refWork := 0, 0
+			got := probeSegmentsPivot(fx.h, fx.segs, reg, regAddr, func(w int) { work += w })
+			exp := probeSegmentsPivot(fx.h, fx.segs, ref, regAddr, func(w int) { refWork += w })
+			if !sameHits(got, exp) {
+				t.Fatalf("width %d bound %d: bounded pivot walk has %d hits, unbounded %d (or they differ in content/order)",
+					width, reg.MaxLen(), len(got), len(exp))
+			}
+			if work > refWork {
+				t.Fatalf("width %d bound %d: bounded pivot walk charged %d work, unbounded %d", width, reg.MaxLen(), work, refWork)
+			}
+			emitted += len(got)
+		}
+		if emitted == 0 {
+			t.Fatalf("width %d: pivot fixture produced no hits", width)
+		}
 	}
 }

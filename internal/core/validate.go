@@ -26,7 +26,11 @@ import (
 //     parents, up to region boundaries);
 //  4. every region root is an ancestor of all its members and is
 //     registered in the master table (and nothing else is);
-//  5. every key is stored exactly once, and the total equals KeyCount.
+//  5. every key is stored exactly once, and the total equals KeyCount;
+//  6. every depth bound HashMatching stops at is exact: each region's
+//     MaxLen is the largest Len in its index (hvm.Region.Validate), and
+//     each module's master replica reports the largest Len of its own
+//     entries, which is also the host replica's.
 //
 // It returns the first violation found.
 func (t *PIMTrie) Validate() error {
@@ -216,7 +220,8 @@ func (t *PIMTrie) Validate() error {
 			return fmt.Errorf("stale master entry %#x -> %v", h, e.Region)
 		}
 	}
-	// Master replicas must match the host copy.
+	// Master replicas must match the host copy, depth bound included.
+	hostMax := t.masterBound()
 	for i := 0; i < t.sys.P(); i++ {
 		mo := t.sys.Module(i).Get(t.masterAddrs[i].ID).(*masterObj)
 		if mo.entries.Len() != len(t.master) {
@@ -226,6 +231,10 @@ func (t *PIMTrie) Validate() error {
 			if me, ok := mo.entries.Get(h); !ok || me.Region != e.Region || me.Block != e.Block {
 				return fmt.Errorf("module %d master replica diverges at %#x", i, h)
 			}
+		}
+		if own := mo.entries.scanMaxLen(); mo.entries.MaxLen() != own || own != hostMax {
+			return fmt.Errorf("module %d master replica reports depth bound %d, its entries reach %d, the host's %d",
+				i, mo.entries.MaxLen(), own, hostMax)
 		}
 	}
 	return nil

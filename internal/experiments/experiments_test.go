@@ -202,12 +202,22 @@ func TestAblationTablesRun(t *testing.T) {
 
 func TestAblationPivotProbingShapes(t *testing.T) {
 	tb := AblationPivotProbing(tiny)
-	// Same communication and rounds; strictly less PIM work with pivots.
+	// Same rounds, same (oracle) answers. Since both strategies stop at
+	// the region's depth bound the per-bit walk is the cheaper one on this
+	// data, so no order between the rows is asserted; what must hold is
+	// that neither costs more than probing every bit of every segment
+	// did: 4 961 PIM work at this scale before the bound.
+	const unboundedPerBit = 4961
 	if cell(t, tb, 0, 4) != cell(t, tb, 1, 4) {
 		t.Fatalf("rounds differ: %v vs %v", cell(t, tb, 0, 4), cell(t, tb, 1, 4))
 	}
-	if cell(t, tb, 1, 1) >= cell(t, tb, 0, 1) {
-		t.Fatalf("pivot probing did not reduce PIM work: %v vs %v", cell(t, tb, 1, 1), cell(t, tb, 0, 1))
+	for r, row := range tb.Rows {
+		if row[5] != "yes" {
+			t.Fatalf("%s probing diverged from the oracle", row[0])
+		}
+		if w := cell(t, tb, r, 1); w > unboundedPerBit {
+			t.Fatalf("%s probing does %v PIM work, more than the unbounded per-bit walk's %d", row[0], w, unboundedPerBit)
+		}
 	}
 }
 

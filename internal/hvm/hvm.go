@@ -46,9 +46,19 @@ const NodeCostWords = 6
 // Region is one meta-block: a connected piece of the meta-tree indexed
 // by block-root hash. Regions are the unit of distribution — package
 // core stores each Region as a single PIM object.
+//
+// maxLen is the region's depth bound: the largest Len of any member. A
+// probe at depth d can only verify against a member of Len d, so region
+// HashMatching stops hashing a query edge at MaxLen. It is exact at all
+// times — raised wherever a member enters the index, recomputed (a scan
+// of ≤ K_MB members) when a deepest member leaves — so a region that
+// once held a deep block does not keep paying for it. It rides in the
+// header words SizeWords already charges.
 type Region struct {
 	Root  *MetaNode
 	Index map[uint64]*MetaNode
+
+	maxLen int
 
 	pivot      *PivotIndex
 	pivotDirty bool
@@ -73,7 +83,7 @@ func NewRegionTree(root *MetaNode) *Region {
 	r := &Region{Root: root, Index: map[uint64]*MetaNode{}}
 	var rec func(n *MetaNode)
 	rec = func(n *MetaNode) {
-		r.Index[n.Hash] = n
+		r.add(n)
 		for _, c := range n.Children {
 			rec(c)
 		}
@@ -81,6 +91,37 @@ func NewRegionTree(root *MetaNode) *Region {
 	rec(root)
 	return r
 }
+
+// add indexes n and raises the depth bound to cover it.
+func (r *Region) add(n *MetaNode) {
+	r.Index[n.Hash] = n
+	if n.Len > r.maxLen {
+		r.maxLen = n.Len
+	}
+}
+
+// lost re-establishes the depth bound after members no deeper than
+// deepest have left the index: only the loss of a deepest member can
+// lower it.
+func (r *Region) lost(deepest int) {
+	if deepest < r.maxLen {
+		return
+	}
+	r.maxLen = maxIndexLen(r.Index)
+}
+
+func maxIndexLen(idx map[uint64]*MetaNode) int {
+	m := 0
+	for _, n := range idx {
+		if n.Len > m {
+			m = n.Len
+		}
+	}
+	return m
+}
+
+// MaxLen returns the largest Len of any member (0 for an emptied region).
+func (r *Region) MaxLen() int { return r.maxLen }
 
 // Reindex rebuilds the index from the tree, returning ErrHashCollision
 // if two nodes in this region share a hash output.
@@ -101,15 +142,14 @@ func (r *Region) Reindex() error {
 	if err != nil {
 		return err
 	}
-	r.Index = idx
+	r.Index, r.maxLen = idx, maxIndexLen(idx)
 	r.markDirty()
 	return nil
 }
 
 // NewRegion creates a region containing just the given root node.
 func NewRegion(root *MetaNode) *Region {
-	r := &Region{Root: root, Index: map[uint64]*MetaNode{root.Hash: root}}
-	return r
+	return &Region{Root: root, Index: map[uint64]*MetaNode{root.Hash: root}, maxLen: root.Len}
 }
 
 // Len returns the number of meta-nodes in the region.
@@ -136,7 +176,7 @@ func (r *Region) Insert(parent, child *MetaNode) error {
 	}
 	child.Parent = parent
 	parent.Children = append(parent.Children, child)
-	r.Index[child.Hash] = child
+	r.add(child)
 	r.markDirty()
 	return nil
 }
@@ -155,6 +195,7 @@ func (r *Region) Remove(n *MetaNode) {
 		panic("hvm: Remove of node not in region")
 	}
 	delete(r.Index, n.Hash)
+	r.lost(n.Len)
 	r.markDirty()
 	p := n.Parent
 	for i, c := range p.Children {
@@ -188,6 +229,7 @@ func (r *Region) RemoveAny(n *MetaNode) (newRoot *MetaNode, spawned []*Region) {
 	delete(r.Index, n.Hash)
 	r.markDirty()
 	if n != r.Root {
+		r.lost(n.Len)
 		p := n.Parent
 		for i, c := range p.Children {
 			if c == n {
@@ -204,7 +246,7 @@ func (r *Region) RemoveAny(n *MetaNode) (newRoot *MetaNode, spawned []*Region) {
 		return r.Root, nil
 	}
 	if len(n.Children) == 0 {
-		r.Root = nil
+		r.Root, r.maxLen = nil, 0
 		return nil, nil
 	}
 	children := n.Children
@@ -212,21 +254,26 @@ func (r *Region) RemoveAny(n *MetaNode) (newRoot *MetaNode, spawned []*Region) {
 	promoted := children[0]
 	promoted.Parent = nil
 	r.Root = promoted
+	deepest := n.Len
 	for _, c := range children[1:] {
 		c.Parent = nil
 		nr := NewRegion(c)
-		var move func(v *MetaNode)
-		move = func(v *MetaNode) {
-			delete(r.Index, v.Hash)
-			nr.Index[v.Hash] = v
-			for _, ch := range v.Children {
-				move(ch)
-			}
-		}
-		move(c)
+		r.moveSubtree(c, nr)
+		deepest = max(deepest, nr.maxLen)
 		spawned = append(spawned, nr)
 	}
+	r.lost(deepest)
 	return promoted, spawned
+}
+
+// moveSubtree moves the index entries of v's same-region subtree from r
+// to nr, raising nr's depth bound; the caller settles r's with lost.
+func (r *Region) moveSubtree(v *MetaNode, nr *Region) {
+	delete(r.Index, v.Hash)
+	nr.add(v)
+	for _, ch := range v.Children {
+		r.moveSubtree(ch, nr)
+	}
 }
 
 // Reparent moves child (and its subtree) beneath newParent; both must be
@@ -320,22 +367,16 @@ func (r *Region) Split() (*MetaNode, []*Region) {
 		cut = r.Root
 	}
 	var out []*Region
+	deepest := 0
 	for _, c := range cut.Children {
 		c.Parent = nil
 		nr := NewRegion(c)
-		// Move the subtree's index entries.
-		var move func(v *MetaNode)
-		move = func(v *MetaNode) {
-			delete(r.Index, v.Hash)
-			nr.Index[v.Hash] = v
-			for _, ch := range v.Children {
-				move(ch)
-			}
-		}
-		move(c)
+		r.moveSubtree(c, nr)
+		deepest = max(deepest, nr.maxLen)
 		out = append(out, nr)
 	}
 	cut.Children = nil
+	r.lost(deepest)
 	r.markDirty()
 	return cut, out
 }
@@ -353,7 +394,8 @@ func (r *Region) Walk(fn func(n *MetaNode)) {
 }
 
 // Validate checks region invariants: the index covers exactly the tree,
-// parent/child links are consistent, and the root has no parent.
+// parent/child links are consistent, the root has no parent, and the
+// depth bound is the deepest member's length.
 func (r *Region) Validate() error {
 	if r.Root.Parent != nil {
 		return fmt.Errorf("hvm: region root has a parent")
@@ -376,6 +418,9 @@ func (r *Region) Validate() error {
 	}
 	if seen != len(r.Index) {
 		return fmt.Errorf("hvm: index has %d entries, tree has %d nodes", len(r.Index), seen)
+	}
+	if want := maxIndexLen(r.Index); r.maxLen != want {
+		return fmt.Errorf("hvm: depth bound %d, deepest member has length %d", r.maxLen, want)
 	}
 	return nil
 }

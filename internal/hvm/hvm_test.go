@@ -213,3 +213,71 @@ func TestSizeWords(t *testing.T) {
 		t.Fatalf("SizeWords = %d", w)
 	}
 }
+
+// TestRegionMaxLenExact takes random regions apart through every mutator
+// that moves members — Split, RemoveAny (interior, promoting root,
+// splitting root), Remove, Reindex, NewRegionTree — and after each step
+// every region's depth bound must be its deepest member's length
+// (Validate checks it): it comes down when a deepest member leaves, it
+// does not ratchet.
+func TestRegionMaxLenExact(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	check := func(trial int, regs ...*Region) {
+		t.Helper()
+		for _, reg := range regs {
+			if reg.Root == nil {
+				if reg.MaxLen() != 0 || reg.Len() != 0 {
+					t.Fatalf("trial %d: emptied region keeps bound %d over %d members", trial, reg.MaxLen(), reg.Len())
+				}
+				continue
+			}
+			if err := reg.Validate(); err != nil {
+				t.Fatalf("trial %d: %v", trial, err)
+			}
+		}
+	}
+	for trial := 0; trial < 60; trial++ {
+		n := 2 + r.Intn(80)
+		parents := make([]int, n)
+		for i := 1; i < n; i++ {
+			parents[i] = r.Intn(i)
+		}
+		reg, nodes := buildTree(t, parents)
+		// One member far below the rest: the bound must follow it out.
+		deep := nodes[1+r.Intn(n-1)]
+		deep.Len = 5000
+		if err := reg.Reindex(); err != nil {
+			t.Fatal(err)
+		}
+		if reg.MaxLen() != 5000 {
+			t.Fatalf("trial %d: Reindex left bound %d", trial, reg.MaxLen())
+		}
+		if tree := NewRegionTree(reg.Root); tree.MaxLen() != 5000 {
+			t.Fatalf("trial %d: NewRegionTree bound %d", trial, tree.MaxLen())
+		}
+		regs := []*Region{reg}
+		if n > 4 && trial%2 == 0 {
+			_, parts := reg.Split()
+			regs = append(regs, parts...)
+			check(trial, regs...)
+		}
+		// Dismantle every region node by node in random order.
+		for len(regs) > 0 {
+			cur := regs[len(regs)-1]
+			if cur.Root == nil {
+				regs = regs[:len(regs)-1]
+				continue
+			}
+			var members []*MetaNode
+			cur.Walk(func(m *MetaNode) { members = append(members, m) })
+			victim := members[r.Intn(len(members))]
+			if victim != cur.Root && len(victim.Children) == 0 && len(victim.ChildRegions) == 0 && r.Intn(2) == 0 {
+				cur.Remove(victim)
+			} else {
+				_, spawned := cur.RemoveAny(victim)
+				regs = append(regs, spawned...)
+			}
+			check(trial, regs...)
+		}
+	}
+}
