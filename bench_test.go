@@ -63,6 +63,12 @@ func BenchmarkTable1CommPerOp(b *testing.B) { // E5
 	}
 }
 
+func BenchmarkRegionProbeByKeyLength(b *testing.B) { // E5b
+	for i := 0; i < b.N; i++ {
+		experiments.RegionProbeByKeyLength(benchScale)
+	}
+}
+
 func BenchmarkTable1CommSubtree(b *testing.B) { // E6
 	for i := 0; i < b.N; i++ {
 		experiments.CommSubtree(benchScale)
@@ -111,12 +117,6 @@ func BenchmarkAblationRegionSize(b *testing.B) { // E9d
 	}
 }
 
-func BenchmarkAblationPivotProbing(b *testing.B) { // E9e
-	for i := 0; i < b.N; i++ {
-		experiments.AblationPivotProbing(benchScale)
-	}
-}
-
 // --- per-operation benchmarks over the public API ---------------------
 
 func loadedIndex(b *testing.B, p, n int) (*Index, []Key) {
@@ -158,6 +158,24 @@ func BenchmarkOpLCPDeepPrefix(b *testing.B) {
 	g := workload.New(10)
 	keys := g.SharedPrefix(2000, 512, 128)
 	idx := New(16, Options{Seed: 10})
+	idx.Load(keys, g.Values(len(keys)))
+	queries := g.PrefixQueries(keys, 1024, 16)
+	b.ResetTimer()
+	before := idx.Metrics()
+	for i := 0; i < b.N; i++ {
+		idx.LCP(queries)
+	}
+	reportModel(b, idx, before, b.N, b.N*len(queries))
+}
+
+// BenchmarkOpLCPLongKeys is the side of HashMatching the pivot classes
+// serve: 1 024-bit keys put region depth bounds hundreds of bits below a
+// probe's start, so region windows run words past their start word and
+// take one pivot class per word instead of one probe per bit.
+func BenchmarkOpLCPLongKeys(b *testing.B) {
+	g := workload.New(11)
+	keys := g.FixedLen(5000, 1024)
+	idx := New(16, Options{Seed: 11})
 	idx.Load(keys, g.Values(len(keys)))
 	queries := g.PrefixQueries(keys, 1024, 16)
 	b.ResetTimer()

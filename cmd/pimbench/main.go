@@ -43,6 +43,7 @@ var registry = []struct {
 	{"E3", "Table 1 IO rounds (Insert/Delete)", experiments.RoundsUpdate},
 	{"E4", "Table 1 IO rounds (Subtree)", experiments.RoundsSubtree},
 	{"E5", "Table 1 communication (LCP/Insert)", experiments.CommPerOp},
+	{"E5b", "region probing vs key length", experiments.RegionProbeByKeyLength},
 	{"E6", "Table 1 communication (Subtree)", experiments.CommSubtree},
 	{"E7", "skew resistance (query skew)", experiments.SkewBalance},
 	{"E7b", "skew resistance (data skew)", experiments.SkewedDataBalance},
@@ -51,7 +52,6 @@ var registry = []struct {
 	{"E9b", "ablation: push-pull threshold", experiments.AblationPushPull},
 	{"E9c", "ablation: hash width", experiments.AblationHashWidth},
 	{"E9d", "ablation: region size", experiments.AblationRegionSize},
-	{"E9e", "ablation: pivot probing", experiments.AblationPivotProbing},
 	{"EF", "fault injection: module-loss recovery", experiments.FaultRecovery},
 }
 

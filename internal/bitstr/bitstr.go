@@ -382,8 +382,7 @@ func Compare(s, t String) int {
 }
 
 // PadTo returns s extended to length n by repeating bit b; if s is already
-// at least n bits it is returned unchanged. This implements the S0/S1
-// padding of the paper's two-layer index (§4.4.2).
+// at least n bits it is returned unchanged.
 func (s String) PadTo(n int, b byte) String {
 	if s.n >= n {
 		return s

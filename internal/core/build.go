@@ -207,17 +207,17 @@ func (t *PIMTrie) clearObjects() {
 }
 
 // pivotAug derives the §4.4.2 pivot augmentation of a block root from
-// its hash value, length, and S_last window: the hash output of the
-// longest w-multiple prefix and the remainder after it. The remainder is
-// always inside S_last (|rem| = len mod w < w), so no full string is
+// its hash value, length, and S_last window: the full-width hash key of
+// the longest w-multiple prefix and the remainder after it. The remainder
+// is always inside S_last (|rem| = len mod w < w), so no full string is
 // needed — Shrink rewinds the root value across it.
 func (t *PIMTrie) pivotAug(val hashing.Value, sLast bitstr.String) (hashPre uint64, srem bitstr.String) {
 	rem := val.Len % bitstr.WordBits
 	if rem == 0 {
-		return t.h.Out(val), bitstr.Empty
+		return t.h.OutFull(val), bitstr.Empty
 	}
 	srem = sLast.Suffix(sLast.Len() - rem)
-	return t.h.Out(t.h.Shrink(val, srem)), srem
+	return t.h.OutFull(t.h.Shrink(val, srem)), srem
 }
 
 // slastOf returns the last min(len, w) bits of s.

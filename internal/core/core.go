@@ -65,13 +65,6 @@ type Config struct {
 	// width in bits (narrow widths force collisions; tests only).
 	HashSeed  uint64
 	HashWidth uint
-	// PivotProbing enables the §4.4.2 optimized HashMatching for the
-	// region phase: probing one pivot class per w bits through each
-	// region's two-layer index instead of one hash lookup per bit,
-	// recovering interior hits from meta-tree ancestor chains. Results
-	// are identical; PIM work per region probe drops from O(bits) to
-	// O(bits/8 + classes·log w).
-	PivotProbing bool
 	// MaxRedo caps collision-triggered redo attempts per batch.
 	MaxRedo int
 	// Recoverable maintains the host-retained key authority (shadow trie

@@ -107,38 +107,6 @@ func TestDeterminismAcrossParallelism(t *testing.T) {
 	}
 }
 
-// TestDeterminismAcrossParallelismPivot covers the grouped probe loops
-// and the flat master table under the §4.4.2 pivot probing path: the
-// batch-interleaved hash windows, the metaTable lookups and the
-// two-layer region index must all yield bit-identical metrics and
-// answers regardless of worker count.
-func TestDeterminismAcrossParallelismPivot(t *testing.T) {
-	cfg := Config{HashSeed: 1, PivotProbing: true}
-	serial, _ := runOpSuiteCfg(1, cfg)
-	serialAgain, _ := runOpSuiteCfg(1, cfg)
-	wide, _ := runOpSuiteCfg(8, cfg)
-
-	if !reflect.DeepEqual(serial, serialAgain) {
-		t.Fatalf("pivot serial run is not reproducible with a fixed seed")
-	}
-	if !reflect.DeepEqual(serial.metrics, wide.metrics) {
-		t.Errorf("pivot metrics differ between 1 and 8 workers:\n serial: %+v\n wide:   %+v",
-			serial.metrics, wide.metrics)
-	}
-	if !reflect.DeepEqual(serial, wide) {
-		t.Errorf("pivot results differ between 1 and 8 workers")
-	}
-
-	// Pivot probing changes the cost model, not the answers: results must
-	// match the default-path suite bit-for-bit even though metrics differ.
-	base, _ := runOpSuite(1)
-	if !reflect.DeepEqual(serial.lcp1, base.lcp1) || !reflect.DeepEqual(serial.lcp2, base.lcp2) ||
-		!reflect.DeepEqual(serial.values, base.values) || !reflect.DeepEqual(serial.found, base.found) ||
-		!reflect.DeepEqual(serial.deleted, base.deleted) || !reflect.DeepEqual(serial.subtrees, base.subtrees) {
-		t.Errorf("pivot probing changed query answers relative to the default path")
-	}
-}
-
 // TestDeterminismAcrossParallelismWithFaults is the same contract under
 // an active fault plan: injected crashes, stragglers and truncations —
 // and the recoveries they force — must leave every metric, every
@@ -191,23 +159,21 @@ type sizeSeqResult struct {
 	stats    Stats
 }
 
-// runSizeSequence drives one index through batches of 4096, 1, 3, 64,
-// 1, 4096 and 1 keys — LCP, Get, Insert, Delete and SubtreeQueryBatch
-// at every size — checking each answer against the sequential trie
-// oracle and Validate() after every mutation. The per-batch scratch is
-// sized by the largest batch so far, so a small batch after a large one
-// is where state left behind by the large one would show. Batches hold
-// duplicates, keys that are prefixes of one another, extensions of
-// stored keys and the empty key.
-func runSizeSequence(t *testing.T, par int, cfg Config) sizeSeqResult {
+// runSizeSequence drives one index over the keys gen draws through
+// batches of 4096, 1, 3, 64, 1, 4096 and 1 keys — LCP, Get, Insert,
+// Delete and SubtreeQueryBatch at every size — checking each answer
+// against the sequential trie oracle and Validate() after every mutation.
+// The per-batch scratch is sized by the largest batch so far, so a small
+// batch after a large one is where state left behind by the large one
+// would show. Batches hold duplicates, keys that are prefixes of one
+// another, extensions of stored keys and the empty key.
+func runSizeSequence(t *testing.T, par int, cfg Config, gen func(*workload.Gen) []bitstr.String) sizeSeqResult {
 	t.Helper()
 	prev := parallel.SetMaxProcs(par)
 	defer parallel.SetMaxProcs(prev)
 
 	g := workload.New(7)
-	keys := g.VarLen(5000, 8, 200)
-	keys = append(keys, g.SharedPrefix(1500, 90, 60)...)
-	keys = append(keys, g.PrefixChain(300, 7)...)
+	keys := gen(g)
 	values := g.Values(len(keys))
 	sys := pim.NewSystem(16, pim.WithSeed(3), pim.WithMaxParallelism(par))
 	defer sys.Close()
@@ -296,16 +262,32 @@ func runSizeSequence(t *testing.T, par int, cfg Config) sizeSeqResult {
 // workers — under -race this is the check that the block round's module
 // programs share nothing. The narrow-hash run adds false-positive hits
 // and re-hashes over the same scratch; the low pull threshold sends
-// most pieces down the pull paths.
+// most pieces down the pull paths. The deep run's region windows reach
+// words past their start, so region probes take the pivot-class path,
+// class indexes are rebuilt after every mutation, and pulled regions
+// are probed through them by parallel host workers.
 func TestSizeSequenceDifferential(t *testing.T) {
-	for name, cfg := range map[string]Config{
-		"default":     {HashSeed: 5},
-		"narrow-hash": {HashSeed: 5, HashWidth: 20, MaxRedo: 80},
-		"pull-heavy":  {HashSeed: 5, PullThreshold: 40, BlockWords: 32, PivotProbing: true},
+	shallow := func(g *workload.Gen) []bitstr.String {
+		keys := g.VarLen(5000, 8, 200)
+		keys = append(keys, g.SharedPrefix(1500, 90, 60)...)
+		return append(keys, g.PrefixChain(300, 7)...)
+	}
+	deep := func(g *workload.Gen) []bitstr.String {
+		return append(g.FixedLen(1500, 1024), g.SharedPrefix(500, 2048, 512)...)
+	}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		keys func(*workload.Gen) []bitstr.String
+	}{
+		{"default", Config{HashSeed: 5}, shallow},
+		{"narrow-hash", Config{HashSeed: 5, HashWidth: 20, MaxRedo: 80}, shallow},
+		{"pull-heavy", Config{HashSeed: 5, PullThreshold: 40, BlockWords: 32}, shallow},
+		{"deep", Config{HashSeed: 5}, deep},
 	} {
-		t.Run(name, func(t *testing.T) {
-			serial := runSizeSequence(t, 1, cfg)
-			wide := runSizeSequence(t, 8, cfg)
+		t.Run(tc.name, func(t *testing.T) {
+			serial := runSizeSequence(t, 1, tc.cfg, tc.keys)
+			wide := runSizeSequence(t, 8, tc.cfg, tc.keys)
 			if !reflect.DeepEqual(serial.metrics, wide.metrics) {
 				t.Errorf("metrics differ between 1 and 8 workers:\n serial: %+v\n wide:   %+v",
 					serial.metrics[len(serial.metrics)-1], wide.metrics[len(wide.metrics)-1])

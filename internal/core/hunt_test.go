@@ -14,7 +14,6 @@ func TestHuntScenarioSeeds(t *testing.T) {
 		if seed%5 == 0 {
 			cfg.HashWidth = 18 // exercise the collision machinery too
 		}
-		cfg.PivotProbing = seed%2 == 0 // alternate probing strategies
 		p := []int{1, 4, 9}[seed%3]
 		func() {
 			defer func() {

@@ -8,8 +8,9 @@ package core
 //	          bit position down to the master table's depth bound probed
 //	          against the replicated master table;
 //	phase C — region round: pieces below master hits probed against
-//	          their region's index down to the region's depth bound,
-//	          push-pull by piece size;
+//	          their region's index down to the region's depth bound —
+//	          one pivot class per word where a window runs words deep
+//	          (§4.4.2) — push-pull by piece size;
 //	phase D — block round: pieces below the combined hits matched
 //	          bit-by-bit against their blocks, push-pull.
 //
@@ -30,6 +31,7 @@ package core
 // for what the module does) and wall-clock fall.
 
 import (
+	"slices"
 	"sync/atomic"
 
 	"github.com/pimlab/pimtrie/internal/bitstr"
@@ -52,18 +54,14 @@ type hitRec struct {
 
 // segment is a run of query-trie edge bits shipped for probing:
 // positions (off, end] of edge's label, with the hash value at off.
-// preBits (set only when pivot probing is on) carries the ≤w bits just
-// above the segment start, letting the probe reach the pivot boundary
-// below the start.
 type segment struct {
 	edge     *trie.Edge
 	off, end int
 	startVal hashing.Value
-	preBits  bitstr.String
 }
 
 func (s segment) words() int {
-	return (s.end-s.off)/bitstr.WordBits + 2 + s.preBits.Words()
+	return (s.end-s.off)/bitstr.WordBits + 2
 }
 
 // rawHit is a module-side hit before host verification.
@@ -160,12 +158,23 @@ func (a *replyArena) reset() {
 // hashing cost of the unoptimized Algorithm 3) plus one, and one unit
 // for a skipped segment.
 //
+// On a region (reg non-nil, its index behind lookup) a segment may take
+// §4.4.2's class path instead: when its clamped window reaches at least
+// one whole word past the word its start depth lies in, it probes per bit
+// only to that word's end and from there one pivot class per word
+// (probeClasses), plus the rebuild of the region's class index if a
+// mutation made it stale. The rule is fixed by w and the bound, so it has
+// nothing to tune; every other segment, and every master segment, probes
+// per bit to its clamp. A class-path segment reports the same hits that
+// verify as the per-bit loop, not the same false positives
+// (TestRegionProbeMatchesEveryBit).
+//
 // touch may be nil when the lookup target has no useful early-load form
 // (e.g. a pointer-chasing map). The window scratch lives on the stack
 // and the reply in chunks of arena, because probeSegments runs
 // concurrently on module executors and host workers; the reply is nil
 // when nothing hit and is the caller's until it resets the arena.
-func probeSegments(h *hashing.Hasher, segs []segment, bound int, arena *replyArena, lookup func(uint64) (metaInfo, bool), touch func(uint64) uint64, work func(int)) []rawHit {
+func probeSegments(h *hashing.Hasher, segs []segment, bound int, arena *replyArena, lookup func(uint64) (metaInfo, bool), touch func(uint64) uint64, reg *hvm.Region, regAddr pim.Addr, work func(int)) []rawHit {
 	var hits []rawHit
 	var outs [bitstr.WordBits]uint64
 	var vals [bitstr.WordBits]hashing.Value
@@ -175,6 +184,12 @@ func probeSegments(h *hashing.Hasher, segs []segment, bound int, arena *replyAre
 		if end <= s.off {
 			work(1)
 			continue
+		}
+		b1, dEnd, classes := 0, 0, false
+		if reg != nil {
+			if b1, dEnd, classes = classWindow(s, bound); classes {
+				end = b1 - s.edge.From.Depth
+			}
 		}
 		v := s.startVal
 		l := s.edge.Label
@@ -210,7 +225,14 @@ func probeSegments(h *hashing.Hasher, segs []segment, bound int, arena *replyAre
 			}
 			i = to
 		}
-		work((end-s.off)/8 + (end - s.off) + 1)
+		cost := (end-s.off)/8 + (end - s.off) + 1
+		if classes {
+			cost += reg.Pivot()
+			var classCost int
+			hits, classCost = probeClasses(h, s, b1, dEnd, v, reg, regAddr, arena, hits)
+			cost += classCost
+		}
+		work(cost)
 	}
 	if sink == sinkSentinel {
 		probeSink = sink
@@ -218,134 +240,82 @@ func probeSegments(h *hashing.Hasher, segs []segment, bound int, arena *replyAre
 	return hits
 }
 
-// probeSegmentsPivot is the §4.4.2 optimized HashMatching for a region:
-// instead of probing every bit position, it probes one pivot class per w
-// bits (the region's two-layer index over S_rem remainders) and recovers
-// every interior hit from the candidate's meta-tree ancestor chain —
-// sound because all block roots on a path are meta ancestors of the
-// deepest one, and complete because any root in a probed window is an
-// ancestor of (or equal to) that window's max-LCP candidate. Chain nodes
-// are pre-verified against the local bit window, so emitted hits carry
-// the same confidence as per-bit probes. Like probeSegments it stops at
-// the region's depth bound: classes past it hold no member.
-//
-// The conceptual window preBits ++ label[off:end] is never materialized:
-// hash values come from the range kernels over the two underlying
-// strings, and window bit ranges are compared or packed piecewise around
-// the boundary at depth d0.
-func probeSegmentsPivot(h *hashing.Hasher, segs []segment, reg *hvm.Region, regAddr pim.Addr, work func(int)) []rawHit {
+// classWindow returns where a region segment's class path would start —
+// b1, the end of the word its start depth d0 lies in — and end (dEnd, the
+// segment clamped to the region's depth bound), and whether the segment
+// takes it: only when dEnd lies at least one whole word past b1.
+func classWindow(s segment, bound int) (b1, dEnd int, ok bool) {
 	const w = bitstr.WordBits
-	var hits []rawHit
-	for _, s := range segs {
-		s := s
-		d0 := s.edge.From.Depth + s.off
-		dEnd := min(s.edge.From.Depth+s.end, reg.MaxLen())
-		if dEnd <= d0 {
-			work(1)
+	d0 := s.edge.From.Depth + s.off
+	b1 = d0 - d0%w + w
+	dEnd = min(s.edge.From.Depth+s.end, bound)
+	return b1, dEnd, dEnd >= b1+w
+}
+
+// probeClasses is §4.4.2's region walk over depths (b1, dEnd] of segment
+// s, v being the hash value at b1: one pivot class per word boundary
+// b = b1, b1+w, … ≤ dEnd, looked up with the window bits [b, min(b+w−1,
+// dEnd)). A block root on the query path whose length lies in the class's
+// range [b, b+w−1] is an ancestor of the lookup's candidate, or the
+// candidate itself: its S_rem is a prefix of the window bits, so a member
+// with a longer LCP extends it, and a tie goes to the shortest. The
+// candidate's meta-ancestors in that range are therefore the class's hits
+// — pre-verified against the window bits from the segment start, so an
+// ancestor the query diverges from is never reported — emitted shallowest
+// first, as the per-bit walk would. Depth b1 itself belongs to the per-bit
+// walk, so no class reaches above the segment start. The index must be
+// current (hvm.Region.Pivot). Work: one unit per 8 bits hashed, 8 per
+// class and one per ancestor examined.
+func probeClasses(h *hashing.Hasher, s segment, b1, dEnd int, v hashing.Value, reg *hvm.Region, regAddr pim.Addr, arena *replyArena, hits []rawHit) ([]rawHit, int) {
+	const w = bitstr.WordBits
+	l, from := s.edge.Label, s.edge.From.Depth
+	d0 := from + s.off
+	classes, ops := 0, 0
+	for b := b1; b <= dEnd; b += w {
+		if b > b1 {
+			v = h.ExtendRange(v, l, b-w-from, b-from)
+		}
+		classes++
+		hi := min(b+w-1, dEnd)
+		cand, ok := reg.LookupPivot(h.OutFull(v), l.RangeWord(b-from, hi-from), hi-b)
+		if !ok {
 			continue
 		}
-		l := s.edge.Label
-		base := d0 - s.preBits.Len()
-		// valAt moves the start value to an absolute depth in [base, dEnd]:
-		// depths above d0 extend along the edge label, depths below rewind
-		// across preBits.
-		valAt := func(depth int) hashing.Value {
-			if depth >= d0 {
-				return h.ExtendRange(s.startVal, l, s.off, s.off+(depth-d0))
-			}
-			return h.ShrinkRange(s.startVal, s.preBits, depth-base, d0-base)
-		}
-		var seen map[int]bool
-		ops := 0
-		emitChain := func(meta *hvm.MetaNode) {
-			if seen == nil {
-				seen = make(map[int]bool, 8)
-			}
-			for n := meta; n != nil; n = n.Parent {
-				if n.Len > dEnd {
-					continue
-				}
-				if n.Len <= d0 {
-					break
-				}
-				if seen[n.Len] {
-					continue
-				}
-				seen[n.Len] = true
-				ops++
-				// Local pre-verification: the root's S_last must equal the
-				// window bits just above its depth. The window may straddle
-				// the preBits/label boundary at d0, so compare piecewise.
-				lo := n.Len - n.SLast.Len()
-				if lo < base {
-					continue
-				}
-				x := lo
-				if x < d0 {
-					x = d0
-				}
-				if lo < d0 && !bitstr.EqualRange(s.preBits, lo-base, n.SLast, 0, d0-lo) {
-					continue
-				}
-				if !bitstr.EqualRange(l, s.off+(x-d0), n.SLast, x-lo, n.Len-x) {
-					continue
-				}
-				hits = append(hits, rawHit{
-					edge: s.edge, off: n.Len - s.edge.From.Depth,
-					val:  valAt(n.Len),
-					info: metaInfo{Hash: n.Hash, Len: n.Len, SLast: n.SLast, Block: n.Block, Region: regAddr},
-				})
-			}
-		}
-		classes := 0
-		for b := d0 / w * w; b <= dEnd; b += w {
-			if b < base {
+		lo, first := max(b, b1+1), len(hits)
+		for n := cand; n != nil && n.Len >= lo; n = n.Parent {
+			if n.Len > hi {
 				continue
 			}
-			classes++
-			pv := valAt(b)
-			sremEnd := b + w - 1
-			if sremEnd > dEnd {
-				sremEnd = dEnd
+			ops++
+			top := n.Len - n.SLast.Len()
+			x := max(top, d0)
+			if !bitstr.EqualRange(l, x-from, n.SLast, x-top, n.Len-x) {
+				continue
 			}
-			srem := s.windowBits(b, sremEnd, base, d0)
-			if cand, ok := reg.LookupPivot(h.Out(pv), srem); ok {
-				emitChain(cand)
+			if len(hits) == cap(hits) {
+				hits = arena.extend(hits)
 			}
+			hits = append(hits, rawHit{
+				edge: s.edge, off: n.Len - from,
+				val:  h.ExtendRange(v, l, b-from, n.Len-from),
+				info: metaInfo{Hash: n.Hash, Len: n.Len, SLast: n.SLast, Block: n.Block, Region: regAddr},
+			})
 		}
-		work((dEnd-d0)/8 + classes*8 + ops)
+		slices.Reverse(hits[first:])
 	}
-	return hits
+	return hits, (dEnd-b1)/8 + 8*classes + ops
 }
 
-// windowBits packs the absolute-depth window bits [from, to) — at most
-// one word — into a String, drawing from preBits below depth d0 and from
-// the edge label above it.
-func (s *segment) windowBits(from, to, base, d0 int) bitstr.String {
-	switch {
-	case to <= d0:
-		return bitstr.FromWord(s.preBits.RangeWord(from-base, to-base), to-from)
-	case from >= d0:
-		return bitstr.FromWord(s.edge.Label.RangeWord(s.off+(from-d0), s.off+(to-d0)), to-from)
-	default:
-		lo := s.preBits.RangeWord(from-base, d0-base)
-		hi := s.edge.Label.RangeWord(s.off, s.off+(to-d0))
-		return bitstr.FromWord(lo|hi<<uint(d0-from), to-from)
-	}
-}
-
-// regionProbe dispatches on the configured probing strategy.
-func (t *PIMTrie) regionProbe(segs []segment, reg *hvm.Region, regAddr pim.Addr, work func(int)) []rawHit {
-	if t.cfg.PivotProbing {
-		return probeSegmentsPivot(t.h, segs, reg, regAddr, work)
-	}
+// probeRegion is the region program: probeSegments against the region's
+// hash index and, where a window is long enough, its pivot classes.
+func (t *PIMTrie) probeRegion(segs []segment, reg *hvm.Region, regAddr pim.Addr, work func(int)) []rawHit {
 	return probeSegments(t.h, segs, reg.MaxLen(), &t.replies, func(h uint64) (metaInfo, bool) {
 		n := reg.Lookup(h)
 		if n == nil {
 			return metaInfo{}, false
 		}
 		return metaInfo{Hash: h, Len: n.Len, SLast: n.SLast, Block: n.Block, Region: regAddr}, true
-	}, nil, work)
+	}, nil, reg, regAddr, work)
 }
 
 // prep is the host-side preparation of one batch (phase A). hashes is
@@ -462,7 +432,7 @@ func (t *PIMTrie) match(p *prep) (*matchOutcome, error) {
 						return metaInfo{}, false
 					}
 					return metaInfo{Hash: h, Len: e.Len, SLast: e.SLast, Block: e.Block, Region: e.Region}, true
-				}, mo.entries.Touch, m.Work)
+				}, mo.entries.Touch, nil, pim.Addr{}, m.Work)
 				return pim.Resp{RecvWords: len(hits)*metaInfoWords + 1, Value: hits}
 			},
 		}
@@ -478,7 +448,7 @@ func (t *PIMTrie) match(p *prep) (*matchOutcome, error) {
 
 	// ----- Phase C: region matching ------------------------------------
 	endRegion := t.sys.Phase("region-match")
-	masterPieces := t.decompose(p, hits, t.cfg.PivotProbing)
+	masterPieces := t.decompose(p, hits)
 	cTasks := t.taskBuf[:0]
 	shares := t.regionBuf[:0]
 	for _, pc := range masterPieces {
@@ -493,7 +463,7 @@ func (t *PIMTrie) match(p *prep) (*matchOutcome, error) {
 				SendWords: pc.words + 2,
 				Run: func(m *pim.Module) pim.Resp {
 					reg := m.Get(regAddr.ID).(*regionObj).r
-					hits := t.regionProbe(pc.segs, reg, regAddr, m.Work)
+					hits := t.probeRegion(pc.segs, reg, regAddr, m.Work)
 					return pim.Resp{RecvWords: len(hits)*metaInfoWords + 1, Value: hits}
 				},
 			})
@@ -513,8 +483,23 @@ func (t *PIMTrie) match(p *prep) (*matchOutcome, error) {
 	}
 	t.taskBuf, t.regionBuf = cTasks, shares
 	cResps := t.sys.Round(cTasks)
-	// The host-side probes of pulled regions run in parallel — they only
-	// read the fetched snapshots.
+	// The host-side probes of pulled regions run in parallel and only read
+	// the fetched snapshots. One snapshot can serve several shares (see
+	// fetchOf), so a class index some share needs is made current first,
+	// serially, and its rebuild charged to the host.
+	probeCPU := 0
+	for _, sh := range shares {
+		if !sh.pull {
+			continue
+		}
+		reg := cResps[sh.task].Value.(*regionObj).r
+		for _, s := range sh.pc.segs {
+			if _, _, ok := classWindow(s, reg.MaxLen()); ok {
+				probeCPU += reg.Pivot()
+				break
+			}
+		}
+	}
 	t.shareHitBuf, t.cpuBuf = sized(t.shareHitBuf, len(shares)), sized(t.cpuBuf, len(shares))
 	hitsByShare, probeCPUBy := t.shareHitBuf, t.cpuBuf
 	parallel.For(len(shares), func(i int) {
@@ -525,15 +510,14 @@ func (t *PIMTrie) match(p *prep) (*matchOutcome, error) {
 			return
 		}
 		ro := cResps[sh.task].Value.(*regionObj)
-		hitsByShare[i] = t.regionProbe(sh.pc.segs, ro.r, sh.pc.hit.info.Region, func(w int) { probeCPUBy[i] += w })
+		hitsByShare[i] = t.probeRegion(sh.pc.segs, ro.r, sh.pc.hit.info.Region, func(w int) { probeCPUBy[i] += w })
 	})
-	probeCPU := 0
 	regionRaw := t.rawHitBuf[:0]
 	for i := range shares {
 		probeCPU += probeCPUBy[i]
 		regionRaw = append(regionRaw, hitsByShare[i]...)
 	}
-	clear(hitsByShare) // do not pin the pivot variant's reply slices
+	clear(hitsByShare) // do not pin replies the arena could not hold
 	t.rawHitBuf = regionRaw
 	t.replies.reset()
 	if probeCPU > 0 {
@@ -546,7 +530,7 @@ func (t *PIMTrie) match(p *prep) (*matchOutcome, error) {
 	// ----- Phase D: block matching -------------------------------------
 	endBlock := t.sys.Phase("block-match")
 	defer endBlock()
-	pieces := t.decompose(p, hits, false)
+	pieces := t.decompose(p, hits)
 	nodes := len(p.qt.PreNodes)
 	out := &t.outcome
 	out.qt, out.pieces, out.anchorPiece = p.qt, pieces, t.anchorBuf
@@ -675,22 +659,6 @@ func (t *PIMTrie) verifyHits(dst []hitRec, raw []rawHit) []hitRec {
 		dst = append(dst, recs[i])
 	}
 	return dst
-}
-
-// suffixWindow reconstructs the last min(depth, w) bits of the string
-// represented by the position off bits down edge e, walking up parent
-// edges as needed (O(w) work).
-func suffixWindow(e *trie.Edge, off int, w int) bitstr.String {
-	out := e.Label.Prefix(off)
-	cur := e.From
-	for out.Len() < w && cur.ParentEdge != nil {
-		out = cur.ParentEdge.Label.Concat(out)
-		cur = cur.ParentEdge.From
-	}
-	if out.Len() > w {
-		out = out.Suffix(out.Len() - w)
-	}
-	return out
 }
 
 // suffixWindowEqual reports whether want equals the suffix window of the
@@ -878,13 +846,12 @@ func (s *edgeStops) settle(sp *hitSpan) {
 // decompose partitions the query trie by the hit positions: every
 // position belongs to the piece of the nearest hit at or above it. The
 // hits must include the root hit; hits repeating a position are dropped,
-// the first one kept. With withPre, every segment carries the ≤w bits
-// above its start (needed by pivot probing). Pieces come back in hit
-// order. All bookkeeping (pieces, the per-edge hit table t.stops, the
-// per-node owner t.anchorBuf, result slices) is addressed by the query
-// trie's dense preorder index, lives on the PIMTrie and is rebuilt
-// wholesale at the next call.
-func (t *PIMTrie) decompose(p *prep, hits []hitRec, withPre bool) []*piece {
+// the first one kept. Pieces come back in hit order. All bookkeeping
+// (pieces, the per-edge hit table t.stops, the per-node owner
+// t.anchorBuf, result slices) is addressed by the query trie's dense
+// preorder index, lives on the PIMTrie and is rebuilt wholesale at the
+// next call.
+func (t *PIMTrie) decompose(p *prep, hits []hitRec) []*piece {
 	t.pieceUsed = 0
 	pre, par := p.qt.PreNodes, p.qt.PreParent
 	st := &t.stops
@@ -935,13 +902,13 @@ func (t *PIMTrie) decompose(p *prep, hits []hitRec, withPre bool) []*piece {
 		}
 		for k := sp.lo; k < sp.lo+sp.n; k++ {
 			off, hi := int(st.offs[k]), st.hits[k]
-			cur.addSeg(mkSeg(e, from, off, fromVal, withPre))
+			cur.addSeg(segment{edge: e, off: from, end: off, startVal: fromVal})
 			cur = t.newPiece(hits[hi], onEdge(e, off))
 			pieceOf[hi] = cur
 			from, fromVal = off, hits[hi].val
 		}
 		if from < e.Label.Len() {
-			cur.addSeg(mkSeg(e, from, e.Label.Len(), fromVal, withPre))
+			cur.addSeg(segment{edge: e, off: from, end: e.Label.Len(), startVal: fromVal})
 		}
 		anchor[i] = cur
 	}
@@ -953,15 +920,6 @@ func (t *PIMTrie) decompose(p *prep, hits []hitRec, withPre bool) []*piece {
 	}
 	t.piecesBuf = out
 	return out
-}
-
-// mkSeg builds a segment, attaching the pre-window when requested.
-func mkSeg(e *trie.Edge, from, end int, fromVal hashing.Value, withPre bool) segment {
-	s := segment{edge: e, off: from, end: end, startVal: fromVal}
-	if withPre {
-		s.preBits = suffixWindow(e, from, bitstr.WordBits)
-	}
-	return s
 }
 
 func (pc *piece) addSeg(s segment) {

@@ -99,7 +99,7 @@ func TestDecomposeSinglePiece(t *testing.T) {
 		bitstr.MustParse("111"),
 	})
 	root := hitRec{pos: atNode(p.qt.Trie.Root()), info: t2meta(pt)}
-	pieces := pt.decompose(p, []hitRec{root}, false)
+	pieces := pt.decompose(p, []hitRec{root})
 	if len(pieces) != 1 {
 		t.Fatalf("pieces = %d", len(pieces))
 	}
@@ -131,7 +131,7 @@ func TestDecomposeMidEdgeHit(t *testing.T) {
 	// A hit 3 bits down the single edge.
 	hitPos := findEdgePos(p.qt, bitstr.MustParse("000"))
 	mid := hitRec{pos: hitPos, depth: 3, val: pt.h.Hash(bitstr.MustParse("000")), info: t2meta(pt)}
-	pieces := pt.decompose(p, []hitRec{root, mid}, false)
+	pieces := pt.decompose(p, []hitRec{root, mid})
 	if len(pieces) != 2 {
 		t.Fatalf("pieces = %d", len(pieces))
 	}
@@ -298,40 +298,39 @@ func TestMatchPieceStopsOnOneEdge(t *testing.T) {
 	}
 }
 
+// TestSuffixWindow: suffixWindowEqual matches a window — the last
+// min(depth, w) bits above a position — across the edges of the root
+// path, and rejects a window with one bit flipped or of the wrong length.
 func TestSuffixWindow(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	long := bitstr.Empty
+	for long.Len() < 150 {
+		long = long.AppendBit(byte(r.Intn(2)))
+	}
 	tr := trie.New()
-	long := bitstr.MustParse("0101010101" + "1100110011" + "0000111100")
 	tr.Insert(long, 1)
-	tr.Insert(bitstr.MustParse("01010"), 2) // forces a branch at depth 5
-	// Find the edge below the node at depth 5 and take a window there.
+	tr.Insert(long.Prefix(5), 2)  // a node at depth 5
+	tr.Insert(long.Prefix(40), 3) // and at depth 40, so a window spans three edges
 	var e *trie.Edge
 	tr.WalkPreorder(func(n *trie.Node) bool {
-		if n.Depth == 5 {
-			for b := 0; b < 2; b++ {
-				if c := n.Child[b]; c != nil && c.Label.Len() > 10 {
-					e = c
-				}
-			}
+		if n.Depth == 40 && n.Child[long.BitAt(40)] != nil {
+			e = n.Child[long.BitAt(40)]
 		}
 		return true
 	})
 	if e == nil {
 		t.Fatal("test setup: edge not found")
 	}
-	for _, off := range []int{1, 5, e.Label.Len()} {
+	for _, off := range []int{1, 20, 24, 25, 90, e.Label.Len()} {
 		depth := e.From.Depth + off
-		win := suffixWindow(e, off, 8)
-		wantLen := 8
-		if depth < 8 {
-			wantLen = depth
+		win := long.Prefix(depth)
+		win = win.Suffix(max(0, depth-bitstr.WordBits))
+		if !suffixWindowEqual(e, off, win) {
+			t.Fatalf("window at depth %d not matched", depth)
 		}
-		if win.Len() != wantLen {
-			t.Fatalf("window length %d at depth %d", win.Len(), depth)
-		}
-		want := long.Prefix(depth)
-		want = want.Suffix(want.Len() - wantLen)
-		if !bitstr.Equal(win, want) {
-			t.Fatalf("window at depth %d = %q, want %q", depth, win, want)
+		flipped := win.Prefix(win.Len() - 1).AppendBit(1 - win.BitAt(win.Len()-1))
+		if suffixWindowEqual(e, off, flipped) || suffixWindowEqual(e, off, win.Suffix(1)) {
+			t.Fatalf("window at depth %d matched a wrong window", depth)
 		}
 	}
 }
@@ -383,7 +382,7 @@ func TestDecomposeDropsDuplicateHits(t *testing.T) {
 	// The same position reported twice (as the master table and a region
 	// index do for a region root), out of offset order, the root twice.
 	hits := []hitRec{root, at("00001", 1), at("000", 2), root, at("00001", 3), at("000", 4)}
-	pieces := pt.decompose(p, hits, false)
+	pieces := pt.decompose(p, hits)
 	if len(pieces) != 3 {
 		t.Fatalf("pieces = %d, want 3", len(pieces))
 	}
@@ -480,13 +479,20 @@ type probeFixture struct {
 	segs  []segment
 	roots []bitstr.String // ε first
 	deep  int             // longest key
+	// hashes holds the query-trie node hashes, by preorder index.
+	hashes []hashing.Value
 }
 
-func newProbeFixture(r *rand.Rand, width uint, withPre bool) *probeFixture {
+// seg is the segment of positions (off, end] of edge e.
+func (fx *probeFixture) seg(e *trie.Edge, off, end int) segment {
+	return segment{edge: e, off: off, end: end, startVal: fx.h.ExtendRange(fx.hashes[e.From.Index], e.Label, 0, off)}
+}
+
+func newProbeFixture(r *rand.Rand, width uint, maxBits int) *probeFixture {
 	fx := &probeFixture{h: hashing.New(uint64(r.Int63()), width), roots: []bitstr.String{bitstr.Empty}}
-	batch := skewedKeys(r, 30, 70, 200)
+	batch := skewedKeys(r, 30, 70, maxBits-60)
 	for i := 0; i < 30; i++ {
-		batch = append(batch, randomKey(r, 260))
+		batch = append(batch, randomKey(r, maxBits))
 	}
 	fx.keys = batch
 	for _, k := range batch {
@@ -496,8 +502,8 @@ func newProbeFixture(r *rand.Rand, width uint, withPre bool) *probeFixture {
 		}
 	}
 	qt := querytrie.Build(batch)
-	hashes := qt.NodeHashes(fx.h, nil)
-	for i, nd := range qt.PreNodes {
+	fx.hashes = qt.NodeHashes(fx.h, nil)
+	for _, nd := range qt.PreNodes {
 		for b := 0; b < 2; b++ {
 			e := nd.Child[b]
 			if e == nil {
@@ -510,7 +516,7 @@ func newProbeFixture(r *rand.Rand, width uint, withPre bool) *probeFixture {
 				off = r.Intn(end + 1)
 				end = off + r.Intn(end-off+1)
 			}
-			fx.segs = append(fx.segs, mkSeg(e, off, end, fx.h.ExtendRange(hashes[i], e.Label, 0, off), withPre))
+			fx.segs = append(fx.segs, fx.seg(e, off, end))
 		}
 	}
 	return fx
@@ -557,7 +563,7 @@ func TestProbeSegmentsBoundedMatchesEveryBit(t *testing.T) {
 	r := rand.New(rand.NewSource(71))
 	var slab replyArena
 	for _, width := range []uint{0, 0, 12, 7} {
-		fx := newProbeFixture(r, width, false)
+		fx := newProbeFixture(r, width, 260)
 		falseAbove, falseBelow, trueHits := 0, 0, 0
 		for _, want := range fx.probeBounds(r) {
 			tbl := newMetaTable(0)
@@ -606,7 +612,7 @@ func TestProbeSegmentsBoundedMatchesEveryBit(t *testing.T) {
 					arena = new(replyArena)
 				}
 				work = 0
-				got := probeSegments(fx.h, fx.segs, bound, arena, lookup, touch, func(w int) { work += w })
+				got := probeSegments(fx.h, fx.segs, bound, arena, lookup, touch, nil, pim.Addr{}, func(w int) { work += w })
 				if !sameHits(got, ref) {
 					t.Fatalf("width %d bound %d: %d hits, reference has %d within the bound (or they differ in content/order)",
 						width, bound, len(got), len(ref))
@@ -719,12 +725,9 @@ func TestReplyArena(t *testing.T) {
 	}
 }
 
-// pivotRegion builds a region holding ε and the given roots, linked by
-// the prefix relation as the meta-tree is. With unbounded, one extra
-// member of enormous Len in a pivot class no probe can name lifts the
-// region's depth bound out of the way without adding a reachable
-// candidate: probing it is the unbounded reference.
-func pivotRegion(t *testing.T, h *hashing.Hasher, roots []bitstr.String, unbounded bool) *hvm.Region {
+// regionOf builds a region holding ε and the given roots, linked by the
+// prefix relation as the meta-tree is, with their pivot augmentation.
+func regionOf(t testing.TB, h *hashing.Hasher, roots []bitstr.String) *hvm.Region {
 	t.Helper()
 	pt := &PIMTrie{h: h}
 	uniq := map[string]bool{"": true}
@@ -754,47 +757,232 @@ func pivotRegion(t *testing.T, h *hashing.Hasher, roots []bitstr.String, unbound
 			}
 		}
 		if err := reg.Insert(nodes[parent], n); err != nil {
-			n = nil // a narrow hash collided two roots; the index keeps the first, in both twins alike
+			n = nil // a narrow hash collided two roots; the index keeps the first
 		}
 		nodes = append(nodes, n)
-	}
-	if unbounded {
-		if err := reg.Insert(reg.Root, &hvm.MetaNode{Hash: ^uint64(0), Len: 1 << 30, HashPre: ^uint64(0)}); err != nil {
-			t.Fatal(err)
-		}
 	}
 	return reg
 }
 
-// TestProbeSegmentsPivotBoundedMatchesUnbounded: the pivot walk clamped
-// at the region's depth bound emits the hits of the same walk with the
-// bound out of the way, contents and order.
-func TestProbeSegmentsPivotBoundedMatchesUnbounded(t *testing.T) {
-	r := rand.New(rand.NewSource(73))
+// verified keeps the hits checkHit accepts.
+func verified(raw []rawHit) []rawHit {
+	var out []rawHit
+	for _, rh := range raw {
+		if _, ok := (&PIMTrie{}).checkHit(rh); ok {
+			out = append(out, rh)
+		}
+	}
+	return out
+}
+
+// checkRegionProbe runs the region program over segs against a region
+// holding roots, and fails unless the hits that verify are those of the
+// every-bit reference, in the same order. It returns how many segments
+// took the class path and how many hits verified.
+func checkRegionProbe(t testing.TB, h *hashing.Hasher, segs []segment, roots []bitstr.String) (classSegs, hits int) {
+	t.Helper()
+	reg := regionOf(t, h, roots)
 	regAddr := pim.Addr{Module: 2, ID: 9}
-	for _, width := range []uint{0, 0, 12, 7} {
-		fx := newProbeFixture(r, width, true)
-		emitted := 0
-		for _, want := range fx.probeBounds(r) {
-			roots := fx.rootsWithin(want)
-			reg, ref := pivotRegion(t, fx.h, roots, false), pivotRegion(t, fx.h, roots, true)
-			if want <= fx.deep && width == 0 && reg.MaxLen() != want {
-				t.Fatalf("region built for bound %d reports %d", want, reg.MaxLen())
-			}
-			work, refWork := 0, 0
-			got := probeSegmentsPivot(fx.h, fx.segs, reg, regAddr, func(w int) { work += w })
-			exp := probeSegmentsPivot(fx.h, fx.segs, ref, regAddr, func(w int) { refWork += w })
-			if !sameHits(got, exp) {
-				t.Fatalf("width %d bound %d: bounded pivot walk has %d hits, unbounded %d (or they differ in content/order)",
-					width, reg.MaxLen(), len(got), len(exp))
-			}
-			if work > refWork {
-				t.Fatalf("width %d bound %d: bounded pivot walk charged %d work, unbounded %d", width, reg.MaxLen(), work, refWork)
-			}
-			emitted += len(got)
+	pt := &PIMTrie{h: h}
+	got := verified(pt.probeRegion(segs, reg, regAddr, func(int) {}))
+	pt.replies.reset()
+	want := verified(probeEveryBit(h, segs, func(x uint64) (metaInfo, bool) {
+		n := reg.Lookup(x)
+		if n == nil {
+			return metaInfo{}, false
 		}
-		if emitted == 0 {
-			t.Fatalf("width %d: pivot fixture produced no hits", width)
+		return metaInfo{Hash: x, Len: n.Len, SLast: n.SLast, Block: n.Block, Region: regAddr}, true
+	}))
+	if !sameHits(got, want) {
+		t.Fatalf("bound %d: the region program verifies %d hits, the every-bit reference %d (or they differ in content/order)",
+			reg.MaxLen(), len(got), len(want))
+	}
+	for _, s := range segs {
+		if _, _, ok := classWindow(s, reg.MaxLen()); ok {
+			classSegs++
 		}
+	}
+	return classSegs, len(got)
+}
+
+// deepRoots adds to the fixture's roots more prefixes of its keys, so
+// that every class window holds block roots on the query paths.
+func (fx *probeFixture) deepRoots(r *rand.Rand) {
+	for _, k := range fx.keys {
+		for j := 0; j < 8; j++ {
+			fx.roots = append(fx.roots, k.Prefix(r.Intn(k.Len()+1)))
+		}
+	}
+}
+
+// wordCases cuts segments out of the fixture's longest edges at the word
+// boundary cases of the class path: starts on and off a word boundary
+// (d0 mod w = 0 or not), windows ending at b1, b1+w−1 and b1+w where b1
+// is the end of the start word, and each run to the end of its edge. The
+// bounds are the depth bounds to probe the run-to-end segments under:
+// b1+w for each.
+func (fx *probeFixture) wordCases(r *rand.Rand) (segs, toEnd []segment, bounds []int) {
+	const w = bitstr.WordBits
+	var edges []*trie.Edge
+	for _, s := range fx.segs {
+		if s.edge.Label.Len() >= 3*w {
+			edges = append(edges, s.edge)
+		}
+	}
+	r.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
+	for _, e := range edges[:min(len(edges), 12)] {
+		from := e.From.Depth
+		aligned := (w - from%w) % w
+		for _, off := range []int{aligned, aligned + 1 + r.Intn(w-1)} {
+			d0 := from + off
+			b1 := d0 - d0%w + w
+			at := func(end int) segment { return fx.seg(e, off, end) }
+			for _, dEnd := range []int{b1, b1 + w - 1, b1 + w} {
+				if dEnd-from <= e.Label.Len() {
+					segs = append(segs, at(dEnd-from))
+				}
+			}
+			if b1+w-from <= e.Label.Len() {
+				toEnd = append(toEnd, at(e.Label.Len()))
+				bounds = append(bounds, b1+w)
+			}
+		}
+	}
+	return segs, toEnd, bounds
+}
+
+// TestRegionProbeMatchesEveryBit: over randomized deep fixtures, under a
+// full-width and a 12-bit hash, the hits of the one region program that
+// verify are exactly those of probing every bit — per-bit windows, class
+// windows, and the word boundary between them alike.
+func TestRegionProbeMatchesEveryBit(t *testing.T) {
+	r := rand.New(rand.NewSource(73))
+	for _, width := range []uint{61, 12} {
+		fx := newProbeFixture(r, width, 700)
+		fx.deepRoots(r)
+		classSegs, hits := 0, 0
+		add := func(c, h int) { classSegs, hits = classSegs+c, hits+h }
+		for _, bound := range fx.probeBounds(r) {
+			add(checkRegionProbe(t, fx.h, fx.segs, fx.rootsWithin(bound)))
+		}
+		segs, toEnd, bounds := fx.wordCases(r)
+		if len(bounds) == 0 {
+			t.Fatalf("width %d: fixture has no edge long enough for the word cases", width)
+		}
+		add(checkRegionProbe(t, fx.h, segs, fx.roots))
+		for i, s := range toEnd {
+			add(checkRegionProbe(t, fx.h, []segment{s}, fx.rootsWithin(bounds[i])))
+		}
+		if classSegs == 0 || hits == 0 {
+			t.Fatalf("width %d: %d segments took the class path, %d hits verified; the test is vacuous", width, classSegs, hits)
+		}
+		t.Logf("width %d: %d segments took the class path, %d hits verified", width, classSegs, hits)
+	}
+}
+
+// FuzzRegionProbe holds the region program to the every-bit reference
+// on one segment of a fixed deep fixture, the fuzzer choosing its edge,
+// its start offset, its length and the region's depth bound.
+func FuzzRegionProbe(f *testing.F) {
+	r := rand.New(rand.NewSource(79))
+	fx := newProbeFixture(r, 0, 700)
+	fx.deepRoots(r)
+	var edges []*trie.Edge
+	for _, s := range fx.segs {
+		edges = append(edges, s.edge)
+	}
+	sort.SliceStable(edges, func(i, j int) bool { return edges[i].Label.Len() > edges[j].Label.Len() })
+	for _, c := range [][4]uint16{{0, 0, 700, 700}, {0, 64, 128, 256}, {1, 3, 200, 190}, {2, 127, 64, 300}} {
+		f.Add(uint8(c[0]), c[1], c[2], c[3])
+	}
+	f.Fuzz(func(t *testing.T, edge uint8, off, length, bound uint16) {
+		e := edges[int(edge)%len(edges)]
+		o := int(off) % (e.Label.Len() + 1)
+		end := o + int(length)%(e.Label.Len()-o+1)
+		checkRegionProbe(t, fx.h, []segment{fx.seg(e, o, end)}, fx.rootsWithin(int(bound)%(fx.deep+70)))
+	})
+}
+
+// TestRegionProbeChargesRebuild: a region mutated since its class index
+// was built charges its module exactly r.Len() more work for the probe
+// that rebuilds the index than the same probe on the now clean region.
+func TestRegionProbeChargesRebuild(t *testing.T) {
+	r := rand.New(rand.NewSource(83))
+	fx := newProbeFixture(r, 0, 700)
+	fx.deepRoots(r)
+	reg := regionOf(t, fx.h, fx.roots)
+	pt := &PIMTrie{h: fx.h}
+	probe := func() int {
+		work := 0
+		pt.probeRegion(fx.segs, reg, pim.Addr{}, func(w int) { work += w })
+		pt.replies.reset()
+		return work
+	}
+	for round := 0; round < 2; round++ {
+		stale := probe()
+		clean := probe()
+		if stale-clean != reg.Len() {
+			t.Fatalf("round %d: a stale index costs %d more work than a clean one, want the region's %d members", round, stale-clean, reg.Len())
+		}
+		// A current index is only read, so parallel host workers can probe
+		// one pulled region through it (under -race, this checks that).
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				work := 0
+				(&PIMTrie{h: fx.h}).probeRegion(fx.segs, reg, pim.Addr{}, func(w int) { work += w })
+				if work != clean {
+					t.Errorf("round %d: a clean index costs %d, then %d on another goroutine", round, clean, work)
+				}
+			}()
+		}
+		wg.Wait()
+		// A new member under the root marks the index stale again.
+		leaf := &hvm.MetaNode{Hash: 1<<62 + uint64(round), Len: 1, SLast: bitstr.MustParse("1"), HashPre: fx.h.OutFull(hashing.EmptyValue()), SRem: bitstr.MustParse("1")}
+		if err := reg.Insert(reg.Root, leaf); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestPivotClassesKeyedFullWidth: pivot classes are keyed by the
+// full-width hash whatever the test width. Two word-long prefixes whose
+// 12-bit outputs collide would otherwise share a class, and a member of
+// the other prefix whose remainder runs further along the query would
+// win the class lookup and hide the query's own block root.
+func TestPivotClassesKeyedFullWidth(t *testing.T) {
+	h := hashing.New(5, 12)
+	r := rand.New(rand.NewSource(89))
+	word := func() bitstr.String {
+		s := bitstr.Empty
+		for s.Len() < bitstr.WordBits {
+			s = s.AppendBit(byte(r.Intn(2)))
+		}
+		return s
+	}
+	// Two distinct words with one 12-bit output: the birthday bound finds
+	// them within a few hundred draws.
+	seen := map[uint64]bitstr.String{}
+	var p, q bitstr.String
+	for q.Len() == 0 {
+		s := word()
+		if prev, ok := seen[h.HashOut(s)]; ok && !bitstr.Equal(prev, s) {
+			p, q = prev, s
+		}
+		seen[h.HashOut(s)] = s
+	}
+	query := p.Concat(bitstr.MustParse("0110")).Concat(word()).Concat(word())
+	own := query.Prefix(bitstr.WordBits + 1)     // remainder "0"
+	other := q.Concat(bitstr.MustParse("011"))   // remainder "011"
+	deep := query.Prefix(2*bitstr.WordBits + 60) // lifts the bound past the class window
+	e := querytrie.Build([]bitstr.String{query}).Trie.Root().Child[query.BitAt(0)]
+	seg := segment{edge: e, off: 0, end: query.Len(), startVal: hashing.EmptyValue()}
+	if reg := regionOf(t, h, []bitstr.String{own, other, deep}); reg.Len() != 4 {
+		t.Fatalf("test setup: a 12-bit collision between block roots left %d members", reg.Len())
+	}
+	if classSegs, hits := checkRegionProbe(t, h, []segment{seg}, []bitstr.String{own, other, deep}); classSegs != 1 || hits != 2 {
+		t.Fatalf("%d class-path segments verified %d hits, want 1 segment and the query's 2 roots", classSegs, hits)
 	}
 }

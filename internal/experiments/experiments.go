@@ -553,6 +553,50 @@ func AblationHashWidth(sc Scale) Table {
 	return t
 }
 
+// RegionProbeByKeyLength (E5b) reports what region probing costs as keys
+// grow. Table 1's PIM-time column is O(l/w) only if a region probe does
+// O(1) work per word, which §4.4.2's pivot classes provide: on
+// fixed-length keys region depth bounds grow with l, and a window reaching
+// a whole word past its start word runs one class per word instead of one
+// probe per bit. Rounds stay flat in l.
+func RegionProbeByKeyLength(sc Scale) Table {
+	t := Table{
+		ID:     "E5b",
+		Title:  "region probing vs key length (LCP batch, fixed-length keys)",
+		Header: []string{"l(bits)", "region-bound-median", "pim-work/query", "pim-time", "io-words/query", "rounds", "answers-ok"},
+		Notes:  "region windows reaching a word past their start word probe one pivot class per word (§4.4.2); answers-ok: every LCP equals the sequential trie's",
+	}
+	for _, l := range []int{128, 512, 1024, 2048} {
+		g := workload.New(sc.Seed) // each row stands alone
+		keys := g.FixedLen(sc.N/4, l)
+		values := g.Values(len(keys))
+		queries := g.PrefixQueries(keys, sc.Batch/2, 16)
+		oracle := trie.New()
+		for i, k := range keys {
+			oracle.Insert(k, values[i])
+		}
+		sys := pim.NewSystem(sc.P, pim.WithSeed(sc.Seed))
+		pt := core.New(sys, core.Config{HashSeed: uint64(sc.Seed)})
+		pt.Build(keys, values)
+		bound := pt.CollectStats().RegionBoundMedian
+		before := sys.Metrics()
+		got := pt.LCP(queries)
+		d := sys.Metrics().Sub(before)
+		ok := "yes"
+		for i, q := range queries {
+			if got[i] != oracle.LCPLen(q) {
+				ok = "NO"
+			}
+		}
+		nq := float64(len(queries))
+		t.Rows = append(t.Rows, []string{
+			fmt.Sprintf("%d", l), fmt.Sprintf("%d", bound), f64(float64(d.PIMWork) / nq), i64(d.PIMTime),
+			f64(float64(d.IOWords) / nq), i64(d.Rounds), ok,
+		})
+	}
+	return t
+}
+
 // AblationBlockSize (E9a) sweeps K_B, showing the balance/communication
 // trade-off of block granularity.
 func AblationBlockSize(sc Scale) Table {
@@ -635,53 +679,6 @@ func AblationRegionSize(sc Scale) Table {
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d", kmb), fmt.Sprintf("%d", st.Regions), fmt.Sprintf("%d", pt.MasterEntries()),
 			f64(float64(d.IOWords) / float64(len(queries))), f64(d.IOBalance()),
-		})
-	}
-	return t
-}
-
-// AblationPivotProbing (E9e) compares per-bit region probing with the
-// §4.4.2 pivot-class probe: identical results and rounds. Both stop at
-// the region's depth bound, so a probe window is only the region's depth
-// span; over so few bits the per-bit walk (1.125 units a bit) is the
-// cheaper of the two (a pivot class costs 8).
-func AblationPivotProbing(sc Scale) Table {
-	t := Table{
-		ID:     "E9e",
-		Title:  "ablation: per-bit vs pivot-class region probing (LCP batch)",
-		Header: []string{"probing", "pim-work", "pim-time", "io-words/op", "rounds", "answers-ok"},
-		Notes:  "pivot probing replaces one region lookup per bit with one two-layer lookup per word; both stop at the region's depth bound; answers-ok: every LCP equals the sequential trie's",
-	}
-	g := workload.New(sc.Seed)
-	// Long keys under shared prefixes make region probing the dominant
-	// PIM cost.
-	keys := g.SharedPrefix(sc.N/8, 512, 128)
-	values := g.Values(len(keys))
-	queries := g.PrefixQueries(keys, sc.Batch/2, 16)
-	oracle := trie.New()
-	for i, k := range keys {
-		oracle.Insert(k, values[i])
-	}
-	for _, pivot := range []bool{false, true} {
-		sys := pim.NewSystem(sc.P, pim.WithSeed(sc.Seed))
-		pt := core.New(sys, core.Config{HashSeed: uint64(sc.Seed), PivotProbing: pivot})
-		pt.Build(keys, values)
-		before := sys.Metrics()
-		got := pt.LCP(queries)
-		d := sys.Metrics().Sub(before)
-		name := "per-bit"
-		if pivot {
-			name = "pivot"
-		}
-		ok := "yes"
-		for i, q := range queries {
-			if got[i] != oracle.LCPLen(q) {
-				ok = "NO"
-			}
-		}
-		t.Rows = append(t.Rows, []string{
-			name, i64(d.PIMWork), i64(d.PIMTime),
-			f64(float64(d.IOWords) / float64(len(queries))), i64(d.Rounds), ok,
 		})
 	}
 	return t
@@ -776,6 +773,7 @@ func All(sc Scale) []Table {
 		RoundsUpdate(sc),
 		RoundsSubtree(sc),
 		CommPerOp(sc),
+		RegionProbeByKeyLength(sc),
 		CommSubtree(sc),
 		SkewBalance(sc),
 		SkewedDataBalance(sc),
@@ -784,7 +782,6 @@ func All(sc Scale) []Table {
 		AblationPushPull(sc),
 		AblationHashWidth(sc),
 		AblationRegionSize(sc),
-		AblationPivotProbing(sc),
 		FaultRecovery(sc),
 	}
 }

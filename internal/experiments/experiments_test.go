@@ -200,23 +200,18 @@ func TestAblationTablesRun(t *testing.T) {
 	}
 }
 
-func TestAblationPivotProbingShapes(t *testing.T) {
-	tb := AblationPivotProbing(tiny)
-	// Same rounds, same (oracle) answers. Since both strategies stop at
-	// the region's depth bound the per-bit walk is the cheaper one on this
-	// data, so no order between the rows is asserted; what must hold is
-	// that neither costs more than probing every bit of every segment
-	// did: 4 961 PIM work at this scale before the bound.
-	const unboundedPerBit = 4961
-	if cell(t, tb, 0, 4) != cell(t, tb, 1, 4) {
-		t.Fatalf("rounds differ: %v vs %v", cell(t, tb, 0, 4), cell(t, tb, 1, 4))
+func TestRegionProbeByKeyLengthShapes(t *testing.T) {
+	tb := RegionProbeByKeyLength(tiny)
+	if len(tb.Rows) != 4 {
+		t.Fatalf("expected 4 key lengths, got %d", len(tb.Rows))
 	}
+	// Same (oracle) answers at every length, and rounds flat in l.
 	for r, row := range tb.Rows {
-		if row[5] != "yes" {
-			t.Fatalf("%s probing diverged from the oracle", row[0])
+		if row[6] != "yes" {
+			t.Fatalf("l=%s diverged from the oracle", row[0])
 		}
-		if w := cell(t, tb, r, 1); w > unboundedPerBit {
-			t.Fatalf("%s probing does %v PIM work, more than the unbounded per-bit walk's %d", row[0], w, unboundedPerBit)
+		if cell(t, tb, r, 5) != cell(t, tb, 0, 5) {
+			t.Fatalf("rounds not flat in l: %v at l=%s, %v at l=%s", cell(t, tb, r, 5), row[0], cell(t, tb, 0, 5), tb.Rows[0][0])
 		}
 	}
 }

@@ -195,20 +195,6 @@ func (h *Hasher) ExtendRange(a Value, s bitstr.String, from, to int) Value {
 	return Value{H: addmod(mulmod(a.H, h.powN(b.Len)), b.H), Len: a.Len + b.Len}
 }
 
-// ShrinkRange is Shrink(ab, s.Slice(from, to)) off the packed words.
-func (h *Hasher) ShrinkRange(ab Value, s bitstr.String, from, to int) Value {
-	n := to - from
-	if n > ab.Len {
-		panic("hashing: ShrinkRange suffix longer than the value")
-	}
-	hb := h.HashRange(s, from, to)
-	diff := ab.H + p - hb.H
-	if diff >= p {
-		diff -= p
-	}
-	return Value{H: mulmod(diff, h.powInvN(n)), Len: ab.Len - n}
-}
-
 // EmptyValue is the hash of the empty string.
 func EmptyValue() Value { return Value{} }
 
@@ -302,11 +288,18 @@ func powmod(b, e uint64) uint64 {
 // strings may collide, which the verification procedure must catch.
 func (h *Hasher) Out(v Value) uint64 {
 	// Mix before masking so narrow widths still use all input bits.
+	return h.OutFull(v) & h.mask
+}
+
+// OutFull is Out at the full 64 bits, whatever the configured width. It
+// keys what verification cannot check: §4.4.2's pivot classes, whose
+// collision would hide a block root from the probe instead of raising a
+// false hit that verification drops.
+func (h *Hasher) OutFull(v Value) uint64 {
 	z := v.H + 0x9e3779b97f4a7c15*uint64(v.Len+1)
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	z ^= z >> 31
-	return z & h.mask
+	return z ^ z>>31
 }
 
 // HashOut is shorthand for Out(Hash(s)).

@@ -30,10 +30,6 @@ func TestHashRangeMatchesSlice(t *testing.T) {
 		if got, want := h.ExtendRange(a, s, from, to), h.Extend(a, s.Slice(from, to)); got != want {
 			t.Fatalf("ExtendRange(%d,%d) = %+v, want %+v", from, to, got, want)
 		}
-		ab := Value{H: r.Uint64() % p, Len: to - from + r.Intn(100)}
-		if got, want := h.ShrinkRange(ab, s, from, to), h.Shrink(ab, s.Slice(from, to)); got != want {
-			t.Fatalf("ShrinkRange(%d,%d) = %+v, want %+v", from, to, got, want)
-		}
 	}
 }
 

@@ -28,9 +28,9 @@ type MetaNode struct {
 	SLast bitstr.String
 	Block pim.Addr
 
-	// Pivot-matching augmentation (§4.4.2): the hash output of the root
-	// string's longest w-multiple prefix, and the sub-word remainder
-	// after it (|SRem| = Len mod w < w bits).
+	// Pivot-matching augmentation (§4.4.2): the full-width hash key of
+	// the root string's longest w-multiple prefix, and the sub-word
+	// remainder after it (|SRem| = Len mod w < w bits).
 	HashPre uint64
 	SRem    bitstr.String
 
@@ -60,7 +60,7 @@ type Region struct {
 
 	maxLen int
 
-	pivot      *PivotIndex
+	pivot      map[uint64]pivotClass // by HashPre; see pivot.go
 	pivotDirty bool
 }
 

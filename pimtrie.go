@@ -64,9 +64,6 @@ type Options struct {
 	PullThreshold int
 	// HashWidth narrows the hash output (testing the collision paths).
 	HashWidth uint
-	// PivotProbing enables the paper's §4.4.2 optimized HashMatching
-	// (pivot classes + two-layer indexes) for the region phase.
-	PivotProbing bool
 	// Faults installs a deterministic fault-injection plan on the
 	// simulated system (module crash-stops, stragglers, truncated
 	// transfers). Installing a plan implies Recoverable.
@@ -151,7 +148,6 @@ func New(p int, opts Options) *Index {
 		PullThreshold: opts.PullThreshold,
 		HashSeed:      uint64(opts.Seed) ^ 0x5eed,
 		HashWidth:     opts.HashWidth,
-		PivotProbing:  opts.PivotProbing,
 		Recoverable:   opts.Recoverable,
 	}
 	return &Index{sys: sys, core: core.New(sys, cfg)}
