@@ -4,6 +4,7 @@ package core
 // data the bound cannot help, and the bound's exactness under churn.
 
 import (
+	"maps"
 	"testing"
 
 	"github.com/pimlab/pimtrie/internal/bitstr"
@@ -108,20 +109,50 @@ const (
 	unboundedWorkPrefixChain  = 78530
 )
 
-// bounds snapshots both kinds of depth bound: the master replica's (read
-// from module 0; Validate holds the replicas equal) and every region's
-// by address.
+// bounds snapshots both kinds of depth bound as the host holds them — the
+// ones it clamps shipped segments to: the master table's and every live
+// region's by address. Validate holds them equal to the modules'.
 func bounds(pt *PIMTrie) (master int, regions map[pim.Addr]int) {
-	master = pt.sys.Module(0).Get(pt.masterAddrs[0].ID).(*masterObj).entries.MaxLen()
-	regions = map[pim.Addr]int{}
-	for i := 0; i < pt.sys.P(); i++ {
-		pt.sys.Module(i).EachID(func(id uint64, obj any) {
-			if ro, ok := obj.(*regionObj); ok {
-				regions[pim.Addr{Module: i, ID: id}] = ro.r.MaxLen()
+	return pt.masterBound(), maps.Clone(pt.regionBound)
+}
+
+// TestHostMasterBoundDropsWithDeepestEntry: the host's master bound is
+// exact, not a high-water mark. Removing the deepest master entry — and
+// then, entry by entry, every other one down to the root — lowers it to
+// the deepest entry left, on the host and on every replica, in the same
+// update round that removes the entry.
+func TestHostMasterBoundDropsWithDeepestEntry(t *testing.T) {
+	g := workload.New(13)
+	keys := g.VarLen(4000, 24, 200)
+	pt, _ := newTestTrie(8, Config{})
+	pt.Build(keys, g.Values(len(keys)))
+	if pt.master.Len() < 3 {
+		t.Fatalf("test setup: only %d master entries", pt.master.Len())
+	}
+	for pt.master.Len() > 1 {
+		deepest, hash := -1, uint64(0)
+		pt.master.each(func(h uint64, e masterEntry) {
+			if e.Len > deepest || (e.Len == deepest && h < hash) {
+				deepest, hash = e.Len, h
 			}
 		})
+		if deepest == 0 {
+			break // only the root's entry has length 0
+		}
+		pt.masterRemoveAndAdd([]uint64{hash}, nil)
+		want := pt.master.scanMaxLen()
+		if pt.masterBound() != want || want > deepest {
+			t.Fatalf("removing an entry of length %d left the host bound at %d, the entries left reach %d", deepest, pt.masterBound(), want)
+		}
+		for i := 0; i < pt.sys.P(); i++ {
+			if got := pt.sys.Module(i).Get(pt.masterAddrs[i].ID).(*masterObj).entries.MaxLen(); got != want {
+				t.Fatalf("module %d replica reports bound %d after the removal, want %d", i, got, want)
+			}
+		}
 	}
-	return master, regions
+	if pt.masterBound() != 0 {
+		t.Fatalf("a master table of only the root reports bound %d", pt.masterBound())
+	}
 }
 
 // TestBoundsDoNotRatchet: the index must not age. Load shallow keys,

@@ -187,6 +187,7 @@ func (t *PIMTrie) installBlocks(specs []*trie.BlockSpec) error {
 
 // clearObjects frees every block and region object (full reload path).
 func (t *PIMTrie) clearObjects() {
+	clear(t.regionBound)
 	tasks := make([]pim.Task, 0, t.sys.P())
 	for i := 0; i < t.sys.P(); i++ {
 		tasks = append(tasks, pim.Task{Module: i, SendWords: 1, Run: func(m *pim.Module) pim.Resp {
@@ -315,18 +316,19 @@ func (t *PIMTrie) assembleHVM(metas []*blockMeta) error {
 	regAddr := make(map[*hvm.Region]pim.Addr, len(regions))
 	for i, r := range resps {
 		regAddr[regions[i]] = r.Value.(pim.Addr)
+		t.regionBound[regAddr[regions[i]]] = regions[i].MaxLen()
 	}
 	for _, pg := range parents {
 		pg.cut.ChildRegions = append(pg.cut.ChildRegions, regAddr[pg.reg])
 	}
 	// Master table: every region root.
-	master := make(map[uint64]masterEntry, len(regions))
+	master := newMetaTable(len(regions))
 	for _, reg := range regions {
 		r := reg.Root
-		if old, dup := master[r.Hash]; dup && old.Block != r.Block {
+		if old, dup := master.Get(r.Hash); dup && old.Block != r.Block {
 			return hvm.ErrHashCollision{Hash: r.Hash}
 		}
-		master[r.Hash] = masterEntry{Region: regAddr[reg], Len: r.Len, SLast: r.SLast, Block: r.Block}
+		master.Put(r.Hash, masterEntry{Region: regAddr[reg], Len: r.Len, SLast: r.SLast, Block: r.Block})
 	}
 	t.master = master
 	t.broadcastMaster()
@@ -453,6 +455,7 @@ type rehashReply struct {
 
 // freeRegions frees every regionObj across the system.
 func (t *PIMTrie) freeRegions() {
+	clear(t.regionBound)
 	tasks := make([]pim.Task, 0, t.sys.P())
 	for i := 0; i < t.sys.P(); i++ {
 		tasks = append(tasks, pim.Task{Module: i, SendWords: 1, Run: func(m *pim.Module) pim.Resp {

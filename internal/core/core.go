@@ -12,15 +12,15 @@
 // replicated on every module.
 //
 // Matching (§4.3). A batch is turned into a query trie on the host; its
-// edges are chunked and pushed to random modules, which probe every bit
-// position down to the master table's depth bound — the largest root
-// length it holds; nothing deeper can hit — against the replicated
-// master table (Algorithm 4's role). Each master hit assigns the query
-// piece below it to one region, which is then probed push-pull style,
-// down to the region's own depth bound, for interior block-root hits
-// (Algorithm 5's role). Finally the pieces below the bottommost hits are
-// matched bit-by-bit against their blocks, again push-pull (Algorithm
-// 2). Every hash hit is verified by length and S_last before being
+// edges, cut at the master table's depth bound — the largest root length
+// it holds; nothing deeper can hit — are chunked and pushed to random
+// modules, which probe every bit position against the replicated master
+// table (Algorithm 4's role). Each master hit assigns the query piece
+// below it to one region; the piece, cut at that region's own depth
+// bound (which the host keeps for every live region), is then probed
+// push-pull style for interior block-root hits (Algorithm 5's role).
+// Finally the pieces below the bottommost hits are matched bit-by-bit
+// against their blocks, again push-pull (Algorithm 2). Every hash hit is verified by length and S_last before being
 // trusted (§4.4.3); a failed verification triggers a global re-hash and
 // a redo of the batch.
 //
@@ -100,8 +100,10 @@ func (c Config) withDefaults(p int) Config {
 	return c
 }
 
-// metaInfo is the wire form of a meta-node: what hits carry back to the
-// host (a handful of words each).
+// metaInfo is a meta-node as the host sees a hit on it. Modules do not
+// ship all of it: a master hit's reply is its position alone and a region
+// hit's is its position, S_last and block; the host rebuilds the rest
+// (match.go).
 type metaInfo struct {
 	Hash   uint64
 	Len    int
@@ -110,7 +112,15 @@ type metaInfo struct {
 	Region pim.Addr
 }
 
+// metaInfoWords is the wire size of one master-table entry.
 const metaInfoWords = 6
+
+// Reply words per hit: a master hit is its position; a region hit adds
+// its S_last and block address.
+const (
+	masterHitWords = 1
+	regionHitWords = 3
+)
 
 // masterEntry is one replicated master-table record.
 type masterEntry struct {
@@ -173,8 +183,14 @@ type PIMTrie struct {
 	hashSalt uint64
 
 	rootBlock   pim.Addr
-	master      map[uint64]masterEntry // host replica of the master table
-	masterAddrs []pim.Addr             // per-module masterObj addresses
+	master      *metaTable // host copy of the master table; replicas are clones
+	masterAddrs []pim.Addr // per-module masterObj addresses
+	// regionBound holds every live region's depth bound, its MaxLen —
+	// exact, since the region round clamps shipped segments to it and a
+	// bound too low would drop hits (Validate check 7). It is set where a
+	// region is built, updated, split or freed, from the region itself or
+	// from the reply of the program that changed it.
+	regionBound map[pim.Addr]int
 
 	nKeys     int
 	rehashes  int
@@ -244,7 +260,7 @@ func New(sys *pim.System, cfg Config) *PIMTrie {
 		sys:      sys,
 		cfg:      cfg,
 		hashSalt: cfg.HashSeed,
-		master:   map[uint64]masterEntry{},
+		master:   newMetaTable(0),
 	}
 	t.setHasher(hashing.New(cfg.HashSeed, cfg.HashWidth))
 	t.recoverable = cfg.Recoverable || sys.FaultsEnabled()
@@ -293,7 +309,8 @@ func New(sys *pim.System, cfg Config) *PIMTrie {
 	if t.recoverable {
 		t.blockDir[rootAddr] = bitstr.Empty
 	}
-	t.master[rootHash] = masterEntry{Region: regAddr, Len: 0, SLast: bitstr.Empty, Block: rootAddr}
+	t.master.Put(rootHash, masterEntry{Region: regAddr, Len: 0, SLast: bitstr.Empty, Block: rootAddr})
+	t.regionBound = map[pim.Addr]int{regAddr: 0}
 	t.broadcastMaster()
 	return t
 }
@@ -329,22 +346,13 @@ func (t *PIMTrie) Rehashes() int  { return t.rehashes }
 func (t *PIMTrie) Redos() int     { return t.redos }
 func (t *PIMTrie) FalseHits() int { return t.falseHits }
 
-// broadcastMaster pushes the host master replica to every module. The
+// broadcastMaster pushes the host master table to every module. The
 // cost is the full table size; incremental updates use masterDelta.
 func (t *PIMTrie) broadcastMaster() {
 	defer t.sys.Phase("master-broadcast")()
-	entries := make(map[uint64]masterEntry, len(t.master))
-	for k, v := range t.master {
-		entries[k] = v
-	}
-	words := len(entries)*metaInfoWords + 1
-	addrs := t.masterAddrs
-	t.sys.Broadcast(words, func(m *pim.Module) pim.Resp {
-		mo := m.Get(addrs[m.ID()].ID).(*masterObj)
-		mo.entries = newMetaTable(len(entries))
-		for k, v := range entries {
-			mo.entries.Put(k, v)
-		}
+	addrs, master := t.masterAddrs, t.master
+	t.sys.Broadcast(master.Len()*metaInfoWords+1, func(m *pim.Module) pim.Resp {
+		m.Get(addrs[m.ID()].ID).(*masterObj).entries = master.clone()
 		m.Resize(addrs[m.ID()].ID)
 		return pim.Resp{}
 	})
@@ -355,10 +363,10 @@ func (t *PIMTrie) broadcastMaster() {
 func (t *PIMTrie) masterRemoveAndAdd(drop []uint64, add map[uint64]masterEntry) {
 	defer t.sys.Phase("master-update")()
 	for _, h := range drop {
-		delete(t.master, h)
+		t.master.Delete(h)
 	}
 	for k, v := range add {
-		t.master[k] = v
+		t.master.Put(k, v)
 	}
 	addrs := t.masterAddrs
 	t.sys.Broadcast(len(drop)+len(add)*metaInfoWords, func(m *pim.Module) pim.Resp {
@@ -378,10 +386,10 @@ func (t *PIMTrie) masterRemoveAndAdd(drop []uint64, add map[uint64]masterEntry) 
 func (t *PIMTrie) masterDelta(add map[uint64]masterEntry) error {
 	defer t.sys.Phase("master-delta")()
 	for k, v := range add {
-		if old, dup := t.master[k]; dup && (old.Len != v.Len || !bitstr.Equal(old.SLast, v.SLast) || old.Block != v.Block) {
+		if old, dup := t.master.Get(k); dup && (old.Len != v.Len || !bitstr.Equal(old.SLast, v.SLast) || old.Block != v.Block) {
 			return hvm.ErrHashCollision{Hash: k}
 		}
-		t.master[k] = v
+		t.master.Put(k, v)
 	}
 	addrs := t.masterAddrs
 	t.sys.Broadcast(len(add)*metaInfoWords, func(m *pim.Module) pim.Resp {
@@ -396,17 +404,11 @@ func (t *PIMTrie) masterDelta(add map[uint64]masterEntry) error {
 }
 
 // MasterEntries returns the size of the replicated master table.
-func (t *PIMTrie) MasterEntries() int { return len(t.master) }
+func (t *PIMTrie) MasterEntries() int { return t.master.Len() }
 
-// masterBound scans the host replica for the master table's depth bound
-// (diagnostics only: the modules keep theirs incrementally, metaTable).
-func (t *PIMTrie) masterBound() int {
-	bound := 0
-	for _, e := range t.master {
-		bound = max(bound, e.Len)
-	}
-	return bound
-}
+// masterBound is the master table's depth bound, which the master round
+// clamps shipped segments to.
+func (t *PIMTrie) masterBound() int { return t.master.MaxLen() }
 
 // Stats summarizes structural state for diagnostics and experiments.
 // The depth bounds are where HashMatching stops hashing a query edge
@@ -426,23 +428,26 @@ type Stats struct {
 	RegionBoundMax    int
 }
 
-// CollectStats walks all module memory (an unaccounted diagnostic pass).
+// CollectStats walks all module memory (an unaccounted diagnostic pass);
+// the depth bounds are the host's, which Validate holds to the modules'.
 func (t *PIMTrie) CollectStats() Stats {
 	s := Stats{Keys: t.nKeys, Rehashes: t.rehashes, Redos: t.redos}
 	total, _ := t.sys.SpaceWords()
 	s.SpaceWords = total
 	s.MasterBound = t.masterBound()
-	var bounds []int
 	for i := 0; i < t.sys.P(); i++ {
 		t.sys.Module(i).Each(func(o any) {
-			switch o := o.(type) {
+			switch o.(type) {
 			case *blockObj:
 				s.Blocks++
 			case *regionObj:
 				s.Regions++
-				bounds = append(bounds, o.r.MaxLen())
 			}
 		})
+	}
+	bounds := make([]int, 0, len(t.regionBound))
+	for _, b := range t.regionBound {
+		bounds = append(bounds, b)
 	}
 	if len(bounds) > 0 {
 		slices.Sort(bounds)

@@ -1,7 +1,10 @@
 package core
 
-// metaTable is the flat open-addressing hash table holding a module's
-// master replica. The builtin map it replaces costs two dependent cache
+import "slices"
+
+// metaTable is the flat open-addressing hash table holding the master
+// table: the host's copy and every module's replica, which is a clone of
+// it. The builtin map it replaces costs two dependent cache
 // misses per probe (bucket header, then entry) and gives the prober no
 // way to start the next batch's loads early; the flat table keeps every
 // slot in one contiguous array, so (a) a probe is a single indexed
@@ -13,9 +16,10 @@ package core
 // slot index.
 //
 // Deletion uses backward-shift compaction (no tombstones), so lookup
-// cost never degrades with churn. The table is a module-side replica:
-// probed read-only during match rounds, mutated only in broadcast
-// rounds — never both at once.
+// cost never degrades with churn. A replica is probed read-only during
+// match rounds and mutated only in broadcast rounds — never both at
+// once; the host's copy is read by parallel verifiers and mutated only
+// between rounds.
 //
 // The table also keeps its depth bound: MaxLen, the largest Len any
 // entry holds. A probe at depth d can only verify against an entry of
@@ -23,9 +27,11 @@ package core
 // (probeSegments). The bound is exact at all times, not a high-water
 // mark — byLen counts the entries of each Len, so a replace or a delete
 // of the last deepest entry lowers it again and the index does not age
-// (a stale bound would only cost work, never answers). It is maintained
-// by the same Put/Delete calls that maintain the table, so every way a
-// replica is built or patched keeps it without shipping an extra word.
+// (a stale bound would only cost work and shipped words, never answers).
+// It is maintained by the same Put/Delete calls that maintain the table,
+// so every way a replica is built or patched keeps it without shipping an
+// extra word, and the host reads the bound it clamps the master round to
+// in O(1).
 type metaTable struct {
 	slots  []metaSlot
 	mask   uint64
@@ -50,6 +56,22 @@ func newMetaTable(capacity int) *metaTable {
 }
 
 func (t *metaTable) Len() int { return t.n }
+
+// clone returns an independent copy (a module's replica of the host's).
+func (t *metaTable) clone() *metaTable {
+	c := *t
+	c.slots, c.byLen = slices.Clone(t.slots), slices.Clone(t.byLen)
+	return &c
+}
+
+// each calls fn for every entry, in slot order.
+func (t *metaTable) each(fn func(h uint64, e masterEntry)) {
+	for i := range t.slots {
+		if s := &t.slots[i]; s.used {
+			fn(s.key, s.e)
+		}
+	}
+}
 
 // MaxLen returns the largest Len of any entry, 0 for an empty table.
 func (t *metaTable) MaxLen() int { return t.maxLen }

@@ -285,6 +285,7 @@ func (t *PIMTrie) splitBlocks(oversized []pim.Addr) {
 	type regReply struct {
 		collided bool
 		size     int
+		bound    int // the region's depth bound after the update
 	}
 	rTasks := make([]pim.Task, 0, len(insByRegion))
 	rAddrs := make([]pim.Addr, 0, len(insByRegion))
@@ -334,7 +335,7 @@ func (t *PIMTrie) splitBlocks(oversized []pim.Addr) {
 				}
 				m.Resize(ra.ID)
 				m.Work(len(ins) + len(reps))
-				return pim.Resp{RecvWords: 2, Value: regReply{collided: collided, size: ro.r.Len()}}
+				return pim.Resp{RecvWords: 3, Value: regReply{collided: collided, size: ro.r.Len(), bound: ro.r.MaxLen()}}
 			},
 		})
 		rAddrs = append(rAddrs, ra)
@@ -346,6 +347,7 @@ func (t *PIMTrie) splitBlocks(oversized []pim.Addr) {
 		if rep.collided {
 			collided = true
 		}
+		t.regionBound[rAddrs[i]] = rep.bound
 		if rep.size > t.cfg.MetaBlockMax {
 			overRegions = append(overRegions, rAddrs[i])
 		}
@@ -377,7 +379,8 @@ func (t *PIMTrie) hashOfOversized(resps []pim.Resp, oi int) uint64 {
 
 // splitRegions pulls each oversized region, splits it with the optimal
 // cut (Lemma 4.5) until all pieces fit, redistributes the new pieces,
-// updates the master table and re-points the moved blocks.
+// updates the master table and the host's region bounds, and re-points
+// the moved blocks.
 func (t *PIMTrie) splitRegions(over []pim.Addr) {
 	defer t.sys.Phase("meta-split")()
 	// Round 1: pull regions.
@@ -439,6 +442,10 @@ func (t *PIMTrie) splitRegions(over []pim.Addr) {
 	partAddr := make([]pim.Addr, len(parts))
 	for i, r := range t.sys.Round(alloc) {
 		partAddr[i] = r.Value.(pim.Addr)
+		t.regionBound[partAddr[i]] = parts[i].reg.MaxLen()
+	}
+	for i, r := range resps {
+		t.regionBound[over[i]] = r.Value.(*regionObj).r.MaxLen()
 	}
 	for i := range parts {
 		parts[i].cut.ChildRegions = append(parts[i].cut.ChildRegions, partAddr[i])
@@ -545,6 +552,7 @@ func (t *PIMTrie) removeBlocks(emptied []pim.Addr) {
 			newRoot      *hvm.MetaNode
 			spawned      []*hvm.Region
 			empty        bool
+			bound        int // the region's depth bound after the removals
 		}
 		rTasks := make([]pim.Task, 0, len(byRegion))
 		rAddrs := make([]pim.Addr, 0, len(byRegion))
@@ -573,8 +581,9 @@ func (t *PIMTrie) removeBlocks(emptied []pim.Addr) {
 							out.empty = newRoot == nil
 						}
 					}
+					out.bound = ro.r.MaxLen()
 					m.Resize(ra.ID)
-					return pim.Resp{RecvWords: len(out.droppedRoots) + len(out.spawned) + 4, Value: out}
+					return pim.Resp{RecvWords: len(out.droppedRoots) + len(out.spawned) + 5, Value: out}
 				},
 			})
 			rAddrs = append(rAddrs, ra)
@@ -588,7 +597,7 @@ func (t *PIMTrie) removeBlocks(emptied []pim.Addr) {
 			for _, h := range out.droppedRoots {
 				// Only drop entries that actually belong to this region (an
 				// intermediate promoted root was never registered).
-				if e, ok := t.master[h]; ok && e.Region == rAddrs[ti] {
+				if e, ok := t.master.Get(h); ok && e.Region == rAddrs[ti] {
 					masterDrop = append(masterDrop, h)
 				}
 			}
@@ -598,6 +607,9 @@ func (t *PIMTrie) removeBlocks(emptied []pim.Addr) {
 			}
 			if out.empty {
 				freeRegions = append(freeRegions, rAddrs[ti])
+				delete(t.regionBound, rAddrs[ti])
+			} else {
+				t.regionBound[rAddrs[ti]] = out.bound
 			}
 			spawned = append(spawned, out.spawned...)
 		}
@@ -621,6 +633,7 @@ func (t *PIMTrie) removeBlocks(emptied []pim.Addr) {
 			placed := make([]regionPlacement, len(spawned))
 			for i, r := range t.sys.Round(alloc) {
 				placed[i] = regionPlacement{reg: spawned[i], addr: r.Value.(pim.Addr)}
+				t.regionBound[placed[i].addr] = spawned[i].MaxLen()
 				root := spawned[i].Root
 				masterAdd[root.Hash] = masterEntry{
 					Region: placed[i].addr, Len: root.Len, SLast: root.SLast, Block: root.Block,

@@ -23,12 +23,21 @@ package core
 // Depth bounds. HashMatching looks for block roots, and a probe at depth
 // d can only verify against a root of length d, so each probe target
 // carries the largest root length it holds (metaTable.MaxLen,
-// hvm.Region.MaxLen — exact at all times) and the module program stops
-// hashing a query edge there: the tail of a fresh key below every stored
-// root costs one compare per segment. Segments are still shipped whole —
-// what is sent, and with it rounds, IO words and the RandModule draw
-// order, is the same as if every bit were probed; only PIM work (charged
-// for what the module does) and wall-clock fall.
+// hvm.Region.MaxLen — exact at all times) and nothing below it is
+// shipped: the host holds the master bound (its own copy of the table)
+// and every live region's bound (PIMTrie.regionBound), and cuts each
+// segment at its target's bound before sending it. A chunk or piece with
+// nothing left gets no task, but the round is still run (and counted).
+//
+// Replies carry only what the host cannot rebuild. A master hit is its
+// query position (1 word): the host rehashes the position from its
+// segment's start value and reads the entry from its own master table. A
+// region hit is its position, S_last and block address (3 words): the
+// module drops a probe whose member is not as long as the probed depth —
+// the length half of the verification, done where the depth is known —
+// so the host knows the length, rehashes the position for the hash, and
+// knows the region from the piece it sent. Either way each task adds one
+// word, and every hit is then verified as above.
 
 import (
 	"slices"
@@ -64,7 +73,9 @@ func (s segment) words() int {
 	return (s.end-s.off)/bitstr.WordBits + 2
 }
 
-// rawHit is a module-side hit before host verification.
+// rawHit is a module-side hit before host verification. A module fills
+// in the position and, on a region, info's SLast and Block; the host
+// completes val and the rest of info (resolveMaster, resolveRegion).
 type rawHit struct {
 	edge *trie.Edge
 	off  int // 1..len; len means the To node
@@ -138,9 +149,12 @@ func (a *replyArena) reset() {
 // entry whose Len is the probed depth, so positions below bound cannot
 // hit and are neither hashed nor probed: each segment is clamped to
 // end' = min(end, bound − From.Depth), and a segment that starts at or
-// below bound costs one compare. Within the clamp every position is
-// probed, so the extension stays per-bit; the label bits are pulled one
-// packed word at a time instead of through per-bit BitAt calls.
+// below bound costs one compare. The host ships segments already cut
+// this way (clampSegs), so in a match round the clamp only guards.
+// Within the clamp every position is probed, so the extension stays
+// per-bit; the label bits are pulled one packed word at a time instead
+// of through per-bit BitAt calls. lookup gets each probe's hash and
+// depth, and reports the reply a hit carries.
 //
 // The probes of one ≤w-bit window run in three grouped passes so their
 // cache misses overlap instead of serializing (memory-level
@@ -153,10 +167,11 @@ func (a *replyArena) reset() {
 // every bit of every segment (the reference in match_test.go) as long as
 // bound is sound, which Validate checks — less only the hash false
 // positives that loop raises below bound under a narrow test hash, which
-// checkHit drops anyway. Work is charged for what runs: per clamped
-// segment one unit per probe plus one per 8 bits hashed (the byte-table
-// hashing cost of the unoptimized Algorithm 3) plus one, and one unit
-// for a skipped segment.
+// checkHit drops anyway, and those lookup itself drops. Hits carry no
+// hash value (the host rehashes them, rehashHits). Work is charged for
+// what runs: per clamped segment one unit per probe plus one per 8 bits
+// hashed (the byte-table hashing cost of the unoptimized Algorithm 3)
+// plus one, and one unit for a skipped segment.
 //
 // On a region (reg non-nil, its index behind lookup) a segment may take
 // §4.4.2's class path instead: when its clamped window reaches at least
@@ -174,10 +189,9 @@ func (a *replyArena) reset() {
 // and the reply in chunks of arena, because probeSegments runs
 // concurrently on module executors and host workers; the reply is nil
 // when nothing hit and is the caller's until it resets the arena.
-func probeSegments(h *hashing.Hasher, segs []segment, bound int, arena *replyArena, lookup func(uint64) (metaInfo, bool), touch func(uint64) uint64, reg *hvm.Region, regAddr pim.Addr, work func(int)) []rawHit {
+func probeSegments(h *hashing.Hasher, segs []segment, bound int, arena *replyArena, lookup func(h uint64, depth int) (metaInfo, bool), touch func(uint64) uint64, reg *hvm.Region, work func(int)) []rawHit {
 	var hits []rawHit
 	var outs [bitstr.WordBits]uint64
-	var vals [bitstr.WordBits]hashing.Value
 	sink := uint64(0)
 	for _, s := range segs {
 		end := min(s.end, bound-s.edge.From.Depth)
@@ -204,7 +218,6 @@ func probeSegments(h *hashing.Hasher, segs []segment, bound int, arena *replyAre
 			for j := 0; j < k; j++ {
 				v = h.ExtendBit(v, byte(w&1))
 				w >>= 1
-				vals[j] = v
 				outs[j] = h.Out(v)
 			}
 			// Pass 2: independent early loads of every probe's bucket.
@@ -215,12 +228,13 @@ func probeSegments(h *hashing.Hasher, segs []segment, bound int, arena *replyAre
 			}
 			// Pass 3: resolve probes in position order (hit order is part
 			// of the determinism contract — decompose keeps the first).
+			d := s.edge.From.Depth + i
 			for j := 0; j < k; j++ {
-				if info, ok := lookup(outs[j]); ok {
+				if info, ok := lookup(outs[j], d+j+1); ok {
 					if len(hits) == cap(hits) {
 						hits = arena.extend(hits)
 					}
-					hits = append(hits, rawHit{edge: s.edge, off: i + j + 1, val: vals[j], info: info})
+					hits = append(hits, rawHit{edge: s.edge, off: i + j + 1, info: info})
 				}
 			}
 			i = to
@@ -229,7 +243,7 @@ func probeSegments(h *hashing.Hasher, segs []segment, bound int, arena *replyAre
 		if classes {
 			cost += reg.Pivot()
 			var classCost int
-			hits, classCost = probeClasses(h, s, b1, dEnd, v, reg, regAddr, arena, hits)
+			hits, classCost = probeClasses(h, s, b1, dEnd, v, reg, arena, hits)
 			cost += classCost
 		}
 		work(cost)
@@ -264,9 +278,10 @@ func classWindow(s segment, bound int) (b1, dEnd int, ok bool) {
 // ancestor the query diverges from is never reported — emitted shallowest
 // first, as the per-bit walk would. Depth b1 itself belongs to the per-bit
 // walk, so no class reaches above the segment start. The index must be
-// current (hvm.Region.Pivot). Work: one unit per 8 bits hashed, 8 per
-// class and one per ancestor examined.
-func probeClasses(h *hashing.Hasher, s segment, b1, dEnd int, v hashing.Value, reg *hvm.Region, regAddr pim.Addr, arena *replyArena, hits []rawHit) ([]rawHit, int) {
+// current (hvm.Region.Pivot). A hit's reply is a region hit's: position,
+// S_last and block. Work: one unit per 8 bits hashed, 8 per class and
+// one per ancestor examined.
+func probeClasses(h *hashing.Hasher, s segment, b1, dEnd int, v hashing.Value, reg *hvm.Region, arena *replyArena, hits []rawHit) ([]rawHit, int) {
 	const w = bitstr.WordBits
 	l, from := s.edge.Label, s.edge.From.Depth
 	d0 := from + s.off
@@ -295,11 +310,7 @@ func probeClasses(h *hashing.Hasher, s segment, b1, dEnd int, v hashing.Value, r
 			if len(hits) == cap(hits) {
 				hits = arena.extend(hits)
 			}
-			hits = append(hits, rawHit{
-				edge: s.edge, off: n.Len - from,
-				val:  h.ExtendRange(v, l, b-from, n.Len-from),
-				info: metaInfo{Hash: n.Hash, Len: n.Len, SLast: n.SLast, Block: n.Block, Region: regAddr},
-			})
+			hits = append(hits, rawHit{edge: s.edge, off: n.Len - from, info: metaInfo{SLast: n.SLast, Block: n.Block}})
 		}
 		slices.Reverse(hits[first:])
 	}
@@ -307,15 +318,80 @@ func probeClasses(h *hashing.Hasher, s segment, b1, dEnd int, v hashing.Value, r
 }
 
 // probeRegion is the region program: probeSegments against the region's
-// hash index and, where a window is long enough, its pivot classes.
-func (t *PIMTrie) probeRegion(segs []segment, reg *hvm.Region, regAddr pim.Addr, work func(int)) []rawHit {
-	return probeSegments(t.h, segs, reg.MaxLen(), &t.replies, func(h uint64) (metaInfo, bool) {
+// hash index and, where a window is long enough, its pivot classes. A
+// probe whose member is not as long as the probed depth cannot verify
+// and is dropped here; a hit replies with its S_last and block.
+func (t *PIMTrie) probeRegion(segs []segment, reg *hvm.Region, work func(int)) []rawHit {
+	return probeSegments(t.h, segs, reg.MaxLen(), &t.replies, func(h uint64, depth int) (metaInfo, bool) {
 		n := reg.Lookup(h)
-		if n == nil {
+		if n == nil || n.Len != depth {
 			return metaInfo{}, false
 		}
-		return metaInfo{Hash: h, Len: n.Len, SLast: n.SLast, Block: n.Block, Region: regAddr}, true
-	}, nil, reg, regAddr, work)
+		return metaInfo{SLast: n.SLast, Block: n.Block}, true
+	}, nil, reg, work)
+}
+
+// rehashHits sets the hash value of every hit in raw, which modules do
+// not ship: segs are the segments the hits were probed on, in probe
+// order, so each hit extends the value of the hit before it on its edge
+// or else the start value of the first segment from there on that holds
+// its position. It returns the host work: one unit per 8 bits hashed
+// plus one per hit.
+func rehashHits(h *hashing.Hasher, segs []segment, raw []rawHit) int {
+	work, j := 0, -1
+	var at *trie.Edge
+	off, v := 0, hashing.Value{}
+	for i := range raw {
+		rh := &raw[i]
+		if rh.edge != at || rh.off < off {
+			for j++; segs[j].edge != rh.edge || rh.off <= segs[j].off || rh.off > segs[j].end; j++ {
+			}
+			at, off, v = rh.edge, segs[j].off, segs[j].startVal
+		}
+		v = h.ExtendRange(v, rh.edge.Label, off, rh.off)
+		work += (rh.off-off)/8 + 1
+		off, rh.val = rh.off, v
+	}
+	return work
+}
+
+// resolveMaster completes one master task's reply, which carries the hit
+// positions alone: it rehashes each against the chunk segs it was probed
+// on and reads the entry from the host's master table. It returns the
+// host work (rehashHits).
+func (t *PIMTrie) resolveMaster(segs []segment, raw []rawHit) int {
+	work := rehashHits(t.h, segs, raw)
+	for i := range raw {
+		raw[i].info = t.masterInfo(t.h.Out(raw[i].val))
+	}
+	return work
+}
+
+// resolveRegion completes one region share's reply (position, S_last,
+// block): the length is the position's depth, as the module checked; the
+// hash is rehashed against the share's segs; the region is the share's.
+// It returns the host work (rehashHits).
+func (t *PIMTrie) resolveRegion(segs []segment, raw []rawHit, region pim.Addr) int {
+	work := rehashHits(t.h, segs, raw)
+	for i := range raw {
+		rh := &raw[i]
+		rh.info.Hash, rh.info.Len, rh.info.Region = t.h.Out(rh.val), rh.edge.From.Depth+rh.off, region
+	}
+	return work
+}
+
+// clampSegs cuts segs, in place, to the positions no deeper than bound —
+// all a target of that depth bound can match — dropping the segments
+// left empty, and returns what is left and its wire size in words.
+func clampSegs(segs []segment, bound int) ([]segment, int) {
+	out, words := segs[:0], 0
+	for _, s := range segs {
+		if s.end = min(s.end, bound-s.edge.From.Depth); s.end > s.off {
+			out = append(out, s)
+			words += s.words()
+		}
+	}
+	return out, words
 }
 
 // prep is the host-side preparation of one batch (phase A). hashes is
@@ -399,7 +475,7 @@ type regionShare struct {
 func (t *PIMTrie) match(p *prep) (*matchOutcome, error) {
 	// ----- Phase B: master matching -----------------------------------
 	endMaster := t.sys.Phase("master-match")
-	chunks := t.chunkEdges(p)
+	chunks := t.chunkEdges(p, t.masterBound())
 	rootVal := hashing.EmptyValue()
 	hits := append(t.hitBuf[:0], hitRec{
 		pos: atNode(p.qt.Trie.Root()), depth: 0, val: rootVal,
@@ -426,22 +502,29 @@ func (t *PIMTrie) match(p *prep) (*matchOutcome, error) {
 			SendWords: words,
 			Run: func(m *pim.Module) pim.Resp {
 				mo := m.Get(addrs[m.ID()].ID).(*masterObj)
-				hits := probeSegments(t.h, ch, mo.entries.MaxLen(), &t.replies, func(h uint64) (metaInfo, bool) {
-					e, ok := mo.entries.Get(h)
-					if !ok {
-						return metaInfo{}, false
-					}
-					return metaInfo{Hash: h, Len: e.Len, SLast: e.SLast, Block: e.Block, Region: e.Region}, true
-				}, mo.entries.Touch, nil, pim.Addr{}, m.Work)
-				return pim.Resp{RecvWords: len(hits)*metaInfoWords + 1, Value: hits}
+				hits := probeSegments(t.h, ch, mo.entries.MaxLen(), &t.replies, func(h uint64, _ int) (metaInfo, bool) {
+					_, ok := mo.entries.Get(h)
+					return metaInfo{}, ok
+				}, mo.entries.Touch, nil, m.Work)
+				return pim.Resp{RecvWords: len(hits)*masterHitWords + 1, Value: hits}
 			},
 		}
 	})
-	masterRaw := t.rawHitBuf[:0]
-	for _, r := range t.sys.Round(bTasks) {
+	bResps := t.sys.Round(bTasks)
+	t.cpuBuf = sized(t.cpuBuf, len(bResps))
+	resolveCPUBy := t.cpuBuf
+	parallel.For(len(bResps), func(i int) {
+		resolveCPUBy[i] = t.resolveMaster(chunks[i], bResps[i].Value.([]rawHit))
+	})
+	masterRaw, resolveCPU := t.rawHitBuf[:0], 0
+	for i, r := range bResps {
 		masterRaw = append(masterRaw, r.Value.([]rawHit)...)
+		resolveCPU += resolveCPUBy[i]
 	}
 	t.rawHitBuf = masterRaw
+	if resolveCPU > 0 {
+		t.sys.CPUWork(resolveCPU)
+	}
 	t.replies.reset()
 	hits = t.verifyHits(hits, masterRaw)
 	endMaster()
@@ -452,10 +535,10 @@ func (t *PIMTrie) match(p *prep) (*matchOutcome, error) {
 	cTasks := t.taskBuf[:0]
 	shares := t.regionBuf[:0]
 	for _, pc := range masterPieces {
-		if pc.words == 0 {
+		regAddr := pc.hit.info.Region
+		if pc.segs, pc.words = clampSegs(pc.segs, t.regionBound[regAddr]); pc.words == 0 {
 			continue
 		}
-		regAddr := pc.hit.info.Region
 		sh := regionShare{pc: pc, task: len(cTasks), pull: pc.words > t.cfg.PullThreshold}
 		if !sh.pull {
 			cTasks = append(cTasks, pim.Task{
@@ -463,8 +546,8 @@ func (t *PIMTrie) match(p *prep) (*matchOutcome, error) {
 				SendWords: pc.words + 2,
 				Run: func(m *pim.Module) pim.Resp {
 					reg := m.Get(regAddr.ID).(*regionObj).r
-					hits := t.probeRegion(pc.segs, reg, regAddr, m.Work)
-					return pim.Resp{RecvWords: len(hits)*metaInfoWords + 1, Value: hits}
+					hits := t.probeRegion(pc.segs, reg, m.Work)
+					return pim.Resp{RecvWords: len(hits)*regionHitWords + 1, Value: hits}
 				},
 			})
 		} else if fetch := fetchOf(shares, regAddr); fetch >= 0 {
@@ -486,7 +569,8 @@ func (t *PIMTrie) match(p *prep) (*matchOutcome, error) {
 	// The host-side probes of pulled regions run in parallel and only read
 	// the fetched snapshots. One snapshot can serve several shares (see
 	// fetchOf), so a class index some share needs is made current first,
-	// serially, and its rebuild charged to the host.
+	// serially, and its rebuild charged to the host. Every share's hits,
+	// pushed or pulled, are then completed on the host (resolveRegion).
 	probeCPU := 0
 	for _, sh := range shares {
 		if !sh.pull {
@@ -505,12 +589,13 @@ func (t *PIMTrie) match(p *prep) (*matchOutcome, error) {
 	parallel.For(len(shares), func(i int) {
 		sh := shares[i]
 		probeCPUBy[i] = 0
-		if !sh.pull {
+		if sh.pull {
+			ro := cResps[sh.task].Value.(*regionObj)
+			hitsByShare[i] = t.probeRegion(sh.pc.segs, ro.r, func(w int) { probeCPUBy[i] += w })
+		} else {
 			hitsByShare[i] = cResps[sh.task].Value.([]rawHit)
-			return
 		}
-		ro := cResps[sh.task].Value.(*regionObj)
-		hitsByShare[i] = t.probeRegion(sh.pc.segs, ro.r, sh.pc.hit.info.Region, func(w int) { probeCPUBy[i] += w })
+		probeCPUBy[i] += t.resolveRegion(sh.pc.segs, hitsByShare[i], sh.pc.hit.info.Region)
 	})
 	regionRaw := t.rawHitBuf[:0]
 	for i := range shares {
@@ -604,9 +689,9 @@ func fetchOf(shares []regionShare, reg pim.Addr) int {
 	return -1
 }
 
-// masterInfo builds the metaInfo for a known master entry.
+// masterInfo builds the metaInfo of the host's master entry under h.
 func (t *PIMTrie) masterInfo(h uint64) metaInfo {
-	e := t.master[h]
+	e, _ := t.master.Get(h)
 	return metaInfo{Hash: h, Len: e.Len, SLast: e.SLast, Block: e.Block, Region: e.Region}
 }
 
@@ -699,9 +784,13 @@ func suffixWindowEqual(e *trie.Edge, off int, want bitstr.String) bool {
 	}
 }
 
-// chunkEdges splits the query trie's edges into chunks of bounded words
-// for the master round. Chunk storage is recycled across batches: the
-// chunks only live until the master round's responses are in.
+// chunkEdges splits the query trie's edges, cut at the master table's
+// depth bound, into chunks of bounded words for the master round: an
+// edge is shipped up to depth bound (positions (0, min(len, bound −
+// From.Depth)]) and not at all when it starts at or below bound, so an
+// index whose master holds only the root ships no chunk. Chunk storage
+// is recycled across batches: the chunks only live until the master
+// round's responses are in.
 //
 // It iterates the flattened preorder scaffolding NodeHashes built (one
 // linear array scan instead of a recursive pointer walk), with a
@@ -709,7 +798,7 @@ func suffixWindowEqual(e *trie.Edge, off int, want bitstr.String) bool {
 // point. The edge order is exactly the recursive walk's (both child
 // edges of a node, in bit order, before descending), which the RNG
 // draw order of chunk target modules depends on.
-func (t *PIMTrie) chunkEdges(p *prep) [][]segment {
+func (t *PIMTrie) chunkEdges(p *prep, bound int) [][]segment {
 	arena := t.segArena
 	n := 0 // completed chunks
 	grab := func() []segment {
@@ -726,9 +815,12 @@ func (t *PIMTrie) chunkEdges(p *prep) [][]segment {
 		if j := i + chunkLookahead; j < len(pre) {
 			sink ^= uint64(touchNode(pre[j]))
 		}
+		if nd.Depth >= bound {
+			continue
+		}
 		for b := 0; b < 2; b++ {
 			if e := nd.Child[b]; e != nil {
-				s := segment{edge: e, off: 0, end: e.Label.Len(), startVal: p.hashes[i]}
+				s := segment{edge: e, off: 0, end: min(e.Label.Len(), bound-nd.Depth), startVal: p.hashes[i]}
 				cur = append(cur, s)
 				words += s.words()
 				if words >= t.cfg.MasterChunkWords {

@@ -6,6 +6,7 @@ package core
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -335,7 +336,12 @@ func TestSuffixWindow(t *testing.T) {
 	}
 }
 
-func TestChunkEdgesCoverEverything(t *testing.T) {
+// TestChunkEdgesClampToMasterBound: the master round's chunks cover
+// exactly the query positions no deeper than the master table's depth
+// bound, each once and from its edge's start, in bounded chunks; an index
+// whose master holds only the root ships no chunk at all, and its master
+// round still runs as one (empty) round.
+func TestChunkEdgesClampToMasterBound(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	pt, _ := newTestTrie(2, Config{MasterChunkWords: 16})
 	batch := make([]bitstr.String, 200)
@@ -343,29 +349,62 @@ func TestChunkEdgesCoverEverything(t *testing.T) {
 		batch[i] = randomKey(r, 200)
 	}
 	p := prepFor(pt, batch)
-	chunks := pt.chunkEdges(p)
-	seen := map[*trie.Edge]bool{}
-	totalBits := 0
-	for _, ch := range chunks {
-		w := 0
-		for _, s := range ch {
-			if seen[s.edge] {
-				t.Fatal("edge chunked twice")
-			}
-			seen[s.edge] = true
-			totalBits += s.end - s.off
-			w += s.words()
-			if s.startVal != p.hashes[s.edge.From.Index] {
-				t.Fatal("segment startVal mismatch")
+	for _, bound := range []int{0, 1, 5, 14, 64, 130, 1000} {
+		// The positions at depth ≤ bound, edge by edge.
+		want := map[*trie.Edge]int{}
+		wantBits := 0
+		for _, nd := range p.qt.PreNodes {
+			for b := 0; b < 2; b++ {
+				if e := nd.Child[b]; e != nil && nd.Depth < bound {
+					want[e] = min(e.Label.Len(), bound-nd.Depth)
+					wantBits += want[e]
+				}
 			}
 		}
-		// Chunks respect the bound up to one oversized tail edge.
-		if w > 2*pt.cfg.MasterChunkWords+4 {
-			t.Fatalf("chunk of %d words (bound %d)", w, pt.cfg.MasterChunkWords)
+		seen := map[*trie.Edge]bool{}
+		bits := 0
+		chunks := pt.chunkEdges(p, bound)
+		for _, ch := range chunks {
+			if len(ch) == 0 {
+				t.Fatalf("bound %d: empty chunk", bound)
+			}
+			w := 0
+			for _, s := range ch {
+				if seen[s.edge] {
+					t.Fatalf("bound %d: edge chunked twice", bound)
+				}
+				seen[s.edge] = true
+				if s.off != 0 || s.end != want[s.edge] {
+					t.Fatalf("bound %d: edge from depth %d shipped as (%d, %d], want (0, %d]", bound, s.edge.From.Depth, s.off, s.end, want[s.edge])
+				}
+				bits += s.end
+				w += s.words()
+				if s.startVal != p.hashes[s.edge.From.Index] {
+					t.Fatal("segment startVal mismatch")
+				}
+			}
+			// Chunks respect the bound up to one oversized tail edge.
+			if w > 2*pt.cfg.MasterChunkWords+4 {
+				t.Fatalf("chunk of %d words (bound %d)", w, pt.cfg.MasterChunkWords)
+			}
+		}
+		if len(seen) != len(want) || bits != wantBits {
+			t.Fatalf("bound %d: chunks cover %d positions on %d edges, want %d on %d", bound, bits, len(seen), wantBits, len(want))
+		}
+		if bound >= 1000 && bits != p.qt.Trie.EdgeBits() {
+			t.Fatalf("a bound past every key covers %d of %d bits", bits, p.qt.Trie.EdgeBits())
 		}
 	}
-	if totalBits != p.qt.Trie.EdgeBits() {
-		t.Fatalf("chunks cover %d of %d bits", totalBits, p.qt.Trie.EdgeBits())
+	// The fresh index holds only the root region: its master bound is 0.
+	if pt.masterBound() != 0 || len(pt.chunkEdges(p, pt.masterBound())) != 0 {
+		t.Fatalf("root-only index: master bound %d ships %d chunks, want 0 and 0", pt.masterBound(), len(pt.chunkEdges(p, pt.masterBound())))
+	}
+	rec := &phaseRecorder{}
+	pt.sys.SetRecorder(rec)
+	pt.LCP(batch)
+	pt.sys.SetRecorder(nil)
+	if got := rec.rounds["master-match"]; len(got) != 1 || got[0].Tasks != 0 {
+		t.Fatalf("root-only index: master round ran as %+v, want one round of no tasks", got)
 	}
 }
 
@@ -574,12 +613,12 @@ func TestProbeSegmentsBoundedMatchesEveryBit(t *testing.T) {
 			if want <= fx.deep && bound != want {
 				t.Fatalf("width %d: table built for bound %d reports %d", width, want, bound)
 			}
-			lookup := func(h uint64) (metaInfo, bool) {
+			lookup := func(h uint64, _ int) (metaInfo, bool) {
 				e, ok := tbl.Get(h)
 				return metaInfo{Hash: h, Len: e.Len, SLast: e.SLast, Block: e.Block, Region: e.Region}, ok
 			}
 			var ref []rawHit
-			for _, rh := range probeEveryBit(fx.h, fx.segs, lookup) {
+			for _, rh := range probeEveryBit(fx.h, fx.segs, func(h uint64) (metaInfo, bool) { return lookup(h, 0) }) {
 				depth := rh.edge.From.Depth + rh.off
 				switch {
 				case depth <= bound:
@@ -612,7 +651,8 @@ func TestProbeSegmentsBoundedMatchesEveryBit(t *testing.T) {
 					arena = new(replyArena)
 				}
 				work = 0
-				got := probeSegments(fx.h, fx.segs, bound, arena, lookup, touch, nil, pim.Addr{}, func(w int) { work += w })
+				got := probeSegments(fx.h, fx.segs, bound, arena, lookup, touch, nil, func(w int) { work += w })
+				rehashHits(fx.h, fx.segs, got)
 				if !sameHits(got, ref) {
 					t.Fatalf("width %d bound %d: %d hits, reference has %d within the bound (or they differ in content/order)",
 						width, bound, len(got), len(ref))
@@ -776,17 +816,25 @@ func verified(raw []rawHit) []rawHit {
 }
 
 // checkRegionProbe runs the region program over segs against a region
-// holding roots, and fails unless the hits that verify are those of the
-// every-bit reference, in the same order. It returns how many segments
-// took the class path and how many hits verified.
+// holding roots, completes its replies as the host does, and fails
+// unless the hits that verify are those of the every-bit reference over
+// ref, in the same order. ref is segs unless the test shipped segs
+// clamped. It returns how many segments took the class path and how many
+// hits verified.
 func checkRegionProbe(t testing.TB, h *hashing.Hasher, segs []segment, roots []bitstr.String) (classSegs, hits int) {
 	t.Helper()
-	reg := regionOf(t, h, roots)
+	return checkRegionShare(t, h, segs, segs, regionOf(t, h, roots))
+}
+
+func checkRegionShare(t testing.TB, h *hashing.Hasher, segs, ref []segment, reg *hvm.Region) (classSegs, hits int) {
+	t.Helper()
 	regAddr := pim.Addr{Module: 2, ID: 9}
 	pt := &PIMTrie{h: h}
-	got := verified(pt.probeRegion(segs, reg, regAddr, func(int) {}))
+	raw := pt.probeRegion(segs, reg, func(int) {})
+	pt.resolveRegion(segs, raw, regAddr)
+	got := verified(raw)
 	pt.replies.reset()
-	want := verified(probeEveryBit(h, segs, func(x uint64) (metaInfo, bool) {
+	want := verified(probeEveryBit(h, ref, func(x uint64) (metaInfo, bool) {
 		n := reg.Lookup(x)
 		if n == nil {
 			return metaInfo{}, false
@@ -854,16 +902,23 @@ func (fx *probeFixture) wordCases(r *rand.Rand) (segs, toEnd []segment, bounds [
 // TestRegionProbeMatchesEveryBit: over randomized deep fixtures, under a
 // full-width and a 12-bit hash, the hits of the one region program that
 // verify are exactly those of probing every bit — per-bit windows, class
-// windows, and the word boundary between them alike.
+// windows, and the word boundary between them alike — also when the
+// segments are shipped cut at the region's depth bound, as the region
+// round ships them, and the reference walks them whole.
 func TestRegionProbeMatchesEveryBit(t *testing.T) {
 	r := rand.New(rand.NewSource(73))
 	for _, width := range []uint{61, 12} {
 		fx := newProbeFixture(r, width, 700)
 		fx.deepRoots(r)
-		classSegs, hits := 0, 0
+		classSegs, hits, clampedClassSegs := 0, 0, 0
 		add := func(c, h int) { classSegs, hits = classSegs+c, hits+h }
 		for _, bound := range fx.probeBounds(r) {
 			add(checkRegionProbe(t, fx.h, fx.segs, fx.rootsWithin(bound)))
+			reg := regionOf(t, fx.h, fx.rootsWithin(bound))
+			clamped, _ := clampSegs(slices.Clone(fx.segs), reg.MaxLen())
+			c, h := checkRegionShare(t, fx.h, clamped, fx.segs, reg)
+			add(c, h)
+			clampedClassSegs += c
 		}
 		segs, toEnd, bounds := fx.wordCases(r)
 		if len(bounds) == 0 {
@@ -873,8 +928,9 @@ func TestRegionProbeMatchesEveryBit(t *testing.T) {
 		for i, s := range toEnd {
 			add(checkRegionProbe(t, fx.h, []segment{s}, fx.rootsWithin(bounds[i])))
 		}
-		if classSegs == 0 || hits == 0 {
-			t.Fatalf("width %d: %d segments took the class path, %d hits verified; the test is vacuous", width, classSegs, hits)
+		if classSegs == 0 || hits == 0 || clampedClassSegs == 0 {
+			t.Fatalf("width %d: %d segments took the class path (%d of them clamped), %d hits verified; the test is vacuous",
+				width, classSegs, clampedClassSegs, hits)
 		}
 		t.Logf("width %d: %d segments took the class path, %d hits verified", width, classSegs, hits)
 	}
@@ -903,6 +959,41 @@ func FuzzRegionProbe(f *testing.F) {
 	})
 }
 
+// FuzzClampedShares holds the region round's shipped form to the
+// every-bit reference: one segment of a fixed deep fixture, cut at the
+// depth bound of a region built for the fuzzer's bound (clampSegs, as the
+// host cuts a piece before sending it), must verify the hits that
+// walking the whole segment verifies, under a full-width and a 12-bit
+// hash. The fuzzer chooses the hash width, the edge, the start offset,
+// the length and the bound; the seeds include class-path windows.
+func FuzzClampedShares(f *testing.F) {
+	r := rand.New(rand.NewSource(97))
+	var fxs []*probeFixture
+	var edges [][]*trie.Edge
+	for _, width := range []uint{61, 12} {
+		fx := newProbeFixture(r, width, 700)
+		fx.deepRoots(r)
+		var es []*trie.Edge
+		for _, s := range fx.segs {
+			es = append(es, s.edge)
+		}
+		sort.SliceStable(es, func(i, j int) bool { return es[i].Label.Len() > es[j].Label.Len() })
+		fxs, edges = append(fxs, fx), append(edges, es)
+	}
+	for _, c := range [][5]uint16{{0, 0, 0, 700, 700}, {1, 0, 0, 700, 700}, {0, 0, 64, 128, 256}, {1, 1, 3, 200, 190}, {0, 2, 127, 64, 300}, {1, 0, 10, 600, 20}} {
+		f.Add(uint8(c[0]), uint8(c[1]), c[2], c[3], c[4])
+	}
+	f.Fuzz(func(t *testing.T, width, edge uint8, off, length, bound uint16) {
+		fx, es := fxs[int(width)%len(fxs)], edges[int(width)%len(fxs)]
+		e := es[int(edge)%len(es)]
+		o := int(off) % (e.Label.Len() + 1)
+		whole := fx.seg(e, o, o+int(length)%(e.Label.Len()-o+1))
+		reg := regionOf(t, fx.h, fx.rootsWithin(int(bound)%(fx.deep+70)))
+		clamped, _ := clampSegs([]segment{whole}, reg.MaxLen())
+		checkRegionShare(t, fx.h, clamped, []segment{whole}, reg)
+	})
+}
+
 // TestRegionProbeChargesRebuild: a region mutated since its class index
 // was built charges its module exactly r.Len() more work for the probe
 // that rebuilds the index than the same probe on the now clean region.
@@ -914,7 +1005,7 @@ func TestRegionProbeChargesRebuild(t *testing.T) {
 	pt := &PIMTrie{h: fx.h}
 	probe := func() int {
 		work := 0
-		pt.probeRegion(fx.segs, reg, pim.Addr{}, func(w int) { work += w })
+		pt.probeRegion(fx.segs, reg, func(w int) { work += w })
 		pt.replies.reset()
 		return work
 	}
@@ -932,7 +1023,7 @@ func TestRegionProbeChargesRebuild(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				work := 0
-				(&PIMTrie{h: fx.h}).probeRegion(fx.segs, reg, pim.Addr{}, func(w int) { work += w })
+				(&PIMTrie{h: fx.h}).probeRegion(fx.segs, reg, func(w int) { work += w })
 				if work != clean {
 					t.Errorf("round %d: a clean index costs %d, then %d on another goroutine", round, clean, work)
 				}

@@ -30,7 +30,11 @@ import (
 //  6. every depth bound HashMatching stops at is exact: each region's
 //     MaxLen is the largest Len in its index (hvm.Region.Validate), and
 //     each module's master replica reports the largest Len of its own
-//     entries, which is also the host replica's.
+//     entries, which is also the host copy's;
+//  7. the host holds exactly one region bound per live region, equal to
+//     that region's MaxLen: the region round clamps shipped segments to
+//     it, so a bound too low would drop hits, and an entry for a dead
+//     region is a leak.
 //
 // It returns the first violation found.
 func (t *PIMTrie) Validate() error {
@@ -166,7 +170,7 @@ func (t *PIMTrie) Validate() error {
 		if err := reg.Validate(); err != nil {
 			return fmt.Errorf("region %v: %w", addr, err)
 		}
-		e, ok := t.master[reg.Root.Hash]
+		e, ok := t.master.Get(reg.Root.Hash)
 		if !ok {
 			return fmt.Errorf("region %v root not in master", addr)
 		}
@@ -174,6 +178,9 @@ func (t *PIMTrie) Validate() error {
 			return fmt.Errorf("master entry for region %v points at %v", addr, e.Region)
 		}
 		masterSeen[reg.Root.Hash] = true
+		if b, ok := t.regionBound[addr]; !ok || b != reg.MaxLen() {
+			return fmt.Errorf("region %v has depth bound %d, the host holds %d (known %v)", addr, reg.MaxLen(), b, ok)
+		}
 		var err error
 		reg.Walk(func(n *hvm.MetaNode) {
 			if err != nil {
@@ -215,22 +222,36 @@ func (t *PIMTrie) Validate() error {
 			}
 		}
 	}
-	for h, e := range t.master {
-		if !masterSeen[h] {
-			return fmt.Errorf("stale master entry %#x -> %v", h, e.Region)
+	if len(t.regionBound) != len(regions) {
+		return fmt.Errorf("host holds %d region bounds for %d live regions", len(t.regionBound), len(regions))
+	}
+	var stale error
+	t.master.each(func(h uint64, e masterEntry) {
+		if stale == nil && !masterSeen[h] {
+			stale = fmt.Errorf("stale master entry %#x -> %v", h, e.Region)
 		}
+	})
+	if stale != nil {
+		return stale
 	}
 	// Master replicas must match the host copy, depth bound included.
-	hostMax := t.masterBound()
+	hostMax := t.master.scanMaxLen()
+	if t.masterBound() != hostMax {
+		return fmt.Errorf("host master table reports depth bound %d, its entries reach %d", t.masterBound(), hostMax)
+	}
 	for i := 0; i < t.sys.P(); i++ {
 		mo := t.sys.Module(i).Get(t.masterAddrs[i].ID).(*masterObj)
-		if mo.entries.Len() != len(t.master) {
-			return fmt.Errorf("module %d master replica has %d entries, host %d", i, mo.entries.Len(), len(t.master))
+		if mo.entries.Len() != t.master.Len() {
+			return fmt.Errorf("module %d master replica has %d entries, host %d", i, mo.entries.Len(), t.master.Len())
 		}
-		for h, e := range t.master {
-			if me, ok := mo.entries.Get(h); !ok || me.Region != e.Region || me.Block != e.Block {
-				return fmt.Errorf("module %d master replica diverges at %#x", i, h)
+		var diverged error
+		t.master.each(func(h uint64, e masterEntry) {
+			if me, ok := mo.entries.Get(h); diverged == nil && (!ok || me.Region != e.Region || me.Block != e.Block || me.Len != e.Len) {
+				diverged = fmt.Errorf("module %d master replica diverges at %#x", i, h)
 			}
+		})
+		if diverged != nil {
+			return diverged
 		}
 		if own := mo.entries.scanMaxLen(); mo.entries.MaxLen() != own || own != hostMax {
 			return fmt.Errorf("module %d master replica reports depth bound %d, its entries reach %d, the host's %d",
