@@ -75,7 +75,7 @@ func (t *PIMTrie) loadFromTrie(full *trie.Trie) {
 		}
 		t.rehashes++
 		t.hashSalt++
-		t.setHasher(hashing.New(t.hashSalt, t.cfg.HashWidth))
+		t.h = hashing.New(t.hashSalt, t.cfg.HashWidth)
 	}
 }
 
@@ -373,7 +373,7 @@ func (t *PIMTrie) rehash() {
 	t.dirty++
 	for attempt := 0; ; attempt++ {
 		t.hashSalt++
-		t.setHasher(hashing.New(t.hashSalt, t.cfg.HashWidth))
+		t.h = hashing.New(t.hashSalt, t.cfg.HashWidth)
 		if err := t.rebuildHashes(); err == nil {
 			t.dirty--
 			return

@@ -32,7 +32,6 @@
 package core
 
 import (
-	"fmt"
 	"math/bits"
 	"slices"
 	"sync"
@@ -170,16 +169,15 @@ func (r *regionObj) SizeWords() int { return r.r.SizeWords() }
 // concurrent use (batches are the unit of parallelism, as in the paper).
 // Every batch operation asserts single-caller execution via inUse and
 // panics on overlap — the pooled scratch below would otherwise corrupt
-// silently. The only methods exempt from the guard are Prepare (designed
-// for concurrent pipelining, touches no scratch) and the read-only host
+// silently. The only methods exempt from the guard are Snapshot (it
+// reads the lock-protected shadow alone) and the read-only host
 // accessors (KeyCount, Config, Health, counters).
 type PIMTrie struct {
 	sys *pim.System
 	cfg Config
 
 	h        *hashing.Hasher
-	hcur     atomic.Pointer[hasherState] // atomic view of (h, generation) for Prepare
-	inUse    atomic.Int32                // single-flight execution guard over the pooled scratch
+	inUse    atomic.Int32 // single-flight execution guard over the pooled scratch
 	hashSalt uint64
 
 	rootBlock   pim.Addr
@@ -259,10 +257,10 @@ func New(sys *pim.System, cfg Config) *PIMTrie {
 	t := &PIMTrie{
 		sys:      sys,
 		cfg:      cfg,
+		h:        hashing.New(cfg.HashSeed, cfg.HashWidth),
 		hashSalt: cfg.HashSeed,
 		master:   newMetaTable(0),
 	}
-	t.setHasher(hashing.New(cfg.HashSeed, cfg.HashWidth))
 	t.recoverable = cfg.Recoverable || sys.FaultsEnabled()
 	if t.recoverable {
 		t.shadow = trie.New()
@@ -455,5 +453,3 @@ func (t *PIMTrie) CollectStats() Stats {
 	}
 	return s
 }
-
-var _ = fmt.Sprintf // referenced by other files in this package

@@ -123,7 +123,7 @@ func (t *PIMTrie) mergeSharedBlocks(groups []keyGroup) []keyGroup {
 // matchWithRedo runs the matching protocol, re-hashing and redoing the
 // batch whenever verification detects a hash collision. A staged
 // preparation (pb, may be nil) is consumed on the first attempt if its
-// hash generation is still current; redo attempts always re-prepare
+// hash function is still installed; redo attempts always re-prepare
 // because the re-hash invalidated the staged node hashes.
 func (t *PIMTrie) matchWithRedo(batch []bitstr.String, pb *Prepared) *matchOutcome {
 	for attempt := 0; attempt <= t.cfg.MaxRedo; attempt++ {
@@ -580,5 +580,3 @@ func sortKVs(kvs []trie.KV) {
 	}
 	copy(kvs, sorted)
 }
-
-var _ = fmt.Sprintf

@@ -1,21 +1,17 @@
 package core
 
-// Host-side batch preparation decoupled from execution (the serving
-// layer's pipeline stage). Prepare runs phase A — query-trie
-// construction, long-edge splitting and node hashing — without touching
-// the simulated system or the PIMTrie's pooled scratch, so it is safe to
-// run on one goroutine while another batch executes on the index. The
-// result is handed to the *Prepared operation variants, which charge the
-// exact model cost the inline preparation would have charged (the PIM
-// Model does not observe wall-clock overlap), so metrics stay
-// bit-identical to the unpipelined path.
+// Host-side batch preparation split from execution. Prepare runs phase
+// A — query-trie construction, long-edge splitting and node hashing —
+// and the *Prepared operation variants consume the result, charging
+// the exact model cost the inline preparation would have charged, so
+// metrics stay bit-identical to the plain operations.
 //
-// The only index state Prepare reads is the current hash function, which
-// the executing batch may replace mid-flight (global re-hash, §4.4.3).
-// The hasher is therefore published through an atomic generation-stamped
-// pointer: Prepare records the generation it hashed under, and a
-// consumer whose generation is stale silently rebuilds inline — the
-// overlap was wasted, correctness is unaffected.
+// Prepare is a batch method like every other: single-caller, under the
+// beginBatch guard. The only index state it reads is the current hash
+// function, which a later batch may replace (global re-hash, §4.4.3).
+// A preparation therefore records the hasher it hashed with, and a
+// consumer that finds a different one installed silently rebuilds
+// inline — correctness is unaffected.
 
 import (
 	"github.com/pimlab/pimtrie/internal/bitstr"
@@ -23,35 +19,15 @@ import (
 	"github.com/pimlab/pimtrie/internal/querytrie"
 )
 
-// hasherState pairs the active hash function with a generation counter
-// bumped on every re-hash; it is published atomically for concurrent
-// Prepare callers.
-type hasherState struct {
-	h   *hashing.Hasher
-	gen uint64
-}
-
-// setHasher installs h as the active hash function and publishes it with
-// a fresh generation. Called from the construction and re-hash paths,
-// always on the (single) executing goroutine.
-func (t *PIMTrie) setHasher(h *hashing.Hasher) {
-	t.h = h
-	gen := uint64(0)
-	if old := t.hcur.Load(); old != nil {
-		gen = old.gen + 1
-	}
-	t.hcur.Store(&hasherState{h: h, gen: gen})
-}
-
 // Prepared is the host-side phase-A precomputation of one batch: the
 // query trie (split to shippable edge lengths) and the node hashes under
-// one hash-function generation. It is immutable after Prepare returns
-// and must be consumed by at most one *Prepared operation.
+// one hash function. It is immutable after Prepare returns and must be
+// consumed by at most one *Prepared operation.
 type Prepared struct {
 	batch  []bitstr.String
 	qt     *querytrie.QueryTrie
 	hashes []hashing.Value
-	gen    uint64
+	h      *hashing.Hasher
 }
 
 // Batch returns the batch the preparation was built for. The slice is
@@ -59,28 +35,27 @@ type Prepared struct {
 func (p *Prepared) Batch() []bitstr.String { return p.batch }
 
 // Prepare precomputes the host-side query trie and node hashes for a
-// batch. Unlike every other PIMTrie method, Prepare is safe to call
-// concurrently with an executing batch (it takes no scratch and charges
-// no model cost — the consuming operation accounts for the preparation
-// as if it ran inline).
+// batch. It charges no model cost — the consuming operation accounts
+// for the preparation as if it ran inline.
 func (t *PIMTrie) Prepare(batch []bitstr.String) *Prepared {
-	hs := t.hcur.Load()
+	defer t.beginBatch("Prepare")()
 	qt := querytrie.Build(batch)
 	qt.Trie.SplitLongEdges(t.cfg.MasterChunkWords * bitstr.WordBits)
 	return &Prepared{
 		batch:  batch,
 		qt:     qt,
-		hashes: qt.NodeHashes(hs.h, nil),
-		gen:    hs.gen,
+		hashes: qt.NodeHashes(t.h, nil),
+		h:      t.h,
 	}
 }
 
 // consumePrepared turns a staged preparation into the internal prep
 // form, charging the same model cost prepare would have. It returns nil
-// when the preparation is stale (hash generation changed since it was
-// built), in which case the caller must prepare inline.
+// when the preparation is stale (a re-hash installed a new hash
+// function since it was built), in which case the caller must prepare
+// inline.
 func (t *PIMTrie) consumePrepared(pb *Prepared) *prep {
-	if pb == nil || pb.gen != t.hcur.Load().gen {
+	if pb == nil || pb.h != t.h {
 		return nil
 	}
 	t.sys.CPUWork(pb.qt.SizeWords())

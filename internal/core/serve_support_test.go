@@ -16,7 +16,8 @@ import (
 )
 
 // TestConcurrentBatchPanics asserts the in-use guard makes concurrent
-// direct batch calls fail loudly instead of corrupting pooled scratch.
+// direct batch calls — Prepare among them — fail loudly instead of
+// corrupting pooled scratch or racing a re-hash.
 func TestConcurrentBatchPanics(t *testing.T) {
 	r := rand.New(rand.NewSource(21))
 	keys := make([]bitstr.String, 64)
@@ -31,23 +32,25 @@ func TestConcurrentBatchPanics(t *testing.T) {
 	pt.Build(keys, vals)
 
 	end := pt.beginBatch("test")
-	func() {
-		defer func() {
-			r := recover()
-			if r == nil {
-				t.Fatal("LCP while another batch is in flight did not panic")
-			}
-			if msg, ok := r.(string); !ok || !strings.Contains(msg, "concurrent") {
-				t.Fatalf("panic message %v does not name the concurrency misuse", r)
-			}
+	for _, tc := range []struct {
+		name string
+		call func()
+	}{
+		{"LCP", func() { pt.LCP(keys[:4]) }},
+		{"Prepare", func() { pt.Prepare(keys[:4]) }},
+	} {
+		func() {
+			defer func() {
+				r := recover()
+				if r == nil {
+					t.Fatalf("%s while another batch is in flight did not panic", tc.name)
+				}
+				if msg, ok := r.(string); !ok || !strings.Contains(msg, "concurrent") {
+					t.Fatalf("%s: panic message %v does not name the concurrency misuse", tc.name, r)
+				}
+			}()
+			tc.call()
 		}()
-		pt.LCP(keys[:4])
-	}()
-
-	// Prepare is the documented exception: host-only, touches no pooled
-	// scratch, must be legal while a batch executes.
-	if pb := pt.Prepare(keys[:4]); pb == nil {
-		t.Fatal("Prepare returned nil while a batch was in flight")
 	}
 	end()
 
@@ -168,6 +171,66 @@ func TestPreparedMetricsIdentical(t *testing.T) {
 		t.Fatal("DeletePrepared results differ from Delete")
 	}
 	pi.diffEqual(t, ps, "Delete")
+}
+
+// TestStalePreparedRedone prepares a batch, forces a re-hash, then
+// consumes the stale preparation: the consumer must notice the new hash
+// function and prepare inline, so answers equal the plain op's and the
+// model cost equals an index that re-hashed and ran the plain op.
+func TestStalePreparedRedone(t *testing.T) {
+	r := rand.New(rand.NewSource(45))
+	keys := make([]bitstr.String, 300)
+	vals := make([]uint64, len(keys))
+	for i := range keys {
+		keys[i] = randomKey(r, 64)
+		vals[i] = uint64(i + 1)
+	}
+	queries := append(keys[:64:64], randomKey(r, 64), randomKey(r, 64))
+	ins := make([]bitstr.String, 64)
+	insVals := make([]uint64, len(ins))
+	for i := range ins {
+		ins[i] = randomKey(r, 64)
+		insVals[i] = uint64(i + 1000)
+	}
+	newLoaded := func() (*PIMTrie, *metricsProbe) {
+		pt, sys := newTestTrie(8, Config{})
+		pt.Build(keys, vals)
+		return pt, &metricsProbe{sys: sys, last: sys.Metrics()}
+	}
+	plain, pp := newLoaded()
+	stale, ps := newLoaded()
+
+	stalePrep := func(batch []bitstr.String) *Prepared {
+		pb := stale.Prepare(batch)
+		stale.rehash()
+		if pb.h == stale.h {
+			t.Fatal("re-hash kept the hash function the preparation used")
+		}
+		return pb
+	}
+
+	plain.rehash()
+	wantLCP := plain.LCP(queries)
+	if got := stale.LCPPrepared(stalePrep(queries)); !reflect.DeepEqual(wantLCP, got) {
+		t.Fatal("stale LCPPrepared answers differ from LCP")
+	}
+	pp.diffEqual(t, ps, "LCP")
+
+	plain.rehash()
+	plain.Insert(ins, insVals)
+	stale.InsertPrepared(stalePrep(ins), insVals)
+	pp.diffEqual(t, ps, "Insert")
+
+	plain.rehash()
+	wv, wf := plain.Get(ins)
+	gv, gf := stale.GetPrepared(stalePrep(ins))
+	if !reflect.DeepEqual(wv, gv) || !reflect.DeepEqual(wf, gf) {
+		t.Fatal("stale GetPrepared answers differ from Get")
+	}
+	pp.diffEqual(t, ps, "Get")
+	if err := stale.Validate(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 type metricsProbe struct {

@@ -14,8 +14,8 @@ package core
 // a committed batch or none of them. Under the serve layer, batches
 // are write epochs, making snapshots epoch-atomic.
 //
-// Snapshot is exempt from the beginBatch single-caller guard, like
-// Prepare: it touches no pooled scratch and no module state, only the
+// Snapshot is exempt from the beginBatch single-caller guard: it
+// touches no pooled scratch and no module state, only the
 // lock-protected shadow. It is therefore safe to call from any
 // goroutine while batches execute — this is what "copy-on-write"
 // buys: the Flat is built once per shadow version (memoized in

@@ -20,12 +20,6 @@ import (
 	"github.com/pimlab/pimtrie/internal/metrics"
 )
 
-// Pipeline stage indexes for the stage-busy gauges.
-const (
-	stagePrepare = iota
-	stageExecute
-)
-
 // Why a write epoch ended before the write FIFO did; indexes
 // serveMetrics.writeCuts.
 const (
@@ -53,12 +47,9 @@ type serveMetrics struct {
 	snapFallbacks *metrics.Counter
 	snapAge       *metrics.Gauge
 	snapEpoch     *metrics.Gauge
-	compChunks    *metrics.Counter
-	compChunkKeys *metrics.Histogram
 
 	prepareSec *metrics.Histogram
 	executeSec *metrics.Histogram
-	stageBusy  [2]*metrics.Gauge
 
 	degraded     *metrics.Gauge
 	deadModules  *metrics.Gauge
@@ -89,10 +80,8 @@ func newServeMetrics(reg *metrics.Registry, base []metrics.Label) *serveMetrics 
 		snapFallbacks: reg.Counter("pimtrie_serve_snapshot_fallbacks_total", "ReadSnapshot keys sent back to the epoch path by the recent-writes filter", lbl()...),
 		snapAge:       reg.Gauge("pimtrie_serve_snapshot_age_epochs", "committed write epochs the published snapshot trailed by at the last snapshot read", lbl()...),
 		snapEpoch:     reg.Gauge("pimtrie_serve_snapshot_epoch", "write-epoch stamp of the currently published snapshot", lbl()...),
-		compChunks:    reg.Counter("pimtrie_serve_completion_chunks_total", "batched completion chunks handed to the completion workers", lbl()...),
-		compChunkKeys: reg.Histogram("pimtrie_serve_completion_chunk_keys", "keys resolved per batched completion chunk", lbl()...),
-		prepareSec:    reg.Histogram("pimtrie_serve_prepare_seconds", "host-side preparation time per epoch (pipeline stage A)", lbl()...),
-		executeSec:    reg.Histogram("pimtrie_serve_execute_seconds", "index execution time per epoch (pipeline stage B)", lbl()...),
+		prepareSec:    reg.Histogram("pimtrie_serve_prepare_seconds", "host-side preparation time per epoch", lbl()...),
+		executeSec:    reg.Histogram("pimtrie_serve_execute_seconds", "index execution time per epoch, settling its futures included", lbl()...),
 		degraded:      reg.Gauge("pimtrie_index_degraded", "1 while a module-loss recovery is in progress", lbl()...),
 		deadModules:   reg.Gauge("pimtrie_index_dead_modules", "currently crash-stopped modules", lbl()...),
 		recoveries:    reg.Counter("pimtrie_index_recoveries_total", "completed module-loss recoveries", lbl()...),
@@ -101,8 +90,6 @@ func newServeMetrics(reg *metrics.Registry, base []metrics.Label) *serveMetrics 
 		modulesLost: reg.Counter("pimtrie_index_modules_lost_total", "modules lost across all recoveries", lbl()...),
 		recoveryIO:  reg.Counter("pimtrie_index_recovery_io_words_total", "model IO words spent on repairs", lbl()...),
 	}
-	m.stageBusy[stagePrepare] = reg.Gauge("pimtrie_serve_stage_busy", "1 while the pipeline stage is working", lbl(metrics.L("stage", "prepare"))...)
-	m.stageBusy[stageExecute] = reg.Gauge("pimtrie_serve_stage_busy", "1 while the pipeline stage is working", lbl(metrics.L("stage", "execute"))...)
 	for op := Op(0); op < numOps; op++ {
 		l := metrics.L("op", op.String())
 		m.requests[op] = reg.Counter("pimtrie_serve_requests_total", "admitted requests (calls, not keys); rate() gives per-op arrival rate", lbl(l)...)

@@ -110,14 +110,9 @@ func TestServeMetricsMatchStats(t *testing.T) {
 		t.Errorf("latency observations = %d, admitted requests = %d", observed, requests)
 	}
 
-	// Quiesced server: nothing queued, no stage running.
+	// Quiesced server: nothing queued.
 	if d := v["pimtrie_serve_queue_depth"].(float64); d != 0 {
 		t.Errorf("queue depth after Close = %v, want 0", d)
-	}
-	for _, stage := range []string{"prepare", "execute"} {
-		if b := v[`pimtrie_serve_stage_busy{stage="`+stage+`"}`].(float64); b != 0 {
-			t.Errorf("stage_busy{%s} after Close = %v, want 0", stage, b)
-		}
 	}
 
 	// The dedupe-ratio gauge must equal the ratio its own counters imply.

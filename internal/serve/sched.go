@@ -1,15 +1,14 @@
 package serve
 
-// The epoch scheduler. A single batcher goroutine drains the request
-// queues into epoch plans — a write epoch is the longest prefix of the
-// write FIFO that commutes into "all its inserts, then all its deletes"
-// (formWriteLocked), a read epoch groups one deduplicated sub-batch per
-// read op — and runs the host-side preparation (Index.PrepareBatch) for
-// each sub-batch. A single executor goroutine consumes plans in
-// formation order and runs them on the index, so the committed epoch
-// order IS the formation order, and while the executor drives epoch k's
-// PIM rounds the batcher is already hashing and sorting epoch k+1: the
-// two-stage host/PIM pipeline.
+// The epoch scheduler. One executor goroutine owns each epoch from
+// start to finish: it drains the request queues into an epoch plan — a
+// write epoch is the longest prefix of the write FIFO that commutes
+// into "all its inserts, then all its deletes" (formWriteLocked), a
+// read epoch groups one deduplicated sub-batch per read op — runs the
+// host-side preparation (Index.PrepareBatch) of each sub-batch, runs
+// the plan on the index and settles every future, and only then forms
+// the next epoch. The committed epoch order is the formation order, and
+// a request that arrives while epoch k runs lands in epoch k+1.
 //
 // Consistency: the index is only touched by the executor, epochs never
 // interleave, reads and writes never share an epoch, and a write epoch
@@ -44,7 +43,7 @@ type readBatch struct {
 	prep  *pimtrie.PreparedBatch
 }
 
-// epochPlan is one formed epoch, handed from batcher to executor.
+// epochPlan is one formed epoch.
 type epochPlan struct {
 	write bool
 	// Read epoch: sub-batches indexed by OpGet/OpLCP/OpSubtree.
@@ -83,12 +82,8 @@ type Server struct {
 	idBuf        []byte   // scratch for appendKeyID, reused under mu
 	prefixLoad   []uint64 // per-prefix executed keys (Options.PrefixLoadBits)
 
-	kick     chan struct{} // batcher wake-up, capacity 1
-	closedCh chan struct{}
-	plans    chan *epochPlan
-	demand   chan struct{} // executor's request for the next plan
-	compCh   chan []*call  // batched completion chunks to the completers
-	wg       sync.WaitGroup
+	kick chan struct{} // executor wake-up, capacity 1
+	wg   sync.WaitGroup
 
 	// Snapshot read path (Options.SnapshotReads); see snapshot.go.
 	snapFilter    *writeFilter              // recent-writes filter, nil when disabled
@@ -121,14 +116,12 @@ func NewServer(ix *pimtrie.Index, opts Options) *Server {
 }
 
 // newServer builds a Server whose scheduler goroutines are not running
-// yet; tests form and execute epochs on it by hand (of at most
-// inlineCompletion calls each: a larger delivery needs the completers).
+// yet; tests form and execute epochs on it by hand.
 func newServer(ix *pimtrie.Index, opts Options) *Server {
 	s := &Server{
-		ix:       ix,
-		opts:     opts.withDefaults(),
-		kick:     make(chan struct{}, 1),
-		closedCh: make(chan struct{}),
+		ix:   ix,
+		opts: opts.withDefaults(),
+		kick: make(chan struct{}, 1),
 	}
 	if s.opts.PrefixLoadBits > 0 {
 		s.prefixLoad = make([]uint64, 1<<uint(s.opts.PrefixLoadBits))
@@ -158,30 +151,8 @@ func (s *Server) start() {
 		s.wg.Add(1)
 		go s.publisher()
 	}
-	// Formation is demand-paced: the executor emits one demand token
-	// when it starts an epoch, and the batcher forms exactly one plan
-	// per token. Epoch k+1 is therefore formed (and host-prepared,
-	// overlapping k's PIM rounds) from everything queued at the moment
-	// k starts — one full wave of arrivals. Forming any earlier
-	// fragments waves into small epochs that then persist: each epoch's
-	// completers resubmit together, so epoch sizes are self-reproducing
-	// and the pipeline would inherit its startup fragmentation forever.
-	s.plans = make(chan *epochPlan)
-	s.demand = make(chan struct{}, 1)
-	s.demand <- struct{}{}
 	s.wg.Add(1)
 	go s.executor()
-	// Completion delivery is batched: the executor hands each epoch's
-	// resolved calls to the completers in chunks instead of settling
-	// every future inline, so result distribution stops scaling the
-	// executor's critical path with the client count.
-	s.compCh = make(chan []*call, completionQueue)
-	for i := 0; i < completionWorkers; i++ {
-		s.wg.Add(1)
-		go s.completer()
-	}
-	s.wg.Add(1)
-	go s.batcher()
 }
 
 // Close drains every queued request, waits for the final epoch to
@@ -192,12 +163,9 @@ func (s *Server) start() {
 // ErrClosed.
 func (s *Server) Close() {
 	s.mu.Lock()
-	if !s.closed {
-		s.closed = true
-		close(s.closedCh)
-	}
+	s.closed = true
 	s.mu.Unlock()
-	s.kickBatcher()
+	s.wake()
 	s.wg.Wait()
 	if s.dur != nil {
 		s.dur.shutdown()
@@ -223,7 +191,8 @@ func (s *Server) History() []*EpochRecord {
 	return s.hist
 }
 
-func (s *Server) kickBatcher() {
+// wake nudges the executor to look at the queues again.
+func (s *Server) wake() {
 	select {
 	case s.kick <- struct{}{}:
 	default:
@@ -231,7 +200,7 @@ func (s *Server) kickBatcher() {
 }
 
 // submit admits one request: resolve trivially or enqueue for the
-// batcher.
+// executor.
 func (s *Server) submit(op Op, keys []Key, values []uint64) *future {
 	f := newFuture()
 	if len(keys) == 0 {
@@ -260,7 +229,7 @@ func (s *Server) submit(op Op, keys []Key, values []uint64) *future {
 		s.met.queueDepth.Add(1)
 	}
 	s.mu.Unlock()
-	s.kickBatcher()
+	s.wake()
 	return f
 }
 
@@ -278,76 +247,19 @@ func (s *Server) resolveEmpty(op Op, f *future) {
 	f.settle()
 }
 
-// batcher is pipeline stage A: await executor demand, form the next
-// epoch, run its host-side preparation, hand it to the executor.
-func (s *Server) batcher() {
-	defer s.wg.Done()
-	for {
-		s.awaitDemand()
-		plan := s.nextPlan()
-		if plan == nil {
-			close(s.plans)
-			return
-		}
-		s.prepare(plan)
-		s.plans <- plan
-	}
-}
-
-// awaitDemand blocks until the executor asks for the next plan. Once
-// the server is closed it returns at once — drain mode: stop pacing on
-// demand and form as fast as the unbuffered plans channel allows.
-func (s *Server) awaitDemand() {
-	select {
-	case <-s.demand:
-	case <-s.closedCh:
-	}
-}
-
-// executor is pipeline stage B: run each plan on the index in formation
-// order. Demand for plan k+1 is signalled as k starts, so the batcher
-// forms and prepares k+1 while k's PIM rounds run.
+// executor owns each epoch from start to finish: form it from
+// everything queued, prepare it, run it on the index and settle its
+// futures — then form the next. Once the server is closed and drained
+// it stops the snapshot publisher, whose final publish then captures
+// the drained state.
 func (s *Server) executor() {
 	defer s.wg.Done()
-	for plan := range s.plans {
-		select {
-		case s.demand <- struct{}{}:
-		default:
-		}
+	for plan := s.nextPlan(); plan != nil; plan = s.nextPlan() {
+		s.prepare(plan)
 		s.execute(plan)
 	}
-	s.finishExec()
-}
-
-// finishExec runs on the executor once the last epoch has committed:
-// it stops the completers and the snapshot publisher (whose final
-// publish then captures the fully drained state).
-func (s *Server) finishExec() {
-	close(s.compCh)
 	if s.snapDirty != nil {
 		close(s.snapDirty)
-	}
-}
-
-// Batched completion delivery: chunks of this many resolved calls wake
-// one completer each, amortizing the scheduler handoff; epochs at or
-// below inlineCompletion calls settle inline — a chunk handoff would
-// cost more than it saves.
-const (
-	completionWorkers = 2
-	completionQueue   = 16
-	completionChunk   = 32
-	inlineCompletion  = 4
-)
-
-// completer settles chunks of resolved calls off the executor's
-// critical path.
-func (s *Server) completer() {
-	defer s.wg.Done()
-	for chunk := range s.compCh {
-		for _, c := range chunk {
-			s.finish(c)
-		}
 	}
 }
 
@@ -369,32 +281,10 @@ func (s *Server) finishErr(c *call, err error) {
 	}
 }
 
-// deliver resolves an epoch's calls: tiny deliveries settle inline,
-// larger ones are chunked onto the completion workers so the executor
-// can move to the next epoch while futures resolve.
+// deliver settles an epoch's resolved calls.
 func (s *Server) deliver(calls []*call) {
-	if len(calls) <= inlineCompletion {
-		for _, c := range calls {
-			s.finish(c)
-		}
-		return
-	}
-	for len(calls) > 0 {
-		n := completionChunk
-		if n > len(calls) {
-			n = len(calls)
-		}
-		chunk := calls[:n:n]
-		calls = calls[n:]
-		if s.met != nil {
-			keys := 0
-			for _, c := range chunk {
-				keys += len(c.keys)
-			}
-			s.met.compChunks.Inc()
-			s.met.compChunkKeys.Observe(float64(keys))
-		}
-		s.compCh <- chunk
+	for _, c := range calls {
+		s.finish(c)
 	}
 }
 
@@ -410,8 +300,8 @@ func (s *Server) pendingLocked() bool {
 
 // nextPlan blocks until requests are pending, then forms the next epoch
 // from everything queued at that moment: there is no timer and no
-// controller, coalescing comes from executor backpressure alone. It
-// returns nil when the server is closed and fully drained.
+// controller, coalescing comes from the previous epoch's run time
+// alone. It returns nil when the server is closed and fully drained.
 func (s *Server) nextPlan() *epochPlan {
 	for {
 		s.mu.Lock()
@@ -425,10 +315,7 @@ func (s *Server) nextPlan() *epochPlan {
 		if closed {
 			return nil
 		}
-		select {
-		case <-s.kick:
-		case <-s.closedCh:
-		}
+		<-s.kick
 	}
 }
 
@@ -663,17 +550,11 @@ func (s *Server) noteExecutedLocked(op Op, uniq int) {
 }
 
 // prepare runs the host-side phase-A preparation of every sub-batch in
-// the plan — the work this layer overlaps with the previous epoch's PIM
-// rounds. PrepareBatch is the one Index method that is safe to call
-// while another batch executes.
+// the plan, timed apart from the PIM rounds that execute then runs.
 func (s *Server) prepare(plan *epochPlan) {
 	if s.met != nil {
 		start := time.Now()
-		s.met.stageBusy[stagePrepare].Set(1)
-		defer func() {
-			s.met.stageBusy[stagePrepare].Set(0)
-			s.met.prepareSec.Observe(time.Since(start).Seconds())
-		}()
+		defer func() { s.met.prepareSec.Observe(time.Since(start).Seconds()) }()
 	}
 	if plan.write {
 		for _, sec := range []*writeSection{&plan.ins, &plan.del} {
@@ -690,25 +571,21 @@ func (s *Server) prepare(plan *epochPlan) {
 	}
 }
 
-// execute commits one epoch on the index and distributes results. An
-// index panic (e.g. an unrecoverable injected fault) fails the epoch's
-// futures instead of killing the scheduler.
+// execute commits one epoch on the index and settles every future of
+// it before returning. An index panic (e.g. an unrecoverable injected
+// fault) fails the epoch's futures instead of killing the scheduler.
 func (s *Server) execute(plan *epochPlan) {
 	defer s.sampleHealth()
 	if s.met != nil {
 		start := time.Now()
-		s.met.stageBusy[stageExecute].Set(1)
-		defer func() {
-			s.met.stageBusy[stageExecute].Set(0)
-			s.met.executeSec.Observe(time.Since(start).Seconds())
-		}()
+		defer func() { s.met.executeSec.Observe(time.Since(start).Seconds()) }()
 	}
 	defer func() {
 		if r := recover(); r != nil {
 			// Fail whatever the epoch had not already resolved. finishErr
-			// is CAS-guarded, so futures a completion worker settled
-			// before the panic (earlier sub-batches of this epoch) are
-			// left alone instead of being double-closed.
+			// is CAS-guarded, so futures settled before the panic
+			// (earlier sub-batches of this read epoch) are left alone
+			// instead of being double-closed.
 			err := fmt.Errorf("serve: index failure: %v", r)
 			if plan.write {
 				if s.dur != nil {

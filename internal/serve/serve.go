@@ -8,24 +8,21 @@
 //
 //   - Admission/coalescing: single- and multi-key async requests (Get,
 //     LCP, Subtree, Insert, Delete) are queued per op type and coalesced
-//     into batches of at most MaxBatch keys. An epoch is formed when the
-//     executor asks for one, from everything queued at that moment;
-//     there is no timer and no controller.
+//     into batches of at most MaxBatch keys. One executor goroutine
+//     forms an epoch from everything queued, prepares it, runs it and
+//     settles its futures, then forms the next; there is no timer and
+//     no controller.
 //   - Read/write epochs: reads from one epoch are grouped and
 //     deduplicated together (singleflight on identical in-flight keys);
 //     mutations form ordered write epochs that fence reads. Every
 //     response is consistent with the serial order of committed epochs.
-//   - Host/PIM pipelining: the host-side preparation of epoch k+1
-//     (query-trie construction, sorting, hashing — Index.PrepareBatch)
-//     overlaps with the PIM rounds of epoch k in a two-stage pipeline.
 //   - Two answer paths for a Get: the strong epoch path above, and
 //     (opt-in, Options.SnapshotReads) wait-free ReadSnapshot probes of
 //     the latest published snapshot; see snapshot.go.
 //
 // Model metrics for any individual executed batch are bit-identical to
 // direct Index calls on the same batch; the serving layer changes which
-// batches run and overlaps wall-clock work, never the per-batch model
-// cost.
+// batches run, never the per-batch model cost.
 package serve
 
 import (
@@ -89,8 +86,8 @@ type Options struct {
 	RecordHistory bool
 	// Metrics, when non-nil, registers the live serving instruments in
 	// the given registry and keeps them updated: per-op arrival counters
-	// and end-to-end latency histograms, queue-depth and pipeline-stage
-	// gauges, linger and epoch-size histograms, dedupe counters,
+	// and end-to-end latency histograms, the queue-depth gauge, linger,
+	// prepare, execute and epoch-size histograms, dedupe counters,
 	// and the post-epoch index health feed behind Server.Health. Nil
 	// (the default) disables instrumentation entirely — the hot path
 	// then pays one nil check per site.
@@ -180,9 +177,9 @@ type Stats struct {
 }
 
 // future carries one request's results. Resolution is exactly-once by
-// construction: settle/fail race through one CAS on state, so the
-// completion workers, the executor's panic-recover sweep, and the WAL
-// error path can all attempt resolution without coordinating. Result
+// construction: settle/fail race through one CAS on state, so result
+// delivery, the executor's panic-recover sweep, and the WAL error path
+// can all attempt resolution without coordinating. Result
 // fields are written only by the winning resolver before done closes;
 // waiters read them only after done.
 type future struct {

@@ -112,8 +112,8 @@ func keyHash(k Key) uint64 {
 // executor's dirty signal after each committed write epoch and installs
 // a fresh (flat, stamp) pair. Index.Snapshot is memoized per shadow
 // version and safe concurrently with executing batches (core COW
-// snapshots, PR 9), so republication costs one flatten per version at
-// most and never blocks the pipeline.
+// snapshots), so republication costs one flatten per version at most
+// and never blocks the executor.
 func (s *Server) publisher() {
 	defer s.wg.Done()
 	for range s.snapDirty {

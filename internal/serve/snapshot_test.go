@@ -301,13 +301,13 @@ func TestSnapshotPairAtomicity(t *testing.T) {
 	srv.Close()
 }
 
-// TestSnapshotMetricsLint renders a registry carrying the snapshot and
-// completion-batch instruments after live traffic and lints the
-// exposition — CI coverage that the new series obey the conventions.
+// TestSnapshotMetricsLint renders a registry carrying the snapshot
+// instruments after live traffic and lints the exposition — CI coverage
+// that the series obey the conventions.
 func TestSnapshotMetricsLint(t *testing.T) {
 	reg := metrics.NewRegistry()
 	srv, _, pool := newServedSnap(t, 4, 128, serve.Options{SnapshotReads: true, Metrics: reg})
-	// Touch both paths so counters, gauges, and the chunk histogram emit.
+	// Touch both paths so the counters and gauges emit.
 	for i := 0; i < 4; i++ {
 		if _, _, err := srv.GetWith(serve.ReadSnapshot, pool[i]); err != nil {
 			t.Fatal(err)
@@ -331,8 +331,6 @@ func TestSnapshotMetricsLint(t *testing.T) {
 		"# TYPE pimtrie_serve_snapshot_fallbacks_total counter",
 		"# TYPE pimtrie_serve_snapshot_age_epochs gauge",
 		"# TYPE pimtrie_serve_snapshot_epoch gauge",
-		"# TYPE pimtrie_serve_completion_chunks_total counter",
-		"# TYPE pimtrie_serve_completion_chunk_keys histogram",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("exposition missing %q", want)

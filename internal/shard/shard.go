@@ -3,9 +3,9 @@
 // pimtrie.Index (its own simulated PIM system) fronted by its own
 // serve.Server (its own epoch scheduler) — and scatter/gathers batched
 // operations across them. One Index+Server deployment saturates a
-// single serve scheduler; N shards behind a router multiply the epoch
-// pipelines, which is the unlock for serving traffic far beyond one
-// PIM system's capacity.
+// single serve executor; N shards behind a router run N executors side
+// by side, which is the unlock for serving traffic far beyond one PIM
+// system's capacity.
 //
 // Partitioning. Keys are routed by their first RouteBits bits: the key
 // space splits into 2^RouteBits contiguous "slots" (lexicographic

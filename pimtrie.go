@@ -116,10 +116,7 @@ type Recorder = pim.Recorder
 // which coalesces requests into batches and serializes execution (and
 // to scale past one simulated PIM system, shard.Router spreads the
 // keyspace over several Index+Server pairs with hot-range migration
-// between them). The
-// one exception is PrepareBatch, which is explicitly safe to run
-// concurrently with an executing batch (it is the pipeline stage the
-// serving layer overlaps with PIM rounds).
+// between them). PrepareBatch is a batch method like the others.
 type Index struct {
 	sys  *pim.System
 	core *core.PIMTrie
@@ -195,13 +192,12 @@ func (ix *Index) Subtrees(prefixes []Key) [][]KV {
 }
 
 // PrepareBatch precomputes the host-side query trie and node hashes for
-// a batch without executing anything on the simulated system. Unlike
-// every other Index method, PrepareBatch is safe to call concurrently
-// with an executing batch: the serving layer uses it to overlap the
-// host prep of batch k+1 with the PIM rounds of batch k. Consume the
-// result with LCPPrepared, GetPrepared, SubtreesPrepared,
-// InsertPrepared or DeletePrepared; model metrics of the consuming call
-// are bit-identical to the plain variant on the same batch.
+// a batch without executing anything on the simulated system. Like
+// every other batch method it is single-caller: a call concurrent with
+// another batch panics. Consume the result with LCPPrepared,
+// GetPrepared, SubtreesPrepared, InsertPrepared or DeletePrepared;
+// model metrics of the consuming call are bit-identical to the plain
+// variant on the same batch.
 func (ix *Index) PrepareBatch(batch []Key) *PreparedBatch { return ix.core.Prepare(batch) }
 
 // LCPPrepared is LCP over a batch staged with PrepareBatch.
