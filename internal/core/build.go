@@ -38,8 +38,10 @@ func (t *PIMTrie) Build(keys []bitstr.String, values []uint64) {
 		panic(fmt.Sprintf("core: Build keys/values length mismatch: %d keys, %d values", len(keys), len(values)))
 	}
 	defer t.beginBatch("Build")()
-	t.shadowInsert(keys, values)
-	t.withRecovery(true, func() { t.buildOnce(keys, values) })
+	t.shadowWrites(&epoch{keys: [numSections][]bitstr.String{secInsert: keys}, values: values})
+	// A targeted repair restores the state before the load, which then
+	// runs again; a full rebuild from the shadow is the loaded state.
+	t.withRecovery(func() { t.buildOnce(keys, values) }, func(full bool) bool { return full })
 	t.syncKeyCount()
 }
 

@@ -245,6 +245,7 @@ type PIMTrie struct {
 	outcome     matchOutcome
 	pieceBuf    []*piece        // update ops: anchor piece per unique key
 	relBuf      []bitstr.String // remainder below the anchor per unique key
+	markBuf     []bool          // update ops: unique keys of the section applied
 	groupBuf    []keyGroup      // update ops: per-block key groups
 	groupKeyBuf []int32         // the groups' key ordinals, back to back
 	groupOrdBuf []int32         // group ordinals sorted by block address

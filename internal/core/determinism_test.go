@@ -155,13 +155,15 @@ type sizeSeqResult struct {
 	found    [][]bool
 	deleted  [][]bool
 	subtrees [][][]trie.KV
+	mixed    []Result
 	metrics  []pim.Metrics
 	stats    Stats
 }
 
 // runSizeSequence drives one index over the keys gen draws through
 // batches of 4096, 1, 3, 64, 1, 4096 and 1 keys — LCP, Get, Insert,
-// Delete and SubtreeQueryBatch at every size — checking each answer
+// Delete and SubtreeQueryBatch at every size, then one Apply of all
+// five sections over up to 16 of the keys — checking each answer
 // against the sequential trie oracle and Validate() after every mutation.
 // The per-batch scratch is sized by the largest batch so far, so a small
 // batch after a large one is where state left behind by the large one
@@ -246,6 +248,41 @@ func runSizeSequence(t *testing.T, par int, cfg Config, gen func(*workload.Gen) 
 				t.Fatalf("step %d (%d keys): Subtree(%q) has %d pairs, oracle %d", step, n, p, len(subs[i]), len(want))
 			}
 		}
+		// One batch of every section: its reads see the state before it,
+		// then its inserts land, then its deletes — of keys it also reads
+		// and inserts.
+		m := q[:min(n, 16)]
+		mixVals := make([]uint64, len(m))
+		for i := range mixVals {
+			mixVals[i] = r.Uint64()
+		}
+		mixed := pt.Apply(Batch{Gets: m, LCPs: m, Subtrees: m[:min(len(m), 2)], Inserts: m, Values: mixVals, Deletes: m[:len(m)/2+1]})
+		for i, k := range m {
+			if wv, wok := oracle.Get(k); mixed.Found[i] != wok || (wok && mixed.Values[i] != wv) || mixed.LCPs[i] != oracle.LCPLen(k) {
+				t.Fatalf("step %d (%d keys): mixed batch read %q = %d,%v,%d; serial order says %d,%v,%d",
+					step, n, k, mixed.Values[i], mixed.Found[i], mixed.LCPs[i], wv, wok, oracle.LCPLen(k))
+			}
+		}
+		for i, p := range m[:len(mixed.Subtrees)] {
+			if want := oracle.SubtreeKeys(p); len(mixed.Subtrees[i]) != len(want) {
+				t.Fatalf("step %d (%d keys): mixed batch Subtree(%q) has %d pairs, serial order %d", step, n, p, len(mixed.Subtrees[i]), len(want))
+			}
+		}
+		for i, k := range m {
+			oracle.Insert(k, mixVals[i])
+		}
+		for i, k := range m[:len(m)/2+1] {
+			if want := oracle.Delete(k); mixed.Deleted[i] != want {
+				t.Fatalf("step %d (%d keys): mixed batch Delete(%q) = %v, serial order says %v", step, n, k, mixed.Deleted[i], want)
+			}
+		}
+		if err := pt.Validate(); err != nil {
+			t.Fatalf("step %d (%d keys): after the mixed batch: %v", step, n, err)
+		}
+		if pt.KeyCount() != oracle.KeyCount() {
+			t.Fatalf("step %d (%d keys): KeyCount = %d after the mixed batch, oracle %d", step, n, pt.KeyCount(), oracle.KeyCount())
+		}
+		res.mixed = append(res.mixed, mixed)
 		res.lcps = append(res.lcps, lcp)
 		res.values = append(res.values, vals)
 		res.found = append(res.found, found)

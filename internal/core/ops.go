@@ -1,9 +1,14 @@
 package core
 
-// The four batch operations of §5: LongestCommonPrefix, Insert, Delete
-// and SubtreeQuery. Each prepares a query trie, runs the matching
-// protocol (with the collision-redo loop of §4.4.3), and post-processes
-// the merged match outcome.
+// The batch operations of §5 — LongestCommonPrefix, Get, Insert, Delete
+// and SubtreeQuery — as the tagged sections of one Batch. Every one of
+// them begins with the same §4 match, so Apply matches the union of the
+// batch's keys once (with the collision-redo loop of §4.4.3), answers
+// every read section from that outcome, applies the insert section from
+// it too, and matches again only for a delete section that follows an
+// insert section. A batch is therefore serially equivalent to its reads,
+// then its inserts, then its deletes. The per-op methods are one-section
+// batches.
 
 import (
 	"cmp"
@@ -15,6 +20,55 @@ import (
 	"github.com/pimlab/pimtrie/internal/pim"
 	"github.com/pimlab/pimtrie/internal/trie"
 )
+
+// Batch is one batch of tagged sections. Any section may be empty.
+// Inserts pair with Values; within a section, later duplicate inserts
+// win and duplicate deletes report true once, as if applied one by one.
+type Batch struct {
+	Gets     []bitstr.String
+	LCPs     []bitstr.String
+	Subtrees []bitstr.String // prefixes
+	Inserts  []bitstr.String
+	Values   []uint64
+	Deletes  []bitstr.String
+}
+
+// Result answers a Batch section by section, position by position.
+type Result struct {
+	Values []uint64 // per Gets key: the stored value, when Found
+	Found  []bool   // per Gets key
+	LCPs   []int    // per LCPs key: bits of its longest prefix present
+	// Subtrees holds, per prefix, the stored pairs extending it in
+	// lexicographic order.
+	Subtrees [][]trie.KV
+	Deleted  []bool // per Deletes key: whether the delete found it
+}
+
+// The sections of a batch, in the order the batch is serially
+// equivalent to.
+const (
+	secGet = iota
+	secLCP
+	secSubtree
+	secInsert
+	secDelete
+	numSections
+)
+
+var sectionPhase = [numSections]string{"get", "lcp", "subtree", "insert", "delete"}
+
+// epoch is one Apply call in progress. A module-loss repair restarts the
+// unfinished sections only, so done records what is already answered or
+// applied.
+type epoch struct {
+	keys     [numSections][]bitstr.String
+	values   []uint64
+	res      Result
+	pb       *Prepared // staged preparation of a one-section batch, or nil
+	done     [numSections]bool
+	off      [numSections]int // where each section starts in the stage's batch
+	shadowed bool             // the writes are in the host shadow
+}
 
 // keyGroup is the share of an update batch that lands in one block: the
 // unique keys whose anchor piece is a hit on that block's root.
@@ -144,112 +198,168 @@ func (t *PIMTrie) matchWithRedo(batch []bitstr.String, pb *Prepared) *matchOutco
 	panic("core: exceeded MaxRedo matching attempts; widen HashWidth")
 }
 
-// LCP answers a batch of LongestCommonPrefix queries (§5.1): result[i]
-// is the length in bits of the longest prefix of batch[i] present in the
-// index (as a prefix of any stored key).
-func (t *PIMTrie) LCP(batch []bitstr.String) []int { return t.lcpBatch(batch, nil) }
+// Apply runs one batch (see Batch): it answers every read section from
+// the state before the batch, then stores the inserts, then removes the
+// deletes.
+func (t *PIMTrie) Apply(b Batch) Result { return t.apply(b, nil) }
 
-// LCPPrepared is LCP consuming a staged host-side preparation (see
-// Prepare); model metrics are identical to LCP on the same batch.
-func (t *PIMTrie) LCPPrepared(pb *Prepared) []int { return t.lcpBatch(pb.batch, pb) }
+func (t *PIMTrie) apply(b Batch, pb *Prepared) Result {
+	if len(b.Inserts) != len(b.Values) {
+		panic(fmt.Sprintf("core: Batch has %d inserts but %d values", len(b.Inserts), len(b.Values)))
+	}
+	e := epoch{
+		keys:   [numSections][]bitstr.String{b.Gets, b.LCPs, b.Subtrees, b.Inserts, b.Deletes},
+		values: b.Values,
+		res: Result{
+			Values:   make([]uint64, len(b.Gets)),
+			Found:    make([]bool, len(b.Gets)),
+			LCPs:     make([]int, len(b.LCPs)),
+			Subtrees: make([][]trie.KV, len(b.Subtrees)),
+			Deleted:  make([]bool, len(b.Deletes)),
+		},
+		pb: pb,
+	}
+	for s, keys := range e.keys {
+		e.done[s] = len(keys) == 0
+	}
+	if !e.pending() {
+		return e.res
+	}
+	defer t.beginBatch("Apply")()
+	t.withRecovery(func() { t.runEpoch(&e) }, func(full bool) bool {
+		// A full rebuild reloads the shadow, which already holds every
+		// write of the batch: replaying them would be wrong for deletes
+		// and wasteful for inserts. A targeted repair restored the state
+		// before the interrupted section, which then runs again.
+		if full && e.shadowed {
+			e.done[secInsert], e.done[secDelete] = true, true
+		}
+		return !e.pending()
+	})
+	if e.shadowed {
+		t.syncKeyCount()
+	}
+	return e.res
+}
 
-func (t *PIMTrie) lcpBatch(batch []bitstr.String, pb *Prepared) []int {
-	if len(batch) == 0 {
+func (e *epoch) pending() bool { return slices.Contains(e.done[:], false) }
+
+// runEpoch runs the batch's stages until every section is done.
+func (t *PIMTrie) runEpoch(e *epoch) {
+	for e.pending() {
+		t.runStage(e)
+	}
+}
+
+// runStage runs one match and everything it can answer: the pending read
+// sections and the first pending write section. The writes reach the
+// shadow once no read is left to answer from the state before them.
+func (t *PIMTrie) runStage(e *epoch) {
+	if e.done[secGet] && e.done[secLCP] && e.done[secSubtree] {
+		t.shadowWrites(e)
+	}
+	// The stage batch is the pending sections in section order, up to and
+	// including the first pending write section.
+	last, n, sections := 0, 0, 0
+	for s := range e.keys {
+		if e.done[s] {
+			continue
+		}
+		e.off[s], last = n, s
+		n += len(e.keys[s])
+		sections++
+		if s >= secInsert {
+			break
+		}
+	}
+	batch, name := e.keys[last], sectionPhase[last]
+	if sections > 1 {
+		batch, name = make([]bitstr.String, 0, n), "epoch"
+		for s := 0; s <= last; s++ {
+			if !e.done[s] {
+				batch = append(batch, e.keys[s]...)
+			}
+		}
+	}
+	defer t.sys.Phase(name)()
+	out := t.matchWithRedo(batch, e.pb)
+	if !e.done[secGet] {
+		t.answerGets(out, e.off[secGet], e.res.Values, e.res.Found)
+		e.done[secGet] = true
+	}
+	if !e.done[secLCP] {
+		for i := range e.res.LCPs {
+			e.res.LCPs[i] = out.lcpOf(out.qt.Slot[e.off[secLCP]+i])
+		}
+		e.done[secLCP] = true
+	}
+	if !e.done[secSubtree] {
+		t.gatherSubtrees(out, e.off[secSubtree], e.keys[secSubtree], e.res.Subtrees)
+		e.done[secSubtree] = true
+	}
+	t.shadowWrites(e)
+	switch last {
+	case secInsert:
+		t.applyInserts(out, e.off[secInsert], e.keys[secInsert], e.values)
+		e.done[secInsert] = true
+	case secDelete:
+		found := e.res.Deleted
+		if t.recoverable {
+			found = nil // the shadow already answered, and a repair cannot change that
+		}
+		t.applyDeletes(out, e.off[secDelete], e.keys[secDelete], found)
+		e.done[secDelete] = true
+	}
+}
+
+// sectionMarks reports, per unique key of out, whether positions
+// [lo, lo+n) of the matched batch hold it. It returns nil when those
+// positions are the whole batch, so every unique key is the section's.
+func (t *PIMTrie) sectionMarks(out *matchOutcome, lo, n int) []bool {
+	if lo == 0 && n == len(out.qt.Slot) {
 		return nil
 	}
-	defer t.beginBatch("LCP")()
-	var res []int
-	t.withRecovery(false, func() { res = t.lcpOnce(batch, pb) })
-	return res
-}
-
-func (t *PIMTrie) lcpOnce(batch []bitstr.String, pb *Prepared) []int {
-	defer t.sys.Phase("lcp")()
-	out := t.matchWithRedo(batch, pb)
-	res := make([]int, len(batch))
-	for i := range batch {
-		res[i] = out.lcpOf(out.qt.Slot[i])
+	t.markBuf = sized(t.markBuf, len(out.qt.Keys))
+	clear(t.markBuf)
+	for _, u := range out.qt.Slot[lo : lo+n] {
+		t.markBuf[u] = true
 	}
-	return res
+	return t.markBuf
 }
 
-// Get answers a batch of exact lookups: values[i], found[i] reflect
-// batch[i]. Get is LCP plus the exact-node value check, provided because
-// every practical index needs point lookups.
-func (t *PIMTrie) Get(batch []bitstr.String) (values []uint64, found []bool) {
-	return t.getBatch(batch, nil)
-}
-
-// GetPrepared is Get consuming a staged preparation; see Prepare.
-func (t *PIMTrie) GetPrepared(pb *Prepared) (values []uint64, found []bool) {
-	return t.getBatch(pb.batch, pb)
-}
-
-func (t *PIMTrie) getBatch(batch []bitstr.String, pb *Prepared) (values []uint64, found []bool) {
-	if len(batch) == 0 {
-		return []uint64{}, []bool{}
-	}
-	defer t.beginBatch("Get")()
-	t.withRecovery(false, func() { values, found = t.getOnce(batch, pb) })
-	return values, found
-}
-
-func (t *PIMTrie) getOnce(batch []bitstr.String, pb *Prepared) (values []uint64, found []bool) {
-	values = make([]uint64, len(batch))
-	found = make([]bool, len(batch))
-	defer t.sys.Phase("get")()
-	out := t.matchWithRedo(batch, pb)
-	for i := range batch {
-		u := out.qt.Slot[i]
+// answerGets is the exact-node value check on top of the match: Get is
+// LCP plus it, provided because every practical index needs point
+// lookups.
+func (t *PIMTrie) answerGets(out *matchOutcome, lo int, values []uint64, found []bool) {
+	for i := range values {
+		u := out.qt.Slot[lo+i]
 		n := out.qt.Nodes[u]
 		if ex := out.exact[n.Index]; out.reach[n.Index] == n.Depth && ex.hasValue {
 			values[i], found[i] = ex.value, true
 		}
 	}
-	return
 }
 
-// Insert stores a batch of key-value pairs (§5.2). Later duplicates in
-// the batch win, matching sequential insertion semantics.
-func (t *PIMTrie) Insert(keys []bitstr.String, values []uint64) {
-	t.insertBatch(keys, values, nil)
-}
-
-// InsertPrepared is Insert consuming a staged preparation of the key
-// batch; see Prepare.
-func (t *PIMTrie) InsertPrepared(pb *Prepared, values []uint64) {
-	t.insertBatch(pb.batch, values, pb)
-}
-
-func (t *PIMTrie) insertBatch(keys []bitstr.String, values []uint64, pb *Prepared) {
-	if len(keys) != len(values) {
-		panic(fmt.Sprintf("core: Insert keys/values length mismatch: %d keys, %d values", len(keys), len(values)))
-	}
-	if len(keys) == 0 {
-		return
-	}
-	defer t.beginBatch("Insert")()
-	t.shadowInsert(keys, values)
-	t.withRecovery(true, func() { t.insertOnce(keys, values, pb) })
-	t.syncKeyCount()
-}
-
-func (t *PIMTrie) insertOnce(keys []bitstr.String, values []uint64, pb *Prepared) {
-	defer t.sys.Phase("insert")()
-	out := t.matchWithRedo(keys, pb)
+// applyInserts stores the insert section (§5.2) at positions lo.. of
+// the matched batch.
+func (t *PIMTrie) applyInserts(out *matchOutcome, lo int, keys []bitstr.String, values []uint64) {
 	endApply := t.sys.Phase("apply")
 	t.dirty++ // module state is mixed until the apply (and any split) lands
 	// Resolve batch duplicates: last write wins.
 	val := make([]uint64, len(out.qt.Keys))
 	for i := range keys {
-		val[out.qt.Slot[i]] = values[i]
+		val[out.qt.Slot[lo+i]] = values[i]
 	}
 	// Group keys by anchor block: each key is inserted into the block of
 	// its bottommost verified hit, as the remainder relative to that
 	// block's root. Per-key remainder extraction (the allocating part)
 	// fans out; the grouping stays serial.
+	mine := t.sectionMarks(out, lo, len(keys))
 	pcs, rels := t.keyScratch(len(out.qt.Keys))
 	parallel.For(len(out.qt.Keys), func(u int) {
+		if mine != nil && !mine[u] {
+			return
+		}
 		pc := out.anchorPiece[out.qt.Nodes[u].Index]
 		pcs[u] = pc
 		rels[u] = out.qt.Keys[u].Suffix(pc.hit.depth)
@@ -300,60 +410,19 @@ func (t *PIMTrie) insertOnce(keys []bitstr.String, values []uint64, pb *Prepared
 	t.dirty--
 }
 
-// Delete removes a batch of keys (§5.2), reporting per key whether it
-// was present.
-func (t *PIMTrie) Delete(keys []bitstr.String) []bool { return t.deleteBatch(keys, nil) }
-
-// DeletePrepared is Delete consuming a staged preparation; see Prepare.
-func (t *PIMTrie) DeletePrepared(pb *Prepared) []bool { return t.deleteBatch(pb.batch, pb) }
-
-func (t *PIMTrie) deleteBatch(keys []bitstr.String, pb *Prepared) []bool {
-	if len(keys) == 0 {
-		return []bool{}
-	}
-	defer t.beginBatch("Delete")()
-	// In recoverable mode the result comes from the shadow: it encodes
-	// exactly the sequential-duplicate semantics (first occurrence of a
-	// present key reports true), and it survives a mid-batch recovery
-	// that replays or rebuilds the distributed application.
-	var shadowRes []bool
-	if t.recoverable {
-		end := t.sys.Phase("shadow")
-		shadowRes = make([]bool, len(keys))
-		// Whole-batch write lock: a concurrent Snapshot sees all of
-		// this batch's deletes or none of them (see snapshot.go).
-		t.shadowMu.Lock()
-		w := 0
-		for i, k := range keys {
-			shadowRes[i] = t.shadow.Delete(k)
-			w += k.Words() + 1
-		}
-		t.shadowVer++
-		t.shadowMu.Unlock()
-		t.sys.CPUWork(w)
-		end()
-	}
-	var res []bool
-	t.withRecovery(true, func() { res = t.deleteOnce(keys, pb) })
-	t.syncKeyCount()
-	if t.recoverable {
-		return shadowRes
-	}
-	return res
-}
-
-func (t *PIMTrie) deleteOnce(keys []bitstr.String, pb *Prepared) []bool {
-	res := make([]bool, len(keys))
-	defer t.sys.Phase("delete")()
-	out := t.matchWithRedo(keys, pb)
+// applyDeletes removes the delete section (§5.2) at positions lo.. of
+// the matched batch and, when found is not nil, reports per key whether
+// it was present.
+func (t *PIMTrie) applyDeletes(out *matchOutcome, lo int, keys []bitstr.String, found []bool) {
 	endApply := t.sys.Phase("apply")
 	t.dirty++ // module state is mixed until the apply (and any removal) lands
 	// Presence checks and remainder extraction fan out; grouping stays
 	// serial. pcs[u] stays nil for a key that is not stored.
+	mine := t.sectionMarks(out, lo, len(keys))
 	pcs, rels := t.keyScratch(len(out.qt.Keys))
 	parallel.For(len(out.qt.Keys), func(u int) {
 		n := out.qt.Nodes[u]
-		if out.reach[n.Index] != n.Depth || !out.exact[n.Index].hasValue {
+		if (mine != nil && !mine[u]) || out.reach[n.Index] != n.Depth || !out.exact[n.Index].hasValue {
 			return
 		}
 		pc := out.anchorPiece[n.Index]
@@ -412,57 +481,30 @@ func (t *PIMTrie) deleteOnce(keys []bitstr.String, pb *Prepared) []bool {
 		t.removeBlocks(emptied)
 	}
 	t.dirty--
+	if found == nil {
+		return
+	}
 	// Sequential semantics for duplicate batch entries: only the first
 	// occurrence of a present key reports true.
 	reported := make([]bool, len(out.qt.Keys))
 	for i := range keys {
-		u := out.qt.Slot[i]
+		u := out.qt.Slot[lo+i]
 		if pcs[u] != nil && !reported[u] {
-			res[i] = true
+			found[i] = true
 			reported[u] = true
 		}
 	}
-	return res
 }
 
-// SubtreeQuery returns every stored (key, value) whose key extends the
-// given prefix (§5.3), in lexicographic order.
-func (t *PIMTrie) SubtreeQuery(prefix bitstr.String) []trie.KV {
-	return t.SubtreeQueryBatch([]bitstr.String{prefix})[0]
-}
-
-// SubtreeQueryBatch answers a batch of subtree queries (the paper's
-// operations are all batch-parallel, §4 "Overview"): one matching pass
-// locates every prefix, then block contents are gathered level by level
-// over the block trees below the loci, with all queries sharing each
-// BFS round. results[i] corresponds to prefixes[i]; overlapping queries
-// fetch their blocks independently (each result must be complete).
-func (t *PIMTrie) SubtreeQueryBatch(prefixes []bitstr.String) [][]trie.KV {
-	return t.subtreeBatch(prefixes, nil)
-}
-
-// SubtreeQueryPrepared is SubtreeQueryBatch consuming a staged
-// preparation of the prefix batch; see Prepare.
-func (t *PIMTrie) SubtreeQueryPrepared(pb *Prepared) [][]trie.KV {
-	return t.subtreeBatch(pb.batch, pb)
-}
-
-func (t *PIMTrie) subtreeBatch(prefixes []bitstr.String, pb *Prepared) [][]trie.KV {
-	if len(prefixes) == 0 {
-		return [][]trie.KV{}
-	}
-	defer t.beginBatch("SubtreeQuery")()
-	var results [][]trie.KV
-	t.withRecovery(false, func() { results = t.subtreeOnce(prefixes, pb) })
-	return results
-}
-
-func (t *PIMTrie) subtreeOnce(prefixes []bitstr.String, pb *Prepared) [][]trie.KV {
-	results := make([][]trie.KV, len(prefixes))
-	defer t.sys.Phase("subtree")()
-	out := t.matchWithRedo(prefixes, pb)
+// gatherSubtrees answers the subtree section (§5.3) at positions lo..
+// of the matched batch: block contents are gathered level by level over
+// the block trees below the loci, with all queries sharing each BFS
+// round. Overlapping queries fetch their blocks independently (each
+// result must be complete). A gather rerun after a module-loss repair
+// starts from empty results.
+func (t *PIMTrie) gatherSubtrees(out *matchOutcome, lo int, prefixes []bitstr.String, results [][]trie.KV) {
+	clear(results)
 	endGather := t.sys.Phase("push-pull")
-
 	type fetch struct {
 		q     int // query index
 		addr  pim.Addr
@@ -471,7 +513,7 @@ func (t *PIMTrie) subtreeOnce(prefixes []bitstr.String, pb *Prepared) [][]trie.K
 	}
 	var level []fetch
 	for i, prefix := range prefixes {
-		u := out.qt.Slot[i]
+		u := out.qt.Slot[lo+i]
 		n := out.qt.Nodes[u]
 		if out.reach[n.Index] != n.Depth {
 			continue // prefix not present: empty result
@@ -534,7 +576,64 @@ func (t *PIMTrie) subtreeOnce(prefixes []bitstr.String, pb *Prepared) [][]trie.K
 	endGather()
 	// Each query's result sorts independently.
 	parallel.For(len(results), func(i int) { sortKVs(results[i]) })
-	return results
+}
+
+// LCP answers a batch of LongestCommonPrefix queries (§5.1): result[i]
+// is the length in bits of the longest prefix of batch[i] present in the
+// index (as a prefix of any stored key).
+func (t *PIMTrie) LCP(batch []bitstr.String) []int { return t.Apply(Batch{LCPs: batch}).LCPs }
+
+// Get answers a batch of exact lookups: values[i], found[i] reflect
+// batch[i].
+func (t *PIMTrie) Get(batch []bitstr.String) (values []uint64, found []bool) {
+	r := t.Apply(Batch{Gets: batch})
+	return r.Values, r.Found
+}
+
+// Insert stores a batch of key-value pairs (§5.2). Later duplicates in
+// the batch win, matching sequential insertion semantics.
+func (t *PIMTrie) Insert(keys []bitstr.String, values []uint64) {
+	t.Apply(Batch{Inserts: keys, Values: values})
+}
+
+// Delete removes a batch of keys (§5.2), reporting per key whether it
+// was present.
+func (t *PIMTrie) Delete(keys []bitstr.String) []bool { return t.Apply(Batch{Deletes: keys}).Deleted }
+
+// SubtreeQuery returns every stored (key, value) whose key extends the
+// given prefix (§5.3), in lexicographic order.
+func (t *PIMTrie) SubtreeQuery(prefix bitstr.String) []trie.KV {
+	return t.SubtreeQueryBatch([]bitstr.String{prefix})[0]
+}
+
+// SubtreeQueryBatch answers a batch of subtree queries (the paper's
+// operations are all batch-parallel, §4 "Overview"): one matching pass
+// locates every prefix; results[i] corresponds to prefixes[i].
+func (t *PIMTrie) SubtreeQueryBatch(prefixes []bitstr.String) [][]trie.KV {
+	return t.Apply(Batch{Subtrees: prefixes}).Subtrees
+}
+
+// The *Prepared forms are the one-section batches consuming a staged
+// host-side preparation (see Prepare); model metrics are identical to
+// the plain forms on the same batch.
+
+func (t *PIMTrie) LCPPrepared(pb *Prepared) []int { return t.apply(Batch{LCPs: pb.batch}, pb).LCPs }
+
+func (t *PIMTrie) GetPrepared(pb *Prepared) (values []uint64, found []bool) {
+	r := t.apply(Batch{Gets: pb.batch}, pb)
+	return r.Values, r.Found
+}
+
+func (t *PIMTrie) InsertPrepared(pb *Prepared, values []uint64) {
+	t.apply(Batch{Inserts: pb.batch, Values: values}, pb)
+}
+
+func (t *PIMTrie) DeletePrepared(pb *Prepared) []bool {
+	return t.apply(Batch{Deletes: pb.batch}, pb).Deleted
+}
+
+func (t *PIMTrie) SubtreeQueryPrepared(pb *Prepared) [][]trie.KV {
+	return t.apply(Batch{Subtrees: pb.batch}, pb).Subtrees
 }
 
 type mirrorOut struct {

@@ -70,23 +70,30 @@ func (t *PIMTrie) Health() Health {
 	return h
 }
 
-// shadowInsert mirrors a batch of insertions into the host key
-// authority, before the distributed application (see withRecovery).
-func (t *PIMTrie) shadowInsert(keys []bitstr.String, values []uint64) {
-	if !t.recoverable {
+// shadowWrites mirrors a batch's writes into the host key authority —
+// its inserts, then its deletes, answering the deletes — before any of
+// them reaches a module (see apply). The whole batch mutates under one
+// write lock, so a concurrent Snapshot lands on a batch boundary (see
+// snapshot.go).
+func (t *PIMTrie) shadowWrites(e *epoch) {
+	ins, del := e.keys[secInsert], e.keys[secDelete]
+	if !t.recoverable || e.shadowed || len(ins)+len(del) == 0 {
 		return
 	}
 	defer t.sys.Phase("shadow")()
-	// The whole batch mutates under one write lock so a concurrent
-	// Snapshot lands on a batch boundary (see snapshot.go).
 	t.shadowMu.Lock()
 	w := 0
-	for i, k := range keys {
-		t.shadow.Insert(k, values[i])
+	for i, k := range ins {
+		t.shadow.Insert(k, e.values[i])
+		w += k.Words() + 1
+	}
+	for i, k := range del {
+		e.res.Deleted[i] = t.shadow.Delete(k)
 		w += k.Words() + 1
 	}
 	t.shadowVer++
 	t.shadowMu.Unlock()
+	e.shadowed = true
 	t.sys.CPUWork(w)
 }
 
@@ -99,23 +106,19 @@ func (t *PIMTrie) syncKeyCount() {
 	}
 }
 
-// withRecovery runs op, catching module-loss faults and repairing. A
-// read-only op is simply retried after repair. A mutating op is retried
-// only after a targeted repair (which restores pre-batch module state);
-// after a full rebuild the shadow — already updated with the batch —
-// has produced post-batch state, so replaying would be wrong for
-// nothing (inserts are idempotent) and wasteful, and is skipped.
-func (t *PIMTrie) withRecovery(mutating bool, op func()) {
+// withRecovery runs a mutating batch (Apply or the bulk load), catching
+// module-loss faults and repairing. After each repair, settled — told
+// whether it was a full rebuild, which has already produced every write
+// the shadow holds — reports whether the batch is finished; if not, op
+// runs again.
+func (t *PIMTrie) withRecovery(op func(), settled func(full bool) bool) {
 	if !t.recoverable {
 		op()
 		return
 	}
 	for {
 		lost := t.catchLost(op)
-		if lost == nil {
-			return
-		}
-		if t.recoverFrom(lost) && mutating {
+		if lost == nil || settled(t.recoverFrom(lost)) {
 			return
 		}
 	}
@@ -144,8 +147,8 @@ func (t *PIMTrie) catchLost(op func()) (lost *pim.ModuleLostError) {
 }
 
 // recoverFrom repairs after a module loss and reports whether the
-// repair was a full rebuild (see withRecovery for what that means for
-// the interrupted batch).
+// repair was a full rebuild (see apply for what that means for the
+// interrupted batch).
 func (t *PIMTrie) recoverFrom(lost *pim.ModuleLostError) (full bool) {
 	t.degraded = true
 	start := t.sys.Metrics()

@@ -171,6 +171,64 @@ func TestTargetedRecoveryDuringRead(t *testing.T) {
 	}
 }
 
+// gatherStart notes the round the latest push-pull phase opened at.
+type gatherStart struct {
+	phaseRecorder
+	sys   *pim.System
+	first int64
+}
+
+func (r *gatherStart) BeginPhase(name string) {
+	if name == "push-pull" {
+		r.first = r.sys.Metrics().Rounds
+	}
+	r.phaseRecorder.BeginPhase(name)
+}
+
+// TestCrashMidSubtreeGather crashes a module at the last push-pull round
+// of a subtree query over a block tree several levels deep (the root
+// block can hold no pairs, so it is the later levels that return them).
+// The repair reruns the gather, which must not keep the pairs of the
+// levels gathered before the crash: the answer equals the oracle's, each
+// pair once.
+func TestCrashMidSubtreeGather(t *testing.T) {
+	g := workload.New(7)
+	keys := g.VarLen(900, 40, 120)
+	values := g.Values(len(keys))
+	oracle := trie.New()
+	for i, k := range keys {
+		oracle.Insert(k, values[i])
+	}
+	build := func(plan pim.FaultPlan) (*PIMTrie, *pim.System) {
+		sys := pim.NewSystem(8, pim.WithSeed(1), pim.WithFaults(plan))
+		pt := New(sys, Config{HashSeed: 1})
+		pt.Build(keys, values)
+		return pt, sys
+	}
+	// Model rounds repeat exactly, so a fault-free twin tells where the
+	// gather's last level starts.
+	twin, tsys := build(pim.FaultPlan{})
+	rec := &gatherStart{sys: tsys}
+	tsys.SetRecorder(rec)
+	twin.SubtreeQuery(bitstr.Empty)
+	tsys.SetRecorder(nil)
+	tsys.Close()
+	levels := int64(len(rec.rounds["push-pull"]))
+	if levels < 3 {
+		t.Fatalf("the gather spans %d levels; want a block tree at least 3 deep", levels)
+	}
+
+	pt, sys := build(pim.FaultPlan{Events: []pim.FaultEvent{{Round: rec.first + levels - 1, Kind: pim.FaultCrash, Module: 0}}})
+	defer sys.Close()
+	got := pt.SubtreeQuery(bitstr.Empty)
+	if h := pt.Health(); h.Crashes != 1 || h.Recoveries != 1 || h.FullRebuilds != 0 {
+		t.Fatalf("want one crash inside the gather and one targeted repair: %+v", h)
+	}
+	if want := oracle.SubtreeKeys(bitstr.Empty); !reflect.DeepEqual(got, want) {
+		t.Errorf("Subtree(ε) after a repair mid-gather: %d pairs, the oracle holds %d", len(got), len(want))
+	}
+}
+
 // TestRecoverObsConservation attaches the obs tracer across a crash and
 // checks that (a) the trace still satisfies the conservation law after
 // the panic-unwound phases were rebalanced, and (b) the repair cost is

@@ -6,13 +6,13 @@ package core
 // (Subtree exports, backups, checkpoint serialization) can run against
 // a frozen version while write batches keep committing.
 //
-// The concurrency contract is deliberately narrow. Batch mutations
-// update the shadow under shadowMu.Lock() for the *whole* batch (the
-// only two shadow-mutation sites are shadowInsert and deleteBatch's
-// shadow loop), and Snapshot flattens under shadowMu.RLock(), so a
-// snapshot always lands on a batch boundary: it observes every key of
-// a committed batch or none of them. Under the serve layer, batches
-// are write epochs, making snapshots epoch-atomic.
+// The concurrency contract is deliberately narrow. A batch updates the
+// shadow once, under shadowMu.Lock() for *all* its writes — inserts and
+// deletes alike (shadowWrites is the only shadow-mutation site) — and
+// Snapshot flattens under shadowMu.RLock(), so a snapshot always lands
+// on a batch boundary: it observes every write of a committed batch or
+// none of them. Under the serve layer a batch is an epoch, making
+// snapshots epoch-atomic.
 //
 // Snapshot is exempt from the beginBatch single-caller guard: it
 // touches no pooled scratch and no module state, only the
@@ -31,7 +31,7 @@ type shadowSnap struct {
 }
 
 // Snapshot returns an immutable point-in-time view of the stored
-// key/value pairs, frozen at a batch (serve: write-epoch) boundary.
+// key/value pairs, frozen at a batch (serve: epoch) boundary.
 // Repeated calls between mutations return the same *trie.Flat.
 // Returns nil when the index is not recoverable (no shadow exists).
 func (t *PIMTrie) Snapshot() *trie.Flat {

@@ -116,11 +116,13 @@ func newDurableState(ix *pimtrie.Index, cfg Durable, reg *metrics.Registry, labe
 	return d
 }
 
-// commitEpoch logs one applied write epoch (log-before-ack) and
-// triggers a checkpoint when due. Runs on the executor goroutine,
-// between the index apply and the future resolution.
+// commitEpoch logs one applied epoch's write sections as one record
+// (log-before-ack) and triggers a checkpoint when due. Runs on the
+// executor goroutine, between the index apply and the resolution of the
+// write futures.
 func (d *durableState) commitEpoch(ix *pimtrie.Index, plan *epochPlan) error {
-	seq, err := d.cfg.Log.AppendEpoch(plan.ins.keys, plan.ins.values, plan.del.keys)
+	b := &plan.batch
+	seq, err := d.cfg.Log.AppendEpoch(b.Inserts, b.Values, b.Deletes)
 	if err != nil {
 		d.noteErr(err)
 		return err
@@ -229,10 +231,9 @@ func (s *Server) DurabilityErr() error {
 
 // Restore replays recovered durable state into an index: the
 // checkpoint contents through the bulk-load path, then the WAL tail
-// epoch by epoch (insert section, then delete section, as the executor
-// applied them) through the ordinary batch paths — the same
-// full-reload repair machinery module-loss recovery uses, so the
-// rebuilt PIM state is exactly what the shadow dictates.
+// epoch by epoch, each record's two sections as one Index.Apply — the
+// batch the executor applied, inserts then deletes — so the rebuilt
+// PIM state is exactly what the shadow dictates.
 func Restore(ix *pimtrie.Index, info *wal.RecoveryInfo) error {
 	if len(info.Keys) > 0 {
 		if err := ix.TryLoad(info.Keys, info.Values); err != nil {
@@ -240,15 +241,8 @@ func Restore(ix *pimtrie.Index, info *wal.RecoveryInfo) error {
 		}
 	}
 	for _, e := range info.Epochs {
-		if len(e.Inserts) > 0 {
-			if err := ix.TryInsert(e.Inserts, e.Values); err != nil {
-				return fmt.Errorf("serve: replay epoch %d inserts: %w", e.Seq, err)
-			}
-		}
-		if len(e.Deletes) > 0 {
-			if _, err := ix.TryDelete(e.Deletes); err != nil {
-				return fmt.Errorf("serve: replay epoch %d deletes: %w", e.Seq, err)
-			}
+		if _, err := ix.Apply(pimtrie.Batch{Inserts: e.Inserts, Values: e.Values, Deletes: e.Deletes}); err != nil {
+			return fmt.Errorf("serve: replay epoch %d: %w", e.Seq, err)
 		}
 	}
 	return nil

@@ -9,96 +9,90 @@ import (
 	"github.com/pimlab/pimtrie"
 	"github.com/pimlab/pimtrie/internal/bitstr"
 	"github.com/pimlab/pimtrie/internal/metrics"
+	"github.com/pimlab/pimtrie/internal/pim"
 	"github.com/pimlab/pimtrie/internal/telemetry"
 	"github.com/pimlab/pimtrie/internal/trie"
 	"github.com/pimlab/pimtrie/internal/wal"
 )
 
-// write is one queued write call of a formation test: a delete when
-// vals is nil.
-type write struct {
+// req is one queued call of a formation test.
+type req struct {
+	op   Op
 	keys []Key
-	vals []uint64
+	vals []uint64 // OpInsert only
 }
 
-func ins(v uint64, ks ...int) write {
-	w := write{vals: make([]uint64, len(ks))}
-	for i, k := range ks {
-		w.keys = append(w.keys, epochKey(k))
-		w.vals[i] = v
-	}
-	return w
-}
-
-func del(ks ...int) write {
-	var w write
+func keysOf(op Op, ks []int) req {
+	r := req{op: op}
 	for _, k := range ks {
-		w.keys = append(w.keys, epochKey(k))
+		r.keys = append(r.keys, epochKey(k))
 	}
-	return w
+	return r
+}
+
+func ins(v uint64, ks ...int) req {
+	r := keysOf(OpInsert, ks)
+	for range ks {
+		r.vals = append(r.vals, v)
+	}
+	return r
+}
+
+func del(ks ...int) req { return keysOf(OpDelete, ks) }
+func get(ks ...int) req { return keysOf(OpGet, ks) }
+func lcp(ks ...int) req { return keysOf(OpLCP, ks) }
+
+// sub scans the 4-bit prefix of each named key, which several keys
+// share.
+func sub(ks ...int) req {
+	r := keysOf(OpSubtree, ks)
+	for i, k := range r.keys {
+		r.keys[i] = k.Prefix(4)
+	}
+	return r
 }
 
 func epochKey(i int) Key { return bitstr.FromUint64(uint64(i)*0x9e3779b97f4a7c15+7, 20+i%9) }
 
-// queueWrites puts the calls on the write FIFO of a server built with
+// queueCalls puts the calls on the queue of a server built with
 // newServer, whose scheduler is not running: the test forms and runs
 // the epochs itself, so formation is a function of the queue alone, not
 // of timing.
-func queueWrites(s *Server, ws []write) []*call {
-	calls := make([]*call, len(ws))
+func queueCalls(s *Server, rs []req) []*call {
+	calls := make([]*call, len(rs))
 	s.mu.Lock()
-	for i, w := range ws {
-		op := OpInsert
-		if w.vals == nil {
-			op = OpDelete
-		}
-		calls[i] = &call{op: op, keys: w.keys, values: w.vals, fut: newFuture()}
-		s.writeQ = append(s.writeQ, calls[i])
+	for i, r := range rs {
+		calls[i] = &call{op: r.op, keys: r.keys, values: r.vals, fut: newFuture()}
+		s.queue = append(s.queue, calls[i])
 	}
 	s.mu.Unlock()
 	return calls
 }
 
-func formWrite(s *Server) *epochPlan {
+func formNext(s *Server) *epochPlan {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.writeQ) == 0 {
+	if len(s.queue) == 0 {
 		return nil
 	}
-	return s.formWriteLocked()
+	return s.formLocked()
 }
 
-// TestFormWriteEpoch pins the cut rule — an epoch is the longest FIFO
-// prefix in which no insert follows a delete of the same key, capped at
-// MaxBatch keys with calls admitted whole — and, by running every
-// formed epoch, that "inserts then deletes" answers exactly as the
-// calls applied one by one in arrival order.
-func TestFormWriteEpoch(t *testing.T) {
+// formCase is one hand-built queue and the epochs it must form.
+type formCase struct {
+	name     string
+	maxBatch int
+	queue    []req
+	epochs   [][]int   // call indexes per formed epoch
+	cuts     [3]uint64 // by reason: cutConflict, cutReadAfterWrite, cutMaxBatch
+}
+
+// checkFormation forms and runs every case's queue by hand, then checks
+// the epochs formed, every response and the final state against the
+// calls applied one by one in arrival order, the per-op key counts and
+// epoch kinds in Stats, and the cut counter by reason.
+func checkFormation(t *testing.T, cases []formCase) {
 	const a, b, c, d, e, f = 1, 2, 3, 4, 5, 6
-	cases := []struct {
-		name     string
-		maxBatch int
-		queue    []write
-		epochs   [][]int // call indexes per formed epoch
-		conflict uint64
-		maxCuts  uint64
-	}{
-		{name: "insert then delete of one key share an epoch",
-			queue: []write{ins(1, a), del(a)}, epochs: [][]int{{0, 1}}},
-		{name: "delete then insert of one key are cut",
-			queue: []write{del(a), ins(1, a)}, epochs: [][]int{{0}, {1}}, conflict: 1},
-		{name: "last duplicate insert wins across a delete of another key",
-			queue: []write{ins(1, a), ins(2, a), del(b), ins(3, a)}, epochs: [][]int{{0, 1, 2, 3}}},
-		{name: "deletes admitted after the set was built join it",
-			queue: []write{del(a), ins(1, b), del(b), ins(2, c), ins(3, b), del(c)}, epochs: [][]int{{0, 1, 2, 3}, {4, 5}}, conflict: 1},
-		{name: "a call conflicting on one key is not split",
-			queue: []write{ins(1, a, b), del(a), ins(2, c, a)}, epochs: [][]int{{0, 1}, {2}}, conflict: 1},
-		{name: "duplicate deletes: the first finds",
-			queue: []write{del(a, a), ins(1, b), del(b), del(b)}, epochs: [][]int{{0, 1, 2, 3}}},
-		{name: "MaxBatch admits calls whole", maxBatch: 4,
-			queue:  []write{ins(1, a, b, c), del(d, e), ins(2, f), ins(3, a, b, c, d, e)},
-			epochs: [][]int{{0}, {1, 2}, {3}}, maxCuts: 2},
-	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			reg := metrics.NewRegistry()
@@ -111,20 +105,29 @@ func TestFormWriteEpoch(t *testing.T) {
 			}
 			s := newServer(ix, Options{MaxBatch: tc.maxBatch, Metrics: reg})
 			defer s.Close()
-			calls := queueWrites(s, tc.queue)
+			calls := queueCalls(s, tc.queue)
 			index := map[*call]int{}
 			for i, c := range calls {
 				index[c] = i
 			}
 
 			var got [][]int
-			for plan := formWrite(s); plan != nil; plan = formWrite(s) {
+			var readEpochs, writeEpochs uint64
+			for plan := formNext(s); plan != nil; plan = formNext(s) {
 				var ep []int
+				var reads, writes bool
 				for _, c := range plan.calls {
 					ep = append(ep, index[c])
+					reads = reads || c.op.isRead()
+					writes = writes || !c.op.isRead()
 				}
 				got = append(got, ep)
-				s.prepare(plan)
+				if reads {
+					readEpochs++
+				}
+				if writes {
+					writeEpochs++
+				}
 				s.execute(plan)
 			}
 			if !reflect.DeepEqual(got, tc.epochs) {
@@ -132,16 +135,34 @@ func TestFormWriteEpoch(t *testing.T) {
 			}
 
 			// Responses and final state against the calls in arrival order.
+			var nIns, nDel uint64
 			for i, c := range calls {
 				<-c.fut.done
 				if c.fut.err != nil {
 					t.Fatalf("call %d: %v", i, c.fut.err)
 				}
 				for j, k := range c.keys {
-					if c.op == OpInsert {
+					switch c.op {
+					case OpInsert:
 						oracle.Insert(k, c.values[j])
-					} else if want := oracle.Delete(k); c.fut.found[j] != want {
-						t.Errorf("call %d: Delete(key %d) found=%v, arrival order says %v", i, j, c.fut.found[j], want)
+						nIns++
+					case OpDelete:
+						if want := oracle.Delete(k); c.fut.found[j] != want {
+							t.Errorf("call %d: Delete(key %d) found=%v, arrival order says %v", i, j, c.fut.found[j], want)
+						}
+						nDel++
+					case OpGet:
+						if wv, wok := oracle.Get(k); c.fut.found[j] != wok || c.fut.vals[j] != wv {
+							t.Errorf("call %d: Get(key %d) = %d,%v, arrival order says %d,%v", i, j, c.fut.vals[j], c.fut.found[j], wv, wok)
+						}
+					case OpLCP:
+						if want := oracle.LCPLen(k); c.fut.ints[j] != want {
+							t.Errorf("call %d: LCP(key %d) = %d, arrival order says %d", i, j, c.fut.ints[j], want)
+						}
+					case OpSubtree:
+						if want := oracle.SubtreeKeys(k); fmt.Sprint(c.fut.kvs[j]) != fmt.Sprint(want) {
+							t.Errorf("call %d: Subtree(key %d) = %v, arrival order says %v", i, j, c.fut.kvs[j], want)
+						}
 					}
 				}
 			}
@@ -153,29 +174,27 @@ func TestFormWriteEpoch(t *testing.T) {
 				}
 			}
 
-			// Per-op key counts stay exact and the cut counter says why.
-			var nIns, nDel uint64
-			for _, w := range tc.queue {
-				if w.vals != nil {
-					nIns += uint64(len(w.keys))
-				} else {
-					nDel += uint64(len(w.keys))
-				}
-			}
+			// Per-op key counts stay exact, the epoch kinds add up, and the
+			// cut counter says why each epoch ended early.
 			st := s.Stats()
-			if st.KeysExecuted[OpInsert] != nIns || st.KeysExecuted[OpDelete] != nDel || st.WriteEpochs != uint64(len(tc.epochs)) {
-				t.Errorf("Stats: %d insert keys, %d delete keys, %d write epochs; want %d, %d, %d",
-					st.KeysExecuted[OpInsert], st.KeysExecuted[OpDelete], st.WriteEpochs, nIns, nDel, len(tc.epochs))
+			if st.KeysExecuted[OpInsert] != nIns || st.KeysExecuted[OpDelete] != nDel ||
+				st.ReadEpochs != readEpochs || st.WriteEpochs != writeEpochs {
+				t.Errorf("Stats: %d insert keys, %d delete keys, %d read epochs, %d write epochs; want %d, %d, %d, %d",
+					st.KeysExecuted[OpInsert], st.KeysExecuted[OpDelete], st.ReadEpochs, st.WriteEpochs,
+					nIns, nDel, readEpochs, writeEpochs)
 			}
 			v := reg.Varz()
-			if got := v[`pimtrie_serve_write_epoch_cuts_total{reason="conflict"}`]; got != tc.conflict {
-				t.Errorf("conflict cuts = %v, want %d", got, tc.conflict)
+			for cut, reason := range [...]string{cutConflict: "conflict", cutReadAfterWrite: "read_after_write", cutMaxBatch: "max_batch"} {
+				if got := v[`pimtrie_serve_epoch_cuts_total{reason="`+reason+`"}`]; got != tc.cuts[cut] {
+					t.Errorf("%s cuts = %v, want %d", reason, got, tc.cuts[cut])
+				}
 			}
-			if got := v[`pimtrie_serve_write_epoch_cuts_total{reason="max_batch"}`]; got != tc.maxCuts {
-				t.Errorf("max_batch cuts = %v, want %d", got, tc.maxCuts)
+			var executed uint64
+			for _, n := range st.KeysExecuted {
+				executed += n
 			}
-			if h := v["pimtrie_serve_epoch_keys"].(metrics.VarzHistogram); h.Count != uint64(len(tc.epochs)) || uint64(h.Sum) != nIns+nDel {
-				t.Errorf("epoch_keys: %d observations summing to %v, want one per epoch summing to %d", h.Count, h.Sum, nIns+nDel)
+			if h := v["pimtrie_serve_epoch_keys"].(metrics.VarzHistogram); h.Count != uint64(len(tc.epochs)) || uint64(h.Sum) != executed {
+				t.Errorf("epoch_keys: %d observations summing to %v, want one per epoch summing to %d", h.Count, h.Sum, executed)
 			}
 			var body strings.Builder
 			if err := reg.WritePrometheus(&body); err != nil {
@@ -188,8 +207,64 @@ func TestFormWriteEpoch(t *testing.T) {
 	}
 }
 
+// TestFormWriteEpoch pins the cut rule between writes — no insert
+// follows a delete of the same key, capped at MaxBatch keys with calls
+// admitted whole — on queues of writes alone.
+func TestFormWriteEpoch(t *testing.T) {
+	const a, b, c, d, e, f = 1, 2, 3, 4, 5, 6
+	checkFormation(t, []formCase{
+		{name: "insert then delete of one key share an epoch",
+			queue: []req{ins(1, a), del(a)}, epochs: [][]int{{0, 1}}},
+		{name: "delete then insert of one key are cut",
+			queue: []req{del(a), ins(1, a)}, epochs: [][]int{{0}, {1}}, cuts: [3]uint64{cutConflict: 1}},
+		{name: "last duplicate insert wins across a delete of another key",
+			queue: []req{ins(1, a), ins(2, a), del(b), ins(3, a)}, epochs: [][]int{{0, 1, 2, 3}}},
+		{name: "deletes admitted after the set was built join it",
+			queue:  []req{del(a), ins(1, b), del(b), ins(2, c), ins(3, b), del(c)},
+			epochs: [][]int{{0, 1, 2, 3}, {4, 5}}, cuts: [3]uint64{cutConflict: 1}},
+		{name: "a call conflicting on one key is not split",
+			queue: []req{ins(1, a, b), del(a), ins(2, c, a)}, epochs: [][]int{{0, 1}, {2}}, cuts: [3]uint64{cutConflict: 1}},
+		{name: "duplicate deletes: the first finds",
+			queue: []req{del(a, a), ins(1, b), del(b), del(b)}, epochs: [][]int{{0, 1, 2, 3}}},
+		{name: "MaxBatch admits calls whole", maxBatch: 4,
+			queue:  []req{ins(1, a, b, c), del(d, e), ins(2, f), ins(3, a, b, c, d, e)},
+			epochs: [][]int{{0}, {1, 2}, {3}}, cuts: [3]uint64{cutMaxBatch: 2}},
+	})
+}
+
+// TestFormEpoch pins the rules that let reads share an epoch with
+// writes — the epoch answers its reads first, so a read is cut only
+// where arrival order puts a write it depends on before it — and the
+// case that must not cut: a read admitted before a write of its key.
+func TestFormEpoch(t *testing.T) {
+	const a, b, c, d, e = 1, 2, 3, 4, 5
+	rw := func(n uint64) [3]uint64 { return [3]uint64{cutReadAfterWrite: n} }
+	checkFormation(t, []formCase{
+		{name: "a get of a key an admitted insert writes is cut",
+			queue: []req{ins(1, a), get(a)}, epochs: [][]int{{0}, {1}}, cuts: rw(1)},
+		{name: "a get of a key an admitted delete writes is cut",
+			queue: []req{del(a), get(b, a)}, epochs: [][]int{{0}, {1}}, cuts: rw(1)},
+		{name: "a get of other keys joins the writes",
+			queue: []req{ins(1, a), del(d), get(b, c)}, epochs: [][]int{{0, 1, 2}}},
+		{name: "an lcp after any write is cut",
+			queue: []req{ins(1, a), lcp(b)}, epochs: [][]int{{0}, {1}}, cuts: rw(1)},
+		{name: "a subtree after any write is cut",
+			queue: []req{del(b), sub(c)}, epochs: [][]int{{0}, {1}}, cuts: rw(1)},
+		{name: "reads admitted before writes of their keys share the epoch",
+			queue:  []req{get(a), lcp(a), sub(a), ins(1, a), del(a, d), ins(2, b)},
+			epochs: [][]int{{0, 1, 2, 3, 4, 5}}},
+		{name: "duplicate reads are answered once",
+			queue: []req{get(a), get(a, d), lcp(d), lcp(d), sub(d), sub(d), ins(3, c)}, epochs: [][]int{{0, 1, 2, 3, 4, 5, 6}}},
+		{name: "every rule in one queue",
+			queue:  []req{get(a), ins(1, b), get(c), del(a), get(b), lcp(a), del(c), ins(2, c), sub(a)},
+			epochs: [][]int{{0, 1, 2, 3}, {4, 5, 6}, {7}, {8}}, cuts: [3]uint64{cutConflict: 1, cutReadAfterWrite: 2}},
+		{name: "MaxBatch counts keys over all sections", maxBatch: 3,
+			queue: []req{get(a, b), ins(1, c), lcp(d), lcp(e)}, epochs: [][]int{{0, 1}, {2, 3}}, cuts: [3]uint64{cutMaxBatch: 1}},
+	})
+}
+
 // TestServeDedupe asserts singleflight: N identical Gets queued before
-// the scheduler starts form one read epoch that executes one key.
+// the scheduler starts form one epoch that executes one key.
 func TestServeDedupe(t *testing.T) {
 	ix := pimtrie.New(4, pimtrie.Options{Seed: 11})
 	hot := epochKey(1)
@@ -220,22 +295,121 @@ func TestServeDedupe(t *testing.T) {
 	}
 }
 
-// mixedEpoch queues insert(a,b) delete(a) insert(c) on a fresh durable
-// server over ix and forms them into one epoch.
-func mixedEpoch(t *testing.T, ix *pimtrie.Index) (*Server, *epochPlan, []*call) {
+// phaseRecorder calls begin at the start of every phase the index
+// opens.
+type phaseRecorder struct{ begin func(name string) }
+
+func (r phaseRecorder) BeginPhase(name string)     { r.begin(name) }
+func (r phaseRecorder) EndPhase()                  {}
+func (r phaseRecorder) RecordRound(pim.RoundTrace) {}
+func (r phaseRecorder) RecordCPUWork(int)          {}
+
+// TestMixedEpochOneMatch counts the matching passes of one epoch: reads
+// of every kind and one write section share one match; a delete section
+// behind an insert section matches once more.
+func TestMixedEpochOneMatch(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		deletes bool
+		matches int
+	}{
+		{"gets, lcps, subtrees and inserts", false, 1},
+		{"gets, lcps, subtrees, inserts and deletes", true, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ix := pimtrie.New(4, pimtrie.Options{Seed: 11})
+			ix.Load([]Key{epochKey(1), epochKey(2), epochKey(3), epochKey(4)}, []uint64{1, 2, 3, 4})
+			matches := 0
+			ix.SetRecorder(phaseRecorder{func(name string) {
+				if name == "master-match" {
+					matches++
+				}
+			}})
+			s := newServer(ix, Options{})
+			g := s.GetAsync(epochKey(1), epochKey(5))
+			l := s.LCPAsync(epochKey(2))
+			st := s.SubtreeAsync(epochKey(3).Prefix(4))
+			waits := []func() error{
+				func() error { _, _, err := g.Wait(); return err },
+				func() error { _, err := l.Wait(); return err },
+				func() error { _, err := st.Wait(); return err },
+				s.InsertAsync([]Key{epochKey(6), epochKey(7)}, []uint64{6, 7}).Wait,
+			}
+			if tc.deletes {
+				f := s.DeleteAsync(epochKey(4))
+				waits = append(waits, func() error { _, err := f.Wait(); return err })
+			}
+			s.start()
+			for _, wait := range waits {
+				if err := wait(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			s.Close()
+			if st := s.Stats(); st.ReadEpochs != 1 || st.WriteEpochs != 1 {
+				t.Fatalf("%d read and %d write epochs, want one epoch holding both", st.ReadEpochs, st.WriteEpochs)
+			}
+			if matches != tc.matches {
+				t.Fatalf("the epoch ran %d matching passes, want %d", matches, tc.matches)
+			}
+		})
+	}
+}
+
+// TestSnapshotLandsOnEpochBoundary takes a snapshot at the start of
+// every shadow update of one epoch {Insert k, Delete k}. Before the
+// epoch k is absent, and after it k is absent again, so a snapshot that
+// holds k saw half the epoch — a state no serial order contains.
+func TestSnapshotLandsOnEpochBoundary(t *testing.T) {
+	ix := newRecoverableIndex()
+	k := epochKey(1)
+	var seen []bool
+	ix.SetRecorder(phaseRecorder{func(name string) {
+		if name == "shadow" {
+			_, ok := ix.Snapshot().Get(k)
+			seen = append(seen, ok)
+		}
+	}})
+	s := newServer(ix, Options{})
+	insert := s.InsertAsync([]Key{k}, []uint64{1})
+	remove := s.DeleteAsync(k)
+	s.start()
+	if err := insert.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := remove.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	if st := s.Stats(); st.WriteEpochs != 1 {
+		t.Fatalf("%d write epochs, want the insert and the delete in one", st.WriteEpochs)
+	}
+	if len(seen) == 0 {
+		t.Fatal("no shadow update observed")
+	}
+	for i, ok := range seen {
+		if ok {
+			t.Fatalf("snapshot %d of %v holds k: it landed inside the epoch", i, seen)
+		}
+	}
+}
+
+// mixedEpoch queues the extra calls, then insert(1,2) delete(1)
+// insert(3), on a fresh durable server over ix and forms them into one
+// epoch.
+func mixedEpoch(t *testing.T, ix *pimtrie.Index, extra ...req) (*Server, *epochPlan, []*call) {
 	t.Helper()
 	log, err := wal.Open(wal.Options{Dir: t.TempDir(), Policy: wal.SyncEveryEpoch})
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := newServer(ix, Options{Durable: &Durable{Log: log, OwnLog: true}})
-	calls := queueWrites(s, []write{ins(1, 1, 2), del(1), ins(3, 3)})
-	plan := formWrite(s)
-	if len(plan.calls) != len(calls) || len(plan.ins.keys) != 3 || len(plan.del.keys) != 1 {
-		t.Fatalf("formed %d calls, %d insert keys, %d delete keys; want one epoch of 3, 3, 1",
-			len(plan.calls), len(plan.ins.keys), len(plan.del.keys))
+	calls := queueCalls(s, append(extra, ins(1, 1, 2), del(1), ins(3, 3)))
+	plan := formNext(s)
+	if len(plan.calls) != len(calls) || len(plan.batch.Inserts) != 3 || len(plan.batch.Deletes) != 1 {
+		t.Fatalf("formed %d calls, %d insert keys, %d delete keys; want one epoch of %d, 3, 1",
+			len(plan.calls), len(plan.batch.Inserts), len(plan.batch.Deletes), len(calls))
 	}
-	s.prepare(plan)
 	return s, plan, calls
 }
 
@@ -246,15 +420,21 @@ func mixedEpoch(t *testing.T, ix *pimtrie.Index) (*Server, *epochPlan, []*call) 
 func TestWriteEpochFailsWhole(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
-		inject func(*Server, *epochPlan)
+		inject func(*Server)
 		keys   int // what the index holds afterwards
 	}{
-		{"delete section panics", func(_ *Server, plan *epochPlan) { plan.del.prep = nil }, 3},
-		{"append fails", func(s *Server, _ *epochPlan) { s.WAL().Close() }, 2},
+		{"delete section panics", func(s *Server) {
+			s.ix.SetRecorder(phaseRecorder{func(name string) {
+				if name == "delete" {
+					panic("injected")
+				}
+			}})
+		}, 3},
+		{"append fails", func(s *Server) { s.WAL().Close() }, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s, plan, calls := mixedEpoch(t, newRecoverableIndex())
-			tc.inject(s, plan)
+			tc.inject(s)
 			s.execute(plan)
 			for i, c := range calls {
 				<-c.fut.done
@@ -277,14 +457,18 @@ func TestWriteEpochFailsWhole(t *testing.T) {
 			if got := s.DurabilityErr(); got != first {
 				t.Errorf("DurabilityErr changed from %v to %v", first, got)
 			}
+			s.ix.SetRecorder(nil)
 			s.Close()
 		})
 	}
 }
 
 // TestWriteEpochFaultInDeleteSection crashes a module at the first PIM
-// round of a mixed epoch's delete section. The index repairs itself, so
-// the epoch must still commit whole: every call acknowledged, both
+// round of a mixed epoch's delete section — the delete re-match, after
+// the reads were answered and the inserts applied. The index repairs
+// itself and reruns the delete section alone, so the epoch must still
+// commit whole: every call acknowledged, the LCP and Subtree admitted
+// before the insert answering from the state before it, both write
 // sections applied, one record logged with one fsync.
 func TestWriteEpochFaultInDeleteSection(t *testing.T) {
 	build := func(plan pimtrie.FaultPlan) *pimtrie.Index {
@@ -292,15 +476,22 @@ func TestWriteEpochFaultInDeleteSection(t *testing.T) {
 		ix.Load([]Key{epochKey(1), epochKey(9)}, []uint64{100, 900})
 		return ix
 	}
-	// Model rounds repeat exactly, so a fault-free twin tells where the
-	// insert section ends.
+	reads := []req{lcp(2), {op: OpSubtree, keys: []Key{bitstr.Empty}}}
+	// Model rounds repeat exactly, so a fault-free twin running the
+	// epoch's first match — the reads and the insert section — tells
+	// where the delete section starts.
 	dry := build(pimtrie.FaultPlan{})
 	w := ins(1, 1, 2)
-	dry.Insert(append(w.keys, epochKey(3)), []uint64{1, 1, 3})
+	if _, err := dry.Apply(pimtrie.Batch{
+		LCPs: reads[0].keys, Subtrees: reads[1].keys,
+		Inserts: append(w.keys, epochKey(3)), Values: []uint64{1, 1, 3},
+	}); err != nil {
+		t.Fatal(err)
+	}
 	deleteStarts := dry.Metrics().Rounds
 
 	ix := build(pimtrie.FaultPlan{Events: []pimtrie.FaultEvent{{Round: deleteStarts, Kind: pimtrie.FaultCrash, Module: 0}}})
-	s, plan, calls := mixedEpoch(t, ix)
+	s, plan, calls := mixedEpoch(t, ix, reads...)
 	s.execute(plan)
 	for i, c := range calls {
 		<-c.fut.done
@@ -311,7 +502,17 @@ func TestWriteEpochFaultInDeleteSection(t *testing.T) {
 	if h := s.Health(); h.Crashes != 1 || h.Recoveries != 1 {
 		t.Fatalf("fault plan did not fire and recover inside the epoch: %+v", h)
 	}
-	if found := calls[1].fut.found; len(found) != 1 || !found[0] {
+	// Arrival order: the reads saw keys 1 and 9 only.
+	before := trie.New()
+	before.Insert(epochKey(1), 100)
+	before.Insert(epochKey(9), 900)
+	if got, want := calls[0].fut.ints, []int{before.LCPLen(epochKey(2))}; !reflect.DeepEqual(got, want) {
+		t.Errorf("LCP(key 2) = %v, arrival order says %v", got, want)
+	}
+	if got, want := fmt.Sprint(calls[1].fut.kvs[0]), fmt.Sprint(before.SubtreeKeys(bitstr.Empty)); got != want {
+		t.Errorf("Subtree(ε) = %s, arrival order says %s", got, want)
+	}
+	if found := calls[3].fut.found; len(found) != 1 || !found[0] {
 		t.Errorf("Delete(key 1) found=%v, want [true]", found)
 	}
 	vals, ok := ix.Get([]Key{epochKey(1), epochKey(2), epochKey(3), epochKey(9)})

@@ -40,8 +40,8 @@ func (r *waveRecorder) RecordCPUWork(int)          {}
 
 // TestEpochTakesWholeWave pins the one-loop schedule: requests that
 // arrive while epoch k runs all land in epoch k+1, which forms only
-// after k has settled — two read epochs, the second holding the whole
-// wave, at any GOMAXPROCS.
+// after k has settled — two epochs, the second holding the whole wave,
+// at any GOMAXPROCS.
 func TestEpochTakesWholeWave(t *testing.T) {
 	const wave = 64
 	keys := make([]Key, wave+1)
@@ -72,8 +72,8 @@ func TestEpochTakesWholeWave(t *testing.T) {
 	srv.Close()
 
 	hist := srv.History()
-	if len(hist) != 2 || hist[0].Write || hist[1].Write {
-		t.Fatalf("%d epochs committed, want 2 read epochs", len(hist))
+	if len(hist) != 2 {
+		t.Fatalf("%d epochs committed, want 2", len(hist))
 	}
 	if n0, n1 := len(hist[0].Ops), len(hist[1].Ops); n0 != 1 || n1 != wave {
 		t.Fatalf("epochs hold %d and %d calls, want 1 and %d", n0, n1, wave)
@@ -83,9 +83,10 @@ func TestEpochTakesWholeWave(t *testing.T) {
 	}
 }
 
-// TestExecuteSettlesInline forms and runs a read epoch and a write epoch
-// of 32 calls each by hand on a server whose goroutines never started:
-// every future must be settled by the time execute returns.
+// TestExecuteSettlesInline forms and runs, by hand on a server whose
+// goroutines never started, the epochs of 64 interleaved reads and
+// writes: every future of an epoch must be settled by the time execute
+// returns.
 func TestExecuteSettlesInline(t *testing.T) {
 	const n = 32
 	ix := pimtrie.New(4, pimtrie.Options{Seed: 11})
@@ -93,39 +94,40 @@ func TestExecuteSettlesInline(t *testing.T) {
 	s := newServer(ix, Options{})
 	defer s.Close()
 
-	var reads, writes []*future
+	var futs []*future
 	for i := 0; i < n; i++ {
 		k := epochKey(i % 4)
 		switch i % 3 {
 		case 0:
-			reads = append(reads, s.GetAsync(k).f)
+			futs = append(futs, s.GetAsync(k).f)
 		case 1:
-			reads = append(reads, s.LCPAsync(k).f)
+			futs = append(futs, s.LCPAsync(k).f)
 		default:
-			reads = append(reads, s.SubtreeAsync(k).f)
+			futs = append(futs, s.SubtreeAsync(k).f)
 		}
 		if i%2 == 0 {
-			writes = append(writes, s.InsertAsync([]Key{epochKey(n + i)}, []uint64{uint64(i)}).f)
+			futs = append(futs, s.InsertAsync([]Key{epochKey(n + i)}, []uint64{uint64(i)}).f)
 		} else {
-			writes = append(writes, s.DeleteAsync(epochKey(i%4)).f)
+			futs = append(futs, s.DeleteAsync(epochKey(i%4)).f)
 		}
 	}
-	for epoch, futs := range [][]*future{reads, writes} {
-		s.mu.Lock()
-		plan := s.formLocked()
-		s.mu.Unlock()
-		s.prepare(plan)
+	settled := 0
+	for epoch, plan := 0, formNext(s); plan != nil; epoch, plan = epoch+1, formNext(s) {
 		s.execute(plan)
-		for i, f := range futs {
+		for i, c := range plan.calls {
 			select {
-			case <-f.done:
-				if f.err != nil {
-					t.Fatalf("epoch %d call %d: %v", epoch, i, f.err)
+			case <-c.fut.done:
+				if c.fut.err != nil {
+					t.Fatalf("epoch %d call %d: %v", epoch, i, c.fut.err)
 				}
 			default:
 				t.Fatalf("epoch %d call %d unsettled after execute returned", epoch, i)
 			}
 		}
+		settled += len(plan.calls)
+	}
+	if settled != len(futs) {
+		t.Fatalf("%d calls settled in epochs, %d submitted", settled, len(futs))
 	}
 }
 

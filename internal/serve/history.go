@@ -1,15 +1,12 @@
 package serve
 
 // EpochRecord is one committed epoch in serial order, retained when
-// Options.RecordHistory is set. Replaying the records in slice order
-// against a sequential oracle must reproduce every recorded response —
-// the property the soak test asserts.
+// Options.RecordHistory is set. Its Ops are the epoch's calls in arrival
+// order, committed as if applied one by one in that order: replaying
+// the records in slice order against a sequential oracle must reproduce
+// every recorded response — the property the soak tests assert.
 type EpochRecord struct {
-	// Write marks a write epoch; its Ops may mix inserts and deletes and
-	// committed as if applied one by one in slice order. A read epoch's
-	// Ops all observed the same state.
-	Write bool
-	Ops   []*OpRecord
+	Ops []*OpRecord
 }
 
 // OpRecord is one request's inputs and responses within its epoch.

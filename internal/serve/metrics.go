@@ -20,10 +20,10 @@ import (
 	"github.com/pimlab/pimtrie/internal/metrics"
 )
 
-// Why a write epoch ended before the write FIFO did; indexes
-// serveMetrics.writeCuts.
+// Why an epoch ended before the queue did; indexes serveMetrics.cuts.
 const (
-	cutConflict = iota
+	cutConflict       = iota // an insert of a key an admitted delete touches
+	cutReadAfterWrite        // a Get of a written key, or an LCP or Subtree after a write
 	cutMaxBatch
 )
 
@@ -39,7 +39,7 @@ type serveMetrics struct {
 	epochKeys   *metrics.Histogram
 	readEpochs  *metrics.Counter
 	writeEpochs *metrics.Counter
-	writeCuts   [2]*metrics.Counter // cutConflict, cutMaxBatch
+	cuts        [3]*metrics.Counter // cutConflict, cutReadAfterWrite, cutMaxBatch
 	deduped     *metrics.Counter
 	dedupRatio  *metrics.Gauge
 
@@ -48,7 +48,6 @@ type serveMetrics struct {
 	snapAge       *metrics.Gauge
 	snapEpoch     *metrics.Gauge
 
-	prepareSec *metrics.Histogram
 	executeSec *metrics.Histogram
 
 	degraded     *metrics.Gauge
@@ -71,17 +70,16 @@ func newServeMetrics(reg *metrics.Registry, base []metrics.Label) *serveMetrics 
 	m := &serveMetrics{
 		queueDepth:    reg.Gauge("pimtrie_serve_queue_depth", "requests admitted but not yet formed into an epoch", lbl()...),
 		linger:        reg.Histogram("pimtrie_serve_linger_seconds", "time a request waited in the queue before its epoch formed", lbl()...),
-		epochKeys:     reg.Histogram("pimtrie_serve_epoch_keys", "unique keys per executed read sub-batch, or per write epoch over both its sections", lbl()...),
-		readEpochs:    reg.Counter("pimtrie_serve_read_epochs_total", "committed read epochs", lbl()...),
-		writeEpochs:   reg.Counter("pimtrie_serve_write_epochs_total", "committed write epochs", lbl()...),
+		epochKeys:     reg.Histogram("pimtrie_serve_epoch_keys", "keys per epoch over all its sections, reads deduplicated", lbl()...),
+		readEpochs:    reg.Counter("pimtrie_serve_read_epochs_total", "epochs holding a read section", lbl()...),
+		writeEpochs:   reg.Counter("pimtrie_serve_write_epochs_total", "epochs holding a write section", lbl()...),
 		deduped:       reg.Counter("pimtrie_serve_read_keys_deduped_total", "read keys absorbed by singleflight dedupe within an epoch", lbl()...),
 		dedupRatio:    reg.Gauge("pimtrie_serve_read_dedupe_ratio", "cumulative fraction of epoch-admitted read keys absorbed by dedupe", lbl()...),
 		snapReads:     reg.Counter("pimtrie_serve_snapshot_reads_total", "keys served wait-free from the published COW snapshot", lbl()...),
 		snapFallbacks: reg.Counter("pimtrie_serve_snapshot_fallbacks_total", "ReadSnapshot keys sent back to the epoch path by the recent-writes filter", lbl()...),
 		snapAge:       reg.Gauge("pimtrie_serve_snapshot_age_epochs", "committed write epochs the published snapshot trailed by at the last snapshot read", lbl()...),
 		snapEpoch:     reg.Gauge("pimtrie_serve_snapshot_epoch", "write-epoch stamp of the currently published snapshot", lbl()...),
-		prepareSec:    reg.Histogram("pimtrie_serve_prepare_seconds", "host-side preparation time per epoch", lbl()...),
-		executeSec:    reg.Histogram("pimtrie_serve_execute_seconds", "index execution time per epoch, settling its futures included", lbl()...),
+		executeSec:    reg.Histogram("pimtrie_serve_execute_seconds", "index time per epoch, host preparation and settling its futures included", lbl()...),
 		degraded:      reg.Gauge("pimtrie_index_degraded", "1 while a module-loss recovery is in progress", lbl()...),
 		deadModules:   reg.Gauge("pimtrie_index_dead_modules", "currently crash-stopped modules", lbl()...),
 		recoveries:    reg.Counter("pimtrie_index_recoveries_total", "completed module-loss recoveries", lbl()...),
@@ -97,9 +95,9 @@ func newServeMetrics(reg *metrics.Registry, base []metrics.Label) *serveMetrics 
 		m.keysExec[op] = reg.Counter("pimtrie_serve_keys_executed_total", "unique keys sent to the index", lbl(l)...)
 		m.latency[op] = reg.Histogram("pimtrie_serve_request_seconds", "end-to-end request latency, admission to resolution", lbl(l)...)
 	}
-	for cut, reason := range [...]string{cutConflict: "conflict", cutMaxBatch: "max_batch"} {
-		m.writeCuts[cut] = reg.Counter("pimtrie_serve_write_epoch_cuts_total",
-			"write epochs that left writes queued: an insert hit a key the epoch deletes, or MaxBatch was reached", lbl(metrics.L("reason", reason))...)
+	for cut, reason := range [...]string{cutConflict: "conflict", cutReadAfterWrite: "read_after_write", cutMaxBatch: "max_batch"} {
+		m.cuts[cut] = reg.Counter("pimtrie_serve_epoch_cuts_total",
+			"epochs that left calls queued: an insert hit a key the epoch deletes, a read followed a write it depends on, or MaxBatch was reached", lbl(metrics.L("reason", reason))...)
 	}
 	for kind, name := range [...]string{"crash", "straggle", "truncate"} {
 		m.faults[kind] = reg.Counter("pimtrie_index_faults_total", "injected faults observed, by kind", lbl(metrics.L("kind", name))...)

@@ -1,19 +1,18 @@
 package serve
 
-// The epoch scheduler. One executor goroutine owns each epoch from
-// start to finish: it drains the request queues into an epoch plan — a
-// write epoch is the longest prefix of the write FIFO that commutes
-// into "all its inserts, then all its deletes" (formWriteLocked), a
-// read epoch groups one deduplicated sub-batch per read op — runs the
-// host-side preparation (Index.PrepareBatch) of each sub-batch, runs
-// the plan on the index and settles every future, and only then forms
-// the next epoch. The committed epoch order is the formation order, and
-// a request that arrives while epoch k runs lands in epoch k+1.
+// The epoch scheduler. Every admitted call joins one arrival-order
+// queue. One executor goroutine owns each epoch from start to finish:
+// it takes the longest prefix of the queue that one index batch answers
+// exactly as the calls one by one would have been answered
+// (formLocked), runs it with one Index.Apply, settles every future, and
+// only then forms the next epoch. The committed epoch order is the
+// formation order, and a request that arrives while epoch k runs lands
+// in epoch k+1.
 //
 // Consistency: the index is only touched by the executor, epochs never
-// interleave, reads and writes never share an epoch, and a write epoch
-// is serially equivalent to its calls in arrival order — so every
-// response equals a serial replay of the committed epoch order.
+// interleave, and an epoch is serially equivalent to its calls in
+// arrival order — so every response equals a serial replay of the
+// committed epochs, call by call.
 
 import (
 	"encoding/binary"
@@ -32,38 +31,21 @@ type call struct {
 	values []uint64 // OpInsert only
 	fut    *future
 	enq    time.Time
-	slots  []int     // read epochs: per key, index into the sub-batch's unique keys
+	slots  []int     // reads: per key, index into its section's unique keys
 	rec    *OpRecord // history record, nil unless recording
 }
 
-// readBatch is one read epoch's deduplicated sub-batch for a single op.
-type readBatch struct {
-	calls []*call
-	uniq  []Key
-	prep  *pimtrie.PreparedBatch
-}
-
-// epochPlan is one formed epoch.
+// epochPlan is one formed epoch: its calls in arrival order and the one
+// index batch that answers them — per read op the deduplicated keys of
+// its calls, then every insert call's pairs and every delete call's
+// keys, each in arrival order.
 type epochPlan struct {
-	write bool
-	// Read epoch: sub-batches indexed by OpGet/OpLCP/OpSubtree.
-	reads [3]readBatch
-	// Write epoch: calls in arrival order, and the two sections the
-	// executor applies — every insert call's pairs, then every delete
-	// call's keys, each in arrival order.
 	calls []*call
-	ins   writeSection
-	del   writeSection
-	// stamp is a write epoch's position in the write order (1-based); the
-	// snapshot path's recent-writes filter and committed counter carry it.
+	batch pimtrie.Batch
+	// stamp is the epoch's position among the epochs that write
+	// (1-based), 0 for an epoch of reads only; the snapshot path's
+	// recent-writes filter and committed counter carry it.
 	stamp uint64
-}
-
-// writeSection is one op's share of a write epoch.
-type writeSection struct {
-	keys   []Key
-	values []uint64 // insert section only
-	prep   *pimtrie.PreparedBatch
 }
 
 // Server fronts a pimtrie.Index with the concurrent serving layer; see
@@ -72,15 +54,14 @@ type Server struct {
 	ix   *pimtrie.Index
 	opts Options
 
-	mu           sync.Mutex
-	readQ        [3][]*call // per read op FIFO
-	writeQ       []*call    // mixed insert/delete FIFO, arrival order
-	closed       bool
-	formedWrites uint64 // write epochs formed so far
-	hist         []*EpochRecord
-	stats        Stats
-	idBuf        []byte   // scratch for appendKeyID, reused under mu
-	prefixLoad   []uint64 // per-prefix executed keys (Options.PrefixLoadBits)
+	mu         sync.Mutex
+	queue      []*call // admitted calls not yet in an epoch, arrival order
+	closed     bool
+	epochs     uint64 // epochs formed so far
+	hist       []*EpochRecord
+	stats      Stats
+	idBuf      []byte   // scratch for appendKeyID, reused under mu
+	prefixLoad []uint64 // per-prefix executed keys (Options.PrefixLoadBits)
 
 	kick chan struct{} // executor wake-up, capacity 1
 	wg   sync.WaitGroup
@@ -191,7 +172,7 @@ func (s *Server) History() []*EpochRecord {
 	return s.hist
 }
 
-// wake nudges the executor to look at the queues again.
+// wake nudges the executor to look at the queue again.
 func (s *Server) wake() {
 	select {
 	case s.kick <- struct{}{}:
@@ -219,15 +200,9 @@ func (s *Server) submit(op Op, keys []Key, values []uint64) *future {
 	if s.met != nil {
 		s.met.requests[op].Inc()
 		s.met.keysReq[op].Add(uint64(len(keys)))
-	}
-	if op.isRead() {
-		s.readQ[op] = append(s.readQ[op], c)
-	} else {
-		s.writeQ = append(s.writeQ, c)
-	}
-	if s.met != nil {
 		s.met.queueDepth.Add(1)
 	}
+	s.queue = append(s.queue, c)
 	s.mu.Unlock()
 	s.wake()
 	return f
@@ -248,14 +223,13 @@ func (s *Server) resolveEmpty(op Op, f *future) {
 }
 
 // executor owns each epoch from start to finish: form it from
-// everything queued, prepare it, run it on the index and settle its
-// futures — then form the next. Once the server is closed and drained
-// it stops the snapshot publisher, whose final publish then captures
-// the drained state.
+// everything queued, run it on the index and settle its futures — then
+// form the next. Once the server is closed and drained it stops the
+// snapshot publisher, whose final publish then captures the drained
+// state.
 func (s *Server) executor() {
 	defer s.wg.Done()
 	for plan := s.nextPlan(); plan != nil; plan = s.nextPlan() {
-		s.prepare(plan)
 		s.execute(plan)
 	}
 	if s.snapDirty != nil {
@@ -281,23 +255,6 @@ func (s *Server) finishErr(c *call, err error) {
 	}
 }
 
-// deliver settles an epoch's resolved calls.
-func (s *Server) deliver(calls []*call) {
-	for _, c := range calls {
-		s.finish(c)
-	}
-}
-
-// pendingLocked reports whether any request is queued.
-func (s *Server) pendingLocked() bool {
-	for op := range s.readQ {
-		if len(s.readQ[op]) > 0 {
-			return true
-		}
-	}
-	return len(s.writeQ) > 0
-}
-
 // nextPlan blocks until requests are pending, then forms the next epoch
 // from everything queued at that moment: there is no timer and no
 // controller, coalescing comes from the previous epoch's run time
@@ -305,7 +262,7 @@ func (s *Server) pendingLocked() bool {
 func (s *Server) nextPlan() *epochPlan {
 	for {
 		s.mu.Lock()
-		if s.pendingLocked() {
+		if len(s.queue) > 0 {
 			plan := s.formLocked()
 			s.mu.Unlock()
 			return plan
@@ -319,102 +276,164 @@ func (s *Server) nextPlan() *epochPlan {
 	}
 }
 
-// formLocked removes the next epoch's requests from the queues. Side
-// choice is oldest-first between the read side and the write side, so
-// neither starves.
-func (s *Server) formLocked() *epochPlan {
-	var oldestRead, oldestWrite time.Time
-	haveRead := false
-	for op := range s.readQ {
-		if q := s.readQ[op]; len(q) > 0 && (!haveRead || q[0].enq.Before(oldestRead)) {
-			oldestRead, haveRead = q[0].enq, true
-		}
-	}
-	haveWrite := len(s.writeQ) > 0
-	if haveWrite {
-		oldestWrite = s.writeQ[0].enq
-	}
-	if haveWrite && (!haveRead || oldestWrite.Before(oldestRead)) {
-		return s.formWriteLocked()
-	}
-	return s.formReadLocked()
+// keySet is the set of key hashes of one growing batch section; it
+// hashes the section's new keys only when a lookup needs them.
+type keySet struct {
+	m      map[uint64]struct{}
+	hashed int // keys of the section already in m
 }
 
-// formWriteLocked takes the longest prefix of the write FIFO that is
-// serially equivalent to "all its inserts, then all its deletes",
-// capped at MaxBatch keys (calls are admitted whole, always at least
-// one). Moving a delete behind a later insert changes nothing unless
-// both touch one key, so the prefix is cut only at an insert of a key
-// that a delete already admitted to this epoch touches: delete→insert
-// of one key is the one order the two batches cannot reproduce.
-// insert→delete of one key already is the batch order; duplicate
-// inserts stay last-wins and duplicate deletes first-finds inside the
-// index, as in a same-op batch. The conflict set is built only when an
-// insert follows a delete, so an epoch of one op never pays for it; it
-// holds key hashes, so a collision can only cut an epoch early.
-func (s *Server) formWriteLocked() *epochPlan {
-	plan := &epochPlan{write: true}
-	var deleted map[uint64]struct{} // keyHash of plan.del.keys[:hashed], filled when an insert has to look
-	hashed := 0
-	cut := -1 // cutConflict or cutMaxBatch once the prefix is cut short
+// hits reports whether any of keys is in sec.
+func (ks *keySet) hits(keys, sec []Key) bool {
+	if len(sec) == 0 {
+		return false
+	}
+	if ks.m == nil {
+		ks.m = make(map[uint64]struct{}, len(sec))
+	}
+	for _, k := range sec[ks.hashed:] {
+		ks.m[keyHash(k)] = struct{}{}
+	}
+	ks.hashed = len(sec)
+	for _, k := range keys {
+		if _, hit := ks.m[keyHash(k)]; hit {
+			return true
+		}
+	}
+	return false
+}
+
+// formLocked removes the next epoch from the queue: its longest prefix
+// that is serially equivalent to "its reads, then its inserts, then its
+// deletes", capped at MaxBatch keys over all sections (calls are
+// admitted whole, always at least one). Calls on different keys
+// commute, so the prefix is cut only where a call meets an admitted one
+// in an order the sections cannot reproduce:
+//   - an insert of a key an admitted delete touches (delete→insert);
+//   - a Get of a key an admitted insert or delete touches (write→read);
+//   - an LCP or Subtree once any write is admitted: its answer depends on
+//     keys it does not name.
+//
+// Everything else already is the section order, or commutes into it: a
+// read admitted before a write of its key is answered before it,
+// insert→delete of one key is the section order, and inside a section
+// the index keeps duplicates in arrival order (inserts last-wins,
+// deletes first-finds). The key-hash sets are built only once a check
+// needs them, so an epoch that never meets a conflict never pays for
+// one; a hash collision can only cut an epoch early.
+func (s *Server) formLocked() *epochPlan {
+	plan := &epochPlan{}
+	b := &plan.batch
+	var inserted, deleted keySet
+	var slot [OpSubtree + 1]map[string]int // per read op: key identity → index into its section
+	cut := -1                              // why the prefix ended before the queue did
+	readKeys := 0                          // read keys admitted, before dedupe
 	i := 0
-admit:
-	for ; i < len(s.writeQ); i++ {
-		c := s.writeQ[i]
-		if total := len(plan.ins.keys) + len(plan.del.keys); total > 0 && total+len(c.keys) > s.opts.MaxBatch {
+	for ; i < len(s.queue); i++ {
+		c := s.queue[i]
+		total := len(b.Gets) + len(b.LCPs) + len(b.Subtrees) + len(b.Inserts) + len(b.Deletes)
+		switch {
+		case total > 0 && total+len(c.keys) > s.opts.MaxBatch:
 			cut = cutMaxBatch
+		case c.op == OpInsert && deleted.hits(c.keys, b.Deletes):
+			cut = cutConflict
+		case c.op == OpGet && (inserted.hits(c.keys, b.Inserts) || deleted.hits(c.keys, b.Deletes)):
+			cut = cutReadAfterWrite
+		case (c.op == OpLCP || c.op == OpSubtree) && len(b.Inserts)+len(b.Deletes) > 0:
+			cut = cutReadAfterWrite
+		}
+		if cut >= 0 {
 			break
 		}
-		if c.op == OpDelete {
-			plan.del.keys = append(plan.del.keys, c.keys...)
-		} else {
-			if hashed < len(plan.del.keys) {
-				if deleted == nil {
-					deleted = make(map[uint64]struct{}, len(plan.del.keys))
-				}
-				for _, k := range plan.del.keys[hashed:] {
-					deleted[keyHash(k)] = struct{}{}
-				}
-				hashed = len(plan.del.keys)
+		switch c.op {
+		case OpInsert:
+			b.Inserts = append(b.Inserts, c.keys...)
+			b.Values = append(b.Values, c.values...)
+		case OpDelete:
+			b.Deletes = append(b.Deletes, c.keys...)
+		default:
+			sec := readSection(b, c.op)
+			if slot[c.op] == nil {
+				slot[c.op] = make(map[string]int)
 			}
-			if hashed > 0 {
-				for _, k := range c.keys {
-					if _, hit := deleted[keyHash(k)]; hit {
-						cut = cutConflict
-						break admit
-					}
+			c.slots = make([]int, len(c.keys))
+			for j, k := range c.keys {
+				s.idBuf = appendKeyID(s.idBuf[:0], k)
+				si, ok := slot[c.op][string(s.idBuf)]
+				if !ok {
+					si = len(*sec)
+					slot[c.op][string(s.idBuf)] = si
+					*sec = append(*sec, k)
 				}
+				c.slots[j] = si
 			}
-			plan.ins.keys = append(plan.ins.keys, c.keys...)
-			plan.ins.values = append(plan.ins.values, c.values...)
+			readKeys += len(c.keys)
 		}
 		plan.calls = append(plan.calls, c)
 	}
-	s.writeQ = append(s.writeQ[:0], s.writeQ[i:]...)
-	s.formedWrites++
-	plan.stamp = s.formedWrites
-	s.stats.WriteEpochs++
-	s.notePrefixLoadLocked(plan.ins.keys)
-	s.notePrefixLoadLocked(plan.del.keys)
-	s.noteExecutedLocked(OpInsert, len(plan.ins.keys))
-	s.noteExecutedLocked(OpDelete, len(plan.del.keys))
+	s.queue = append(s.queue[:0], s.queue[i:]...)
+	s.noteFormedLocked(plan, readKeys, cut)
+	return plan
+}
+
+// readSection returns the batch section of a read op.
+func readSection(b *pimtrie.Batch, op Op) *[]Key {
+	switch op {
+	case OpGet:
+		return &b.Gets
+	case OpLCP:
+		return &b.LCPs
+	}
+	return &b.Subtrees
+}
+
+// noteFormedLocked stamps a formed epoch and counts it: per-op executed
+// keys, the epoch's kinds, dedupe, prefix load, and — with metrics —
+// its size, linger and why it was cut.
+func (s *Server) noteFormedLocked(plan *epochPlan, readKeys, cut int) {
+	b := &plan.batch
+	reads := len(b.Gets) + len(b.LCPs) + len(b.Subtrees)
+	writes := len(b.Inserts) + len(b.Deletes)
+	s.epochs++
+	if writes > 0 {
+		s.stats.WriteEpochs++
+		plan.stamp = s.stats.WriteEpochs
+	}
+	if reads > 0 {
+		s.stats.ReadEpochs++
+	}
+	s.stats.DedupedKeys += uint64(readKeys - reads)
+	s.stats.MaxEpochKeys = max(s.stats.MaxEpochKeys, reads+writes)
+	for op, keys := range [numOps][]Key{b.Gets, b.LCPs, b.Subtrees, b.Inserts, b.Deletes} {
+		s.stats.KeysExecuted[op] += uint64(len(keys))
+		s.notePrefixLoadLocked(keys)
+		if s.met != nil {
+			s.met.keysExec[op].Add(uint64(len(keys)))
+		}
+	}
 	if s.met != nil {
-		s.met.writeEpochs.Inc()
-		s.met.epochKeys.Observe(float64(len(plan.ins.keys) + len(plan.del.keys)))
+		if reads > 0 {
+			s.met.readEpochs.Inc()
+			s.met.deduped.Add(uint64(readKeys - reads))
+			s.met.updateDedupRatio()
+		}
+		if writes > 0 {
+			s.met.writeEpochs.Inc()
+		}
+		s.met.epochKeys.Observe(float64(reads + writes))
 		if cut >= 0 {
-			s.met.writeCuts[cut].Inc()
+			s.met.cuts[cut].Inc()
 		}
 		s.met.noteFormed(plan.calls, time.Now())
 	}
 	if s.opts.RecordHistory {
-		rec := &EpochRecord{Write: true}
+		rec := &EpochRecord{}
 		for _, c := range plan.calls {
 			c.rec = &OpRecord{Op: c.op, Keys: c.keys, Values: c.values}
 			rec.Ops = append(rec.Ops, c.rec)
 		}
 		s.hist = append(s.hist, rec)
 	}
-	return plan
 }
 
 // appendKeyID appends k's canonical map identity — bit length plus
@@ -427,78 +446,6 @@ func appendKeyID(buf []byte, k Key) []byte {
 		buf = binary.LittleEndian.AppendUint64(buf, w)
 	}
 	return buf
-}
-
-// formReadLocked drains up to MaxBatch unique keys per read op into one
-// epoch, deduplicating identical keys within each sub-batch
-// (singleflight): every request records, per key, the slot of its
-// unique representative.
-func (s *Server) formReadLocked() *epochPlan {
-	plan := &epochPlan{}
-	var rec *EpochRecord
-	if s.opts.RecordHistory {
-		rec = &EpochRecord{}
-	}
-	for op := 0; op < 3; op++ {
-		q := s.readQ[op]
-		if len(q) == 0 {
-			continue
-		}
-		rb := &plan.reads[op]
-		slot := make(map[string]int, len(q))
-		// Slab the per-call slot slices: one allocation per sub-batch.
-		nkeys := 0
-		for _, c := range q {
-			nkeys += len(c.keys)
-		}
-		slab := make([]int, nkeys)
-		i := 0
-		for ; i < len(q); i++ {
-			c := q[i]
-			if len(rb.uniq) > 0 && len(rb.uniq)+len(c.keys) > s.opts.MaxBatch {
-				break // admit calls whole; keys of one call stay in one epoch
-			}
-			c.slots = slab[:len(c.keys):len(c.keys)]
-			slab = slab[len(c.keys):]
-			for j, k := range c.keys {
-				s.idBuf = appendKeyID(s.idBuf[:0], k)
-				si, ok := slot[string(s.idBuf)]
-				if !ok {
-					si = len(rb.uniq)
-					slot[string(s.idBuf)] = si
-					rb.uniq = append(rb.uniq, k)
-				}
-				c.slots[j] = si
-			}
-			rb.calls = append(rb.calls, c)
-			if rec != nil {
-				c.rec = &OpRecord{Op: Op(op), Keys: c.keys}
-				rec.Ops = append(rec.Ops, c.rec)
-			}
-		}
-		s.readQ[op] = append(q[:0], q[i:]...)
-		s.notePrefixLoadLocked(rb.uniq)
-		s.noteExecutedLocked(Op(op), len(rb.uniq))
-		admitted := 0
-		for _, c := range rb.calls {
-			admitted += len(c.keys)
-		}
-		s.stats.DedupedKeys += uint64(admitted - len(rb.uniq))
-		if s.met != nil {
-			s.met.deduped.Add(uint64(admitted - len(rb.uniq)))
-			s.met.epochKeys.Observe(float64(len(rb.uniq)))
-			s.met.noteFormed(rb.calls, time.Now())
-		}
-	}
-	s.stats.ReadEpochs++
-	if s.met != nil {
-		s.met.readEpochs.Inc()
-		s.met.updateDedupRatio()
-	}
-	if rec != nil {
-		s.hist = append(s.hist, rec)
-	}
-	return plan
 }
 
 // notePrefixLoadLocked counts an epoch's unique executed keys into the
@@ -516,7 +463,7 @@ func (s *Server) notePrefixLoadLocked(keys []Key) {
 
 // PrefixLoad copies the cumulative per-prefix executed-key counters
 // into dst (allocating when dst is too short) and returns it, along
-// with the number of epochs committed so far — the consumer diffs two
+// with the number of epochs formed so far — the consumer diffs two
 // snapshots to get a per-interval, per-key-range load profile. Bucket i
 // counts unique keys whose first PrefixLoadBits bits index i
 // (bitstr.PrefixIndex order: buckets are contiguous lexicographic key
@@ -525,9 +472,8 @@ func (s *Server) notePrefixLoadLocked(keys []Key) {
 func (s *Server) PrefixLoad(dst []uint64) ([]uint64, uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	epochs := s.stats.ReadEpochs + s.stats.WriteEpochs
 	if s.prefixLoad == nil {
-		return nil, epochs
+		return nil, s.epochs
 	}
 	if cap(dst) < len(s.prefixLoad) {
 		dst = make([]uint64, len(s.prefixLoad))
@@ -536,96 +482,94 @@ func (s *Server) PrefixLoad(dst []uint64) ([]uint64, uint64) {
 	for i := range s.prefixLoad {
 		dst[i] = atomic.LoadUint64(&s.prefixLoad[i])
 	}
-	return dst, epochs
+	return dst, s.epochs
 }
 
-func (s *Server) noteExecutedLocked(op Op, uniq int) {
-	s.stats.KeysExecuted[op] += uint64(uniq)
-	if uniq > s.stats.MaxEpochKeys {
-		s.stats.MaxEpochKeys = uniq
-	}
-	if s.met != nil {
-		s.met.keysExec[op].Add(uint64(uniq))
-	}
-}
-
-// prepare runs the host-side phase-A preparation of every sub-batch in
-// the plan, timed apart from the PIM rounds that execute then runs.
-func (s *Server) prepare(plan *epochPlan) {
-	if s.met != nil {
-		start := time.Now()
-		defer func() { s.met.prepareSec.Observe(time.Since(start).Seconds()) }()
-	}
-	if plan.write {
-		for _, sec := range []*writeSection{&plan.ins, &plan.del} {
-			if len(sec.keys) > 0 {
-				sec.prep = s.ix.PrepareBatch(sec.keys)
-			}
+// apply runs an epoch's batch on the index, turning a panic in the
+// index into an error like the fault errors Apply returns.
+func (s *Server) apply(b pimtrie.Batch) (res pimtrie.Result, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("%v", r)
 		}
-		return
-	}
-	for op := range plan.reads {
-		if rb := &plan.reads[op]; len(rb.uniq) > 0 {
-			rb.prep = s.ix.PrepareBatch(rb.uniq)
-		}
-	}
+	}()
+	return s.ix.Apply(b)
 }
 
-// execute commits one epoch on the index and settles every future of
-// it before returning. An index panic (e.g. an unrecoverable injected
-// fault) fails the epoch's futures instead of killing the scheduler.
+// execute commits one epoch with one Index.Apply and settles every
+// future of it before returning: the reads first; then, once the
+// recent-writes filter is stamped and the write sections are logged as
+// one record, the writes — so a read never waits for an fsync. The
+// epoch is all-or-nothing towards its callers: if Apply fails every
+// future fails, and if the append fails every write future does. The
+// index may then hold part of the epoch's writes; a durable server
+// records either failure as its sticky DurabilityErr, because its
+// memory is now ahead of its log and a restart rolls the epoch back.
 func (s *Server) execute(plan *epochPlan) {
 	defer s.sampleHealth()
 	if s.met != nil {
 		start := time.Now()
 		defer func() { s.met.executeSec.Observe(time.Since(start).Seconds()) }()
 	}
-	defer func() {
-		if r := recover(); r != nil {
-			// Fail whatever the epoch had not already resolved. finishErr
-			// is CAS-guarded, so futures settled before the panic
-			// (earlier sub-batches of this read epoch) are left alone
-			// instead of being double-closed.
-			err := fmt.Errorf("serve: index failure: %v", r)
-			if plan.write {
-				if s.dur != nil {
-					s.dur.noteErr(err) // see executeWrite: memory may be ahead of the log
-				}
-				for _, c := range plan.calls {
-					s.finishErr(c, err)
-				}
-				return
-			}
-			for op := range plan.reads {
-				for _, c := range plan.reads[op].calls {
-					s.finishErr(c, err)
-				}
-			}
+	res, err := s.apply(plan.batch)
+	if err != nil {
+		err = fmt.Errorf("serve: index failure: %w", err)
+		if plan.stamp != 0 && s.dur != nil {
+			s.dur.noteErr(err)
 		}
-	}()
-	if plan.write {
-		s.executeWrite(plan)
+		for _, c := range plan.calls {
+			s.finishErr(c, err)
+		}
 		return
 	}
-	s.executeRead(plan)
-}
-
-// executeWrite applies a write epoch — insert section, then delete
-// section — under one write stamp, logs it as one record and resolves
-// every call at once. The epoch is all-or-nothing towards its callers:
-// if either section panics in the index (execute recovers it) or the
-// append fails, every future fails and nothing is logged. The index
-// may then hold the insert section without the delete section; a
-// durable server records either failure as its sticky DurabilityErr,
-// because its memory is now ahead of its log and a restart rolls the
-// epoch back.
-func (s *Server) executeWrite(plan *epochPlan) {
-	var found []bool
-	if len(plan.ins.keys) > 0 {
-		s.ix.InsertPrepared(plan.ins.prep, plan.ins.values)
+	// Result slabs: every call's answers are views of one allocation per
+	// op.
+	var n [numOps]int
+	for _, c := range plan.calls {
+		n[c.op] += len(c.keys)
 	}
-	if len(plan.del.keys) > 0 {
-		found = s.ix.DeletePrepared(plan.del.prep)
+	vals, found, lcps := make([]uint64, n[OpGet]), make([]bool, n[OpGet]), make([]int, n[OpLCP])
+	deleted := res.Deleted
+	for _, c := range plan.calls {
+		k := len(c.keys)
+		switch c.op {
+		case OpGet:
+			c.fut.vals, vals = vals[:k:k], vals[k:]
+			c.fut.found, found = found[:k:k], found[k:]
+			for j, si := range c.slots {
+				c.fut.vals[j], c.fut.found[j] = res.Values[si], res.Found[si]
+			}
+			if c.rec != nil {
+				c.rec.Vals, c.rec.Found = c.fut.vals, c.fut.found
+			}
+		case OpLCP:
+			c.fut.ints, lcps = lcps[:k:k], lcps[k:]
+			for j, si := range c.slots {
+				c.fut.ints[j] = res.LCPs[si]
+			}
+			if c.rec != nil {
+				c.rec.LCPs = c.fut.ints
+			}
+		case OpSubtree:
+			c.fut.kvs = make([][]KV, k)
+			for j, si := range c.slots {
+				c.fut.kvs[j] = res.Subtrees[si]
+			}
+			if c.rec != nil {
+				c.rec.KVs = c.fut.kvs
+			}
+		case OpDelete:
+			c.fut.found, deleted = deleted[:k:k], deleted[k:]
+			if c.rec != nil {
+				c.rec.Found = c.fut.found
+			}
+		}
+		if c.op.isRead() {
+			s.finish(c)
+		}
+	}
+	if plan.stamp == 0 {
+		return
 	}
 	// Snapshot-path ordering: stamp the recent-writes filter, THEN
 	// advance the committed-write counter, THEN (below) acknowledge.
@@ -634,7 +578,7 @@ func (s *Server) executeWrite(plan *epochPlan) {
 	// epoch path or reads a snapshot that contains the write — never a
 	// stale snapshot answer for an acknowledged key.
 	if s.snapFilter != nil {
-		for _, keys := range [][]Key{plan.ins.keys, plan.del.keys} {
+		for _, keys := range [][]Key{plan.batch.Inserts, plan.batch.Deletes} {
 			for _, k := range keys {
 				s.snapFilter.note(keyHash(k), plan.stamp)
 			}
@@ -645,11 +589,9 @@ func (s *Server) executeWrite(plan *epochPlan) {
 		default: // publisher already pending; it reloads the counter
 		}
 	}
-	// Log-before-ack: the epoch reaches the WAL before any caller
-	// observes it as committed, so an acknowledged write survives the
-	// process. On append failure the futures fail — the in-memory
-	// index is ahead of the log at that point and a restart would
-	// roll the epoch back, so it must not be acknowledged.
+	// Log-before-ack: the epoch's writes reach the WAL before any caller
+	// observes them as committed, so an acknowledged write survives the
+	// process.
 	if s.dur != nil {
 		if err := s.dur.commitEpoch(s.ix, plan); err != nil {
 			err = fmt.Errorf("serve: wal append: %w", err)
@@ -659,75 +601,9 @@ func (s *Server) executeWrite(plan *epochPlan) {
 			return
 		}
 	}
-	off := 0
 	for _, c := range plan.calls {
-		if c.op != OpDelete {
-			continue
+		if !c.op.isRead() {
+			s.finish(c)
 		}
-		c.fut.found = found[off : off+len(c.keys) : off+len(c.keys)]
-		if c.rec != nil {
-			c.rec.Found = c.fut.found
-		}
-		off += len(c.keys)
-	}
-	s.deliver(plan.calls)
-}
-
-// slabKeys sums the requested key counts of a sub-batch's calls, so
-// result distribution can carve per-call views out of one allocation.
-func slabKeys(calls []*call) int {
-	n := 0
-	for _, c := range calls {
-		n += len(c.keys)
-	}
-	return n
-}
-
-func (s *Server) executeRead(plan *epochPlan) {
-	if rb := &plan.reads[OpGet]; len(rb.uniq) > 0 {
-		vals, found := s.ix.GetPrepared(rb.prep)
-		nslab := slabKeys(rb.calls)
-		vslab := make([]uint64, nslab)
-		fslab := make([]bool, nslab)
-		for _, c := range rb.calls {
-			n := len(c.keys)
-			c.fut.vals, vslab = vslab[:n:n], vslab[n:]
-			c.fut.found, fslab = fslab[:n:n], fslab[n:]
-			for j, si := range c.slots {
-				c.fut.vals[j], c.fut.found[j] = vals[si], found[si]
-			}
-			if c.rec != nil {
-				c.rec.Vals, c.rec.Found = c.fut.vals, c.fut.found
-			}
-		}
-		s.deliver(rb.calls)
-	}
-	if rb := &plan.reads[OpLCP]; len(rb.uniq) > 0 {
-		lcps := s.ix.LCPPrepared(rb.prep)
-		islab := make([]int, slabKeys(rb.calls))
-		for _, c := range rb.calls {
-			n := len(c.keys)
-			c.fut.ints, islab = islab[:n:n], islab[n:]
-			for j, si := range c.slots {
-				c.fut.ints[j] = lcps[si]
-			}
-			if c.rec != nil {
-				c.rec.LCPs = c.fut.ints
-			}
-		}
-		s.deliver(rb.calls)
-	}
-	if rb := &plan.reads[OpSubtree]; len(rb.uniq) > 0 {
-		kvs := s.ix.SubtreesPrepared(rb.prep)
-		for _, c := range rb.calls {
-			c.fut.kvs = make([][]KV, len(c.keys))
-			for j, si := range c.slots {
-				c.fut.kvs[j] = kvs[si]
-			}
-			if c.rec != nil {
-				c.rec.KVs = c.fut.kvs
-			}
-		}
-		s.deliver(rb.calls)
 	}
 }

@@ -7,15 +7,16 @@
 // provides that front-end:
 //
 //   - Admission/coalescing: single- and multi-key async requests (Get,
-//     LCP, Subtree, Insert, Delete) are queued per op type and coalesced
-//     into batches of at most MaxBatch keys. One executor goroutine
-//     forms an epoch from everything queued, prepares it, runs it and
-//     settles its futures, then forms the next; there is no timer and
-//     no controller.
-//   - Read/write epochs: reads from one epoch are grouped and
-//     deduplicated together (singleflight on identical in-flight keys);
-//     mutations form ordered write epochs that fence reads. Every
-//     response is consistent with the serial order of committed epochs.
+//     LCP, Subtree, Insert, Delete) join one arrival-order queue. One
+//     executor goroutine forms an epoch of at most MaxBatch keys from
+//     everything queued, runs it as one index batch and settles its
+//     futures, then forms the next; there is no timer and no
+//     controller.
+//   - One epoch kind: an epoch is the longest queue prefix that one
+//     batch — its reads, then its inserts, then its deletes — answers as
+//     the calls in arrival order would be answered; identical in-flight
+//     read keys are deduplicated (singleflight). Every response is
+//     consistent with the serial order of committed epochs.
 //   - Two answer paths for a Get: the strong epoch path above, and
 //     (opt-in, Options.SnapshotReads) wait-free ReadSnapshot probes of
 //     the latest published snapshot; see snapshot.go.
@@ -77,8 +78,10 @@ func (o Op) isRead() bool { return o == OpGet || o == OpLCP || o == OpSubtree }
 // Options configures a Server. The zero value serves with the defaults
 // noted on each field.
 type Options struct {
-	// MaxBatch bounds the unique keys per executed read sub-batch, and
-	// the keys of a write epoch over both its sections (default 1024).
+	// MaxBatch bounds the keys of an epoch over all its sections, read
+	// keys counted once per section however many calls ask (default
+	// 1024). Calls are admitted whole, so an epoch of one call may
+	// exceed it.
 	MaxBatch int
 	// RecordHistory retains the committed epoch order together with every
 	// request's inputs and responses so tests can replay it against a
@@ -87,7 +90,8 @@ type Options struct {
 	// Metrics, when non-nil, registers the live serving instruments in
 	// the given registry and keeps them updated: per-op arrival counters
 	// and end-to-end latency histograms, the queue-depth gauge, linger,
-	// prepare, execute and epoch-size histograms, dedupe counters,
+	// execute and epoch-size histograms, epoch and cut counters, dedupe
+	// counters,
 	// and the post-epoch index health feed behind Server.Health. Nil
 	// (the default) disables instrumentation entirely — the hot path
 	// then pays one nil check per site.
@@ -106,8 +110,9 @@ type Options struct {
 	Durable *Durable
 	// SnapshotReads enables the wait-free read fast path: the executor
 	// publishes the latest post-epoch COW snapshot through an atomic
-	// pointer and ReadSnapshot Gets (GetAsyncWith, GetWith, GetBatch)
-	// probe it on the caller's goroutine, bypassing the epoch scheduler
+	// pointer and ReadSnapshot Gets (GetAsyncWith, and the shard
+	// router's TrySnapshotGet) probe it on the caller's goroutine,
+	// bypassing the epoch scheduler
 	// entirely for keys the recent-writes filter proves unchanged since
 	// publication. Requires a recoverable index (pimtrie
 	// Options.Recoverable: snapshots flatten the host shadow); NewServer
@@ -160,13 +165,15 @@ type Stats struct {
 	// KeysExecuted counts unique keys actually sent to the index per op —
 	// the difference to KeysRequested is singleflight dedupe.
 	KeysExecuted [numOps]uint64
-	// ReadEpochs and WriteEpochs count committed epochs by kind.
+	// ReadEpochs and WriteEpochs count the epochs holding a read section
+	// and those holding a write section; an epoch holding both counts in
+	// both.
 	ReadEpochs, WriteEpochs uint64
-	// DedupedKeys counts read keys absorbed by singleflight dedupe: keys
-	// admitted into read epochs minus the unique keys executed for them.
+	// DedupedKeys counts read keys absorbed by singleflight dedupe: read
+	// keys admitted into epochs minus the unique keys executed for them.
 	DedupedKeys uint64
-	// MaxEpochKeys is the largest unique-key count of any executed
-	// sub-batch.
+	// MaxEpochKeys is the largest key count of any executed epoch, over
+	// all its sections.
 	MaxEpochKeys int
 	// SnapshotKeys counts keys served wait-free from the published COW
 	// snapshot (Options.SnapshotReads); SnapshotFallbacks counts

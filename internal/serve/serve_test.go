@@ -170,19 +170,19 @@ func TestServeSoak(t *testing.T) {
 			srv.Close()
 			st := srv.Stats()
 			if st.ReadEpochs == 0 || st.WriteEpochs == 0 {
-				t.Fatalf("soak formed no epochs of one kind: %+v", st)
+				t.Fatalf("soak formed no epoch with reads or none with writes: %+v", st)
 			}
 			replayHistory(t, srv.History(), oracle)
 		})
 	}
 }
 
-// TestServeMixedEpochSoak is the adversarial input for the write-epoch
-// cut rule: many writers keep several inserts and deletes of a 16-key
-// hot set in flight, so nearly every write epoch holds both ops and
-// inserts keep landing on keys the same wave deletes, while strong reads
-// observe the states in between. Every response must equal a replay of
-// the recorded epoch order, call by call. Run under -race.
+// TestServeMixedEpochSoak is the adversarial input for the epoch cut
+// rules: many clients keep inserts, deletes, Gets and LCPs of a 16-key
+// hot set in flight, so nearly every epoch holds reads and writes,
+// inserts keep landing on keys the same wave deletes, and reads keep
+// following writes they depend on. Every response must equal a replay
+// of the recorded epoch order, call by call. Run under -race.
 func TestServeMixedEpochSoak(t *testing.T) {
 	configs := []struct {
 		name string
@@ -209,10 +209,17 @@ func TestServeMixedEpochSoak(t *testing.T) {
 						var waits [burst + 1]func() error
 						for b := 0; b < burst; b++ {
 							keys := []serve.Key{hot[r.Intn(len(hot))], hot[r.Intn(len(hot))]}[:1+r.Intn(2)]
-							if r.Intn(2) == 0 {
+							switch r.Intn(4) {
+							case 0:
 								waits[b] = srv.InsertAsync(keys, []uint64{r.Uint64(), r.Uint64()}[:len(keys)]).Wait
-							} else {
+							case 1:
 								f := srv.DeleteAsync(keys...)
+								waits[b] = func() error { _, err := f.Wait(); return err }
+							case 2:
+								f := srv.GetAsync(keys...)
+								waits[b] = func() error { _, _, err := f.Wait(); return err }
+							default:
+								f := srv.LCPAsync(keys...)
 								waits[b] = func() error { _, err := f.Wait(); return err }
 							}
 						}
@@ -229,23 +236,26 @@ func TestServeMixedEpochSoak(t *testing.T) {
 			wg.Wait()
 			srv.Close()
 			hist := srv.History()
-			mixed := 0
+			mixed, bothWrites := 0, 0
 			for _, er := range hist {
-				if !er.Write {
-					continue
-				}
-				var has [2]bool // insert, delete
+				var has [serve.OpDelete + 1]bool
 				for _, op := range er.Ops {
-					has[op.Op-serve.OpInsert] = true
+					has[op.Op] = true
 				}
-				if has[0] && has[1] {
+				if (has[serve.OpGet] || has[serve.OpLCP]) && (has[serve.OpInsert] || has[serve.OpDelete]) {
 					mixed++
 				}
+				if has[serve.OpInsert] && has[serve.OpDelete] {
+					bothWrites++
+				}
 			}
-			cuts := reg.Varz()[`pimtrie_serve_write_epoch_cuts_total{reason="conflict"}`].(uint64)
-			t.Logf("%d of %d write epochs mixed, %d cut at a conflict", mixed, srv.Stats().WriteEpochs, cuts)
-			if mixed == 0 || cuts == 0 {
-				t.Fatal("the soak is vacuous: it needs write epochs holding both ops and epochs cut at a delete→insert conflict")
+			v := reg.Varz()
+			conflicts := v[`pimtrie_serve_epoch_cuts_total{reason="conflict"}`].(uint64)
+			readCuts := v[`pimtrie_serve_epoch_cuts_total{reason="read_after_write"}`].(uint64)
+			t.Logf("of %d epochs, %d held reads and writes and %d inserts and deletes; %d cut at a delete→insert conflict, %d at a read after a write",
+				len(hist), mixed, bothWrites, conflicts, readCuts)
+			if mixed == 0 || bothWrites == 0 || conflicts == 0 || readCuts == 0 {
+				t.Fatal("the soak is vacuous: it needs epochs holding reads and writes, epochs holding inserts and deletes, and cuts at both a delete→insert conflict and a read after a write")
 			}
 			replayHistory(t, hist, oracle)
 		})

@@ -279,31 +279,3 @@ func (s *Server) GetAsyncWith(c Consistency, keys ...Key) *GetFuture {
 	}
 	return s.GetAsync(keys...)
 }
-
-// GetWith is the blocking single-key form of GetAsyncWith.
-func (s *Server) GetWith(c Consistency, key Key) (value uint64, found bool, err error) {
-	vals, fnd, err := s.GetAsyncWith(c, key).Wait()
-	if err != nil {
-		return 0, false, err
-	}
-	return vals[0], fnd[0], nil
-}
-
-// GetBatch answers keys into the caller-provided slices (both len(keys))
-// under the given consistency mode. The ReadSnapshot fast path writes
-// results without a single allocation; the fallback runs one epoch-path
-// request and copies. This is the bulk form benchmark loops and the
-// shard router want.
-func (s *Server) GetBatch(c Consistency, keys []Key, vals []uint64, found []bool) error {
-	if c == ReadSnapshot && s.snapFilter != nil && len(keys) > 0 &&
-		s.snapshotGetInto(keys, vals, found) {
-		return nil
-	}
-	v, f, err := s.GetAsync(keys...).Wait()
-	if err != nil {
-		return err
-	}
-	copy(vals, v)
-	copy(found, f)
-	return nil
-}

@@ -43,6 +43,15 @@ func newServedSnap(t *testing.T, p, n int, opts serve.Options) (*serve.Server, *
 	return serve.NewServer(ix, opts), oracle, keys
 }
 
+// getWith is a blocking one-key Get under the given consistency mode.
+func getWith(srv *serve.Server, c serve.Consistency, k serve.Key) (uint64, bool, error) {
+	vals, found, err := srv.GetAsyncWith(c, k).Wait()
+	if err != nil {
+		return 0, false, err
+	}
+	return vals[0], found[0], nil
+}
+
 // TestSnapshotReadBasic checks the fast path end to end: snapshot reads
 // agree with the strong path, an acknowledged write is immediately
 // visible through ReadSnapshot (fallback until republication), and the
@@ -54,7 +63,7 @@ func TestSnapshotReadBasic(t *testing.T) {
 	// Preloaded keys: snapshot answers must be bit-identical to the oracle.
 	for _, k := range pool[:32] {
 		wv, wok := oracle.Get(k)
-		v, ok, err := srv.GetWith(serve.ReadSnapshot, k)
+		v, ok, err := getWith(srv, serve.ReadSnapshot, k)
 		if err != nil || ok != wok || v != wv {
 			t.Fatalf("snapshot Get(%q) = %d,%v,%v; oracle %d,%v", k, v, ok, err, wv, wok)
 		}
@@ -71,16 +80,15 @@ func TestSnapshotReadBasic(t *testing.T) {
 	if err := srv.Insert(hot, 424242); err != nil {
 		t.Fatal(err)
 	}
-	v, ok, err := srv.GetWith(serve.ReadSnapshot, hot)
+	v, ok, err := getWith(srv, serve.ReadSnapshot, hot)
 	if err != nil || !ok || v != 424242 {
 		t.Fatalf("post-write snapshot Get = %d,%v,%v, want 424242 (stale snapshot served?)", v, ok, err)
 	}
 
-	// GetBatch fast path into caller slices.
+	// A multi-key call is served whole from the snapshot.
 	keys := pool[32:64]
-	vals := make([]uint64, len(keys))
-	found := make([]bool, len(keys))
-	if err := srv.GetBatch(serve.ReadSnapshot, keys, vals, found); err != nil {
+	vals, found, err := srv.GetAsyncWith(serve.ReadSnapshot, keys...).Wait()
+	if err != nil {
 		t.Fatal(err)
 	}
 	for i, k := range keys {
@@ -197,7 +205,7 @@ func TestSnapshotSoak(t *testing.T) {
 				if r.Intn(2) == 0 {
 					i := r.Intn(len(hot))
 					floor := acked[i].Load()
-					v, ok, err := srv.GetWith(serve.ReadSnapshot, hot[i])
+					v, ok, err := getWith(srv, serve.ReadSnapshot, hot[i])
 					if err != nil {
 						t.Errorf("snapshot get: %v", err)
 						return
@@ -209,7 +217,7 @@ func TestSnapshotSoak(t *testing.T) {
 				} else {
 					k := cold[r.Intn(len(cold))]
 					wv, wok := oracle.Get(k)
-					v, ok, err := srv.GetWith(serve.ReadSnapshot, k)
+					v, ok, err := getWith(srv, serve.ReadSnapshot, k)
 					if err != nil || ok != wok || v != wv {
 						t.Errorf("cold key %q: snapshot read %d,%v,%v; oracle %d,%v", k, v, ok, err, wv, wok)
 						return
@@ -309,7 +317,7 @@ func TestSnapshotMetricsLint(t *testing.T) {
 	srv, _, pool := newServedSnap(t, 4, 128, serve.Options{SnapshotReads: true, Metrics: reg})
 	// Touch both paths so the counters and gauges emit.
 	for i := 0; i < 4; i++ {
-		if _, _, err := srv.GetWith(serve.ReadSnapshot, pool[i]); err != nil {
+		if _, _, err := getWith(srv, serve.ReadSnapshot, pool[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -349,7 +357,7 @@ func TestSnapshotDeleteThenGet(t *testing.T) {
 	defer srv.Close()
 	hot := pool[0]
 	for _, mode := range []serve.Consistency{serve.ReadStrong, serve.ReadSnapshot} {
-		if _, ok, err := srv.GetWith(mode, hot); err != nil || !ok {
+		if _, ok, err := getWith(srv, mode, hot); err != nil || !ok {
 			t.Fatalf("Get (mode %d) before Delete = %v,%v", mode, ok, err)
 		}
 	}
@@ -359,7 +367,7 @@ func TestSnapshotDeleteThenGet(t *testing.T) {
 	if _, ok, err := srv.Get(hot); err != nil || ok {
 		t.Fatalf("strong Get after Delete = found=%v,%v, want miss", ok, err)
 	}
-	if _, ok, err := srv.GetWith(serve.ReadSnapshot, hot); err != nil || ok {
+	if _, ok, err := getWith(srv, serve.ReadSnapshot, hot); err != nil || ok {
 		t.Fatalf("snapshot Get after Delete = found=%v,%v, want miss (stale snapshot?)", ok, err)
 	}
 }
@@ -420,7 +428,7 @@ func TestSnapshotDeleteSoak(t *testing.T) {
 				if r.Intn(2) == 0 {
 					_, ok, err = srv.Get(hot[i])
 				} else {
-					_, ok, err = srv.GetWith(serve.ReadSnapshot, hot[i])
+					_, ok, err = getWith(srv, serve.ReadSnapshot, hot[i])
 				}
 				muKey[i].Unlock()
 				if err != nil {

@@ -50,11 +50,6 @@ func (r *Router) GetAsyncWith(c Consistency, keys ...Key) *GetFuture {
 	return r.GetAsync(keys...)
 }
 
-// GetWith is the blocking form of GetAsyncWith.
-func (r *Router) GetWith(c Consistency, keys []Key) ([]uint64, []bool, error) {
-	return r.GetAsyncWith(c, keys...).Wait()
-}
-
 // snapshotGet serves one Get batch entirely from the shards' published
 // snapshots, or returns nil to route the call through the strong path
 // (all-or-nothing: one consistency decision per call). Wait-free end to

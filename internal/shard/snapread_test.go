@@ -48,7 +48,7 @@ func TestSnapshotReadsUnderMigration(t *testing.T) {
 	// served wait-free, so the soak below exercises the real fast path.
 	deadline := time.Now().Add(5 * time.Second)
 	for r.Stats().SnapshotReads == 0 {
-		if _, _, err := r.GetWith(shard.ReadSnapshot, keys[:8]); err != nil {
+		if _, _, err := r.GetAsyncWith(shard.ReadSnapshot, keys[:8]...).Wait(); err != nil {
 			t.Fatal(err)
 		}
 		if time.Now().After(deadline) {
@@ -79,7 +79,7 @@ func TestSnapshotReadsUnderMigration(t *testing.T) {
 						batch = append(batch, keys[rng.Intn(len(keys))])
 					}
 				}
-				gotV, gotF, err := r.GetWith(shard.ReadSnapshot, batch)
+				gotV, gotF, err := r.GetAsyncWith(shard.ReadSnapshot, batch...).Wait()
 				if err != nil {
 					t.Errorf("reader %d: %v", g, err)
 					return

@@ -81,8 +81,8 @@ type (
 	FaultEvent = pim.FaultEvent
 	// FaultKind classifies an injected fault.
 	FaultKind = pim.FaultKind
-	// ModuleLostError reports crash-stopped modules from the Try*
-	// operation variants.
+	// ModuleLostError reports crash-stopped modules from Apply and
+	// TryLoad.
 	ModuleLostError = pim.ModuleLostError
 	// InvariantError reports a simulator invariant violation (always a
 	// bug, never an injected fault).
@@ -159,6 +159,30 @@ func (ix *Index) Load(keys []Key, values []uint64) {
 	ix.core.Build(keys, values)
 }
 
+// Batch is one batch of tagged sections — Gets, LCPs, Subtrees,
+// Inserts (paired with Values) and Deletes — run by Apply. Any section
+// may be empty.
+type Batch = core.Batch
+
+// Result answers a Batch section by section, position by position:
+// Values/Found per Get, LCPs per LCP query, Subtrees per prefix (stored
+// pairs in lexicographic order), Deleted per delete (duplicates report
+// true once, like sequential deletion).
+type Result = core.Result
+
+// Apply runs one batch with one matching pass over the union of its
+// keys: it answers every read section from the state before the batch,
+// then stores the inserts (later duplicates win), then removes the
+// deletes (which match once more when inserts precede them). It panics
+// if len(b.Inserts) != len(b.Values). Fault conditions come back as
+// errors: on a recoverable index (Options.Faults or Recoverable) faults
+// are repaired internally and no error is returned; an error here means
+// the index is not recoverable and its contents are suspect.
+func (ix *Index) Apply(b Batch) (res Result, err error) {
+	err = catchFaults(func() { res = ix.core.Apply(b) })
+	return res, err
+}
+
 // Insert stores a batch of key-value pairs; later duplicates win.
 // It panics if len(keys) != len(values).
 func (ix *Index) Insert(keys []Key, values []uint64) {
@@ -195,9 +219,9 @@ func (ix *Index) Subtrees(prefixes []Key) [][]KV {
 // a batch without executing anything on the simulated system. Like
 // every other batch method it is single-caller: a call concurrent with
 // another batch panics. Consume the result with LCPPrepared,
-// GetPrepared, SubtreesPrepared, InsertPrepared or DeletePrepared;
-// model metrics of the consuming call are bit-identical to the plain
-// variant on the same batch.
+// GetPrepared, SubtreesPrepared, InsertPrepared or DeletePrepared —
+// one-section batches whose model metrics are bit-identical to the
+// plain op on the same batch.
 func (ix *Index) PrepareBatch(batch []Key) *PreparedBatch { return ix.core.Prepare(batch) }
 
 // LCPPrepared is LCP over a batch staged with PrepareBatch.
@@ -282,8 +306,7 @@ func (ix *Index) Snapshot() *Snapshot {
 }
 
 // catchFaults converts *pim.ModuleLostError and *pim.InvariantError
-// panics into errors for the Try* operation variants; other panics
-// propagate.
+// panics into errors for Apply and TryLoad; other panics propagate.
 func catchFaults(op func()) (err error) {
 	defer func() {
 		r := recover()
@@ -304,38 +327,7 @@ func catchFaults(op func()) (err error) {
 }
 
 // TryLoad is Load returning fault conditions as errors instead of
-// panicking. On a recoverable index (Options.Faults or Recoverable)
-// faults are repaired internally and no error is returned; an error
-// here means the index is not recoverable and its contents are suspect.
+// panicking, as Apply does.
 func (ix *Index) TryLoad(keys []Key, values []uint64) error {
 	return catchFaults(func() { ix.Load(keys, values) })
-}
-
-// TryInsert is Insert with fault conditions as errors; see TryLoad.
-func (ix *Index) TryInsert(keys []Key, values []uint64) error {
-	return catchFaults(func() { ix.Insert(keys, values) })
-}
-
-// TryDelete is Delete with fault conditions as errors; see TryLoad.
-func (ix *Index) TryDelete(keys []Key) (res []bool, err error) {
-	err = catchFaults(func() { res = ix.Delete(keys) })
-	return res, err
-}
-
-// TryLCP is LCP with fault conditions as errors; see TryLoad.
-func (ix *Index) TryLCP(queries []Key) (res []int, err error) {
-	err = catchFaults(func() { res = ix.LCP(queries) })
-	return res, err
-}
-
-// TryGet is Get with fault conditions as errors; see TryLoad.
-func (ix *Index) TryGet(queries []Key) (values []uint64, found []bool, err error) {
-	err = catchFaults(func() { values, found = ix.Get(queries) })
-	return values, found, err
-}
-
-// TrySubtrees is Subtrees with fault conditions as errors; see TryLoad.
-func (ix *Index) TrySubtrees(prefixes []Key) (res [][]KV, err error) {
-	err = catchFaults(func() { res = ix.Subtrees(prefixes) })
-	return res, err
 }
