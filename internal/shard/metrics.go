@@ -46,7 +46,7 @@ func newRouterMetrics(reg *metrics.Registry, shards int) *routerMetrics {
 		replicated: reg.Counter("pimtrie_router_replicated_keys_total",
 			"Extra short-key copies written for covering-shard replication."),
 		snapReads: reg.Counter("pimtrie_router_snapshot_reads_total",
-			"Keys served shard-locally from published snapshots, bypassing the migration barrier."),
+			"Keys served shard-locally from published snapshots, bypassing the router lock and the shard queues."),
 		snapFallbacks: reg.Counter("pimtrie_router_snapshot_fallbacks_total",
 			"ReadSnapshot keys rerouted through the strong path (filter distrust, unpublished snapshot, or mid-read migration)."),
 		migrations: reg.Counter("pimtrie_router_migrations_total",
@@ -54,7 +54,7 @@ func newRouterMetrics(reg *metrics.Registry, shards int) *routerMetrics {
 		migratedKeys: reg.Counter("pimtrie_router_migrated_keys_total",
 			"Key/value pairs replayed by slot migrations."),
 		migrationDur: reg.Histogram("pimtrie_router_migration_seconds",
-			"Wall time per slot migration, barrier to barrier."),
+			"Wall time per slot migration, export to cleanup."),
 		imbalance: reg.Gauge("pimtrie_router_load_imbalance",
 			"Max/mean per-shard executed-key load of the last migration-policy sample (1 = even)."),
 	}
@@ -80,7 +80,7 @@ func (m *routerMetrics) note(op, keys int) {
 }
 
 // updateSlots refreshes the per-shard slot-ownership gauges from the
-// routing table (caller holds at least the read barrier).
+// routing table (caller holds r.mu).
 func (m *routerMetrics) updateSlots(table []int, shards int) {
 	owned := make([]int, shards)
 	for _, sid := range table {

@@ -45,7 +45,7 @@ func (r *Router) Rebalance() (moves int, err error) {
 		if bufs != nil {
 			dst = bufs[i]
 		}
-		cur[i], _ = sh.srv.PrefixLoad(dst)
+		cur[i], _ = sh.PrefixLoad(dst)
 	}
 	prev := r.prevLoad
 	r.prevLoad = cur
@@ -91,18 +91,14 @@ func (r *Router) Rebalance() (moves int, err error) {
 		return 0, nil
 	}
 
-	// Plan greedily and execute under the exclusive barrier: repeatedly
+	// Plan greedily and execute under the exclusive lock: repeatedly
 	// move the hottest slot of the hottest shard to the coolest shard,
-	// as long as the move narrows the hot/cool gap. Taking the lock
-	// parks new submissions; draining inflight lets already-submitted
-	// operations resolve (on the shard servers' schedule) before any
-	// slot moves.
+	// as long as the move narrows the hot/cool gap.
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {
 		return 0, nil
 	}
-	r.inflight.Wait()
 	for moves < cfg.MaxMoves {
 		hot, cool := argMax(shardLoad), argMin(shardLoad)
 		if hot == cool || shardLoad[hot] <= shardLoad[cool] {
@@ -156,8 +152,8 @@ func argMin(v []int64) int {
 }
 
 // MigrateSlot moves one route slot to the given shard under the
-// migration barrier and returns the number of pairs replayed. It is
-// the manual form of what Rebalance does per move; tests use it to
+// router's exclusive lock and returns the number of pairs replayed. It
+// is the manual form of what Rebalance does per move; tests use it to
 // force migrations deterministically. Migrating a slot to its current
 // owner is a no-op.
 func (r *Router) MigrateSlot(slot, to int) (moved int, err error) {
@@ -168,8 +164,8 @@ func (r *Router) MigrateSlot(slot, to int) (moved int, err error) {
 		panic("shard: MigrateSlot shard out of range")
 	}
 	// A manual move pollutes the policy's next load window exactly like
-	// one of its own (see skipNext); flag it before taking the barrier
-	// to keep the migMu -> mu lock order of Rebalance.
+	// one of its own (see skipNext); flag it before taking r.mu to keep
+	// the migMu -> mu lock order of Rebalance.
 	r.migMu.Lock()
 	r.skipNext = true
 	r.migMu.Unlock()
@@ -178,12 +174,11 @@ func (r *Router) MigrateSlot(slot, to int) (moved int, err error) {
 	if r.closed {
 		return 0, serve.ErrClosed
 	}
-	r.inflight.Wait()
 	return r.migrateSlotLocked(slot, to)
 }
 
 // migrateSlotLocked executes the migration protocol for one slot while
-// holding the exclusive barrier (no operation in flight anywhere):
+// holding r.mu exclusively:
 //
 //  1. export — Subtree-scan the slot's prefix range on the old owner;
 //  2. replicas — fetch stored short prefixes of the range the target
@@ -193,11 +188,12 @@ func (r *Router) MigrateSlot(slot, to int) (moved int, err error) {
 //  5. cleanup — delete the moved range from the old owner, plus its
 //     replicas of short prefixes it no longer covers.
 //
-// Readers either run entirely before the flip (old owner still holds
-// everything) or entirely after (new owner holds everything, the old
-// owner's stale copy is unreachable through the table and deleted
-// before the barrier drops), so no request observes a half-moved
-// range.
+// No op can submit meanwhile, and every op submitted earlier already
+// has its sub-calls queued on its shards ahead of steps 1, 3 and 5, so
+// each shard answers it from the state before the move. Ops submitted
+// afterwards route by the flipped table to the new owner, which holds
+// everything, while the old owner's stale copy is unreachable and
+// deleted. No request observes a half-moved range.
 func (r *Router) migrateSlotLocked(slot, to int) (int, error) {
 	from := r.table[slot]
 	if from == to {
@@ -207,7 +203,7 @@ func (r *Router) migrateSlotLocked(slot, to int) (int, error) {
 	src, dst := r.shards[from], r.shards[to]
 	prefix := slotKey(slot, r.routeBits)
 
-	kvs, err := src.srv.Subtree(prefix)
+	kvs, err := src.Subtree(prefix)
 	if err != nil {
 		return 0, err
 	}
@@ -224,7 +220,7 @@ func (r *Router) migrateSlotLocked(slot, to int) (int, error) {
 		}
 	}
 	if len(shorts) > 0 {
-		vs, found, err := src.srv.GetAsync(shorts...).Wait()
+		vs, found, err := src.GetAsync(shorts...).Wait()
 		if err != nil {
 			return 0, err
 		}
@@ -236,7 +232,7 @@ func (r *Router) migrateSlotLocked(slot, to int) (int, error) {
 		}
 	}
 	if len(keys) > 0 {
-		if err := dst.srv.InsertAsync(keys, vals).Wait(); err != nil {
+		if err := dst.InsertAsync(keys, vals).Wait(); err != nil {
 			return 0, err
 		}
 	}
@@ -261,7 +257,7 @@ func (r *Router) migrateSlotLocked(slot, to int) (int, error) {
 		}
 	}
 	if len(del) > 0 {
-		if _, err := src.srv.DeleteAsync(del...).Wait(); err != nil {
+		if _, err := src.DeleteAsync(del...).Wait(); err != nil {
 			return 0, err
 		}
 	}

@@ -1,7 +1,9 @@
 package shard_test
 
 import (
+	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -123,7 +125,7 @@ func TestRebalanceIgnoresIdleAndLight(t *testing.T) {
 
 // TestMigrationUnderConcurrentWrites is the race test: writer
 // goroutines churn disjoint key ranges through the router while the
-// main goroutine forces migrations; the epoch barrier must keep every
+// main goroutine forces migrations; the shard queues must keep every
 // answer exact and the final state must equal the deterministic
 // per-writer outcome. Run with -race in CI.
 func TestMigrationUnderConcurrentWrites(t *testing.T) {
@@ -236,6 +238,135 @@ func TestMigrationUnderConcurrentWrites(t *testing.T) {
 	}
 	if st := r.Stats(); st.Migrations == 0 {
 		t.Error("no migrations recorded")
+	}
+}
+
+// TestMigrationOrdersUnwaitedOps pins the ordering contract: ops
+// submitted before a migration, and not waited on until after it,
+// answer from the state before the move, because each shard queues
+// their sub-calls ahead of the migration's own. Afterwards every key
+// reads back from the new owner.
+func TestMigrationOrdersUnwaitedOps(t *testing.T) {
+	for _, procs := range []int{1, 4} {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			const bits, slot, from, to = 4, 3, 0, 1
+			r := shard.New(shard.Config{Shards: 2, RouteBits: bits, Partitioner: shard.Contiguous{},
+				Modules: 4, Index: pimtrie.Options{Seed: 17}})
+			defer r.Close()
+			if got := r.Table()[slot]; got != from {
+				t.Fatalf("slot %d starts on shard %d, want %d", slot, got, from)
+			}
+			prefix := bitstr.FromUint64(slot, bits)
+			var keys []shard.Key
+			for _, k := range dedupeKeys(workload.New(29).FixedLen(96, 28)) {
+				keys = append(keys, prefix.Concat(k))
+			}
+			half := len(keys) / 2
+			state := map[string]uint64{}
+			insert := func(ks []shard.Key, base uint64) *shard.InsertFuture {
+				vs := make([]uint64, len(ks))
+				for i, k := range ks {
+					vs[i] = base + uint64(i)
+					state[k.String()] = vs[i]
+				}
+				return r.InsertAsync(ks, vs)
+			}
+			if err := insert(keys[:half], 1000).Wait(); err != nil {
+				t.Fatal(err)
+			}
+
+			// Pipeline reads and writes of the slot, none waited, recording
+			// what each read must see in arrival order.
+			type read struct {
+				f    *shard.GetFuture
+				want map[string]uint64
+			}
+			var reads []read
+			snap := func() {
+				want := make(map[string]uint64, len(state))
+				for k, v := range state {
+					want[k] = v
+				}
+				reads = append(reads, read{r.GetAsync(keys...), want})
+			}
+			snap()
+			writes := []*shard.InsertFuture{insert(keys, 2000)}
+			snap()
+			var evens []shard.Key
+			for i := 0; i < len(keys); i += 2 {
+				evens = append(evens, keys[i])
+				delete(state, keys[i].String())
+			}
+			del := r.DeleteAsync(evens...)
+			snap()
+			writes = append(writes, insert(evens[:len(evens)/2], 3000))
+			snap()
+			scan := r.SubtreeAsync(prefix)
+
+			moved, err := r.MigrateSlot(slot, to)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if moved != len(state) {
+				t.Fatalf("migration moved %d pairs, want %d", moved, len(state))
+			}
+
+			for _, w := range writes {
+				if err := w.Wait(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if found, err := del.Wait(); err != nil {
+				t.Fatal(err)
+			} else {
+				for i, f := range found {
+					if !f {
+						t.Fatalf("delete of %q found nothing", evens[i])
+					}
+				}
+			}
+			check := func(what string, vals []uint64, found []bool, want map[string]uint64) {
+				t.Helper()
+				for i, k := range keys {
+					v, ok := want[k.String()]
+					if found[i] != ok || (ok && vals[i] != v) {
+						t.Fatalf("%s: %q = (%d, %v), want (%d, %v)", what, k, vals[i], found[i], v, ok)
+					}
+				}
+			}
+			for j, rd := range reads {
+				vals, found, err := rd.f.Wait()
+				if err != nil {
+					t.Fatal(err)
+				}
+				check(fmt.Sprintf("read %d", j), vals, found, rd.want)
+			}
+			kvs, err := scan.Wait()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(kvs[0]) != len(state) {
+				t.Fatalf("scan before the move: %d pairs, want %d", len(kvs[0]), len(state))
+			}
+			for _, kv := range kvs[0] {
+				if v, ok := state[kv.Key.String()]; !ok || v != kv.Value {
+					t.Fatalf("scan before the move: %q = %d, want (%d, %v)", kv.Key, kv.Value, v, ok)
+				}
+			}
+
+			if got := r.Table()[slot]; got != to {
+				t.Fatalf("slot %d on shard %d after migrating to %d", slot, got, to)
+			}
+			if byShard := r.Stats().KeysByShard; byShard[from] != 0 || byShard[to] != len(state) {
+				t.Fatalf("keys by shard after the move = %v, want [0 %d]", byShard, len(state))
+			}
+			vals, found, err := r.Get(keys)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("after the move", vals, found, state)
+		})
 	}
 }
 

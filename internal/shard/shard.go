@@ -1,7 +1,7 @@
 // Package shard is the scale-out layer: a Router that partitions the
 // key space across N independent PIM-trie shards — each shard a full
 // pimtrie.Index (its own simulated PIM system) fronted by its own
-// serve.Server (its own epoch scheduler) — and scatter/gathers batched
+// serve.Server (its own epoch scheduler) — and scatters batched
 // operations across them. One Index+Server deployment saturates a
 // single serve executor; N shards behind a router run N executors side
 // by side, which is the unlock for serving traffic far beyond one PIM
@@ -14,14 +14,25 @@
 // range partitioning, HashedPrefix for scattered skew-resistant
 // placement. Keys shorter than RouteBits bits are replicated to every
 // shard owning a slot that extends them, so LCP and prefix scans stay
-// single-scatter correct; gathers deduplicate the replicas.
+// single-scatter correct; folds drop the replicas.
 //
-// Scatter/gather. Get/Insert/Delete split per shard and execute in
-// parallel on the per-shard servers; Subtree/Subtrees fan out to every
-// shard whose slot range can intersect the prefix and merge results in
-// lexicographic key order; LCP broadcasts and takes the per-query
-// maximum (see LCPAsync for why that is the exact answer). Answers are bit-identical to a single Index
+// Scatter. Every op splits its batch with one scatter. The shard set
+// of key k is the shards owning a slot of k's range, with the owner of
+// its first slot, the primary, first: Insert, Delete and Subtree send k
+// to the whole set, Get to the primary only, and LCP to every shard
+// (see LCPAsync for why). A router future holds the shard sub-futures
+// and folds their answers on its first Wait: Get and Delete take the
+// primary's answer, LCP the maximum, Subtree the merge in key order
+// with replicas dropped. Answers are bit-identical to a single Index
 // holding all keys (the oracle-equality tests assert exactly that).
+//
+// Ordering. An op queues every sub-call on its shards while it holds
+// the router's lock shared, and a migration holds it exclusively. Each
+// shard server answers its queue as if in arrival order, so on every
+// shard an op submitted before a migration is answered before the
+// migration's export, insert and delete touch anything. The router
+// runs no goroutine per request: one executor per shard, plus the
+// migration loop when it is enabled.
 //
 // Skew. True to the paper's theme, the router watches per-shard load —
 // the serving layer's per-prefix executed-key counters
@@ -29,14 +40,14 @@
 // metrics.Imbalance — and when the max/mean imbalance crosses a
 // threshold it migrates hot slots to cool shards: the slot's pairs are
 // exported with a Subtree scan on the old owner, replayed with one
-// Insert batch on the new owner, and the routing table flips under the
-// router's epoch barrier (an exclusive lock all in-flight operations
-// drain before migration touches anything), so reads never observe a
-// half-moved range.
+// Insert batch on the new owner, and the routing table flips while
+// the migration holds the router's lock exclusively, so no request
+// observes a half-moved range.
 package shard
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -121,35 +132,28 @@ type Router struct {
 	cfg       Config
 	routeBits int
 	slots     int
-	shards    []*shardNode
+	shards    []*serve.Server
 	met       *routerMetrics
 
-	// mu and inflight together form the migration epoch barrier.
-	// Submission holds mu shared only while reading the table and
-	// handing sub-batches to the shard servers — never while waiting
-	// for results — and registers the operation in inflight until a
-	// per-operation resolver goroutine has gathered every sub-result.
-	// Migration takes mu exclusively (parking new submissions) and then
-	// drains inflight; outstanding operations resolve on the shard
-	// servers' own schedule, independent of whether any client ever
-	// waits on its future, so the drain cannot deadlock against a
-	// caller pipelining many futures from one goroutine.
-	mu       sync.RWMutex
-	inflight sync.WaitGroup
-	table    []int
-	closed   bool
+	// mu orders ops against migrations. An op holds it shared while it
+	// reads the table and queues its sub-calls on the shard servers,
+	// never while waiting for answers; a migration or Close holds it
+	// exclusively.
+	mu     sync.RWMutex
+	table  []int
+	closed bool
 
 	// tableP is the copy-on-write published routing table behind the
 	// lock-free snapshot read path: migrations install a fresh copy
 	// (never mutating a published one), and a snapshot read re-loads the
 	// pointer after probing — a changed pointer means a migration
-	// completed mid-read and the whole call falls back to the barrier
+	// completed mid-read and the whole call falls back to the strong
 	// path. closedA mirrors closed for the same lock-free readers.
 	tableP  atomic.Pointer[[]int]
 	closedA atomic.Bool
 
 	snapKeys      atomic.Uint64 // keys served via shard-local snapshot reads
-	snapFallbacks atomic.Uint64 // ReadSnapshot keys sent to the barrier path
+	snapFallbacks atomic.Uint64 // ReadSnapshot keys sent to the strong path
 
 	// migMu serializes migration cycles and guards the load snapshots.
 	migMu     sync.Mutex
@@ -169,12 +173,6 @@ type Router struct {
 
 	stop     chan struct{}
 	loopDone chan struct{}
-}
-
-type shardNode struct {
-	id  int
-	ix  *pimtrie.Index
-	srv *serve.Server
 }
 
 // New builds the shards and starts the router. It panics on an invalid
@@ -223,8 +221,7 @@ func New(cfg Config) *Router {
 			sopts.MetricLabels = append(append([]metrics.Label(nil), cfg.Serve.MetricLabels...),
 				metrics.L("shard", strconv.Itoa(i)))
 		}
-		ix := pimtrie.New(cfg.Modules, iopts)
-		r.shards = append(r.shards, &shardNode{id: i, ix: ix, srv: serve.NewServer(ix, sopts)})
+		r.shards = append(r.shards, serve.NewServer(pimtrie.New(cfg.Modules, iopts), sopts))
 	}
 	if cfg.Metrics != nil {
 		r.met = newRouterMetrics(cfg.Metrics, cfg.Shards)
@@ -251,11 +248,10 @@ func (r *Router) Close() {
 	close(r.stop)
 	r.mu.Unlock()
 	<-r.loopDone
-	// Let outstanding operations resolve before tearing the servers
-	// down; new submissions already observe closed.
-	r.inflight.Wait()
+	// Every op submitted before closed was set has queued its sub-calls,
+	// and closing a server answers its whole queue.
 	for _, sh := range r.shards {
-		sh.srv.Close()
+		sh.Close()
 	}
 }
 
@@ -305,7 +301,7 @@ func (r *Router) Stats() Stats {
 	}
 	r.mu.RUnlock()
 	for i, sh := range r.shards {
-		st.KeysByShard[i] = sh.srv.KeyCount()
+		st.KeysByShard[i] = sh.KeyCount()
 	}
 	r.migMu.Lock()
 	st.LastImbalance = r.lastImbal
@@ -325,7 +321,7 @@ func (r *Router) Stats() Stats {
 func (r *Router) ShardMetrics() []pimtrie.Metrics {
 	out := make([]pimtrie.Metrics, len(r.shards))
 	for i, sh := range r.shards {
-		out[i] = sh.srv.ModelMetrics()
+		out[i] = sh.ModelMetrics()
 	}
 	return out
 }
@@ -334,123 +330,155 @@ func (r *Router) ShardMetrics() []pimtrie.Metrics {
 func (r *Router) ShardServerStats() []serve.Stats {
 	out := make([]serve.Stats, len(r.shards))
 	for i, sh := range r.shards {
-		out[i] = sh.srv.Stats()
+		out[i] = sh.Stats()
 	}
 	return out
 }
 
-// keyRef locates one request key's answer inside the scatter plan.
+// keyRef locates one copy of a request key: position pos of the
+// sub-batch sent to shard.
 type keyRef struct{ shard, pos int32 }
 
-// scatter groups keys by owning shard under the read lock the caller
-// already holds. When replicate is set, keys shorter than RouteBits
-// are appended to every shard owning a slot extending them; the ref
-// always points at the base-slot (primary) copy.
-func (r *Router) scatter(keys []Key, values []uint64, replicate bool) (subKeys [][]Key, subVals [][]uint64, refs []keyRef, replicated int) {
-	subKeys = make([][]Key, len(r.shards))
+// plan is one op's scatter: the sub-batch each shard is sent, and
+// where every copy of every request key went.
+type plan struct {
+	keys [][]Key    // keys[s] is shard s's sub-batch (empty: not asked)
+	vals [][]uint64 // Insert only: the values parallel to keys
+	refs []keyRef   // the copies of key 0, then of key 1, ...
+	ends []int32    // key i's copies are refs[ends[i-1]:ends[i]]
+}
+
+// scatter splits an op's keys (and values, for Insert) over the shards
+// by the live table; the caller holds r.mu. The shard set of key k is
+// the shards owning a slot of slotRange(k), the primary table[lo]
+// first, each once. Insert, Delete and Subtree send k to its whole
+// set: a write must reach every replica, and a scan every shard the
+// prefix's range touches. Get sends k to the primary only, and LCP to
+// every shard (see LCPAsync).
+func (r *Router) scatter(op int, keys []Key, values []uint64) *plan {
+	n := len(r.shards)
+	p := &plan{keys: make([][]Key, n), refs: make([]keyRef, 0, len(keys)), ends: make([]int32, len(keys))}
 	if values != nil {
-		subVals = make([][]uint64, len(r.shards))
+		p.vals = make([][]uint64, n)
 	}
-	refs = make([]keyRef, len(keys))
-	push := func(sid int, k Key, i int) int32 {
-		pos := int32(len(subKeys[sid]))
-		subKeys[sid] = append(subKeys[sid], k)
+	send := func(s, i int) {
+		p.refs = append(p.refs, keyRef{shard: int32(s), pos: int32(len(p.keys[s]))})
+		p.keys[s] = append(p.keys[s], keys[i])
 		if values != nil {
-			subVals[sid] = append(subVals[sid], values[i])
+			p.vals[s] = append(p.vals[s], values[i])
 		}
-		return pos
 	}
+	var sentTo []int // sentTo[s] == i+1 once key i went to shard s
 	for i, k := range keys {
 		lo, hi := slotRange(k, r.routeBits)
-		primary := r.table[lo]
-		refs[i] = keyRef{shard: int32(primary), pos: push(primary, k, i)}
-		if !replicate || hi == lo+1 {
-			continue
-		}
-		seen := uint64(1) << uint(primary) // shard count <= 64 enforced in New? replicate via map when larger
-		for s := lo + 1; s < hi; s++ {
-			sid := r.table[s]
-			if len(r.shards) <= 64 {
-				if seen&(1<<uint(sid)) != 0 {
-					continue
-				}
-				seen |= 1 << uint(sid)
-			} else if containsShard(subKeys[sid], k) {
-				continue
+		switch {
+		case op == opLCP:
+			for s := range n {
+				send(s, i)
 			}
-			push(sid, k, i)
-			replicated++
+		case op == opGet || hi == lo+1:
+			send(r.table[lo], i)
+		default:
+			if sentTo == nil {
+				sentTo = make([]int, n)
+			}
+			for slot := lo; slot < hi; slot++ {
+				if s := r.table[slot]; sentTo[s] != i+1 {
+					sentTo[s] = i + 1
+					send(s, i)
+				}
+			}
 		}
+		p.ends[i] = int32(len(p.refs))
 	}
-	return subKeys, subVals, refs, replicated
+	return p
 }
 
-// containsShard reports whether k was already appended to sub (the
-// slow replica-dedupe path for > 64 shards; the key, if present, is
-// the most recent append for this request index).
-func containsShard(sub []Key, k Key) bool {
-	return len(sub) > 0 && bitstr.Equal(sub[len(sub)-1], k)
+// combine folds each request key's answers from its copies, primary
+// first: per[s] holds shard s's answers.
+func combine[T, R any](p *plan, per [][]T, fold func(copies []T) R) []R {
+	out := make([]R, len(p.ends))
+	copies := make([]T, 0, len(per))
+	lo := int32(0)
+	for i, hi := range p.ends {
+		copies = copies[:0]
+		for _, ref := range p.refs[lo:hi] {
+			copies = append(copies, per[ref.shard][ref.pos])
+		}
+		out[i], lo = fold(copies), hi
+	}
+	return out
 }
 
-// gather is the common future core: a one-shot completion latch. A
-// dedicated resolver goroutine (see Router.launch) collects every
-// shard sub-result and closes done; wait just blocks on the latch, so
-// it is safe for one client goroutine to pipeline arbitrarily many
-// futures before waiting on any of them.
-type gather struct {
-	done chan struct{}
+// primary is the Get and Delete fold: the primary copy answers.
+func primary[T any](copies []T) T { return copies[0] }
+
+// pending is what a router future holds until its first Wait: the
+// op's scatter plan and its shard sub-futures, indexed by shard.
+type pending[F any] struct {
+	once sync.Once
+	p    *plan // nil: answered, or failed, at submission
+	subs []F
 	err  error
 }
 
-func (g *gather) wait() error {
-	<-g.done
-	return g.err
-}
-
-// settle resolves the gather immediately with err — used for
-// submissions that never reach a shard (empty batches, closed router).
-func (g *gather) settle(err error) {
-	g.done = make(chan struct{})
-	g.err = err
-	close(g.done)
-}
-
-// begin takes the shared barrier lock and checks for Close. On true
-// the lock is held and the submission MUST end with r.launch, which
-// releases it.
-func (r *Router) begin(g *gather) bool {
+// submit scatters keys and queues each shard's sub-batch with call,
+// all under the read lock. A migration holds that lock exclusively, so
+// it finds every sub-call of this op already queued on its shards
+// ahead of its own, and each shard answers them from the state before
+// the move.
+func (f *pending[F]) submit(r *Router, op int, keys []Key, values []uint64, call func(srv *serve.Server, keys []Key, values []uint64) F) {
+	if len(keys) == 0 {
+		f.p = &plan{}
+		return
+	}
 	r.mu.RLock()
+	defer r.mu.RUnlock()
 	if r.closed {
-		r.mu.RUnlock()
-		g.settle(serve.ErrClosed)
+		f.err = serve.ErrClosed
+		return
+	}
+	f.p = r.scatter(op, keys, values)
+	if r.met != nil {
+		r.met.note(op, len(keys))
+		switch op {
+		case opInsert:
+			r.met.replicated.Add(uint64(len(f.p.refs) - len(keys)))
+		case opSubtree:
+			r.met.fanout.Add(uint64(len(f.p.refs)))
+		}
+	}
+	f.subs = make([]F, len(r.shards))
+	for s, ks := range f.p.keys {
+		if len(ks) > 0 {
+			var vs []uint64
+			if values != nil {
+				vs = f.p.vals[s]
+			}
+			f.subs[s] = call(r.shards[s], ks, vs)
+		}
+	}
+}
+
+// waitAll waits on every sub-future with wait, keeping the first
+// error, and reports whether there are answers to fold.
+func (f *pending[F]) waitAll(wait func(s int, sub F) error) bool {
+	if f.p == nil {
 		return false
 	}
-	return true
-}
-
-// launch completes a submission begun with begin: it registers the
-// operation in the migration drain set, releases the shared barrier
-// lock, and starts the resolver goroutine that folds the shard
-// sub-futures into the gather. The inflight.Add happens before the
-// RUnlock so a migration that acquires the exclusive lock afterwards
-// cannot miss the operation when it drains. Resolution is driven by
-// the shard servers' epoch schedule, never by the caller's Wait, so
-// the drain cannot deadlock against a client pipelining many futures
-// from one goroutine.
-func (r *Router) launch(g *gather, resolve func() error) {
-	g.done = make(chan struct{})
-	r.inflight.Add(1)
-	r.mu.RUnlock()
-	go func() {
-		g.err = resolve()
-		close(g.done)
-		r.inflight.Done()
-	}()
+	for s, ks := range f.p.keys {
+		if len(ks) > 0 {
+			if err := wait(s, f.subs[s]); err != nil && f.err == nil {
+				f.err = err
+			}
+		}
+	}
+	return f.err == nil
 }
 
 // GetFuture is the handle of an in-flight Get batch.
 type GetFuture struct {
-	g     gather
+	pending[*serve.GetFuture]
 	vals  []uint64
 	found []bool
 }
@@ -458,70 +486,47 @@ type GetFuture struct {
 // Wait blocks until every shard answered: values[i], found[i] answer
 // the i-th requested key.
 func (f *GetFuture) Wait() ([]uint64, []bool, error) {
-	err := f.g.wait()
-	return f.vals, f.found, err
+	f.once.Do(func() {
+		vals, found := make([][]uint64, len(f.subs)), make([][]bool, len(f.subs))
+		if f.waitAll(func(s int, sub *serve.GetFuture) (err error) {
+			vals[s], found[s], err = sub.Wait()
+			return err
+		}) {
+			f.vals, f.found = combine(f.p, vals, primary), combine(f.p, found, primary)
+		}
+	})
+	return f.vals, f.found, f.err
 }
 
-// GetAsync scatters an exact-lookup batch across the shards.
+// GetAsync sends each key of an exact-lookup batch to its primary
+// shard.
 func (r *Router) GetAsync(keys ...Key) *GetFuture {
 	f := &GetFuture{}
-	if len(keys) == 0 {
-		f.vals, f.found = []uint64{}, []bool{}
-		f.g.settle(nil)
-		return f
-	}
-	if !r.begin(&f.g) {
-		return f
-	}
-	if r.met != nil {
-		r.met.note(opGet, len(keys))
-	}
-	subKeys, _, refs, _ := r.scatter(keys, nil, false)
-	futs := make([]*serve.GetFuture, len(r.shards))
-	for sid, sk := range subKeys {
-		if len(sk) > 0 {
-			futs[sid] = r.shards[sid].srv.GetAsync(sk...)
-		}
-	}
-	r.launch(&f.g, func() error {
-		vals := make([][]uint64, len(futs))
-		found := make([][]bool, len(futs))
-		var firstErr error
-		for sid, sf := range futs {
-			if sf == nil {
-				continue
-			}
-			v, fd, err := sf.Wait()
-			if err != nil && firstErr == nil {
-				firstErr = err
-			}
-			vals[sid], found[sid] = v, fd
-		}
-		if firstErr != nil {
-			return firstErr
-		}
-		f.vals = make([]uint64, len(refs))
-		f.found = make([]bool, len(refs))
-		for i, ref := range refs {
-			f.vals[i] = vals[ref.shard][ref.pos]
-			f.found[i] = found[ref.shard][ref.pos]
-		}
-		return nil
+	f.submit(r, opGet, keys, nil, func(srv *serve.Server, ks []Key, _ []uint64) *serve.GetFuture {
+		return srv.GetAsync(ks...)
 	})
 	return f
 }
 
 // LCPFuture is the handle of an in-flight LCP batch.
 type LCPFuture struct {
-	g    gather
+	pending[*serve.LCPFuture]
 	lcps []int
 }
 
 // Wait blocks until every shard answered: lcps[i] answers the i-th
 // requested key.
 func (f *LCPFuture) Wait() ([]int, error) {
-	err := f.g.wait()
-	return f.lcps, err
+	f.once.Do(func() {
+		per := make([][]int, len(f.subs))
+		if f.waitAll(func(s int, sub *serve.LCPFuture) (err error) {
+			per[s], err = sub.Wait()
+			return err
+		}) {
+			f.lcps = combine(f.p, per, slices.Max[[]int])
+		}
+	})
+	return f.lcps, f.err
 }
 
 // LCPAsync broadcasts a longest-common-prefix batch to every shard and
@@ -535,52 +540,24 @@ func (f *LCPFuture) Wait() ([]int, error) {
 // over shards jointly holding every key, is exact.
 func (r *Router) LCPAsync(keys ...Key) *LCPFuture {
 	f := &LCPFuture{}
-	if len(keys) == 0 {
-		f.lcps = []int{}
-		f.g.settle(nil)
-		return f
-	}
-	if !r.begin(&f.g) {
-		return f
-	}
-	if r.met != nil {
-		r.met.note(opLCP, len(keys))
-	}
-	futs := make([]*serve.LCPFuture, len(r.shards))
-	for sid, sh := range r.shards {
-		futs[sid] = sh.srv.LCPAsync(keys...)
-	}
-	r.launch(&f.g, func() error {
-		var firstErr error
-		f.lcps = make([]int, len(keys))
-		for _, sf := range futs {
-			l, err := sf.Wait()
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				continue
-			}
-			for i, v := range l {
-				if v > f.lcps[i] {
-					f.lcps[i] = v
-				}
-			}
-		}
-		if firstErr != nil {
-			f.lcps = nil
-			return firstErr
-		}
-		return nil
+	f.submit(r, opLCP, keys, nil, func(srv *serve.Server, ks []Key, _ []uint64) *serve.LCPFuture {
+		return srv.LCPAsync(ks...)
 	})
 	return f
 }
 
 // InsertFuture is the handle of an in-flight Insert batch.
-type InsertFuture struct{ g gather }
+type InsertFuture struct {
+	pending[*serve.InsertFuture]
+}
 
 // Wait blocks until every shard committed the mutation.
-func (f *InsertFuture) Wait() error { return f.g.wait() }
+func (f *InsertFuture) Wait() error {
+	f.once.Do(func() {
+		f.waitAll(func(_ int, sub *serve.InsertFuture) error { return sub.Wait() })
+	})
+	return f.err
+}
 
 // InsertAsync scatters a mutation storing the given pairs; it panics
 // if the slices disagree in length. Keys shorter than RouteBits are
@@ -591,102 +568,46 @@ func (r *Router) InsertAsync(keys []Key, values []uint64) *InsertFuture {
 		panic("shard: InsertAsync keys/values length mismatch")
 	}
 	f := &InsertFuture{}
-	if len(keys) == 0 {
-		f.g.settle(nil)
-		return f
-	}
-	if !r.begin(&f.g) {
-		return f
-	}
-	subKeys, subVals, _, replicated := r.scatter(keys, values, true)
-	if r.met != nil {
-		r.met.note(opInsert, len(keys))
-		r.met.replicated.Add(uint64(replicated))
-	}
-	futs := make([]*serve.InsertFuture, len(r.shards))
-	for sid, sk := range subKeys {
-		if len(sk) > 0 {
-			futs[sid] = r.shards[sid].srv.InsertAsync(sk, subVals[sid])
-		}
-	}
-	r.launch(&f.g, func() error {
-		var firstErr error
-		for _, sf := range futs {
-			if sf == nil {
-				continue
-			}
-			if err := sf.Wait(); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-		return firstErr
+	f.submit(r, opInsert, keys, values, func(srv *serve.Server, ks []Key, vs []uint64) *serve.InsertFuture {
+		return srv.InsertAsync(ks, vs)
 	})
 	return f
 }
 
 // DeleteFuture is the handle of an in-flight Delete batch.
 type DeleteFuture struct {
-	g     gather
+	pending[*serve.DeleteFuture]
 	found []bool
 }
 
 // Wait blocks until every shard committed: found[i] reports whether
 // the i-th requested key was present.
 func (f *DeleteFuture) Wait() ([]bool, error) {
-	err := f.g.wait()
-	return f.found, err
+	f.once.Do(func() {
+		per := make([][]bool, len(f.subs))
+		if f.waitAll(func(s int, sub *serve.DeleteFuture) (err error) {
+			per[s], err = sub.Wait()
+			return err
+		}) {
+			f.found = combine(f.p, per, primary)
+		}
+	})
+	return f.found, f.err
 }
 
 // DeleteAsync scatters a mutation removing the given keys, including
 // every replica of short keys; found comes from the primary copy.
 func (r *Router) DeleteAsync(keys ...Key) *DeleteFuture {
 	f := &DeleteFuture{}
-	if len(keys) == 0 {
-		f.found = []bool{}
-		f.g.settle(nil)
-		return f
-	}
-	if !r.begin(&f.g) {
-		return f
-	}
-	if r.met != nil {
-		r.met.note(opDelete, len(keys))
-	}
-	subKeys, _, refs, _ := r.scatter(keys, nil, true)
-	futs := make([]*serve.DeleteFuture, len(r.shards))
-	for sid, sk := range subKeys {
-		if len(sk) > 0 {
-			futs[sid] = r.shards[sid].srv.DeleteAsync(sk...)
-		}
-	}
-	r.launch(&f.g, func() error {
-		per := make([][]bool, len(futs))
-		var firstErr error
-		for sid, sf := range futs {
-			if sf == nil {
-				continue
-			}
-			fd, err := sf.Wait()
-			if err != nil && firstErr == nil {
-				firstErr = err
-			}
-			per[sid] = fd
-		}
-		if firstErr != nil {
-			return firstErr
-		}
-		f.found = make([]bool, len(refs))
-		for i, ref := range refs {
-			f.found[i] = per[ref.shard][ref.pos]
-		}
-		return nil
+	f.submit(r, opDelete, keys, nil, func(srv *serve.Server, ks []Key, _ []uint64) *serve.DeleteFuture {
+		return srv.DeleteAsync(ks...)
 	})
 	return f
 }
 
 // SubtreeFuture is the handle of an in-flight prefix-scan batch.
 type SubtreeFuture struct {
-	g       gather
+	pending[*serve.SubtreeFuture]
 	results [][]KV
 }
 
@@ -694,90 +615,26 @@ type SubtreeFuture struct {
 // pairs extending the i-th requested prefix, merged across shards in
 // lexicographic key order with replicas deduplicated.
 func (f *SubtreeFuture) Wait() ([][]KV, error) {
-	err := f.g.wait()
-	return f.results, err
+	f.once.Do(func() {
+		per := make([][][]KV, len(f.subs))
+		if f.waitAll(func(s int, sub *serve.SubtreeFuture) (err error) {
+			per[s], err = sub.Wait()
+			return err
+		}) {
+			f.results = combine(f.p, per, mergeKVs)
+		}
+	})
+	return f.results, f.err
 }
 
 // SubtreeAsync fans each prefix out to every shard whose slot range
 // can intersect it and merges the sorted per-shard answers.
 func (r *Router) SubtreeAsync(prefixes ...Key) *SubtreeFuture {
 	f := &SubtreeFuture{}
-	if len(prefixes) == 0 {
-		f.results = [][]KV{}
-		f.g.settle(nil)
-		return f
-	}
-	if !r.begin(&f.g) {
-		return f
-	}
-	subKeys := make([][]Key, len(r.shards))
-	shardRefs := make([][]keyRef, len(prefixes)) // per prefix: one ref per shard asked
-	fanout := 0
-	for i, p := range prefixes {
-		lo, hi := slotRange(p, r.routeBits)
-		var seen uint64
-		for s := lo; s < hi; s++ {
-			sid := r.table[s]
-			if len(r.shards) <= 64 {
-				if seen&(1<<uint(sid)) != 0 {
-					continue
-				}
-				seen |= 1 << uint(sid)
-			} else if n := len(shardRefs[i]); n > 0 && hasShard(shardRefs[i], sid) {
-				continue
-			}
-			shardRefs[i] = append(shardRefs[i], keyRef{shard: int32(sid), pos: int32(len(subKeys[sid]))})
-			subKeys[sid] = append(subKeys[sid], p)
-			fanout++
-		}
-	}
-	if r.met != nil {
-		r.met.note(opSubtree, len(prefixes))
-		r.met.fanout.Add(uint64(fanout))
-	}
-	futs := make([]*serve.SubtreeFuture, len(r.shards))
-	for sid, sk := range subKeys {
-		if len(sk) > 0 {
-			futs[sid] = r.shards[sid].srv.SubtreeAsync(sk...)
-		}
-	}
-	r.launch(&f.g, func() error {
-		per := make([][][]KV, len(futs))
-		var firstErr error
-		for sid, sf := range futs {
-			if sf == nil {
-				continue
-			}
-			kvs, err := sf.Wait()
-			if err != nil && firstErr == nil {
-				firstErr = err
-			}
-			per[sid] = kvs
-		}
-		if firstErr != nil {
-			return firstErr
-		}
-		f.results = make([][]KV, len(prefixes))
-		parts := make([][]KV, 0, len(r.shards))
-		for i := range prefixes {
-			parts = parts[:0]
-			for _, ref := range shardRefs[i] {
-				parts = append(parts, per[ref.shard][ref.pos])
-			}
-			f.results[i] = mergeKVs(parts)
-		}
-		return nil
+	f.submit(r, opSubtree, prefixes, nil, func(srv *serve.Server, ks []Key, _ []uint64) *serve.SubtreeFuture {
+		return srv.SubtreeAsync(ks...)
 	})
 	return f
-}
-
-func hasShard(refs []keyRef, sid int) bool {
-	for _, ref := range refs {
-		if int(ref.shard) == sid {
-			return true
-		}
-	}
-	return false
 }
 
 // mergeKVs k-way merges sorted per-shard scan results into one sorted
@@ -866,7 +723,7 @@ func (r *Router) Subtrees(prefixes []Key) ([][]KV, error) {
 func (r *Router) Len() int {
 	n := 0
 	for _, sh := range r.shards {
-		n += sh.srv.KeyCount()
+		n += sh.KeyCount()
 	}
 	return n
 }

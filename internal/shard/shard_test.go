@@ -8,7 +8,9 @@ package shard_test
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
+	"time"
 
 	"github.com/pimlab/pimtrie"
 	"github.com/pimlab/pimtrie/internal/bitstr"
@@ -255,6 +257,97 @@ func TestRouterClosed(t *testing.T) {
 	}
 	if _, err := r.MigrateSlot(0, 1); err == nil {
 		t.Fatal("MigrateSlot after Close succeeded")
+	}
+}
+
+// TestRouterReplicaDedupeManyShards repeats a short key in one Insert
+// batch on more than 64 shards: every replica must keep the later
+// value, so that it survives a migration that makes a replica the
+// primary copy.
+func TestRouterReplicaDedupeManyShards(t *testing.T) {
+	r := shard.New(shard.Config{Shards: 65, RouteBits: 7, Partitioner: shard.Contiguous{},
+		Modules: 2, Index: pimtrie.Options{Seed: 3}})
+	defer r.Close()
+	k := pimtrie.KeyFromBits("0")
+	if err := r.Insert([]shard.Key{k, k}, []uint64{1, 2}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.MigrateSlot(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	if v, found, err := r.Get([]shard.Key{k}); err != nil || !found[0] || v[0] != 2 {
+		t.Fatalf("Get(0) after migration = (%v, %v, %v), want 2", v, found, err)
+	}
+	sameKVs(t, "full dump", must(r.Subtree(bitstr.Empty)), []shard.KV{{Key: k, Value: 2}})
+}
+
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
+// settleGoroutines polls until the goroutine count holds still at want
+// (or at any value, for want < 0) and returns it. Each poll collects
+// garbage, so that dropped PIM systems' finalizers stop their module
+// workers.
+func settleGoroutines(want int) int {
+	prev := runtime.NumGoroutine()
+	for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline); {
+		runtime.GC()
+		time.Sleep(5 * time.Millisecond)
+		cur := runtime.NumGoroutine()
+		if cur == prev && (want < 0 || cur == want) {
+			return cur
+		}
+		prev = cur
+	}
+	return prev
+}
+
+// TestRouterAddsOneGoroutinePerShard asserts a router runs one
+// goroutine per shard (each shard server's executor), plus the
+// migration loop when it is enabled, and none per request: 256
+// pipelined Gets leave the count where it was. Close stops them all.
+// At GOMAXPROCS 1 the shards' PIM simulators run module programs
+// inline and start no workers.
+func TestRouterAddsOneGoroutinePerShard(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const shards, pipelined = 3, 256
+	gen := workload.New(5)
+	keys := dedupeKeys(gen.FixedLen(pipelined, 24))
+	vals := gen.Values(len(keys))
+	for _, loop := range []bool{false, true} {
+		base := settleGoroutines(-1)
+		want := base + shards
+		if loop {
+			want++
+		}
+		r := shard.New(shard.Config{Shards: shards, RouteBits: 4, Modules: 4,
+			Index: pimtrie.Options{Seed: 8}, Migration: shard.Migration{Enabled: loop, Interval: time.Hour}})
+		if err := r.Insert(keys, vals); err != nil {
+			t.Fatal(err)
+		}
+		if got := settleGoroutines(want); got != want {
+			t.Fatalf("migration loop %v: running router has %d goroutines, want %d", loop, got, want)
+		}
+		futs := make([]*shard.GetFuture, len(keys))
+		for i, k := range keys {
+			futs[i] = r.GetAsync(k)
+		}
+		if got := runtime.NumGoroutine(); got > want {
+			t.Fatalf("migration loop %v: %d goroutines with %d Gets in flight, want %d", loop, got, len(futs), want)
+		}
+		for i, f := range futs {
+			if v, found, err := f.Wait(); err != nil || !found[0] || v[0] != vals[i] {
+				t.Fatalf("Get %d = (%v, %v, %v), want %d", i, v, found, err, vals[i])
+			}
+		}
+		r.Close()
+		if got := settleGoroutines(base); got != base {
+			t.Fatalf("migration loop %v: %d goroutines after Close, want %d", loop, got, base)
+		}
 	}
 }
 

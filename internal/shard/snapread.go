@@ -1,15 +1,14 @@
 package shard
 
 // The router's shard-local snapshot read path. A ReadSnapshot Get never
-// touches the migration barrier: it routes by the copy-on-write
-// published table (no RWMutex), probes each shard's published snapshot
-// on the caller's goroutine (serve.TrySnapshotGet — no epoch, no
-// inflight registration, no resolver goroutine), and resolves the
-// future pre-settled. Any wrinkle — a key the recent-writes filter
-// distrusts, an unpublished snapshot, or a migration completing
-// mid-read (detected by re-loading the table pointer after probing) —
-// falls the whole call back to the barriered strong path, so answers
-// are never wrong, only occasionally slower.
+// takes the router's lock and never enters a shard queue: it routes by
+// the copy-on-write published table, probes each shard's published
+// snapshot on the caller's goroutine (serve.TrySnapshotGet), and
+// returns a future that is already answered. Any wrinkle — a key the
+// recent-writes filter distrusts, an unpublished snapshot, or a
+// migration completing mid-read (detected by re-loading the table
+// pointer after probing) — falls the whole call back to the strong
+// path, so answers are never wrong, only occasionally slower.
 //
 // Migration safety. The hazard is a reader routing by a stale table to
 // a shard that just gave a slot away: after the migration deletes the
@@ -74,7 +73,7 @@ func (r *Router) snapshotGet(keys []Key) *GetFuture {
 		sv := make([]uint64, len(sk))
 		sf := make([]bool, len(sk))
 		served := make([]bool, len(sk))
-		if r.shards[sid].srv.TrySnapshotGet(sk, sv, sf, served) != len(sk) {
+		if r.shards[sid].TrySnapshotGet(sk, sv, sf, served) != len(sk) {
 			// Some key on this shard needs the epoch path; keep the call
 			// whole rather than splitting consistency across shards.
 			r.snapFallbacks.Add(uint64(len(keys)))
@@ -101,7 +100,5 @@ func (r *Router) snapshotGet(keys []Key) *GetFuture {
 		r.met.note(opGet, len(keys))
 		r.met.snapReads.Add(uint64(len(keys)))
 	}
-	f := &GetFuture{vals: vals, found: found}
-	f.g.settle(nil)
-	return f
+	return &GetFuture{vals: vals, found: found}
 }
