@@ -131,7 +131,9 @@ type masterEntry struct {
 
 // masterObj is the per-module master replica, held in a flat
 // open-addressing table so the master round's grouped probes can issue
-// independent slot loads (see metaTable).
+// independent slot loads (see metaTable). It stores what the master
+// round reads — each key and its Len — but is charged the paper's
+// replica, metaInfoWords per entry, as every broadcast that fills it is.
 type masterObj struct {
 	entries *metaTable
 }
@@ -181,7 +183,7 @@ type PIMTrie struct {
 	hashSalt uint64
 
 	rootBlock   pim.Addr
-	master      *metaTable // host copy of the master table; replicas are clones
+	master      *metaTable // host copy of the master table; module replicas hold its slots
 	masterAddrs []pim.Addr // per-module masterObj addresses
 	// regionBound holds every live region's depth bound, its MaxLen —
 	// exact, since the region round clamps shipped segments to it and a
@@ -234,7 +236,7 @@ type PIMTrie struct {
 	hitBuf      []hitRec       // verified hits, root hit first
 	regionBuf   []regionShare  // region-round shares
 	shareHitBuf [][]rawHit     // raw hits per region-round share
-	cpuBuf      []int          // host work per pulled region share or block piece
+	cpuBuf      []int          // host work per master-round task or region-round share
 	repBuf      []*matchReport // block-round reports in task order
 	pieceArena  []*piece
 	pieceUsed   int
@@ -274,7 +276,7 @@ func New(sys *pim.System, cfg Config) *PIMTrie {
 	defer sys.Phase("init")()
 	// Install empty master replicas and the empty root block + region.
 	resp := sys.Broadcast(1, func(m *pim.Module) pim.Resp {
-		return pim.Resp{RecvWords: 1, Value: m.Alloc(&masterObj{entries: newMetaTable(0)})}
+		return pim.Resp{RecvWords: 1, Value: m.Alloc(&masterObj{entries: newReplica(0)})}
 	})
 	t.masterAddrs = make([]pim.Addr, sys.P())
 	for i, r := range resp {
@@ -351,7 +353,7 @@ func (t *PIMTrie) broadcastMaster() {
 	defer t.sys.Phase("master-broadcast")()
 	addrs, master := t.masterAddrs, t.master
 	t.sys.Broadcast(master.Len()*metaInfoWords+1, func(m *pim.Module) pim.Resp {
-		m.Get(addrs[m.ID()].ID).(*masterObj).entries = master.clone()
+		m.Get(addrs[m.ID()].ID).(*masterObj).entries = master.replica()
 		m.Resize(addrs[m.ID()].ID)
 		return pim.Resp{}
 	})

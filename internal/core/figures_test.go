@@ -55,7 +55,7 @@ func TestFigure1QueryTrieShape(t *testing.T) {
 	}
 	var branchDepths []int
 	qt.Trie.WalkPreorder(func(n *trie.Node) bool {
-		if !n.HasValue && n.Parent != nil {
+		if !n.HasValue && n.Parent() != nil {
 			branchDepths = append(branchDepths, n.Depth)
 		}
 		return true

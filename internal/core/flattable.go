@@ -3,17 +3,23 @@ package core
 import "slices"
 
 // metaTable is the flat open-addressing hash table holding the master
-// table: the host's copy and every module's replica, which is a clone of
-// it. The builtin map it replaces costs two dependent cache
-// misses per probe (bucket header, then entry) and gives the prober no
-// way to start the next batch's loads early; the flat table keeps every
-// slot in one contiguous array, so (a) a probe is a single indexed
-// access with linear fallback, and (b) Touch lets the grouped probe
-// loop in probeSegments issue the bucket loads of a whole word of
-// upcoming probes back-to-back, overlapping their DRAM misses
-// (memory-level parallelism). Keys are hash outputs (already
-// splitmix-mixed by hashing.Out), so the raw key masks directly to a
-// slot index.
+// table: the host's copy and every module's replica. The builtin map it
+// replaces costs two dependent cache misses per probe (bucket header,
+// then entry) and gives the prober no way to start the next batch's
+// loads early; the flat table keeps every slot in one contiguous array,
+// so (a) a probe is a single indexed access with linear fallback, and
+// (b) Touch lets the grouped probe loop in probeSegments issue the
+// bucket loads of a whole word of upcoming probes back-to-back,
+// overlapping their DRAM misses (memory-level parallelism). Keys are
+// hash outputs (already splitmix-mixed by hashing.Out), so the raw key
+// masks directly to a slot index.
+//
+// A slot is 16 pointer-free bytes: the key, its entry's Len and a used
+// flag — everything the master round reads on a module. The host's
+// table also keeps the full masterEntry of slot i in ents[i], which the
+// host alone reads (it resolves every hit from its own copy); a replica
+// has no ents, so its entry is its Len alone. Both are the same table,
+// patched by the same Put and Delete.
 //
 // Deletion uses backward-shift compaction (no tombstones), so lookup
 // cost never degrades with churn. A replica is probed read-only during
@@ -34,6 +40,7 @@ import "slices"
 // in O(1).
 type metaTable struct {
 	slots  []metaSlot
+	ents   []masterEntry // host only: the entry of slots[i]; nil in a replica
 	mask   uint64
 	n      int
 	byLen  []int // byLen[l] = entries whose Len is l
@@ -42,12 +49,20 @@ type metaTable struct {
 
 type metaSlot struct {
 	key  uint64
+	len  int32
 	used bool
-	e    masterEntry
 }
 
-// newMetaTable sizes for at least capacity entries at ≤ 75% load.
+// newMetaTable returns a host table sized for at least capacity entries
+// at ≤ 75% load.
 func newMetaTable(capacity int) *metaTable {
+	t := newReplica(capacity)
+	t.ents = make([]masterEntry, len(t.slots))
+	return t
+}
+
+// newReplica returns an empty replica sized like newMetaTable.
+func newReplica(capacity int) *metaTable {
 	size := 8
 	for size*3 < capacity*4 {
 		size <<= 1
@@ -57,18 +72,27 @@ func newMetaTable(capacity int) *metaTable {
 
 func (t *metaTable) Len() int { return t.n }
 
-// clone returns an independent copy (a module's replica of the host's).
-func (t *metaTable) clone() *metaTable {
+// replica returns an independent replica of t: its slots, without the
+// entries.
+func (t *metaTable) replica() *metaTable {
 	c := *t
-	c.slots, c.byLen = slices.Clone(t.slots), slices.Clone(t.byLen)
+	c.slots, c.byLen, c.ents = slices.Clone(t.slots), slices.Clone(t.byLen), nil
 	return &c
+}
+
+// entry returns the entry of used slot i; a replica's is its Len alone.
+func (t *metaTable) entry(i uint64) masterEntry {
+	if t.ents != nil {
+		return t.ents[i]
+	}
+	return masterEntry{Len: int(t.slots[i].len)}
 }
 
 // each calls fn for every entry, in slot order.
 func (t *metaTable) each(fn func(h uint64, e masterEntry)) {
 	for i := range t.slots {
 		if s := &t.slots[i]; s.used {
-			fn(s.key, s.e)
+			fn(s.key, t.entry(uint64(i)))
 		}
 	}
 }
@@ -80,8 +104,8 @@ func (t *metaTable) MaxLen() int { return t.maxLen }
 func (t *metaTable) scanMaxLen() int {
 	m := 0
 	for i := range t.slots {
-		if s := &t.slots[i]; s.used && s.e.Len > m {
-			m = s.e.Len
+		if s := &t.slots[i]; s.used && int(s.len) > m {
+			m = int(s.len)
 		}
 	}
 	return m
@@ -104,17 +128,26 @@ func (t *metaTable) uncountLen(l int) {
 	}
 }
 
-// Get returns the entry stored under h.
-func (t *metaTable) Get(h uint64) (masterEntry, bool) {
+// slot returns the slot holding h, or the free slot that ends h's probe
+// chain.
+func (t *metaTable) slot(h uint64) (uint64, bool) {
 	for i := h & t.mask; ; i = (i + 1) & t.mask {
 		s := &t.slots[i]
 		if !s.used {
-			return masterEntry{}, false
+			return i, false
 		}
 		if s.key == h {
-			return s.e, true
+			return i, true
 		}
 	}
+}
+
+// Get returns the entry stored under h (a replica's is its Len alone).
+func (t *metaTable) Get(h uint64) (masterEntry, bool) {
+	if i, ok := t.slot(h); ok {
+		return t.entry(i), true
+	}
+	return masterEntry{}, false
 }
 
 // Touch loads the home slot of h — the early, independent load the
@@ -125,45 +158,36 @@ func (t *metaTable) Touch(h uint64) uint64 {
 	return t.slots[h&t.mask].key
 }
 
-// Put stores e under h, replacing any existing entry.
+// Put stores e under h, replacing any existing entry; a replica keeps
+// e.Len alone.
 func (t *metaTable) Put(h uint64, e masterEntry) {
 	if uint64(t.n+1)*4 > uint64(len(t.slots))*3 {
 		t.grow()
 	}
-	for i := h & t.mask; ; i = (i + 1) & t.mask {
-		s := &t.slots[i]
-		if !s.used {
-			*s = metaSlot{key: h, used: true, e: e}
-			t.n++
-			t.countLen(e.Len)
-			return
-		}
-		if s.key == h {
-			if s.e.Len != e.Len {
-				t.countLen(e.Len)
-				t.uncountLen(s.e.Len)
-			}
-			s.e = e
-			return
-		}
+	i, ok := t.slot(h)
+	switch s := &t.slots[i]; {
+	case !ok:
+		*s = metaSlot{key: h, len: int32(e.Len), used: true}
+		t.n++
+		t.countLen(e.Len)
+	case int(s.len) != e.Len:
+		t.countLen(e.Len)
+		t.uncountLen(int(s.len))
+		s.len = int32(e.Len)
+	}
+	if t.ents != nil {
+		t.ents[i] = e
 	}
 }
 
 // Delete removes h if present, backward-shifting the probe chain so no
 // tombstone is left behind.
 func (t *metaTable) Delete(h uint64) {
-	i := h & t.mask
-	for {
-		s := &t.slots[i]
-		if !s.used {
-			return
-		}
-		if s.key == h {
-			break
-		}
-		i = (i + 1) & t.mask
+	i, ok := t.slot(h)
+	if !ok {
+		return
 	}
-	t.uncountLen(t.slots[i].e.Len)
+	t.uncountLen(int(t.slots[i].len))
 	// Backward-shift: pull every displaced successor into the hole.
 	j := i
 	for {
@@ -177,22 +201,31 @@ func (t *metaTable) Delete(h uint64) {
 		// [home, j); otherwise s is already at or past its home.
 		if (j-home)&t.mask >= (j-i)&t.mask {
 			t.slots[i] = *s
+			if t.ents != nil {
+				t.ents[i] = t.ents[j]
+			}
 			i = j
 		}
 	}
 	t.slots[i] = metaSlot{}
+	if t.ents != nil {
+		t.ents[i] = masterEntry{}
+	}
 	t.n--
 }
 
 func (t *metaTable) grow() {
-	old := t.slots
-	t.slots = make([]metaSlot, len(old)*2)
+	old := *t
+	t.slots = make([]metaSlot, len(old.slots)*2)
+	if old.ents != nil {
+		t.ents = make([]masterEntry, len(t.slots))
+	}
 	t.mask = uint64(len(t.slots) - 1)
 	t.n, t.maxLen = 0, 0
 	clear(t.byLen)
-	for i := range old {
-		if old[i].used {
-			t.Put(old[i].key, old[i].e)
+	for i := range old.slots {
+		if old.slots[i].used {
+			t.Put(old.slots[i].key, old.entry(uint64(i)))
 		}
 	}
 }

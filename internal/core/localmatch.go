@@ -76,13 +76,13 @@ type matchReport struct {
 	reach []reachEntry // one entry per node touched, holding its deepest claim
 	exact []exactEntry // nodes whose string coincided with a data node
 	words int          // wire size when fetched from a module
+	work  int          // word operations the walk cost, charged by the caller
 }
 
 // matcher carries the walk state.
 type matcher struct {
 	rep   *matchReport
 	stops *edgeStops
-	work  func(int) // bit-operation accounting hook
 	block *trie.Trie
 	// slot[i] is the position of node i's entry in rep.reach, valid only
 	// when that entry names i — a sparse set, so slot is never cleared
@@ -95,7 +95,7 @@ type matcher struct {
 // whole subtree below the edge's From node, siblings already walked
 // included.
 func (m *matcher) setReach(n *trie.Node, d int) {
-	i, rep := n.Index, m.rep
+	i, rep := int(n.Index), m.rep
 	if i >= len(m.slot) {
 		m.slot = slices.Grow(m.slot, i+1-len(m.slot))
 		m.slot = m.slot[:cap(m.slot)]
@@ -129,7 +129,7 @@ var reportPool = sync.Pool{New: func() any {
 
 func newReport() *matchReport {
 	rep := reportPool.Get().(*matchReport)
-	rep.reach, rep.exact, rep.words = rep.reach[:0], rep.exact[:0], 0
+	rep.reach, rep.exact, rep.words, rep.work = rep.reach[:0], rep.exact[:0], 0, 0
 	return rep
 }
 
@@ -139,14 +139,13 @@ func recycleReport(rep *matchReport) { reportPool.Put(rep) }
 
 // matchPiece walks the query trie from start (whose represented string
 // equals the block root's string) against the block's local trie,
-// halting at the next hit position in stops (nil: none). work receives
-// word-granularity operation counts so callers can charge PIM or CPU
-// work.
-func matchPiece(start qpos, stops *edgeStops, block *trie.Trie, work func(int)) *matchReport {
+// halting at the next hit position in stops (nil: none). The report's
+// work counts the walk's word operations; the caller charges it as PIM
+// or CPU work.
+func matchPiece(start qpos, stops *edgeStops, block *trie.Trie) *matchReport {
 	m := matcherPool.Get().(*matcher)
 	m.rep = newReport()
 	m.stops = stops
-	m.work = work
 	m.block = block
 	droot := atNode(block.Root())
 	if start.node != nil {
@@ -165,7 +164,7 @@ func matchPiece(start qpos, stops *edgeStops, block *trie.Trie, work func(int)) 
 func (m *matcher) record(n *trie.Node, d qpos) {
 	m.setReach(n, n.Depth)
 	if d.node != nil {
-		m.rep.exact = append(m.rep.exact, exactEntry{idx: int32(n.Index), hit: exactHit{
+		m.rep.exact = append(m.rep.exact, exactEntry{idx: n.Index, hit: exactHit{
 			set: true, hasValue: d.node.HasValue, value: d.node.Value, isMirror: d.node.Mirror,
 		}})
 		m.rep.words++
@@ -260,7 +259,7 @@ func (m *matcher) matchEdge(qe *trie.Edge, qoff int, d qpos) {
 			n = rem
 		}
 		l := bitstr.LCPRange(ql, qoff, dl, d.off, n)
-		m.work(n/bitstr.WordBits + 1)
+		m.rep.work += n/bitstr.WordBits + 1
 		qoff += l
 		d = onEdge(d.edge, d.off+l)
 		if l < n {

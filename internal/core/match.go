@@ -634,7 +634,8 @@ func (t *PIMTrie) match(p *prep) (*matchOutcome, error) {
 				SendWords: pc.words + 2,
 				Run: func(m *pim.Module) pim.Resp {
 					bo := m.Get(blk.ID).(*blockObj)
-					rep := matchPiece(pc.root, stops, bo.tr, m.Work)
+					rep := matchPiece(pc.root, stops, bo.tr)
+					m.Work(rep.work)
 					return pim.Resp{RecvWords: rep.words + 1, Value: rep}
 				},
 			}
@@ -653,19 +654,20 @@ func (t *PIMTrie) match(p *prep) (*matchOutcome, error) {
 	// serially in task order because fold prefers the first non-mirror
 	// exact entry.
 	dResps := t.sys.Round(dTasks)
-	t.repBuf, t.cpuBuf = sized(t.repBuf, len(dResps)), sized(t.cpuBuf, len(dResps))
-	reps, matchCPUBy := t.repBuf, t.cpuBuf
+	t.repBuf = sized(t.repBuf, len(dResps))
+	reps := t.repBuf
 	parallel.For(len(dResps), func(i int) {
-		matchCPUBy[i] = 0
 		if bo, pulled := dResps[i].Value.(*blockObj); pulled {
-			reps[i] = matchPiece(pieces[i].root, stops, bo.tr, func(w int) { matchCPUBy[i] += w })
+			reps[i] = matchPiece(pieces[i].root, stops, bo.tr)
 		} else {
 			reps[i] = dResps[i].Value.(*matchReport)
 		}
 	})
 	matchCPU := 0
 	for i, rep := range reps {
-		matchCPU += matchCPUBy[i]
+		if _, pulled := dResps[i].Value.(*blockObj); pulled {
+			matchCPU += rep.work // a pushed piece's work was charged on its module
+		}
 		out.fold(rep)
 		recycleReport(rep)
 	}

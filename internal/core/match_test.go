@@ -48,7 +48,7 @@ func findEdgePos(qt *querytrie.QueryTrie, s bitstr.String) qpos {
 // reachOf and exactOf look a query node up in a sparse piece report.
 func reachOf(rep *matchReport, n *trie.Node) (int, bool) {
 	for _, r := range rep.reach {
-		if int(r.idx) == n.Index {
+		if r.idx == n.Index {
 			return int(r.depth), true
 		}
 	}
@@ -57,7 +57,7 @@ func reachOf(rep *matchReport, n *trie.Node) (int, bool) {
 
 func exactOf(rep *matchReport, n *trie.Node) (exactHit, bool) {
 	for _, e := range rep.exact {
-		if int(e.idx) == n.Index {
+		if e.idx == n.Index {
 			return e.hit, true
 		}
 	}
@@ -184,7 +184,7 @@ func TestMatchPieceExactAndDivergence(t *testing.T) {
 		bitstr.MustParse("0101"),
 		bitstr.MustParse("0111"),
 	})
-	rep := matchPiece(atNode(qt.Trie.Root()), nil, block, func(int) {})
+	rep := matchPiece(atNode(qt.Trie.Root()), nil, block)
 	n0 := qt.Nodes[0] // "0101"
 	n1 := qt.Nodes[1] // "0111"
 	if d, _ := reachOf(rep, n0); d != 4 {
@@ -217,7 +217,7 @@ func TestMatchPieceStopsAtMirror(t *testing.T) {
 	leaf.Mirror = true
 
 	qt := querytrie.Build([]bitstr.String{bitstr.MustParse("001100")})
-	rep := matchPiece(atNode(qt.Trie.Root()), nil, block, func(int) {})
+	rep := matchPiece(atNode(qt.Trie.Root()), nil, block)
 	// The walk must stop at the mirror: reach = 4 (conservative; a deeper
 	// pair owns the continuation), never beyond.
 	if got, _ := reachOf(rep, qt.Nodes[0]); got != 4 {
@@ -234,7 +234,7 @@ func TestMatchPieceRespectsStops(t *testing.T) {
 	qt := querytrie.Build([]bitstr.String{bitstr.MustParse("000111")})
 	// Stop 2 bits down the (single) query edge.
 	stops := stopsAt(qt, findEdgePos(qt, bitstr.MustParse("00")))
-	rep := matchPiece(atNode(qt.Trie.Root()), stops, block, func(int) {})
+	rep := matchPiece(atNode(qt.Trie.Root()), stops, block)
 	// The piece must not claim anything past the stop: the leaf gets no
 	// reach entry from this pair (the deeper pair owns it) or at most the
 	// stop depth.
@@ -271,18 +271,18 @@ func TestMatchPieceStopsOnOneEdge(t *testing.T) {
 		return b
 	}
 	// From the root: halts at depth 2 having claimed only the root.
-	rep := matchPiece(atNode(qt.Trie.Root()), stops, below("00011101"), func(int) {})
-	if len(rep.reach) != 1 || int(rep.reach[0].idx) != qt.Trie.Root().Index {
+	rep := matchPiece(atNode(qt.Trie.Root()), stops, below("00011101"))
+	if len(rep.reach) != 1 || rep.reach[0].idx != qt.Trie.Root().Index {
 		t.Fatalf("root piece claimed past its stop: %+v", rep)
 	}
 	// From the first mid-edge hit: walks bits (2,4] and halts again.
-	rep = matchPiece(onEdge(e, 2), stops, below("011101"), func(int) {})
+	rep = matchPiece(onEdge(e, 2), stops, below("011101"))
 	if len(rep.reach) != 0 || rep.words != 0 {
 		t.Fatalf("middle piece claimed a node: %+v", rep)
 	}
 	// From the second: consumes the edge and records its To node, and —
 	// that node being a hit itself — does not descend to the leaf.
-	rep = matchPiece(onEdge(e, 4), stops, below("1101"), func(int) {})
+	rep = matchPiece(onEdge(e, 4), stops, below("1101"))
 	if d, ok := reachOf(rep, mid); !ok || d != 6 {
 		t.Fatalf("last piece: reach(000111) = %d, %v; want 6", d, ok)
 	}
@@ -290,7 +290,7 @@ func TestMatchPieceStopsOnOneEdge(t *testing.T) {
 		t.Fatalf("last piece descended past the edge-end hit: %+v", rep)
 	}
 	// The piece of the edge-end hit owns everything below.
-	rep = matchPiece(atNode(mid), stops, below("01"), func(int) {})
+	rep = matchPiece(atNode(mid), stops, below("01"))
 	if d, _ := reachOf(rep, leaf); d != 8 {
 		t.Fatalf("edge-end piece: reach(leaf) = %d, want 8", d)
 	}

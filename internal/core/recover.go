@@ -186,7 +186,7 @@ func (t *PIMTrie) reallocMasters(dead []int) {
 	tasks := make([]pim.Task, len(dead))
 	for i, mi := range dead {
 		tasks[i] = pim.Task{Module: mi, SendWords: 1, Run: func(m *pim.Module) pim.Resp {
-			return pim.Resp{RecvWords: 1, Value: m.Alloc(&masterObj{entries: newMetaTable(0)})}
+			return pim.Resp{RecvWords: 1, Value: m.Alloc(&masterObj{entries: newReplica(0)})}
 		}}
 	}
 	for i, r := range t.sys.Round(tasks) {

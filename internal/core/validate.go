@@ -234,7 +234,8 @@ func (t *PIMTrie) Validate() error {
 	if stale != nil {
 		return stale
 	}
-	// Master replicas must match the host copy, depth bound included.
+	// Master replicas must match the host copy key for key, Len for Len,
+	// depth bound included (a replica stores nothing else).
 	hostMax := t.master.scanMaxLen()
 	if t.masterBound() != hostMax {
 		return fmt.Errorf("host master table reports depth bound %d, its entries reach %d", t.masterBound(), hostMax)
@@ -246,7 +247,7 @@ func (t *PIMTrie) Validate() error {
 		}
 		var diverged error
 		t.master.each(func(h uint64, e masterEntry) {
-			if me, ok := mo.entries.Get(h); diverged == nil && (!ok || me.Region != e.Region || me.Block != e.Block || me.Len != e.Len) {
+			if me, ok := mo.entries.Get(h); diverged == nil && (!ok || me.Len != e.Len) {
 				diverged = fmt.Errorf("module %d master replica diverges at %#x", i, h)
 			}
 		})

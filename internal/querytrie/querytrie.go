@@ -60,7 +60,7 @@ func Build(batch []bitstr.String) *QueryTrie {
 		qt.Slot[bi] = len(qt.Keys) - 1
 	}
 	qt.Trie, qt.Nodes = trie.BuildFromSorted(qt.Keys, values)
-	pre := 0
+	var pre int32
 	qt.Trie.WalkPreorder(func(nd *trie.Node) bool {
 		nd.Index = pre
 		pre++
@@ -107,7 +107,7 @@ func (q *QueryTrie) buildPreorder() {
 		f := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		idx := int32(len(q.PreNodes))
-		f.n.Index = int(idx)
+		f.n.Index = idx
 		q.PreNodes = append(q.PreNodes, f.n)
 		q.PreParent = append(q.PreParent, f.par)
 		// Push bit-1 first so bit-0 pops (and numbers) first.

@@ -142,10 +142,10 @@ func TestNodeHashesMatchDirect(t *testing.T) {
 	qt := Build(batch)
 	hashes := qt.NodeHashes(h, nil)
 	count := 0
-	seen := make(map[int]bool)
+	seen := make(map[int32]bool)
 	qt.Trie.WalkPreorder(func(n *trie.Node) bool {
 		count++
-		if n.Index < 0 || n.Index >= len(hashes) || seen[n.Index] {
+		if n.Index < 0 || int(n.Index) >= len(hashes) || seen[n.Index] {
 			t.Fatalf("node Index %d is not a dense permutation of [0,%d)", n.Index, len(hashes))
 		}
 		seen[n.Index] = true
@@ -195,12 +195,12 @@ func TestPreorderScaffolding(t *testing.T) {
 		if i >= len(qt.PreNodes) || qt.PreNodes[i] != n {
 			t.Fatalf("PreNodes[%d] is not the %d-th preorder node", i, i)
 		}
-		if n.Index != i {
+		if int(n.Index) != i {
 			t.Fatalf("node Index %d at preorder position %d", n.Index, i)
 		}
 		par := int32(-1)
-		if n.Parent != nil {
-			par = int32(n.Parent.Index)
+		if p := n.Parent(); p != nil {
+			par = p.Index
 		}
 		if qt.PreParent[i] != par {
 			t.Fatalf("PreParent[%d] = %d, want %d", i, qt.PreParent[i], par)

@@ -25,26 +25,37 @@ import (
 
 // Node is a compressed node. Its represented string is the concatenation
 // of edge labels from the root; Depth is that string's length in bits.
+//
+// A Node is 48 bytes on 64-bit platforms: five words, then Index and
+// the three flags packed into the sixth (core.TestNodeLayout pins it).
+// There is no parent pointer — the parent is ParentEdge.From.
 type Node struct {
-	Parent     *Node
-	ParentEdge *Edge
+	ParentEdge *Edge    // nil at the root
 	Child      [2]*Edge // indexed by the first bit of the edge label
-	HasValue   bool
 	Value      uint64
 	Depth      int
 
+	// Index is a dense identifier for builders that keep array-indexed
+	// per-node side data (querytrie assigns preorder numbers so node
+	// hashes live in a flat []Value instead of a pointer-keyed map).
+	// The trie itself never reads or maintains it.
+	Index int32
+
+	HasValue bool
 	// Mirror marks a replica of a child block's root kept as a leaf in
 	// the parent block (§4.2); Anchor marks a node inserted to cut an
 	// over-long edge. Both are exempt from the compression invariant and
 	// are only ever set by the blocking machinery in partition.go.
 	Mirror bool
 	Anchor bool
+}
 
-	// Index is a dense identifier for builders that keep array-indexed
-	// per-node side data (querytrie assigns preorder numbers so node
-	// hashes live in a flat []Value instead of a pointer-keyed map).
-	// The trie itself never reads or maintains it.
-	Index int
+// Parent returns n's parent, nil at the root.
+func (n *Node) Parent() *Node {
+	if n.ParentEdge == nil {
+		return nil
+	}
+	return n.ParentEdge.From
 }
 
 // Edge is a compressed edge with a non-empty bit-string label. The first
@@ -110,7 +121,6 @@ func (t *Trie) SizeWords() int {
 func (t *Trie) attach(parent *Node, label bitstr.String, child *Node) *Edge {
 	e := &Edge{Label: label, From: parent, To: child}
 	parent.Child[label.FirstBit()] = e
-	child.Parent = parent
 	child.ParentEdge = e
 	child.Depth = parent.Depth + label.Len()
 	t.edgeBits += label.Len()
@@ -126,7 +136,7 @@ func (t *Trie) detach(child *Node) {
 	}
 	e.From.Child[e.Label.FirstBit()] = nil
 	t.edgeBits -= e.Label.Len()
-	child.Parent, child.ParentEdge = nil, nil
+	child.ParentEdge = nil
 }
 
 // splitEdge materializes the hidden node Offset bits down e, returning
@@ -144,12 +154,10 @@ func (t *Trie) splitEdge(e *Edge, offset int) *Node {
 	// Reuse e as the upper edge to keep parent's slot stable.
 	e.Label = upper
 	e.To = mid
-	mid.Parent = parent
 	mid.ParentEdge = e
 	mid.Depth = parent.Depth + offset
 	low := &Edge{Label: lower, From: mid, To: child}
 	mid.Child[lower.FirstBit()] = low
-	child.Parent = mid
 	child.ParentEdge = low
 	return mid
 }
@@ -286,7 +294,7 @@ func (t *Trie) compress(n *Node) {
 	for n != nil && n != t.root && !n.HasValue && !n.Mirror {
 		switch childCount(n) {
 		case 0:
-			parent := n.Parent
+			parent := n.Parent()
 			t.detach(n)
 			t.nodes--
 			n = parent
@@ -299,13 +307,12 @@ func (t *Trie) compress(n *Node) {
 			}
 			up := n.ParentEdge
 			merged := up.Label.Concat(down.Label)
-			parent, child := up.From, down.To
-			// Collapse: parent --merged--> child.
+			child := down.To
+			// Collapse: up.From --merged--> child.
 			t.edgeBits -= up.Label.Len() + down.Label.Len()
 			up.Label = merged
 			up.To = child
 			t.edgeBits += merged.Len()
-			child.Parent = parent
 			child.ParentEdge = up
 			t.nodes--
 			return
@@ -341,7 +348,7 @@ func (t *Trie) RemoveLeaf(n *Node) {
 		n.HasValue = false
 		t.keys--
 	}
-	parent := n.Parent
+	parent := n.Parent()
 	t.detach(n)
 	t.nodes--
 	t.compress(parent)
@@ -519,7 +526,7 @@ func (t *Trie) CheckInvariants() error {
 			if int(e.Label.FirstBit()) != b {
 				return fmt.Errorf("edge in slot %d starts with bit %d", b, e.Label.FirstBit())
 			}
-			if e.From != n || e.To.Parent != n || e.To.ParentEdge != e {
+			if e.From != n || e.To.ParentEdge != e {
 				return fmt.Errorf("broken links below depth %d", n.Depth)
 			}
 			if e.To.Depth != n.Depth+e.Label.Len() {
