@@ -99,17 +99,13 @@ func dropMirrorCuts(cuts []*trie.Node) []*trie.Node {
 func (t *PIMTrie) installBlocks(specs []*trie.BlockSpec) error {
 	defer t.sys.Phase("install-blocks")()
 	// Clear all previous module state except master replicas.
-	t.clearObjects()
+	t.freeObjects(true)
 
-	// One round: allocate every block on a uniformly random module. The
-	// placement draws stay serial (RNG sequence); hashing each block's
-	// root string — the bulk of the host work here — fans out.
-	tasks := make([]pim.Task, len(specs))
+	// One round: allocate every block on a uniformly random module,
+	// shipping its spec (trie and root string). Hashing each block's root
+	// string — the bulk of the host work here — fans out.
+	objs := make([]pim.Sized, len(specs))
 	metas := make([]*blockMeta, len(specs))
-	mods := make([]int, len(specs))
-	for i := range mods {
-		mods[i] = t.sys.RandModule()
-	}
 	parallel.For(len(specs), func(i int) {
 		sp := specs[i]
 		val := t.h.Hash(sp.RootString)
@@ -119,25 +115,17 @@ func (t *PIMTrie) installBlocks(specs []*trie.BlockSpec) error {
 			len:    sp.RootString.Len(),
 			sLast:  slastOf(sp.RootString),
 		}
-		bo := &blockObj{
-			tr:      sp.Trie,
-			rootLen: sp.RootString.Len(),
-			rootVal: val,
-			sLast:   metas[i].sLast,
-			parent:  pim.NilAddr,
-		}
-		bo.rootHash = t.h.Out(val)
-		tasks[i] = pim.Task{
-			Module:    mods[i],
-			SendWords: sp.SizeWords(),
-			Run: func(m *pim.Module) pim.Resp {
-				return pim.Resp{RecvWords: 1, Value: m.Alloc(bo)}
-			},
+		objs[i] = &blockObj{
+			tr:       sp.Trie,
+			rootLen:  sp.RootString.Len(),
+			rootVal:  val,
+			rootHash: t.h.Out(val),
+			sLast:    metas[i].sLast,
+			parent:   pim.NilAddr,
 		}
 	})
-	resps := t.sys.Round(tasks)
-	for i, r := range resps {
-		metas[i].addr = r.Value.(pim.Addr)
+	for i, a := range t.place(objs, func(i int) int { return specs[i].SizeWords() }) {
+		metas[i].addr = a
 	}
 	if t.recoverable {
 		// The block directory is rebuilt from scratch on a full load.
@@ -185,28 +173,6 @@ func (t *PIMTrie) installBlocks(specs []*trie.BlockSpec) error {
 	t.sys.Round(wire)
 	t.rootBlock = metas[0].addr
 	return t.assembleHVM(metas)
-}
-
-// clearObjects frees every block and region object (full reload path).
-func (t *PIMTrie) clearObjects() {
-	clear(t.regionBound)
-	tasks := make([]pim.Task, 0, t.sys.P())
-	for i := 0; i < t.sys.P(); i++ {
-		tasks = append(tasks, pim.Task{Module: i, SendWords: 1, Run: func(m *pim.Module) pim.Resp {
-			var ids []uint64
-			m.EachID(func(id uint64, obj any) {
-				switch obj.(type) {
-				case *blockObj, *regionObj:
-					ids = append(ids, id)
-				}
-			})
-			for _, id := range ids {
-				m.Free(id)
-			}
-			return pim.Resp{}
-		}})
-	}
-	t.sys.Round(tasks)
 }
 
 // pivotAug derives the §4.4.2 pivot augmentation of a block root from
@@ -274,93 +240,28 @@ func (t *PIMTrie) assembleHVM(metas []*blockMeta) error {
 		}
 	}
 	giant := hvm.NewRegionTree(root)
-	// Split into regions of bounded size.
-	regions := []*hvm.Region{giant}
-	type parentage struct {
-		cut *hvm.MetaNode
-		reg *hvm.Region
-	}
-	var parents []parentage
-	for i := 0; i < len(regions); i++ {
-		for regions[i].Len() > t.cfg.MetaBlockMax {
-			cut, parts := regions[i].Split()
-			for _, p := range parts {
-				parents = append(parents, parentage{cut: cut, reg: p})
-				regions = append(regions, p)
-			}
-		}
-	}
+	regions := append([]regionPart{{reg: giant}}, t.splitToFit(giant)...)
 	// Per-region uniqueness check (the paper's global no-collision
 	// requirement scoped to each lookup table).
-	for _, reg := range regions {
-		if err := reg.Reindex(); err != nil {
+	for _, p := range regions {
+		if err := p.reg.Reindex(); err != nil {
 			return err
 		}
 	}
-	// One round: allocate regions on random modules (draws serial,
-	// SizeWords — a full region walk — in parallel).
-	tasks := make([]pim.Task, len(regions))
-	regMods := make([]int, len(regions))
-	for i := range regMods {
-		regMods[i] = t.sys.RandModule()
-	}
-	parallel.For(len(regions), func(i int) {
-		reg := regions[i]
-		tasks[i] = pim.Task{
-			Module:    regMods[i],
-			SendWords: reg.SizeWords(),
-			Run: func(m *pim.Module) pim.Resp {
-				return pim.Resp{RecvWords: 1, Value: m.Alloc(&regionObj{r: reg})}
-			},
-		}
-	})
-	resps := t.sys.Round(tasks)
-	regAddr := make(map[*hvm.Region]pim.Addr, len(regions))
-	for i, r := range resps {
-		regAddr[regions[i]] = r.Value.(pim.Addr)
-		t.regionBound[regAddr[regions[i]]] = regions[i].MaxLen()
-	}
-	for _, pg := range parents {
-		pg.cut.ChildRegions = append(pg.cut.ChildRegions, regAddr[pg.reg])
-	}
+	regAddrs := t.placeRegions(regions)
 	// Master table: every region root.
 	master := newMetaTable(len(regions))
-	for _, reg := range regions {
-		r := reg.Root
+	for i, p := range regions {
+		r := p.reg.Root
 		if old, dup := master.Get(r.Hash); dup && old.Block != r.Block {
 			return hvm.ErrHashCollision{Hash: r.Hash}
 		}
-		master.Put(r.Hash, masterEntry{Region: regAddr[reg], Len: r.Len, SLast: r.SLast, Block: r.Block})
+		master.Put(r.Hash, masterEntry{Region: regAddrs[i], Len: r.Len, SLast: r.SLast, Block: r.Block})
 	}
 	t.master = master
 	t.broadcastMaster()
-	// One round: point every block at its region.
-	point := make([]pim.Task, 0, len(metas))
-	for _, reg := range regions {
-		ra := regAddr[reg]
-		reg.Walk(func(n *hvm.MetaNode) {
-			blk := n.Block
-			point = append(point, pim.Task{
-				Module:    blk.Module,
-				SendWords: 2,
-				Run: func(m *pim.Module) pim.Resp {
-					m.Get(blk.ID).(*blockObj).region = ra
-					return pim.Resp{}
-				},
-			})
-		})
-	}
-	t.sys.Round(point)
+	t.pointBlocksAtRegions(regions, regAddrs)
 	return nil
-}
-
-func metasRootAddr(metas []*blockMeta) pim.Addr {
-	for _, bm := range metas {
-		if bm.parent.IsNil() {
-			return bm.addr
-		}
-	}
-	panic("core: no root block meta")
 }
 
 // rehash switches to a fresh hash function and rebuilds every
@@ -439,7 +340,7 @@ func (t *PIMTrie) rebuildHashes() error {
 		level = next
 	}
 	// Free old regions, then reassemble.
-	t.freeRegions()
+	t.freeObjects(false)
 	return t.assembleHVM(metas)
 }
 
@@ -455,23 +356,146 @@ type rehashReply struct {
 	meta *blockMeta
 }
 
-// freeRegions frees every regionObj across the system.
-func (t *PIMTrie) freeRegions() {
+// place allocates objs[i] on a uniformly random module, all in one
+// round, and returns the addresses. It ships send(i) words for object
+// i, or — with a nil send — the object's current size. The module draws
+// are serial in index order, so the placement RNG sequence is the
+// caller's; the sizes, a walk of each object, fan out. Placing nothing
+// runs no round.
+func (t *PIMTrie) place(objs []pim.Sized, send func(i int) int) []pim.Addr {
+	if len(objs) == 0 {
+		return nil
+	}
+	mods := make([]int, len(objs))
+	for i := range mods {
+		mods[i] = t.sys.RandModule()
+	}
+	tasks := make([]pim.Task, len(objs))
+	parallel.For(len(objs), func(i int) {
+		obj, words := objs[i], 0
+		if send != nil {
+			words = send(i)
+		} else {
+			words = obj.SizeWords()
+		}
+		tasks[i] = pim.Task{
+			Module:    mods[i],
+			SendWords: words,
+			Run: func(m *pim.Module) pim.Resp {
+				return pim.Resp{RecvWords: 1, Value: m.Alloc(obj)}
+			},
+		}
+	})
+	addrs := make([]pim.Addr, len(objs))
+	for i, r := range t.sys.Round(tasks) {
+		addrs[i] = r.Value.(pim.Addr)
+	}
+	return addrs
+}
+
+// regionPart is a region to place, with the meta-node whose
+// ChildRegions links it (nil when no node does: a region root).
+type regionPart struct {
+	reg *hvm.Region
+	cut *hvm.MetaNode
+}
+
+// splitToFit splits reg with the optimal cut (Lemma 4.5) until every
+// piece holds at most MetaBlockMax meta-nodes. reg shrinks in place;
+// the split-off pieces are returned in the order they were cut.
+func (t *PIMTrie) splitToFit(reg *hvm.Region) []regionPart {
+	var parts []regionPart
+	queue := []*hvm.Region{reg}
+	for qi := 0; qi < len(queue); qi++ {
+		for queue[qi].Len() > t.cfg.MetaBlockMax {
+			cut, pieces := queue[qi].Split()
+			for _, p := range pieces {
+				parts = append(parts, regionPart{reg: p, cut: cut})
+				queue = append(queue, p)
+			}
+		}
+	}
+	return parts
+}
+
+// placeRegions places the regions (see place), records each one's
+// depth bound and links it from its cut node.
+func (t *PIMTrie) placeRegions(parts []regionPart) []pim.Addr {
+	objs := make([]pim.Sized, len(parts))
+	for i, p := range parts {
+		objs[i] = &regionObj{r: p.reg}
+	}
+	addrs := t.place(objs, nil)
+	for i, a := range addrs {
+		t.regionBound[a] = parts[i].reg.MaxLen()
+		if c := parts[i].cut; c != nil {
+			c.ChildRegions = append(c.ChildRegions, a)
+		}
+	}
+	return addrs
+}
+
+// pointBlocksAtRegions sets bo.region for every block whose meta-node
+// lives in one of the placed regions, in one round.
+func (t *PIMTrie) pointBlocksAtRegions(parts []regionPart, addrs []pim.Addr) {
+	var point []pim.Task
+	for i, p := range parts {
+		ra := addrs[i]
+		p.reg.Walk(func(n *hvm.MetaNode) {
+			blk := n.Block
+			point = append(point, pim.Task{
+				Module:    blk.Module,
+				SendWords: 2,
+				Run: func(m *pim.Module) pim.Resp {
+					m.Get(blk.ID).(*blockObj).region = ra
+					return pim.Resp{}
+				},
+			})
+		})
+	}
+	t.sys.Round(point)
+}
+
+// freeObjects frees, in one round over every module, every region
+// object and — with blocks — every block object, and forgets the region
+// bounds. Master replicas stay.
+func (t *PIMTrie) freeObjects(blocks bool) {
 	clear(t.regionBound)
-	tasks := make([]pim.Task, 0, t.sys.P())
-	for i := 0; i < t.sys.P(); i++ {
-		tasks = append(tasks, pim.Task{Module: i, SendWords: 1, Run: func(m *pim.Module) pim.Resp {
+	tasks := make([]pim.Task, t.sys.P())
+	for i := range tasks {
+		tasks[i] = pim.Task{Module: i, SendWords: 1, Run: func(m *pim.Module) pim.Resp {
 			var ids []uint64
 			m.EachID(func(id uint64, obj any) {
-				if _, ok := obj.(*regionObj); ok {
+				switch obj.(type) {
+				case *regionObj:
 					ids = append(ids, id)
+				case *blockObj:
+					if blocks {
+						ids = append(ids, id)
+					}
 				}
 			})
 			for _, id := range ids {
 				m.Free(id)
 			}
 			return pim.Resp{}
-		}})
+		}}
+	}
+	t.sys.Round(tasks)
+}
+
+// freeAt frees the objects at addrs in one round; freeing nothing runs
+// no round.
+func (t *PIMTrie) freeAt(addrs []pim.Addr) {
+	if len(addrs) == 0 {
+		return
+	}
+	tasks := make([]pim.Task, len(addrs))
+	for i, a := range addrs {
+		tasks[i] = pim.Task{Module: a.Module, SendWords: 1, Run: func(m *pim.Module) pim.Resp {
+			m.Free(a.ID)
+			return pim.Resp{}
+		}}
 	}
 	t.sys.Round(tasks)
 }

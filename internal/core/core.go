@@ -150,10 +150,6 @@ type blockObj struct {
 	parent   pim.Addr   // parent block
 	children []pim.Addr // child blocks; mirror.Value indexes this slice
 	region   pim.Addr   // region holding this block's meta-node
-
-	// pendingNew temporarily records, during a block split, which
-	// children slots await addresses from the allocation round.
-	pendingNew []int
 }
 
 func (b *blockObj) SizeWords() int {
@@ -275,13 +271,12 @@ func New(sys *pim.System, cfg Config) *PIMTrie {
 	defer sys.ResumeFaults()
 	defer sys.Phase("init")()
 	// Install empty master replicas and the empty root block + region.
-	resp := sys.Broadcast(1, func(m *pim.Module) pim.Resp {
-		return pim.Resp{RecvWords: 1, Value: m.Alloc(&masterObj{entries: newReplica(0)})}
-	})
 	t.masterAddrs = make([]pim.Addr, sys.P())
-	for i, r := range resp {
-		t.masterAddrs[i] = r.Value.(pim.Addr)
+	all := make([]int, sys.P())
+	for i := range all {
+		all[i] = i
 	}
+	t.allocMasters(all)
 	// Root block: the empty trie, always present, root string ε.
 	rootMod := sys.RandModule()
 	regMod := sys.RandModule()
@@ -346,6 +341,20 @@ func (t *PIMTrie) KeyCount() int { return t.nKeys }
 func (t *PIMTrie) Rehashes() int  { return t.rehashes }
 func (t *PIMTrie) Redos() int     { return t.redos }
 func (t *PIMTrie) FalseHits() int { return t.falseHits }
+
+// allocMasters allocates an empty master replica on each of the given
+// modules in one round; the next broadcastMaster fills them.
+func (t *PIMTrie) allocMasters(mods []int) {
+	tasks := make([]pim.Task, len(mods))
+	for i, mi := range mods {
+		tasks[i] = pim.Task{Module: mi, SendWords: 1, Run: func(m *pim.Module) pim.Resp {
+			return pim.Resp{RecvWords: 1, Value: m.Alloc(&masterObj{entries: newReplica(0)})}
+		}}
+	}
+	for i, r := range t.sys.Round(tasks) {
+		t.masterAddrs[mods[i]] = r.Value.(pim.Addr)
+	}
+}
 
 // broadcastMaster pushes the host master table to every module. The
 // cost is the full table size; incremental updates use masterDelta.

@@ -59,7 +59,7 @@ func TestMetaTableMaxLenExact(t *testing.T) {
 // direction — and Validate must reject each. A replica stores only keys
 // and Lens, so these are all the replica check has left to compare. It
 // runs on a fault-free index and again on a module respawned after a
-// crash (reallocMasters, then the repair's master broadcast).
+// crash (allocMasters, then the repair's master broadcast).
 func TestValidateRejectsCorruptReplica(t *testing.T) {
 	check := func(t *testing.T, pt *PIMTrie, module int) {
 		if err := pt.Validate(); err != nil {

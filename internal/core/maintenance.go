@@ -18,7 +18,6 @@ import (
 	"github.com/pimlab/pimtrie/internal/bitstr"
 	"github.com/pimlab/pimtrie/internal/hashing"
 	"github.com/pimlab/pimtrie/internal/hvm"
-	"github.com/pimlab/pimtrie/internal/parallel"
 	"github.com/pimlab/pimtrie/internal/pim"
 	"github.com/pimlab/pimtrie/internal/trie"
 )
@@ -48,6 +47,9 @@ func (t *PIMTrie) splitBlocks(oversized []pim.Addr) {
 		oldIdx int // which oversized block it came from
 		val    hashing.Value
 		rel    bitstr.String // root string relative to the old block's root
+		// pendingNew lists, in slot order, the allNew indices of the
+		// children whose slots await addresses from the allocation round.
+		pendingNew []int
 	}
 	type replacement struct {
 		addr     pim.Addr
@@ -58,9 +60,11 @@ func (t *PIMTrie) splitBlocks(oversized []pim.Addr) {
 	}
 	var allNew []newBlock
 	var repls []replacement
+	pulled := make([]*blockObj, len(resps))
 
 	for oi, r := range resps {
 		bo := r.Value.(*blockObj)
+		pulled[oi] = bo
 		cuts := dropMirrorCuts(bo.tr.Partition(t.cfg.BlockWords))
 		if len(cuts) == 0 {
 			continue
@@ -122,8 +126,7 @@ func (t *PIMTrie) splitBlocks(oversized []pim.Addr) {
 				})
 			} else {
 				allNew[slot[si]].bo.children = children
-				// Record which children slots await new addresses.
-				allNew[slot[si]].bo.pendingNew = newIdxs
+				allNew[slot[si]].pendingNew = newIdxs
 			}
 		}
 	}
@@ -131,27 +134,12 @@ func (t *PIMTrie) splitBlocks(oversized []pim.Addr) {
 		return
 	}
 
-	// Round 2: allocate the new blocks on random modules. Placement draws
-	// stay serial; the per-block size walks fan out.
-	alloc := make([]pim.Task, len(allNew))
-	mods := make([]int, len(allNew))
-	for i := range mods {
-		mods[i] = t.sys.RandModule()
+	// Round 2: allocate the new blocks on random modules.
+	objs := make([]pim.Sized, len(allNew))
+	for i := range allNew {
+		objs[i] = allNew[i].bo
 	}
-	parallel.For(len(allNew), func(i int) {
-		nb := allNew[i]
-		alloc[i] = pim.Task{
-			Module:    mods[i],
-			SendWords: nb.bo.SizeWords(),
-			Run: func(m *pim.Module) pim.Resp {
-				return pim.Resp{RecvWords: 1, Value: m.Alloc(nb.bo)}
-			},
-		}
-	})
-	newAddr := make([]pim.Addr, len(allNew))
-	for i, r := range t.sys.Round(alloc) {
-		newAddr[i] = r.Value.(pim.Addr)
-	}
+	newAddr := t.place(objs, nil)
 	if t.recoverable {
 		// Register the new blocks in the directory; the old (replaced)
 		// blocks keep their address and root string.
@@ -162,16 +150,24 @@ func (t *PIMTrie) splitBlocks(oversized []pim.Addr) {
 	}
 
 	// Host: patch child slots that point at new blocks, and set parents.
+	// Every other child of a new block is a surviving old block that
+	// moves under it (round 3).
+	type childMove struct {
+		child pim.Addr
+		owner int // the new block it moves under, an allNew index
+	}
+	var moves []childMove
 	for i := range allNew {
-		nb := allNew[i].bo
+		nb := allNew[i]
 		k := 0
-		for ci := range nb.children {
-			if nb.children[ci].IsNil() {
-				nb.children[ci] = newAddr[nb.pendingNew[k]]
+		for ci, c := range nb.bo.children {
+			if c.IsNil() {
+				nb.bo.children[ci] = newAddr[nb.pendingNew[k]]
 				k++
+			} else {
+				moves = append(moves, childMove{child: c, owner: i})
 			}
 		}
-		nb.pendingNew = nil
 	}
 	for _, rp := range repls {
 		k := 0
@@ -194,11 +190,6 @@ func (t *PIMTrie) splitBlocks(oversized []pim.Addr) {
 	// of surviving old children that moved under a new block; their
 	// replies carry the (region, rootHash) needed to re-parent metas.
 	var fix []pim.Task
-	type childMove struct {
-		oldIdx    int    // which oversized block the move belongs to
-		ownerHash uint64 // new owner block's root hash
-	}
-	var moves []childMove // parallel to the reply order of move tasks
 	moveStart := len(repls)
 	for _, rp := range repls {
 		rp := rp
@@ -214,25 +205,17 @@ func (t *PIMTrie) splitBlocks(oversized []pim.Addr) {
 			},
 		})
 	}
-	for i := range allNew {
-		nb, na := allNew[i].bo, newAddr[i]
-		for _, c := range nb.children {
-			c := c
-			// Old children are exactly those not allocated this round.
-			if c.IsNil() || idxOfAddr(newAddr, c) >= 0 {
-				continue
-			}
-			moves = append(moves, childMove{oldIdx: allNew[i].oldIdx, ownerHash: nb.rootHash})
-			fix = append(fix, pim.Task{
-				Module:    c.Module,
-				SendWords: 2,
-				Run: func(m *pim.Module) pim.Resp {
-					bo := m.Get(c.ID).(*blockObj)
-					bo.parent = na
-					return pim.Resp{RecvWords: 3, Value: [2]any{bo.region, bo.rootHash}}
-				},
-			})
-		}
+	for _, mv := range moves {
+		c, na := mv.child, newAddr[mv.owner]
+		fix = append(fix, pim.Task{
+			Module:    c.Module,
+			SendWords: 2,
+			Run: func(m *pim.Module) pim.Resp {
+				bo := m.Get(c.ID).(*blockObj)
+				bo.parent = na
+				return pim.Resp{RecvWords: 3, Value: [2]any{bo.region, bo.rootHash}}
+			},
+		})
 	}
 	fixResps := t.sys.Round(fix)
 
@@ -259,7 +242,7 @@ func (t *PIMTrie) splitBlocks(oversized []pim.Addr) {
 		if nb.parent >= 0 {
 			parentHash = allNew[nb.parent].bo.rootHash
 		} else {
-			parentHash = t.hashOfOversized(resps, nb.oldIdx)
+			parentHash = pulled[nb.oldIdx].rootHash
 		}
 		hashPre, srem := t.pivotAug(nb.bo.rootVal, nb.bo.sLast)
 		insByRegion[nb.bo.region] = append(insByRegion[nb.bo.region], metaIns{
@@ -274,12 +257,13 @@ func (t *PIMTrie) splitBlocks(oversized []pim.Addr) {
 		pair := fixResps[moveStart+mi].Value.([2]any)
 		childRegion := pair[0].(pim.Addr)
 		childHash := pair[1].(uint64)
-		bRegion := resps[mv.oldIdx].Value.(*blockObj).region
-		repByRegion[bRegion] = append(repByRegion[bRegion], reparent{
+		owner := allNew[mv.owner]
+		old := pulled[owner.oldIdx]
+		repByRegion[old.region] = append(repByRegion[old.region], reparent{
 			childHash:   childHash,
 			childRegion: childRegion,
-			fromHash:    t.hashOfOversized(resps, mv.oldIdx),
-			ownerHash:   mv.ownerHash,
+			fromHash:    old.rootHash,
+			ownerHash:   owner.bo.rootHash,
 		})
 	}
 	type regReply struct {
@@ -362,21 +346,6 @@ func (t *PIMTrie) splitBlocks(oversized []pim.Addr) {
 	}
 }
 
-func idxOfAddr(addrs []pim.Addr, a pim.Addr) int {
-	for i, x := range addrs {
-		if x == a {
-			return i
-		}
-	}
-	return -1
-}
-
-// hashOfOversized returns the root hash of the oi-th oversized block
-// from the round-1 pull responses.
-func (t *PIMTrie) hashOfOversized(resps []pim.Resp, oi int) uint64 {
-	return resps[oi].Value.(*blockObj).rootHash
-}
-
 // splitRegions pulls each oversized region, splits it with the optimal
 // cut (Lemma 4.5) until all pieces fit, redistributes the new pieces,
 // updates the master table and the host's region bounds, and re-points
@@ -398,59 +367,21 @@ func (t *PIMTrie) splitRegions(over []pim.Addr) {
 	}
 	resps := t.sys.Round(tasks)
 
-	type part struct {
-		reg *hvm.Region
-		cut *hvm.MetaNode
-		src int
-	}
-	var parts []part
-	for i, r := range resps {
+	var parts []regionPart
+	for _, r := range resps {
 		ro := r.Value.(*regionObj)
-		queue := []*hvm.Region{ro.r}
-		for qi := 0; qi < len(queue); qi++ {
-			for queue[qi].Len() > t.cfg.MetaBlockMax {
-				cut, ps := queue[qi].Split()
-				for _, p := range ps {
-					parts = append(parts, part{reg: p, cut: cut, src: i})
-					queue = append(queue, p)
-				}
-			}
-		}
+		parts = append(parts, t.splitToFit(ro.r)...)
 		t.sys.CPUWork(ro.SizeWords())
 	}
 	if len(parts) == 0 {
 		return
 	}
-	// Round 2: allocate new regions (the receiver regions shrank in
-	// place; charge a write-back resize). Draws serial, size walks
-	// parallel.
-	alloc := make([]pim.Task, len(parts))
-	mods := make([]int, len(parts))
-	for i := range mods {
-		mods[i] = t.sys.RandModule()
-	}
-	parallel.For(len(parts), func(i int) {
-		p := parts[i]
-		alloc[i] = pim.Task{
-			Module:    mods[i],
-			SendWords: p.reg.SizeWords(),
-			Run: func(m *pim.Module) pim.Resp {
-				return pim.Resp{RecvWords: 1, Value: m.Alloc(&regionObj{r: p.reg})}
-			},
-		}
-	})
-	partAddr := make([]pim.Addr, len(parts))
-	for i, r := range t.sys.Round(alloc) {
-		partAddr[i] = r.Value.(pim.Addr)
-		t.regionBound[partAddr[i]] = parts[i].reg.MaxLen()
-	}
+	// Round 2: allocate the new regions.
+	partAddr := t.placeRegions(parts)
 	for i, r := range resps {
 		t.regionBound[over[i]] = r.Value.(*regionObj).r.MaxLen()
 	}
-	for i := range parts {
-		parts[i].cut.ChildRegions = append(parts[i].cut.ChildRegions, partAddr[i])
-	}
-	// Resize the shrunken source regions.
+	// The source regions shrank in place: charge a write-back resize.
 	resize := make([]pim.Task, len(over))
 	for i, ra := range over {
 		ra := ra
@@ -472,37 +403,7 @@ func (t *PIMTrie) splitRegions(over []pim.Addr) {
 		return
 	}
 	// Round: point the moved blocks at their new regions.
-	placed := make([]regionPlacement, len(parts))
-	for i := range parts {
-		placed[i] = regionPlacement{reg: parts[i].reg, addr: partAddr[i]}
-	}
-	t.pointBlocksAtRegions(placed)
-}
-
-type regionPlacement struct {
-	reg  *hvm.Region
-	addr pim.Addr
-}
-
-// pointBlocksAtRegions updates bo.region for every block whose meta just
-// moved to a new region, one parallel round.
-func (t *PIMTrie) pointBlocksAtRegions(placed []regionPlacement) {
-	var point []pim.Task
-	for _, pl := range placed {
-		ra := pl.addr
-		pl.reg.Walk(func(n *hvm.MetaNode) {
-			blk := n.Block
-			point = append(point, pim.Task{
-				Module:    blk.Module,
-				SendWords: 2,
-				Run: func(m *pim.Module) pim.Resp {
-					m.Get(blk.ID).(*blockObj).region = ra
-					return pim.Resp{}
-				},
-			})
-		})
-	}
-	t.sys.Round(point)
+	t.pointBlocksAtRegions(parts, partAddr)
 }
 
 // removeBlocks reclaims blocks emptied by deletions: the block's
@@ -591,7 +492,7 @@ func (t *PIMTrie) removeBlocks(emptied []pim.Addr) {
 		var masterDrop []uint64
 		masterAdd := map[uint64]masterEntry{}
 		var freeRegions []pim.Addr
-		var spawned []*hvm.Region
+		var spawned []regionPart
 		for ti, r := range t.sys.Round(rTasks) {
 			out := r.Value.(regionOutcome)
 			for _, h := range out.droppedRoots {
@@ -611,66 +512,35 @@ func (t *PIMTrie) removeBlocks(emptied []pim.Addr) {
 			} else {
 				t.regionBound[rAddrs[ti]] = out.bound
 			}
-			spawned = append(spawned, out.spawned...)
+			for _, reg := range out.spawned {
+				spawned = append(spawned, regionPart{reg: reg})
+			}
 		}
 		// Place spawned regions and register their roots.
 		if len(spawned) > 0 {
-			alloc := make([]pim.Task, len(spawned))
-			mods := make([]int, len(spawned))
-			for i := range mods {
-				mods[i] = t.sys.RandModule()
+			addrs := t.placeRegions(spawned)
+			for i, a := range addrs {
+				root := spawned[i].reg.Root
+				masterAdd[root.Hash] = masterEntry{Region: a, Len: root.Len, SLast: root.SLast, Block: root.Block}
 			}
-			parallel.For(len(spawned), func(i int) {
-				reg := spawned[i]
-				alloc[i] = pim.Task{
-					Module:    mods[i],
-					SendWords: reg.SizeWords(),
-					Run: func(m *pim.Module) pim.Resp {
-						return pim.Resp{RecvWords: 1, Value: m.Alloc(&regionObj{r: reg})}
-					},
-				}
-			})
-			placed := make([]regionPlacement, len(spawned))
-			for i, r := range t.sys.Round(alloc) {
-				placed[i] = regionPlacement{reg: spawned[i], addr: r.Value.(pim.Addr)}
-				t.regionBound[placed[i].addr] = spawned[i].MaxLen()
-				root := spawned[i].Root
-				masterAdd[root.Hash] = masterEntry{
-					Region: placed[i].addr, Len: root.Len, SLast: root.SLast, Block: root.Block,
-				}
-			}
-			t.pointBlocksAtRegions(placed)
+			t.pointBlocksAtRegions(spawned, addrs)
 		}
 		if len(masterDrop) > 0 || len(masterAdd) > 0 {
 			t.masterRemoveAndAdd(masterDrop, masterAdd)
 		}
-		if len(freeRegions) > 0 {
-			frees := make([]pim.Task, len(freeRegions))
-			for i, ra := range freeRegions {
-				ra := ra
-				frees[i] = pim.Task{Module: ra.Module, SendWords: 1, Run: func(m *pim.Module) pim.Resp {
-					m.Free(ra.ID)
-					return pim.Resp{}
-				}}
-			}
-			t.sys.Round(frees)
-		}
+		t.freeAt(freeRegions)
 		// Round 3: free the blocks, detach parent mirrors; collect parents
 		// that became empty.
-		var free []pim.Task
+		freed := make([]pim.Addr, len(victims))
 		type parentFix struct {
 			parent, child pim.Addr
 		}
 		var fixes []parentFix
-		for _, v := range victims {
-			addr := v.addr
+		for i, v := range victims {
 			if t.recoverable {
-				delete(t.blockDir, addr)
+				delete(t.blockDir, v.addr)
 			}
-			free = append(free, pim.Task{Module: addr.Module, SendWords: 1, Run: func(m *pim.Module) pim.Resp {
-				m.Free(addr.ID)
-				return pim.Resp{}
-			}})
+			freed[i] = v.addr
 			if !v.parent.IsNil() {
 				fixes = append(fixes, parentFix{parent: v.parent, child: v.addr})
 			}
@@ -713,7 +583,7 @@ func (t *PIMTrie) removeBlocks(emptied []pim.Addr) {
 				},
 			}
 		}
-		t.sys.Round(free)
+		t.freeAt(freed)
 		for i, r := range t.sys.Round(fixTasks) {
 			if r.Value.(bool) && fixes[i].parent != t.rootBlock {
 				nextEmpty = append(nextEmpty, fixes[i].parent)

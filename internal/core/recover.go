@@ -162,7 +162,9 @@ func (t *PIMTrie) recoverFrom(lost *pim.ModuleLostError) (full bool) {
 		dead = lost.Modules
 	}
 	t.sys.Respawn(dead...)
-	t.reallocMasters(dead)
+	// Master replicas come back empty; the broadcast inside the HVM
+	// reassembly both repair tiers end with refills them.
+	t.allocMasters(dead)
 
 	full = t.dirty > 0
 	if full {
@@ -177,21 +179,6 @@ func (t *PIMTrie) recoverFrom(lost *pim.ModuleLostError) (full bool) {
 	t.recoveryCost = t.recoveryCost.Add(t.sys.Metrics().Sub(start))
 	t.degraded = false
 	return full
-}
-
-// reallocMasters re-creates the master-table replica objects on the
-// respawned modules (their content is refilled by the broadcast inside
-// the HVM reassembly both repair tiers end with).
-func (t *PIMTrie) reallocMasters(dead []int) {
-	tasks := make([]pim.Task, len(dead))
-	for i, mi := range dead {
-		tasks[i] = pim.Task{Module: mi, SendWords: 1, Run: func(m *pim.Module) pim.Resp {
-			return pim.Resp{RecvWords: 1, Value: m.Alloc(&masterObj{entries: newReplica(0)})}
-		}}
-	}
-	for i, r := range t.sys.Round(tasks) {
-		t.masterAddrs[dead[i]] = r.Value.(pim.Addr)
-	}
 }
 
 // rebuildFromShadow reloads the whole index from the host key
@@ -323,22 +310,13 @@ func (t *PIMTrie) rebuildLost(dead []int) {
 	t.sys.CPUWork(w)
 
 	// One round: place the rebuilt blocks on uniformly random modules.
+	objs := make([]pim.Sized, len(rebuilds))
+	for i := range rebuilds {
+		objs[i] = rebuilds[i].bo
+	}
 	newAddr := map[pim.Addr]pim.Addr{} // old (dead) address -> new
-	if len(rebuilds) > 0 {
-		alloc := make([]pim.Task, len(rebuilds))
-		for i := range rebuilds {
-			bo := rebuilds[i].bo
-			alloc[i] = pim.Task{
-				Module:    t.sys.RandModule(),
-				SendWords: bo.SizeWords(),
-				Run: func(m *pim.Module) pim.Resp {
-					return pim.Resp{RecvWords: 1, Value: m.Alloc(bo)}
-				},
-			}
-		}
-		for i, r := range t.sys.Round(alloc) {
-			newAddr[ents[rebuilds[i].ent].addr] = r.Value.(pim.Addr)
-		}
+	for i, a := range t.place(objs, nil) {
+		newAddr[ents[rebuilds[i].ent].addr] = a
 	}
 	trans := func(a pim.Addr) pim.Addr {
 		if na, ok := newAddr[a]; ok {
@@ -444,7 +422,7 @@ func (t *PIMTrie) rebuildLost(dead []int) {
 		w += e.str.Words() + 1
 	}
 	t.sys.CPUWork(w)
-	t.freeRegions()
+	t.freeObjects(false)
 	if err := t.assembleHVM(metas); err != nil {
 		t.rehash()
 	}

@@ -289,27 +289,21 @@ func (f *faultState) crash(s *System, acc []int, mi int) []int {
 const maxTruncateRetries = 8
 
 // roundFaulted is the fault-aware Round path. It draws this boundary's
-// faults and, when nothing fires and no module is dead, delegates to
-// the normal (parallel) path — fault-free rounds under an active plan
-// cost one decide() and nothing else. Otherwise it executes the round
-// serially on the host goroutine with its own accounting: sends to dead
-// modules are charged but their programs do not run, a straggler's work
-// is multiplied, and a truncated task is deferred to an immediately
-// following accounted round (which draws its own faults).
+// faults and decides what they do to the round; runRound executes and
+// charges every pass. When nothing fires and no module is dead, the
+// round runs as on a fault-free system. Otherwise a task addressed to a
+// dead module is shipped and charged but its program does not run; a
+// truncated task likewise, and it is retried in an immediately
+// following pass (a round of its own, which draws its own faults); a
+// straggler's work is multiplied.
 func (s *System) roundFaulted(tasks []Task) ([]Resp, error) {
 	f := s.faults
 	d := f.decide(s)
 	if len(d.crashed) == 0 && d.straggle < 0 && !d.truncate && f.nDead == 0 {
-		return s.roundNormal(tasks), nil
+		return s.runRound(tasks, -1), nil
 	}
-
 	for i := range tasks {
-		if tasks[i].Module < 0 || tasks[i].Module >= s.p {
-			panic(&InvariantError{
-				Op: "invalid task target", Module: tasks[i].Module, ID: uint64(i),
-				Detail: fmt.Sprintf("task %d of %d", i, len(tasks)),
-			})
-		}
+		s.checkTarget(tasks, i)
 	}
 
 	resps := make([]Resp, len(tasks))
@@ -319,8 +313,6 @@ func (s *System) roundFaulted(tasks []Task) ([]Resp, error) {
 	}
 	lostDuringCall := len(d.crashed) > 0
 	truncRetries := 0
-	observing := s.tracing || s.recorder != nil
-
 	for first := true; first || len(pending) > 0; first = false {
 		if !first {
 			d = f.decide(s)
@@ -342,75 +334,21 @@ func (s *System) roundFaulted(tasks []Task) ([]Resp, error) {
 				truncRetries++
 			}
 		}
-
-		sendBy := make([]int64, s.p)
-		recvBy := make([]int64, s.p)
+		// The pass: every pending task, with the programs a dead module
+		// or the truncation swallows taken out.
+		pass := make([]Task, len(pending))
 		var retry []int
-		for _, ti := range pending {
-			t := &tasks[ti]
-			sendBy[t.Module] += int64(t.SendWords) // shipped (or cut short) either way
-			if f.dead[t.Module] {
-				continue // the words vanish into the dead module
+		for j, ti := range pending {
+			pass[j] = tasks[ti]
+			if f.dead[pass[j].Module] || ti == truncIdx {
+				pass[j].Run = nil
 			}
 			if ti == truncIdx {
 				retry = append(retry, ti)
-				continue
-			}
-			if t.Run != nil {
-				resps[ti] = t.Run(s.modules[t.Module])
-			}
-			recvBy[t.Module] += int64(resps[ti].RecvWords)
-		}
-
-		// Accounting, serial (this path is off the hot loop by design).
-		s.metrics.Rounds++
-		var tr RoundTrace
-		var maxIO, maxWork, sendW, recvW, workW int64
-		nMods := 0
-		for mi := 0; mi < s.p; mi++ {
-			m := s.modules[mi]
-			w := m.work
-			m.work = 0
-			if mi == d.straggle {
-				w *= f.plan.StraggleFactor
-			}
-			io := sendBy[mi] + recvBy[mi]
-			if io == 0 && w == 0 {
-				continue
-			}
-			nMods++
-			s.metrics.PerModuleIO[mi] += io
-			s.metrics.PerModuleWrk[mi] += w
-			s.metrics.IOWords += io
-			s.metrics.PIMWork += w
-			sendW += sendBy[mi]
-			recvW += recvBy[mi]
-			workW += w
-			if io > maxIO {
-				maxIO = io
-			}
-			if w > maxWork {
-				maxWork = w
-			}
-			if observing {
-				tr.ModID = append(tr.ModID, mi)
-				tr.ModIO = append(tr.ModIO, io)
-				tr.ModWork = append(tr.ModWork, w)
 			}
 		}
-		s.metrics.IOTime += maxIO
-		s.metrics.PIMTime += maxWork
-		if observing {
-			tr.Tasks = len(pending)
-			tr.Modules = nMods
-			tr.SendWords, tr.RecvWords = sendW, recvW
-			tr.MaxIO, tr.MaxWork, tr.Work = maxIO, maxWork, workW
-			if s.tracing {
-				s.trace = append(s.trace, tr)
-			}
-			if s.recorder != nil {
-				s.recorder.RecordRound(tr)
-			}
+		for j, r := range s.runRound(pass, d.straggle) {
+			resps[pending[j]] = r
 		}
 		pending = retry
 	}

@@ -258,3 +258,36 @@ func TestFaultFreePlanMatchesNoPlan(t *testing.T) {
 		t.Fatalf("inactive plan changed metrics:\nplain:   %+v\nfaulted: %+v", plain, faulted)
 	}
 }
+
+// TestFaultedRoundTraceMatchesNormal pins that a faulted round reports
+// the same trace as the normal path when the fault does not touch it: a
+// straggler the round never addresses changes nothing, and a module the
+// round addresses counts as busy even when its task ships no words.
+func TestFaultedRoundTraceMatchesNormal(t *testing.T) {
+	traceOf := func(opts ...Option) RoundTrace {
+		s := NewSystem(4, opts...)
+		defer s.Close()
+		s.StartTrace()
+		s.Round([]Task{
+			{Module: 0, SendWords: 0, Run: func(*Module) Resp { return Resp{} }},
+			{Module: 1, SendWords: 5, Run: func(*Module) Resp { return Resp{} }},
+		})
+		tr := s.StopTrace()
+		if len(tr) != 1 {
+			t.Fatalf("traced %d rounds, want 1", len(tr))
+		}
+		return tr[0]
+	}
+	normal := traceOf()
+	faulted := traceOf(WithFaults(FaultPlan{
+		Events: []FaultEvent{{Round: 0, Kind: FaultStraggle, Module: 3}},
+	}))
+	if normal.Modules != 2 || !reflect.DeepEqual(normal.ModID, []int{0, 1}) {
+		t.Fatalf("normal trace: Modules %d ModID %v, want 2 [0 1]", normal.Modules, normal.ModID)
+	}
+	if faulted.Modules != normal.Modules || !reflect.DeepEqual(faulted.ModID, normal.ModID) ||
+		!reflect.DeepEqual(faulted.ModIO, normal.ModIO) {
+		t.Fatalf("faulted trace Modules %d ModID %v ModIO %v, want %d %v %v",
+			faulted.Modules, faulted.ModID, faulted.ModIO, normal.Modules, normal.ModID, normal.ModIO)
+	}
+}

@@ -298,9 +298,9 @@ type RoundTrace struct {
 	// Sparse per-module breakdown: ModID lists the modules addressed this
 	// round; ModIO[j] and ModWork[j] are module ModID[j]'s words (to+from)
 	// and accounted work. Populated only while tracing or while a Recorder
-	// is attached. On the normal round path these slices alias pooled
-	// scratch the System reuses for the next round — they are valid only
-	// until RecordRound returns; retainers must copy (Clone).
+	// is attached. These slices alias pooled scratch the System reuses
+	// for the next round — they are valid only until RecordRound
+	// returns; retainers must copy (Clone).
 	ModID   []int
 	ModIO   []int64
 	ModWork []int64
@@ -626,10 +626,12 @@ func (s *System) Module(i int) *Module { return s.modules[i] }
 // module), and replies are read back. It returns the replies in task
 // order and updates every cost counter.
 //
-// Under an active fault plan a round may lose a module; Round reports
-// that by panicking with the *ModuleLostError (algorithm code deep in
-// a batch has no useful local reaction — the recovery layer catches
-// it). Callers that prefer an error use TryRound.
+// Every round, faulted or not, is executed and charged by runRound;
+// under an active fault plan roundFaulted only decides which tasks run
+// and which module straggles. A round may then lose a module; Round
+// reports that by panicking with the *ModuleLostError (algorithm code
+// deep in a batch has no useful local reaction — the recovery layer
+// catches it). Callers that prefer an error use TryRound.
 func (s *System) Round(tasks []Task) []Resp {
 	resps, err := s.TryRound(tasks)
 	if err != nil {
@@ -648,16 +650,30 @@ func (s *System) TryRound(tasks []Task) ([]Resp, error) {
 		// boundary must consume the same RNG draws to stay replayable.
 		return s.roundFaulted(tasks)
 	}
-	return s.roundNormal(tasks), nil
+	return s.runRound(tasks, -1), nil
 }
 
-// roundNormal is the fault-free execution path.
+// checkTarget panics with an InvariantError when task i addresses a
+// module outside [0, P).
+func (s *System) checkTarget(tasks []Task, i int) {
+	if mi := tasks[i].Module; mi < 0 || mi >= s.p {
+		panic(&InvariantError{
+			Op: "invalid task target", Module: mi, ID: uint64(i),
+			Detail: fmt.Sprintf("task %d of %d", i, len(tasks)),
+		})
+	}
+}
+
+// runRound is the round engine: it executes one superstep of tasks and
+// charges it. Tasks with a nil Run are shipped and charged but run
+// nothing. The straggler's accounted work (-1: none) is multiplied by
+// the fault plan's StraggleFactor.
 //
 // Execution goes through the System's persistent worker pool — one
 // roundJob per busy module — except when the effective parallelism is 1
 // or only one module is busy, in which case the programs run inline on
 // the host goroutine (same observable behavior, no scheduling cost).
-func (s *System) roundNormal(tasks []Task) []Resp {
+func (s *System) runRound(tasks []Task, straggler int) []Resp {
 	if len(tasks) == 0 {
 		// An empty round still synchronizes; count it to keep algorithms
 		// honest about their round structure. It touches no scratch.
@@ -678,12 +694,7 @@ func (s *System) roundNormal(tasks []Task) []Resp {
 	}
 	touched := s.touched[:0]
 	for i, t := range tasks {
-		if t.Module < 0 || t.Module >= s.p {
-			panic(&InvariantError{
-				Op: "invalid task target", Module: t.Module, ID: uint64(i),
-				Detail: fmt.Sprintf("task %d of %d", i, len(tasks)),
-			})
-		}
+		s.checkTarget(tasks, i)
 		if len(s.perModule[t.Module]) == 0 {
 			touched = append(touched, t.Module)
 		}
@@ -745,6 +756,9 @@ func (s *System) roundNormal(tasks []Task) []Resp {
 			m := s.modules[mi]
 			w := m.work
 			m.work = 0
+			if mi == straggler {
+				w *= s.faults.plan.StraggleFactor
+			}
 			sendBy[k], recvBy[k], wrkBy[k] = sw, rw, w
 			s.metrics.PerModuleIO[mi] += sw + rw
 			s.metrics.PerModuleWrk[mi] += w
