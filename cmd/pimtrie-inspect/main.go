@@ -86,8 +86,9 @@ func main() {
 	fmt.Printf("space balance   %.2f (P·max/total)\n", float64(max)*float64(*p)/float64(total))
 
 	queries := g.PrefixQueries(keys, *batch, 16)
+	var tr *obs.Tracer
 	if *trace {
-		sys.StartTrace()
+		tr = obs.Attach(sys, "inspect/probe")
 	}
 	before := sys.Metrics()
 	pt.LCP(queries)
@@ -106,13 +107,8 @@ func main() {
 		fmt.Printf("verification    %d false hits dropped, %d rehashes\n", pt.FalseHits(), pt.Rehashes())
 	}
 	if *trace {
-		fmt.Printf("\nper-round trace (batch phases):\n")
-		fmt.Printf("%-6s %-7s %-8s %-10s %-10s %-8s %-8s\n",
-			"round", "tasks", "modules", "send", "recv", "max-io", "max-work")
-		for i, tr := range sys.StopTrace() {
-			fmt.Printf("%-6d %-7d %-8d %-10d %-10d %-8d %-8d\n",
-				i+1, tr.Tasks, tr.Modules, tr.SendWords, tr.RecvWords, tr.MaxIO, tr.MaxWork)
-		}
+		tr.Detach()
+		printRoundTable("per-round trace (LCP probe batch)", tr.Data())
 	}
 
 	if *rounds {
@@ -121,8 +117,7 @@ func main() {
 }
 
 // printRounds runs one more batch of the chosen operation under an obs
-// tracer and prints its rounds with phase attribution — the same table
-// -trace prints, plus the owning phase of every round.
+// tracer and prints its rounds with phase attribution.
 func printRounds(pt *core.PIMTrie, sys *pim.System, g *workload.Gen, keys []bitstr.String, op string, batch int) {
 	tr := obs.Attach(sys, "inspect/"+op)
 	switch op {
@@ -157,12 +152,17 @@ func printRounds(pt *core.PIMTrie, sys *pim.System, g *workload.Gen, keys []bits
 		os.Exit(2)
 	}
 	tr.Detach()
-	d := tr.Data()
+	printRoundTable(fmt.Sprintf("phase-attributed rounds (%s batch)", op), tr.Data())
+}
+
+// printRoundTable checks a detached trace's conservation and prints one
+// row per round with its owning phase.
+func printRoundTable(title string, d *obs.Trace) {
 	if err := d.Check(); err != nil {
 		fmt.Fprintf(os.Stderr, "trace self-check failed: %v\n", err)
 		os.Exit(1)
 	}
-	fmt.Printf("\nphase-attributed rounds (%s batch):\n", op)
+	fmt.Printf("\n%s:\n", title)
 	fmt.Printf("%-6s %-30s %-7s %-8s %-10s %-10s %-8s %-8s\n",
 		"round", "phase", "tasks", "modules", "send", "recv", "max-io", "max-work")
 	for i := range d.Rounds {

@@ -47,18 +47,19 @@ import (
 // Config holds the PIM-trie parameters (paper Table 2; defaults follow
 // DESIGN.md §4).
 type Config struct {
-	// BlockWords is K_B, the block size bound in words; at least
-	// trie.MinBlockWords. Zero selects max(32, log²P).
+	// BlockWords is K_B, the block size bound in words. Zero selects
+	// bits.Len(P)²; any value below trie.MinBlockWords (32) is raised to
+	// it, so the default is max(32, bits.Len(P)²).
 	BlockWords int
 	// MetaBlockMax is K_MB, the region size bound in meta-nodes. Zero
-	// selects max(8, P).
+	// selects P; any value below 8 is raised to 8.
 	MetaBlockMax int
 	// PullThreshold is the push/pull boundary in words for region and
 	// block matching. Zero selects 4·BlockWords (the paper's log⁴P scaled
 	// to our flattened descent).
 	PullThreshold int
-	// MasterChunkWords bounds the query-trie chunks of the master round.
-	// Zero selects max(64, batch/(P·log P)).
+	// MasterChunkWords bounds, in words, the query-trie edges and so the
+	// chunks of the master round. Zero selects 64.
 	MasterChunkWords int
 	// HashSeed seeds the hash function; HashWidth ≤ 61 selects the output
 	// width in bits (narrow widths force collisions; tests only).

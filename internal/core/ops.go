@@ -64,7 +64,6 @@ type epoch struct {
 	keys     [numSections][]bitstr.String
 	values   []uint64
 	res      Result
-	pb       *Prepared // staged preparation of a one-section batch, or nil
 	done     [numSections]bool
 	off      [numSections]int // where each section starts in the stage's batch
 	shadowed bool             // the writes are in the host shadow
@@ -175,18 +174,12 @@ func (t *PIMTrie) mergeSharedBlocks(groups []keyGroup) []keyGroup {
 }
 
 // matchWithRedo runs the matching protocol, re-hashing and redoing the
-// batch whenever verification detects a hash collision. A staged
-// preparation (pb, may be nil) is consumed on the first attempt if its
-// hash function is still installed; redo attempts always re-prepare
-// because the re-hash invalidated the staged node hashes.
-func (t *PIMTrie) matchWithRedo(batch []bitstr.String, pb *Prepared) *matchOutcome {
+// batch whenever verification detects a hash collision. Every attempt
+// prepares the batch under the hash function installed at that moment.
+func (t *PIMTrie) matchWithRedo(batch []bitstr.String) *matchOutcome {
 	for attempt := 0; attempt <= t.cfg.MaxRedo; attempt++ {
 		endPrep := t.sys.Phase("prepare")
-		p := t.consumePrepared(pb)
-		if p == nil {
-			p = t.prepare(batch)
-		}
-		pb = nil
+		p := t.prepare(batch)
 		endPrep()
 		out, err := t.match(p)
 		if err == nil {
@@ -201,9 +194,7 @@ func (t *PIMTrie) matchWithRedo(batch []bitstr.String, pb *Prepared) *matchOutco
 // Apply runs one batch (see Batch): it answers every read section from
 // the state before the batch, then stores the inserts, then removes the
 // deletes.
-func (t *PIMTrie) Apply(b Batch) Result { return t.apply(b, nil) }
-
-func (t *PIMTrie) apply(b Batch, pb *Prepared) Result {
+func (t *PIMTrie) Apply(b Batch) Result {
 	if len(b.Inserts) != len(b.Values) {
 		panic(fmt.Sprintf("core: Batch has %d inserts but %d values", len(b.Inserts), len(b.Values)))
 	}
@@ -217,7 +208,6 @@ func (t *PIMTrie) apply(b Batch, pb *Prepared) Result {
 			Subtrees: make([][]trie.KV, len(b.Subtrees)),
 			Deleted:  make([]bool, len(b.Deletes)),
 		},
-		pb: pb,
 	}
 	for s, keys := range e.keys {
 		e.done[s] = len(keys) == 0
@@ -282,7 +272,7 @@ func (t *PIMTrie) runStage(e *epoch) {
 		}
 	}
 	defer t.sys.Phase(name)()
-	out := t.matchWithRedo(batch, e.pb)
+	out := t.matchWithRedo(batch)
 	if !e.done[secGet] {
 		t.answerGets(out, e.off[secGet], e.res.Values, e.res.Found)
 		e.done[secGet] = true
@@ -611,29 +601,6 @@ func (t *PIMTrie) SubtreeQuery(prefix bitstr.String) []trie.KV {
 // locates every prefix; results[i] corresponds to prefixes[i].
 func (t *PIMTrie) SubtreeQueryBatch(prefixes []bitstr.String) [][]trie.KV {
 	return t.Apply(Batch{Subtrees: prefixes}).Subtrees
-}
-
-// The *Prepared forms are the one-section batches consuming a staged
-// host-side preparation (see Prepare); model metrics are identical to
-// the plain forms on the same batch.
-
-func (t *PIMTrie) LCPPrepared(pb *Prepared) []int { return t.apply(Batch{LCPs: pb.batch}, pb).LCPs }
-
-func (t *PIMTrie) GetPrepared(pb *Prepared) (values []uint64, found []bool) {
-	r := t.apply(Batch{Gets: pb.batch}, pb)
-	return r.Values, r.Found
-}
-
-func (t *PIMTrie) InsertPrepared(pb *Prepared, values []uint64) {
-	t.apply(Batch{Inserts: pb.batch, Values: values}, pb)
-}
-
-func (t *PIMTrie) DeletePrepared(pb *Prepared) []bool {
-	return t.apply(Batch{Deletes: pb.batch}, pb).Deleted
-}
-
-func (t *PIMTrie) SubtreeQueryPrepared(pb *Prepared) [][]trie.KV {
-	return t.apply(Batch{Subtrees: pb.batch}, pb).Subtrees
 }
 
 type mirrorOut struct {

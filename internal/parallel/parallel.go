@@ -1,13 +1,14 @@
 // Package parallel provides the CPU-side parallel primitives the PIM
 // Model assumes on the host (paper §2): a fork-join parallel-for,
 // parallel reduction, and parallel prefix sums (scan, [12]). They are
-// realized with goroutines over runtime.NumCPU workers; grain sizes keep
-// scheduling overhead negligible for the batch sizes the index uses.
+// realized with goroutines over runtime.GOMAXPROCS workers (read at
+// each call); grain sizes keep scheduling overhead negligible for the
+// batch sizes the index uses.
 //
-// The worker-count cap is stored atomically, so SetMaxProcs is safe to
-// call while other goroutines (concurrent benchmarks, parallel tests)
-// are inside For/Reduce/Scan; each call sites reads the cap once at
-// entry.
+// The worker-count override is stored atomically, so SetMaxProcs is
+// safe to call while other goroutines (concurrent benchmarks, parallel
+// tests) are inside For/Reduce/Scan; each call site reads the cap once
+// at entry.
 package parallel
 
 import (
@@ -16,27 +17,29 @@ import (
 	"sync/atomic"
 )
 
-// maxProcsV caps worker fan-out; overridable via SetMaxProcs. Read with
-// maxProcs(), never directly.
+// maxProcsV is the SetMaxProcs override of the worker cap; 0 means
+// none. Read with maxProcs(), never directly.
 var maxProcsV atomic.Int64
 
-func init() { maxProcsV.Store(int64(runtime.NumCPU())) }
-
-func maxProcs() int { return int(maxProcsV.Load()) }
+func maxProcs() int {
+	if n := maxProcsV.Load(); n > 0 {
+		return int(n)
+	}
+	return runtime.GOMAXPROCS(0)
+}
 
 // MaxProcs returns the current worker-count cap. Exported so packages
 // that run their own fork-join code (bitstr.ArgSort takes an explicit
 // procs argument to stay dependency-free) can honor the same cap.
 func MaxProcs() int { return maxProcs() }
 
-// SetMaxProcs overrides the worker count (0 restores the default) and
-// returns the previous value. It is safe for concurrent use; primitives
-// already executing finish with the cap they observed at entry.
+// SetMaxProcs overrides the worker count (n <= 0 restores the default,
+// GOMAXPROCS) and returns the previous override, 0 when there was none,
+// so SetMaxProcs(SetMaxProcs(n)) restores the caller's setting. It is
+// safe for concurrent use; primitives already executing finish with the
+// cap they observed at entry.
 func SetMaxProcs(n int) int {
-	if n <= 0 {
-		n = runtime.NumCPU()
-	}
-	return int(maxProcsV.Swap(int64(n)))
+	return int(maxProcsV.Swap(int64(max(n, 0))))
 }
 
 // minGrain is the smallest chunk worth shipping to another goroutine.

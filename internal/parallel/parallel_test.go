@@ -2,6 +2,8 @@ package parallel
 
 import (
 	"math/rand"
+	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -51,6 +53,36 @@ func TestForSingleWorkerFallback(t *testing.T) {
 	For(1000, func(i int) { sum += i }) // safe: single worker
 	if sum != 999*1000/2 {
 		t.Fatalf("sum = %d", sum)
+	}
+}
+
+// TestDefaultFollowsGOMAXPROCS pins the default worker cap to
+// GOMAXPROCS, read at call time: at GOMAXPROCS 1 with no override,
+// ForChunked runs its body once, inline, over the whole range.
+func TestDefaultFollowsGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer SetMaxProcs(SetMaxProcs(0))
+	if got := MaxProcs(); got != 1 {
+		t.Fatalf("MaxProcs() = %d at GOMAXPROCS 1, want 1", got)
+	}
+	const n = 10 * minGrain
+	var mu sync.Mutex
+	var calls [][2]int
+	ForChunked(n, func(lo, hi int) {
+		mu.Lock()
+		calls = append(calls, [2]int{lo, hi})
+		mu.Unlock()
+	})
+	if len(calls) != 1 || calls[0] != [2]int{0, n} {
+		t.Fatalf("ForChunked(%d) bodies %v, want one (0, %d)", n, calls, n)
+	}
+	SetMaxProcs(3)
+	if got := MaxProcs(); got != 3 {
+		t.Fatalf("MaxProcs() = %d after SetMaxProcs(3)", got)
+	}
+	SetMaxProcs(0)
+	if got := MaxProcs(); got != 1 {
+		t.Fatalf("MaxProcs() = %d after SetMaxProcs(0), want GOMAXPROCS 1", got)
 	}
 }
 

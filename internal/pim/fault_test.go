@@ -267,12 +267,13 @@ func TestFaultedRoundTraceMatchesNormal(t *testing.T) {
 	traceOf := func(opts ...Option) RoundTrace {
 		s := NewSystem(4, opts...)
 		defer s.Close()
-		s.StartTrace()
+		rec := &logRecorder{}
+		s.SetRecorder(rec)
 		s.Round([]Task{
 			{Module: 0, SendWords: 0, Run: func(*Module) Resp { return Resp{} }},
 			{Module: 1, SendWords: 5, Run: func(*Module) Resp { return Resp{} }},
 		})
-		tr := s.StopTrace()
+		tr := rec.rounds
 		if len(tr) != 1 {
 			t.Fatalf("traced %d rounds, want 1", len(tr))
 		}

@@ -297,10 +297,10 @@ type RoundTrace struct {
 
 	// Sparse per-module breakdown: ModID lists the modules addressed this
 	// round; ModIO[j] and ModWork[j] are module ModID[j]'s words (to+from)
-	// and accounted work. Populated only while tracing or while a Recorder
-	// is attached. These slices alias pooled scratch the System reuses
-	// for the next round — they are valid only until RecordRound
-	// returns; retainers must copy (Clone).
+	// and accounted work. Populated only while a Recorder is attached.
+	// These slices alias pooled scratch the System reuses for the next
+	// round — they are valid only until RecordRound returns; retainers
+	// must copy (Clone).
 	ModID   []int
 	ModIO   []int64
 	ModWork []int64
@@ -365,13 +365,10 @@ type System struct {
 	// Pooled RoundTrace vectors, reused across rounds so an attached
 	// always-on Recorder (obs.Monitor) costs zero allocations per round.
 	// Consumers that retain a RoundTrace past the RecordRound call must
-	// copy these (see Recorder); the tracing path below does.
+	// copy these (see Recorder).
 	modIDBuf   []int
 	modIOBuf   []int64
 	modWorkBuf []int64
-
-	trace   []RoundTrace
-	tracing bool
 
 	recorder Recorder
 }
@@ -678,9 +675,6 @@ func (s *System) runRound(tasks []Task, straggler int) []Resp {
 		// An empty round still synchronizes; count it to keep algorithms
 		// honest about their round structure. It touches no scratch.
 		s.metrics.Rounds++
-		if s.tracing {
-			s.trace = append(s.trace, RoundTrace{})
-		}
 		if s.recorder != nil {
 			s.recorder.RecordRound(RoundTrace{})
 		}
@@ -732,7 +726,7 @@ func (s *System) runRound(tasks []Task, straggler int) []Resp {
 		s.wrkBy = make([]int64, nb)
 	}
 	sendBy, recvBy, wrkBy := s.sendBy[:nb], s.recvBy[:nb], s.wrkBy[:nb]
-	observing := s.tracing || s.recorder != nil
+	observing := s.recorder != nil
 	var modID []int
 	var modIO, modWork []int64
 	if observing {
@@ -786,37 +780,18 @@ func (s *System) runRound(tasks []Task, straggler int) []Resp {
 	s.metrics.IOTime += roundMaxIO
 	s.metrics.PIMTime += roundMaxWork
 	if observing {
-		tr := RoundTrace{
+		s.recorder.RecordRound(RoundTrace{
 			Tasks: len(tasks), Modules: nb,
 			SendWords: sendW, RecvWords: recvW,
 			MaxIO: roundMaxIO, MaxWork: roundMaxWork, Work: workW,
 			ModID: modID, ModIO: modIO, ModWork: modWork,
-		}
-		if s.tracing {
-			// The trace outlives this round; detach it from the pool.
-			s.trace = append(s.trace, tr.Clone())
-		}
-		if s.recorder != nil {
-			s.recorder.RecordRound(tr)
-		}
+		})
 	}
 	// Reset the bucketing scratch for the next round (O(busy)).
 	for _, mi := range touched {
 		s.perModule[mi] = s.perModule[mi][:0]
 	}
 	return resps
-}
-
-// StartTrace begins recording a RoundTrace per executed round; it resets
-// any previous trace. StopTrace returns and clears the recording.
-func (s *System) StartTrace() { s.tracing, s.trace = true, nil }
-
-// StopTrace ends recording and returns the rounds observed since
-// StartTrace.
-func (s *System) StopTrace() []RoundTrace {
-	out := s.trace
-	s.tracing, s.trace = false, nil
-	return out
 }
 
 // Broadcast runs one round with the same program on every module, shipping

@@ -375,13 +375,16 @@ func BenchmarkRound64Modules(b *testing.B) {
 func TestRoundTrace(t *testing.T) {
 	s := NewSystem(4)
 	s.Round([]Task{{Module: 0, SendWords: 5, Run: func(m *Module) Resp { return Resp{} }}})
-	s.StartTrace()
+	rec := &logRecorder{}
+	s.SetRecorder(rec)
 	s.Round([]Task{
 		{Module: 1, SendWords: 3, Run: func(m *Module) Resp { m.Work(9); return Resp{RecvWords: 2} }},
 		{Module: 2, SendWords: 4, Run: func(m *Module) Resp { return Resp{RecvWords: 1} }},
 	})
 	s.Round([]Task{{Module: 3, SendWords: 7, Run: func(m *Module) Resp { return Resp{} }}})
-	tr := s.StopTrace()
+	s.SetRecorder(nil)
+	s.Round(nil)
+	tr := rec.rounds
 	if len(tr) != 2 {
 		t.Fatalf("trace has %d rounds", len(tr))
 	}
@@ -393,10 +396,5 @@ func TestRoundTrace(t *testing.T) {
 	}
 	if tr[1].Tasks != 1 || tr[1].SendWords != 7 {
 		t.Fatalf("round 2 trace: %+v", tr[1])
-	}
-	// Recording stopped.
-	s.Round(nil)
-	if got := s.StopTrace(); got != nil {
-		t.Fatalf("trace continued after stop: %v", got)
 	}
 }

@@ -118,7 +118,7 @@ func newServer(ix *pimtrie.Index, opts Options) *Server {
 		if !ix.Health().Recoverable {
 			panic("serve: Options.SnapshotReads requires a recoverable index (set pimtrie.Options.Recoverable: snapshots flatten the host shadow)")
 		}
-		s.snapFilter = newWriteFilter(s.opts.SnapshotFilterBits)
+		s.snapFilter = new(writeFilter)
 		s.snapDirty = make(chan struct{}, 1)
 		s.publishSnapshot() // a snapshot is live before the first request
 	}

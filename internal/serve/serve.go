@@ -111,18 +111,13 @@ type Options struct {
 	// SnapshotReads enables the wait-free read fast path: the executor
 	// publishes the latest post-epoch COW snapshot through an atomic
 	// pointer and ReadSnapshot Gets (GetAsyncWith, and the shard
-	// router's TrySnapshotGet) probe it on the caller's goroutine,
-	// bypassing the epoch scheduler
-	// entirely for keys the recent-writes filter proves unchanged since
-	// publication. Requires a recoverable index (pimtrie
-	// Options.Recoverable: snapshots flatten the host shadow); NewServer
-	// panics otherwise. See snapshot.go for the staleness bound.
+	// router through SnapshotGet) probe it on the caller's goroutine,
+	// bypassing the epoch scheduler entirely when the recent-writes
+	// filter proves every key of the call unchanged since publication.
+	// Requires a recoverable index (pimtrie Options.Recoverable:
+	// snapshots flatten the host shadow); NewServer panics otherwise.
+	// See snapshot.go for the staleness bound.
 	SnapshotReads bool
-	// SnapshotFilterBits sizes the recent-writes filter at 2^bits
-	// epoch-stamp slots (default 14 — 128 KiB; clamped to [8, 24]).
-	// Smaller filters only cost spurious fallbacks to the epoch path,
-	// never wrong answers. Ignored without SnapshotReads.
-	SnapshotFilterBits int
 	// PrefixLoadBits enables per-key-prefix load accounting: every
 	// unique key an epoch sends to the index is counted in the bucket
 	// of its first PrefixLoadBits bits (bitstr.PrefixIndex — shorter
@@ -143,15 +138,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.PrefixLoadBits < 0 {
 		o.PrefixLoadBits = 0
-	}
-	if o.SnapshotFilterBits <= 0 {
-		o.SnapshotFilterBits = 14
-	}
-	if o.SnapshotFilterBits < 8 {
-		o.SnapshotFilterBits = 8
-	}
-	if o.SnapshotFilterBits > 24 {
-		o.SnapshotFilterBits = 24
 	}
 	return o
 }

@@ -57,36 +57,37 @@ type snapState struct {
 	epoch uint64 // write epochs committed before the flatten started
 }
 
-// writeFilter is the recent-writes filter: 2^bits epoch-stamp slots,
-// two per key. Written only by the executor (monotone stores, no CAS
-// needed); read lock-free by snapshot readers. Never cleared — stale
-// stamps age out naturally as the published epoch overtakes them.
-type writeFilter struct {
-	mask  uint64
-	slots []atomic.Uint64
-}
+// snapshotFilterBits sizes the recent-writes filter: 2^14 epoch-stamp
+// slots (128 KiB). Slot sharing only costs spurious fallbacks to the
+// epoch path, never wrong answers.
+const (
+	snapshotFilterBits = 14
+	filterMask         = 1<<snapshotFilterBits - 1
+)
 
-func newWriteFilter(bits int) *writeFilter {
-	return &writeFilter{
-		mask:  uint64(1)<<uint(bits) - 1,
-		slots: make([]atomic.Uint64, uint64(1)<<uint(bits)),
-	}
+// writeFilter is the recent-writes filter: 2^snapshotFilterBits
+// epoch-stamp slots, two per key. Written only by the executor (monotone
+// stores, no CAS needed); read lock-free by snapshot readers. Never
+// cleared — stale stamps age out naturally as the published epoch
+// overtakes them.
+type writeFilter struct {
+	slots [1 << snapshotFilterBits]atomic.Uint64
 }
 
 // note records that the key hashing to h was written by write epoch
 // stamp. Executor only; stamps are non-decreasing across epochs, so a
 // plain store never regresses a slot.
 func (w *writeFilter) note(h, stamp uint64) {
-	w.slots[h&w.mask].Store(stamp)
-	w.slots[(h>>32)&w.mask].Store(stamp)
+	w.slots[h&filterMask].Store(stamp)
+	w.slots[(h>>32)&filterMask].Store(stamp)
 }
 
 // writtenSince reports whether the key hashing to h may have been
 // written by an epoch later than stamp. No false negatives: note(h, w)
 // leaves both slots >= w, so min > stamp whenever w > stamp.
 func (w *writeFilter) writtenSince(h, stamp uint64) bool {
-	a := w.slots[h&w.mask].Load()
-	b := w.slots[(h>>32)&w.mask].Load()
+	a := w.slots[h&filterMask].Load()
+	b := w.slots[(h>>32)&filterMask].Load()
 	if b < a {
 		a = b
 	}
@@ -152,11 +153,12 @@ func (s *Server) SnapshotView() (*pimtrie.Snapshot, uint64) {
 	return ss.flat, ss.epoch
 }
 
-// snapshotGetInto answers every key from the published snapshot into
-// the caller's slices, or serves none of them (all-or-nothing: the
-// single-server fast path keeps one request one consistency decision).
-// Wait-free: no locks, no channels, no goroutines.
-func (s *Server) snapshotGetInto(keys []Key, vals []uint64, found []bool) bool {
+// SnapshotGet answers every key from the published snapshot into the
+// caller's slices, or serves none of them and returns false: one
+// consistency decision per call. GetAsyncWith's ReadSnapshot path and
+// the shard router's probe both use it. vals and found must have
+// len(keys). Wait-free: no locks, no channels, no goroutines.
+func (s *Server) SnapshotGet(keys []Key, vals []uint64, found []bool) bool {
 	ss := s.pub.Load()
 	if ss == nil {
 		return false
@@ -172,57 +174,6 @@ func (s *Server) snapshotGetInto(keys []Key, vals []uint64, found []bool) bool {
 	return true
 }
 
-// TrySnapshotGet answers as many keys as the published snapshot can
-// serve, marking served[i] per key and returning the count. Unserved
-// slots are untouched; the caller routes them through the epoch path.
-// This is the per-key form the shard router uses so one stale key does
-// not drag a whole shard-local batch onto the barrier. All slices must
-// have len(keys). Wait-free.
-func (s *Server) TrySnapshotGet(keys []Key, vals []uint64, found []bool, served []bool) int {
-	ss := s.pub.Load()
-	if ss == nil {
-		for i := range served {
-			served[i] = false
-		}
-		return 0
-	}
-	n := 0
-	for i, k := range keys {
-		ok := !s.snapFilter.writtenSince(keyHash(k), ss.epoch)
-		served[i] = ok
-		if ok {
-			n++
-		}
-	}
-	switch {
-	case n == 0:
-		s.noteSnapshotFallback(len(keys), ss)
-		return 0
-	case n == len(keys):
-		ss.flat.GetBatch(keys, vals, found)
-	default:
-		sub := make([]Key, 0, n)
-		for i, ok := range served {
-			if ok {
-				sub = append(sub, keys[i])
-			}
-		}
-		sv := make([]uint64, n)
-		sf := make([]bool, n)
-		ss.flat.GetBatch(sub, sv, sf)
-		j := 0
-		for i, ok := range served {
-			if ok {
-				vals[i], found[i] = sv[j], sf[j]
-				j++
-			}
-		}
-		s.noteSnapshotFallback(len(keys)-n, ss)
-	}
-	s.noteSnapshotServedN(keys, served, n, ss)
-	return n
-}
-
 func (s *Server) noteSnapshotServed(keys []Key, ss *snapState) {
 	s.snapKeys.Add(uint64(len(keys)))
 	if s.met != nil {
@@ -235,21 +186,6 @@ func (s *Server) noteSnapshotServed(keys []Key, ss *snapState) {
 		// ranges even when they never touch the epoch path.
 		for _, k := range keys {
 			atomic.AddUint64(&s.prefixLoad[k.PrefixIndex(s.opts.PrefixLoadBits)], 1)
-		}
-	}
-}
-
-func (s *Server) noteSnapshotServedN(keys []Key, served []bool, n int, ss *snapState) {
-	s.snapKeys.Add(uint64(n))
-	if s.met != nil {
-		s.met.snapReads.Add(uint64(n))
-		s.met.snapAge.Set(float64(s.committedW.Load() - ss.epoch))
-	}
-	if s.prefixLoad != nil {
-		for i, k := range keys {
-			if served[i] {
-				atomic.AddUint64(&s.prefixLoad[k.PrefixIndex(s.opts.PrefixLoadBits)], 1)
-			}
 		}
 	}
 }
@@ -271,7 +207,7 @@ func (s *Server) GetAsyncWith(c Consistency, keys ...Key) *GetFuture {
 	if c == ReadSnapshot && s.snapFilter != nil && len(keys) > 0 {
 		vals := make([]uint64, len(keys))
 		found := make([]bool, len(keys))
-		if s.snapshotGetInto(keys, vals, found) {
+		if s.SnapshotGet(keys, vals, found) {
 			f := resolvedFuture()
 			f.vals, f.found = vals, found
 			return &GetFuture{f: f}

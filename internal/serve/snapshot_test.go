@@ -111,43 +111,54 @@ func TestSnapshotReadsRequireRecoverable(t *testing.T) {
 	serve.NewServer(ix, serve.Options{SnapshotReads: true})
 }
 
-// TestTrySnapshotGetPartial checks the router-facing per-key form:
-// recently written keys are marked unserved while cold keys are served
-// with correct answers from the same call.
-func TestTrySnapshotGetPartial(t *testing.T) {
+// TestSnapshotGetAllOrNothing checks the router-facing probe: a call
+// whose keys the filter all trusts is served whole, and a call with one
+// just-written key serves none of its keys, leaves the caller's slices
+// untouched and counts every key as a fallback.
+func TestSnapshotGetAllOrNothing(t *testing.T) {
 	srv, oracle, pool := newServedSnap(t, 4, 64, serve.Options{SnapshotReads: true})
 	defer srv.Close()
 
-	// Park the published snapshot, then write one key so its filter
-	// stamp outruns the published epoch until republication. Issuing the
-	// TrySnapshotGet immediately races republication, so retry the write
-	// until the call observes the mixed state or accept full service
-	// (both are valid outcomes; the assertion is on answers, not timing).
 	hot, cold := pool[0], pool[1]
-	if err := srv.Insert(hot, 7); err != nil {
-		t.Fatal(err)
+	// Publication is asynchronous: wait until the cold key is served.
+	vals, found := make([]uint64, 1), make([]bool, 1)
+	for deadline := time.Now().Add(5 * time.Second); !srv.SnapshotGet([]serve.Key{cold}, vals, found); {
+		if time.Now().After(deadline) {
+			t.Fatal("no snapshot published before deadline")
+		}
+		time.Sleep(time.Millisecond)
 	}
-	oracle.Insert(hot, 7)
+	if wv, wok := oracle.Get(cold); found[0] != wok || vals[0] != wv {
+		t.Fatalf("cold key = %d,%v; oracle %d,%v", vals[0], found[0], wv, wok)
+	}
+
+	// A write stamps the hot key past the published epoch until the
+	// publisher catches up, so retry the write until the probe right
+	// after it still sees the hot key distrusted.
 	keys := []serve.Key{hot, cold}
-	vals := make([]uint64, 2)
-	found := make([]bool, 2)
-	served := make([]bool, 2)
-	n := srv.TrySnapshotGet(keys, vals, found, served)
-	if n == 0 && (served[0] || served[1]) {
-		t.Fatalf("TrySnapshotGet returned 0 but marked served=%v", served)
-	}
-	for i, k := range keys {
-		if !served[i] {
+	for try := 0; ; try++ {
+		if try == 200 {
+			t.Fatal("republication always beat the probe; the mixed case never ran")
+		}
+		if err := srv.Insert(hot, uint64(1000+try)); err != nil {
+			t.Fatal(err)
+		}
+		before := srv.Stats()
+		vals, found := []uint64{7, 7}, []bool{true, true}
+		if srv.SnapshotGet(keys, vals, found) {
 			continue
 		}
-		wv, wok := oracle.Get(k)
-		if found[i] != wok || (wok && vals[i] != wv) {
-			t.Fatalf("served key %d (%q) = %d,%v; oracle %d,%v", i, k, vals[i], found[i], wv, wok)
+		st := srv.Stats()
+		if st.SnapshotKeys != before.SnapshotKeys {
+			t.Fatalf("refused call served %d keys", st.SnapshotKeys-before.SnapshotKeys)
 		}
-	}
-	st := srv.Stats()
-	if st.SnapshotKeys+st.SnapshotFallbacks == 0 {
-		t.Fatalf("TrySnapshotGet recorded nothing: %+v", st)
+		if got := st.SnapshotFallbacks - before.SnapshotFallbacks; got != 2 {
+			t.Fatalf("refused call counted %d fallbacks, want 2", got)
+		}
+		if vals[0] != 7 || vals[1] != 7 || !found[0] || !found[1] {
+			t.Fatalf("refused call wrote its slices: %v %v", vals, found)
+		}
+		return
 	}
 }
 

@@ -3,7 +3,7 @@ package shard
 // The router's shard-local snapshot read path. A ReadSnapshot Get never
 // takes the router's lock and never enters a shard queue: it routes by
 // the copy-on-write published table, probes each shard's published
-// snapshot on the caller's goroutine (serve.TrySnapshotGet), and
+// snapshot on the caller's goroutine (serve.Server.SnapshotGet), and
 // returns a future that is already answered. Any wrinkle — a key the
 // recent-writes filter distrusts, an unpublished snapshot, or a
 // migration completing mid-read (detected by re-loading the table
@@ -72,8 +72,7 @@ func (r *Router) snapshotGet(keys []Key) *GetFuture {
 		}
 		sv := make([]uint64, len(sk))
 		sf := make([]bool, len(sk))
-		served := make([]bool, len(sk))
-		if r.shards[sid].TrySnapshotGet(sk, sv, sf, served) != len(sk) {
+		if !r.shards[sid].SnapshotGet(sk, sv, sf) {
 			// Some key on this shard needs the epoch path; keep the call
 			// whole rather than splitting consistency across shards.
 			r.snapFallbacks.Add(uint64(len(keys)))

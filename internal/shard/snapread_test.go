@@ -116,3 +116,65 @@ func TestSnapshotReadsUnderMigration(t *testing.T) {
 	t.Logf("snapshot reads=%d fallbacks=%d migrations=%d moved=%d",
 		st.SnapshotReads, st.SnapshotFallbacks, st.Migrations, st.MovedKeys)
 }
+
+// TestSnapshotGetMixedShardGoesStrong pins the router's one snapshot
+// probe per shard: a ReadSnapshot Get of a trusted key and a just-written
+// key on one shard answers through the strong path, and the shard counts
+// no snapshot-served key for it.
+func TestSnapshotGetMixedShardGoesStrong(t *testing.T) {
+	r := shard.New(shard.Config{
+		Shards:  2,
+		Modules: 4,
+		Index:   pimtrie.Options{Seed: 3, Recoverable: true},
+		Serve:   serve.Options{SnapshotReads: true},
+	})
+	defer r.Close()
+
+	// Both keys share their first RouteBits (8) bits: one slot, one shard.
+	cold, hot := pimtrie.KeyFromUint(0xab00_0000_0000_0001, 64), pimtrie.KeyFromUint(0xab00_0000_0000_0002, 64)
+	if err := r.Insert([]shard.Key{cold, hot}, []uint64{1, 2}); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); r.Stats().SnapshotReads == 0; {
+		if _, _, err := r.GetAsyncWith(shard.ReadSnapshot, cold).Wait(); err != nil {
+			t.Fatal(err)
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no snapshot-served reads before deadline")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	snapKeys := func() (n uint64) {
+		for _, st := range r.ShardServerStats() {
+			n += st.SnapshotKeys
+		}
+		return n
+	}
+
+	// Retry the write until the probe right after it still sees the hot
+	// key distrusted (republication may beat it).
+	for try := 0; ; try++ {
+		if try == 200 {
+			t.Fatal("republication always beat the probe; the mixed case never ran")
+		}
+		v := uint64(1000 + try)
+		if err := r.Insert([]shard.Key{hot}, []uint64{v}); err != nil {
+			t.Fatal(err)
+		}
+		fallbacks, served := r.Stats().SnapshotFallbacks, snapKeys()
+		vals, found, err := r.GetAsyncWith(shard.ReadSnapshot, hot, cold).Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !found[0] || vals[0] != v || !found[1] || vals[1] != 1 {
+			t.Fatalf("Get(hot, cold) = %v %v, want [%d 1] [true true]", vals, found, v)
+		}
+		if r.Stats().SnapshotFallbacks == fallbacks {
+			continue // both keys were trusted and served from the snapshot
+		}
+		if got := snapKeys() - served; got != 0 {
+			t.Fatalf("a call answered strong counted %d snapshot-served keys on its shard", got)
+		}
+		return
+	}
+}

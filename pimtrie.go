@@ -116,18 +116,15 @@ type Recorder = pim.Recorder
 // which coalesces requests into batches and serializes execution (and
 // to scale past one simulated PIM system, shard.Router spreads the
 // keyspace over several Index+Server pairs with hot-range migration
-// between them). PrepareBatch is a batch method like the others.
+// between them).
 type Index struct {
 	sys  *pim.System
 	core *core.PIMTrie
 }
 
-// PreparedBatch is a host-side precomputation of one batch (its query
-// trie and node hashes), produced by PrepareBatch and consumed by the
-// *Prepared operation variants. It is valid for a single consumption on
-// the index that prepared it; if the index re-hashed in between, the
-// consuming operation transparently re-prepares inline.
-type PreparedBatch = core.Prepared
+// PreparedBatch holds one batch for the *Prepared forms. It precomputes
+// nothing: every op prepares its batch inline, inside Apply.
+type PreparedBatch struct{ batch []Key }
 
 // New creates an empty index over p PIM modules. It panics if p < 1.
 func New(p int, opts Options) *Index {
@@ -215,37 +212,22 @@ func (ix *Index) Subtrees(prefixes []Key) [][]KV {
 	return ix.core.SubtreeQueryBatch(prefixes)
 }
 
-// PrepareBatch precomputes the host-side query trie and node hashes for
-// a batch without executing anything on the simulated system. Like
-// every other batch method it is single-caller: a call concurrent with
-// another batch panics. Consume the result with LCPPrepared,
-// GetPrepared, SubtreesPrepared, InsertPrepared or DeletePrepared —
-// one-section batches whose model metrics are bit-identical to the
-// plain op on the same batch.
-func (ix *Index) PrepareBatch(batch []Key) *PreparedBatch { return ix.core.Prepare(batch) }
+// PrepareBatch and the *Prepared forms are sugar over the plain ops:
+// PrepareBatch only holds the batch, and each form is its plain op,
+// answers and model cost alike.
+func (ix *Index) PrepareBatch(batch []Key) *PreparedBatch { return &PreparedBatch{batch: batch} }
 
-// LCPPrepared is LCP over a batch staged with PrepareBatch.
-func (ix *Index) LCPPrepared(p *PreparedBatch) []int { return ix.core.LCPPrepared(p) }
+func (ix *Index) LCPPrepared(p *PreparedBatch) []int { return ix.LCP(p.batch) }
 
-// GetPrepared is Get over a batch staged with PrepareBatch.
 func (ix *Index) GetPrepared(p *PreparedBatch) (values []uint64, found []bool) {
-	return ix.core.GetPrepared(p)
+	return ix.Get(p.batch)
 }
 
-// SubtreesPrepared is Subtrees over a prefix batch staged with
-// PrepareBatch.
-func (ix *Index) SubtreesPrepared(p *PreparedBatch) [][]KV {
-	return ix.core.SubtreeQueryPrepared(p)
-}
+func (ix *Index) SubtreesPrepared(p *PreparedBatch) [][]KV { return ix.Subtrees(p.batch) }
 
-// InsertPrepared is Insert over a key batch staged with PrepareBatch;
-// values[i] pairs with the staged batch's i-th key.
-func (ix *Index) InsertPrepared(p *PreparedBatch, values []uint64) {
-	ix.core.InsertPrepared(p, values)
-}
+func (ix *Index) InsertPrepared(p *PreparedBatch, values []uint64) { ix.Insert(p.batch, values) }
 
-// DeletePrepared is Delete over a key batch staged with PrepareBatch.
-func (ix *Index) DeletePrepared(p *PreparedBatch) []bool { return ix.core.DeletePrepared(p) }
+func (ix *Index) DeletePrepared(p *PreparedBatch) []bool { return ix.Delete(p.batch) }
 
 // Len returns the number of stored keys.
 func (ix *Index) Len() int { return ix.core.KeyCount() }

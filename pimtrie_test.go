@@ -2,6 +2,7 @@ package pimtrie
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -87,5 +88,60 @@ func TestPublicAPIEmptyIndex(t *testing.T) {
 	}
 	if _, found := idx.Get([]Key{KeyFromString("x")}); found[0] {
 		t.Fatal("Get on empty found something")
+	}
+}
+
+// TestPrepareBatchIsApply pins the *Prepared forms as sugar: on two
+// identically loaded indexes, each form gives the plain op's answers and
+// a bit-identical Metrics delta, per-module vectors included.
+func TestPrepareBatchIsApply(t *testing.T) {
+	r := rand.New(rand.NewSource(44))
+	keys := make([]Key, 300)
+	vals := make([]uint64, len(keys))
+	for i := range keys {
+		keys[i] = KeyFromUint(r.Uint64(), 64)
+		vals[i] = uint64(i + 1)
+	}
+	queries := make([]Key, 128)
+	for i := range queries {
+		if i%2 == 0 {
+			queries[i] = keys[r.Intn(len(keys))]
+		} else {
+			queries[i] = KeyFromUint(r.Uint64(), 64)
+		}
+	}
+	prefixes := []Key{keys[0].Prefix(6), keys[1].Prefix(10), KeyFromBits("")}
+	ins := make([]Key, 64)
+	insVals := make([]uint64, len(ins))
+	for i := range ins {
+		ins[i] = KeyFromUint(r.Uint64(), 64)
+		insVals[i] = uint64(i + 1000)
+	}
+	plain, sugar := New(8, Options{Seed: 5}), New(8, Options{Seed: 5})
+	plain.Load(keys, vals)
+	sugar.Load(keys, vals)
+	for _, op := range []struct {
+		name         string
+		plain, sugar func(ix *Index) any
+	}{
+		{"LCP", func(ix *Index) any { return ix.LCP(queries) },
+			func(ix *Index) any { return ix.LCPPrepared(ix.PrepareBatch(queries)) }},
+		{"Get", func(ix *Index) any { v, f := ix.Get(queries); return []any{v, f} },
+			func(ix *Index) any { v, f := ix.GetPrepared(ix.PrepareBatch(queries)); return []any{v, f} }},
+		{"Subtrees", func(ix *Index) any { return ix.Subtrees(prefixes) },
+			func(ix *Index) any { return ix.SubtreesPrepared(ix.PrepareBatch(prefixes)) }},
+		{"Insert", func(ix *Index) any { ix.Insert(ins, insVals); return ix.Len() },
+			func(ix *Index) any { ix.InsertPrepared(ix.PrepareBatch(ins), insVals); return ix.Len() }},
+		{"Delete", func(ix *Index) any { return ix.Delete(ins[:32]) },
+			func(ix *Index) any { return ix.DeletePrepared(ix.PrepareBatch(ins[:32])) }},
+	} {
+		pb, sb := plain.Metrics(), sugar.Metrics()
+		want, got := op.plain(plain), op.sugar(sugar)
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("%s: prepared answers %v, plain %v", op.name, got, want)
+		}
+		if pd, sd := plain.Metrics().Sub(pb), sugar.Metrics().Sub(sb); !reflect.DeepEqual(pd, sd) {
+			t.Fatalf("%s: prepared metrics delta %+v, plain %+v", op.name, sd, pd)
+		}
 	}
 }
