@@ -3,6 +3,7 @@ package parallel
 import (
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -244,19 +245,11 @@ func TestMergeSortMatchesStdlib(t *testing.T) {
 		}
 		want := append([]int(nil), xs...)
 		MergeSort(xs, func(a, b int) bool { return a < b })
-		sortInts(want)
+		slices.Sort(want)
 		for i := range xs {
 			if xs[i] != want[i] {
 				t.Fatalf("trial %d: mismatch at %d", trial, i)
 			}
-		}
-	}
-}
-
-func sortInts(xs []int) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
 		}
 	}
 }

@@ -54,14 +54,12 @@ type Server struct {
 	ix   *pimtrie.Index
 	opts Options
 
-	mu         sync.Mutex
-	queue      []*call // admitted calls not yet in an epoch, arrival order
-	closed     bool
-	epochs     uint64 // epochs formed so far
-	hist       []*EpochRecord
-	stats      Stats
-	idBuf      []byte   // scratch for appendKeyID, reused under mu
-	prefixLoad []uint64 // per-prefix executed keys (Options.PrefixLoadBits)
+	mu     sync.Mutex
+	queue  []*call // admitted calls not yet in an epoch, arrival order
+	closed bool
+	hist   []*EpochRecord
+	stats  Stats
+	idBuf  []byte // scratch for appendKeyID, reused under mu
 
 	kick chan struct{} // executor wake-up, capacity 1
 	wg   sync.WaitGroup
@@ -103,9 +101,6 @@ func newServer(ix *pimtrie.Index, opts Options) *Server {
 		ix:   ix,
 		opts: opts.withDefaults(),
 		kick: make(chan struct{}, 1),
-	}
-	if s.opts.PrefixLoadBits > 0 {
-		s.prefixLoad = make([]uint64, 1<<uint(s.opts.PrefixLoadBits))
 	}
 	if s.opts.Metrics != nil {
 		s.met = newServeMetrics(s.opts.Metrics, s.opts.MetricLabels)
@@ -388,13 +383,12 @@ func readSection(b *pimtrie.Batch, op Op) *[]Key {
 }
 
 // noteFormedLocked stamps a formed epoch and counts it: per-op executed
-// keys, the epoch's kinds, dedupe, prefix load, and — with metrics —
-// its size, linger and why it was cut.
+// keys, the epoch's kinds, dedupe, and — with metrics — its size,
+// linger and why it was cut.
 func (s *Server) noteFormedLocked(plan *epochPlan, readKeys, cut int) {
 	b := &plan.batch
 	reads := len(b.Gets) + len(b.LCPs) + len(b.Subtrees)
 	writes := len(b.Inserts) + len(b.Deletes)
-	s.epochs++
 	if writes > 0 {
 		s.stats.WriteEpochs++
 		plan.stamp = s.stats.WriteEpochs
@@ -406,7 +400,6 @@ func (s *Server) noteFormedLocked(plan *epochPlan, readKeys, cut int) {
 	s.stats.MaxEpochKeys = max(s.stats.MaxEpochKeys, reads+writes)
 	for op, keys := range [numOps][]Key{b.Gets, b.LCPs, b.Subtrees, b.Inserts, b.Deletes} {
 		s.stats.KeysExecuted[op] += uint64(len(keys))
-		s.notePrefixLoadLocked(keys)
 		if s.met != nil {
 			s.met.keysExec[op].Add(uint64(len(keys)))
 		}
@@ -448,43 +441,6 @@ func appendKeyID(buf []byte, k Key) []byte {
 	return buf
 }
 
-// notePrefixLoadLocked counts an epoch's unique executed keys into the
-// per-prefix load buckets. Caller holds s.mu. The buckets are atomics
-// because the lock-free snapshot read path accounts its served keys
-// into the same array without taking the lock (noteSnapshotServed).
-func (s *Server) notePrefixLoadLocked(keys []Key) {
-	if s.prefixLoad == nil {
-		return
-	}
-	for _, k := range keys {
-		atomic.AddUint64(&s.prefixLoad[k.PrefixIndex(s.opts.PrefixLoadBits)], 1)
-	}
-}
-
-// PrefixLoad copies the cumulative per-prefix executed-key counters
-// into dst (allocating when dst is too short) and returns it, along
-// with the number of epochs formed so far — the consumer diffs two
-// snapshots to get a per-interval, per-key-range load profile. Bucket i
-// counts unique keys whose first PrefixLoadBits bits index i
-// (bitstr.PrefixIndex order: buckets are contiguous lexicographic key
-// ranges). It returns (nil, epochs) when Options.PrefixLoadBits is 0.
-// Safe to call from any goroutine while the server runs.
-func (s *Server) PrefixLoad(dst []uint64) ([]uint64, uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.prefixLoad == nil {
-		return nil, s.epochs
-	}
-	if cap(dst) < len(s.prefixLoad) {
-		dst = make([]uint64, len(s.prefixLoad))
-	}
-	dst = dst[:len(s.prefixLoad)]
-	for i := range s.prefixLoad {
-		dst[i] = atomic.LoadUint64(&s.prefixLoad[i])
-	}
-	return dst, s.epochs
-}
-
 // apply runs an epoch's batch on the index, turning a panic in the
 // index into an error like the fault errors Apply returns.
 func (s *Server) apply(b pimtrie.Batch) (res pimtrie.Result, err error) {
@@ -505,13 +461,15 @@ func (s *Server) apply(b pimtrie.Batch) (res pimtrie.Result, err error) {
 // index may then hold part of the epoch's writes; a durable server
 // records either failure as its sticky DurabilityErr, because its
 // memory is now ahead of its log and a restart rolls the epoch back.
+// The health, key-count and model sample is taken before any future
+// settles, so a caller that waited on the epoch reads its effect.
 func (s *Server) execute(plan *epochPlan) {
-	defer s.sampleHealth()
 	if s.met != nil {
 		start := time.Now()
 		defer func() { s.met.executeSec.Observe(time.Since(start).Seconds()) }()
 	}
 	res, err := s.apply(plan.batch)
+	s.sampleHealth()
 	if err != nil {
 		err = fmt.Errorf("serve: index failure: %w", err)
 		if plan.stamp != 0 && s.dur != nil {

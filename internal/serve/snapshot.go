@@ -155,38 +155,53 @@ func (s *Server) SnapshotView() (*pimtrie.Snapshot, uint64) {
 
 // SnapshotGet answers every key from the published snapshot into the
 // caller's slices, or serves none of them and returns false: one
-// consistency decision per call. GetAsyncWith's ReadSnapshot path and
-// the shard router's probe both use it. vals and found must have
-// len(keys). Wait-free: no locks, no channels, no goroutines.
+// consistency decision per call. It is a pure probe that counts
+// nothing, so a caller that combines several probes (the shard router)
+// counts a call only once it commits to the answers. vals and found
+// must have len(keys). Wait-free: no locks, no channels, no goroutines.
 func (s *Server) SnapshotGet(keys []Key, vals []uint64, found []bool) bool {
 	ss := s.pub.Load()
-	if ss == nil {
-		return false
-	}
+	return ss != nil && s.probe(ss, keys, vals, found)
+}
+
+// probe answers keys from ss unless the recent-writes filter distrusts
+// one of them.
+func (s *Server) probe(ss *snapState, keys []Key, vals []uint64, found []bool) bool {
 	for _, k := range keys {
 		if s.snapFilter.writtenSince(keyHash(k), ss.epoch) {
-			s.noteSnapshotFallback(len(keys), ss)
 			return false
 		}
 	}
 	ss.flat.GetBatch(keys, vals, found)
-	s.noteSnapshotServed(keys, ss)
 	return true
 }
 
-func (s *Server) noteSnapshotServed(keys []Key, ss *snapState) {
-	s.snapKeys.Add(uint64(len(keys)))
-	if s.met != nil {
-		s.met.snapReads.Add(uint64(len(keys)))
-		s.met.snapAge.Set(float64(s.committedW.Load() - ss.epoch))
-	}
-	if s.prefixLoad != nil {
-		// Snapshot hits still count toward the per-prefix load signal:
-		// the sharding migration policy must keep seeing read-heavy hot
-		// ranges even when they never touch the epoch path.
-		for _, k := range keys {
-			atomic.AddUint64(&s.prefixLoad[k.PrefixIndex(s.opts.PrefixLoadBits)], 1)
+// GetAsyncWith is GetAsync with an explicit consistency mode.
+// ReadSnapshot resolves immediately (wait-free) when the published
+// snapshot can answer every key; otherwise — filter conflict, no
+// snapshot published, or snapshot reads disabled — it transparently
+// degrades to the ReadStrong epoch path. It counts the keys it serves
+// and those the filter sends back.
+func (s *Server) GetAsyncWith(c Consistency, keys ...Key) *GetFuture {
+	if ss := s.pub.Load(); c == ReadSnapshot && ss != nil && len(keys) > 0 {
+		vals := make([]uint64, len(keys))
+		found := make([]bool, len(keys))
+		if s.probe(ss, keys, vals, found) {
+			s.noteSnapshotServed(len(keys), ss)
+			f := resolvedFuture()
+			f.vals, f.found = vals, found
+			return &GetFuture{f: f}
 		}
+		s.noteSnapshotFallback(len(keys), ss)
+	}
+	return s.GetAsync(keys...)
+}
+
+func (s *Server) noteSnapshotServed(keys int, ss *snapState) {
+	s.snapKeys.Add(uint64(keys))
+	if s.met != nil {
+		s.met.snapReads.Add(uint64(keys))
+		s.met.snapAge.Set(float64(s.committedW.Load() - ss.epoch))
 	}
 }
 
@@ -196,22 +211,4 @@ func (s *Server) noteSnapshotFallback(keys int, ss *snapState) {
 		s.met.snapFallbacks.Add(uint64(keys))
 		s.met.snapAge.Set(float64(s.committedW.Load() - ss.epoch))
 	}
-}
-
-// GetAsyncWith is GetAsync with an explicit consistency mode.
-// ReadSnapshot resolves immediately (wait-free) when the published
-// snapshot can answer every key; otherwise — filter conflict, no
-// snapshot published, or snapshot reads disabled — it transparently
-// degrades to the ReadStrong epoch path.
-func (s *Server) GetAsyncWith(c Consistency, keys ...Key) *GetFuture {
-	if c == ReadSnapshot && s.snapFilter != nil && len(keys) > 0 {
-		vals := make([]uint64, len(keys))
-		found := make([]bool, len(keys))
-		if s.SnapshotGet(keys, vals, found) {
-			f := resolvedFuture()
-			f.vals, f.found = vals, found
-			return &GetFuture{f: f}
-		}
-	}
-	return s.GetAsync(keys...)
 }

@@ -111,10 +111,11 @@ func TestSnapshotReadsRequireRecoverable(t *testing.T) {
 	serve.NewServer(ix, serve.Options{SnapshotReads: true})
 }
 
-// TestSnapshotGetAllOrNothing checks the router-facing probe: a call
-// whose keys the filter all trusts is served whole, and a call with one
-// just-written key serves none of its keys, leaves the caller's slices
-// untouched and counts every key as a fallback.
+// TestSnapshotGetAllOrNothing checks the pure probe: a call whose keys
+// the filter all trusts is served whole, and a call with one
+// just-written key serves none of its keys and leaves the caller's
+// slices untouched. Neither counts anything; GetAsyncWith counts every
+// key of its call, served or sent back.
 func TestSnapshotGetAllOrNothing(t *testing.T) {
 	srv, oracle, pool := newServedSnap(t, 4, 64, serve.Options{SnapshotReads: true})
 	defer srv.Close()
@@ -145,18 +146,23 @@ func TestSnapshotGetAllOrNothing(t *testing.T) {
 		}
 		before := srv.Stats()
 		vals, found := []uint64{7, 7}, []bool{true, true}
-		if srv.SnapshotGet(keys, vals, found) {
+		served := srv.SnapshotGet(keys, vals, found)
+		if st := srv.Stats(); st.SnapshotKeys != before.SnapshotKeys || st.SnapshotFallbacks != before.SnapshotFallbacks {
+			t.Fatalf("a probe counted %d served and %d fallback keys, want none",
+				st.SnapshotKeys-before.SnapshotKeys, st.SnapshotFallbacks-before.SnapshotFallbacks)
+		}
+		if served {
 			continue
-		}
-		st := srv.Stats()
-		if st.SnapshotKeys != before.SnapshotKeys {
-			t.Fatalf("refused call served %d keys", st.SnapshotKeys-before.SnapshotKeys)
-		}
-		if got := st.SnapshotFallbacks - before.SnapshotFallbacks; got != 2 {
-			t.Fatalf("refused call counted %d fallbacks, want 2", got)
 		}
 		if vals[0] != 7 || vals[1] != 7 || !found[0] || !found[1] {
 			t.Fatalf("refused call wrote its slices: %v %v", vals, found)
+		}
+		if _, _, err := srv.GetAsyncWith(serve.ReadSnapshot, keys...).Wait(); err != nil {
+			t.Fatal(err)
+		}
+		st := srv.Stats()
+		if got := st.SnapshotKeys + st.SnapshotFallbacks - before.SnapshotKeys - before.SnapshotFallbacks; got != 2 {
+			t.Fatalf("GetAsyncWith of 2 keys counted %d", got)
 		}
 		return
 	}

@@ -56,7 +56,7 @@ func newRouterMetrics(reg *metrics.Registry, shards int) *routerMetrics {
 		migrationDur: reg.Histogram("pimtrie_router_migration_seconds",
 			"Wall time per slot migration, export to cleanup."),
 		imbalance: reg.Gauge("pimtrie_router_load_imbalance",
-			"Max/mean per-shard executed-key load of the last migration-policy sample (1 = even)."),
+			"Max/mean per-shard routed-key load of the last Rebalance window (1 = even)."),
 	}
 	for op := 0; op < numOps; op++ {
 		m.requests[op] = reg.Counter("pimtrie_router_requests_total",
@@ -67,7 +67,7 @@ func newRouterMetrics(reg *metrics.Registry, shards int) *routerMetrics {
 	for i := 0; i < shards; i++ {
 		lbl := metrics.L("shard", strconv.Itoa(i))
 		m.loadShare = append(m.loadShare, reg.Gauge("pimtrie_shard_load_share",
-			"Fraction of executed keys landing on this shard in the last migration-policy sample.", lbl))
+			"Fraction of routed key copies landing on this shard in the last Rebalance window.", lbl))
 		m.slotsOwned = append(m.slotsOwned, reg.Gauge("pimtrie_shard_slots_owned",
 			"Route slots currently owned by this shard.", lbl))
 	}

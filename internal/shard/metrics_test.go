@@ -19,12 +19,10 @@ import (
 func TestRouterExpositionLints(t *testing.T) {
 	reg := metrics.NewRegistry()
 	r := shard.New(shard.Config{
-		Shards:      3,
-		RouteBits:   5,
-		Partitioner: shard.HashedPrefix{Seed: 3},
-		Modules:     8,
-		Index:       pimtrie.Options{Seed: 7},
-		Metrics:     reg,
+		Shards:  3,
+		Modules: 8,
+		Index:   pimtrie.Options{Seed: 3},
+		Metrics: reg,
 	})
 	defer r.Close()
 

@@ -8,71 +8,50 @@ import (
 	"github.com/pimlab/pimtrie/internal/serve"
 )
 
-// migrationLoop is the background load watcher: one Rebalance per
-// Interval until Close.
-func (r *Router) migrationLoop() {
-	defer close(r.loopDone)
-	t := time.NewTicker(r.cfg.Migration.Interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-r.stop:
-			return
-		case <-t.C:
-			r.Rebalance()
-		}
-	}
-}
+// The migration policy's constants.
+const (
+	// imbalanceThreshold is the max/mean per-shard load of a window
+	// (metrics.Imbalance, 1 = even) at which Rebalance moves slots.
+	imbalanceThreshold = 1.3
+	// maxMoves bounds the slots one Rebalance moves.
+	maxMoves = 8
+	// minWindowKeys is the fewest routed key copies a window needs
+	// before Rebalance trusts it: an idle router never migrates.
+	minWindowKeys = 256
+)
 
-// Rebalance runs one migration-policy cycle by hand: sample per-shard
-// per-slot executed-key counters, diff them against the previous
-// sample, and when the per-shard imbalance (max/mean) crosses the
-// threshold migrate the hottest slots from the hottest shards to the
-// coolest until the sample would be balanced or MaxMoves is spent. The
-// first call only primes the sample window. Returns the number of
-// slots moved. The background loop calls this on its interval; tests
-// and benchmarks call it directly for deterministic timing.
+// Rebalance runs one migration-policy cycle: diff the router's
+// per-(shard, slot) load counters against the previous call, and when
+// the window's per-shard imbalance (max/mean) crosses the threshold
+// migrate the hottest slots from the hottest shards to the coolest
+// until the window would be balanced or maxMoves is spent. The first
+// call only primes the window. Returns the number of slots moved. The
+// router never calls it itself; the caller runs it on its own clock,
+// typically a ticker.
 func (r *Router) Rebalance() (moves int, err error) {
 	r.migMu.Lock()
 	defer r.migMu.Unlock()
 
-	// Sample cumulative per-slot loads, recycling the oldest buffers.
-	bufs := r.loadBuf
-	r.loadBuf = nil
-	cur := make([][]uint64, len(r.shards))
-	for i, sh := range r.shards {
-		var dst []uint64
-		if bufs != nil {
-			dst = bufs[i]
-		}
-		cur[i], _ = sh.PrefixLoad(dst)
+	cur := make([]uint64, len(r.load))
+	for i := range r.load {
+		cur[i] = r.load[i].Load()
 	}
 	prev := r.prevLoad
 	r.prevLoad = cur
 	if prev == nil {
 		return 0, nil
 	}
-	r.loadBuf = prev
-	if r.skipNext {
-		// This window contains the previous cycle's own migration
-		// traffic (see the skipNext field); use it only to advance the
-		// sample base.
-		r.skipNext = false
-		return 0, nil
-	}
 
 	// Window deltas: slot-granular for picking what to move,
 	// shard-granular for deciding whether to move at all.
-	slotLoad := make([]int64, r.slots)
+	slotLoad := make([]int64, slots)
 	shardLoad := make([]int64, len(r.shards))
 	var total int64
 	for i := range cur {
-		for s := 0; s < r.slots; s++ {
-			d := int64(cur[i][s] - prev[i][s])
-			slotLoad[s] += d
-			shardLoad[i] += d
-			total += d
-		}
+		d := int64(cur[i] - prev[i])
+		slotLoad[i%slots] += d
+		shardLoad[i/slots] += d
+		total += d
 	}
 	maxMean, _ := metrics.Imbalance(shardLoad)
 	r.lastImbal = maxMean
@@ -86,8 +65,7 @@ func (r *Router) Rebalance() (moves int, err error) {
 			r.met.loadShare[i].Set(share)
 		}
 	}
-	cfg := r.cfg.Migration
-	if total < int64(cfg.MinKeys) || maxMean < cfg.Threshold {
+	if total < minWindowKeys || maxMean < imbalanceThreshold {
 		return 0, nil
 	}
 
@@ -99,7 +77,7 @@ func (r *Router) Rebalance() (moves int, err error) {
 	if r.closed {
 		return 0, nil
 	}
-	for moves < cfg.MaxMoves {
+	for moves < maxMoves {
 		hot, cool := argMax(shardLoad), argMin(shardLoad)
 		if hot == cool || shardLoad[hot] <= shardLoad[cool] {
 			break
@@ -124,9 +102,6 @@ func (r *Router) Rebalance() (moves int, err error) {
 		shardLoad[hot] -= bestLoad
 		shardLoad[cool] += bestLoad
 		moves++
-	}
-	if moves > 0 {
-		r.skipNext = true
 	}
 	return moves, nil
 }
@@ -157,18 +132,12 @@ func argMin(v []int64) int {
 // force migrations deterministically. Migrating a slot to its current
 // owner is a no-op.
 func (r *Router) MigrateSlot(slot, to int) (moved int, err error) {
-	if slot < 0 || slot >= r.slots {
+	if slot < 0 || slot >= slots {
 		panic("shard: MigrateSlot slot out of range")
 	}
 	if to < 0 || to >= len(r.shards) {
 		panic("shard: MigrateSlot shard out of range")
 	}
-	// A manual move pollutes the policy's next load window exactly like
-	// one of its own (see skipNext); flag it before taking r.mu to keep
-	// the migMu -> mu lock order of Rebalance.
-	r.migMu.Lock()
-	r.skipNext = true
-	r.migMu.Unlock()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {
@@ -193,7 +162,8 @@ func (r *Router) MigrateSlot(slot, to int) (moved int, err error) {
 // each shard answers it from the state before the move. Ops submitted
 // afterwards route by the flipped table to the new owner, which holds
 // everything, while the old owner's stale copy is unreachable and
-// deleted. No request observes a half-moved range.
+// deleted. No request observes a half-moved range. The steps call the
+// shard servers directly, so none of their keys reach r.load.
 func (r *Router) migrateSlotLocked(slot, to int) (int, error) {
 	from := r.table[slot]
 	if from == to {
@@ -201,20 +171,20 @@ func (r *Router) migrateSlotLocked(slot, to int) (int, error) {
 	}
 	start := time.Now()
 	src, dst := r.shards[from], r.shards[to]
-	prefix := slotKey(slot, r.routeBits)
+	prefix := slotKey(slot)
 
 	kvs, err := src.Subtree(prefix)
 	if err != nil {
 		return 0, err
 	}
-	keys := make([]Key, 0, len(kvs)+r.routeBits)
-	vals := make([]uint64, 0, len(kvs)+r.routeBits)
+	keys := make([]Key, 0, len(kvs)+routeBits)
+	vals := make([]uint64, 0, len(kvs)+routeBits)
 	for _, kv := range kvs {
 		keys = append(keys, kv.Key)
 		vals = append(vals, kv.Value)
 	}
 	var shorts []Key
-	for l := 0; l < r.routeBits; l++ {
+	for l := 0; l < routeBits; l++ {
 		if p := prefix.Prefix(l); !r.ownsExtensionLocked(to, p) {
 			shorts = append(shorts, p)
 		}
@@ -247,11 +217,11 @@ func (r *Router) migrateSlotLocked(slot, to int) (int, error) {
 	r.table = next
 	r.tableP.Store(&next)
 
-	del := make([]Key, 0, len(kvs)+r.routeBits)
+	del := make([]Key, 0, len(kvs)+routeBits)
 	for _, kv := range kvs {
 		del = append(del, kv.Key)
 	}
-	for l := 0; l < r.routeBits; l++ {
+	for l := 0; l < routeBits; l++ {
 		if p := prefix.Prefix(l); !r.ownsExtensionLocked(from, p) {
 			del = append(del, p)
 		}
@@ -277,7 +247,7 @@ func (r *Router) migrateSlotLocked(slot, to int) (int, error) {
 // range extends prefix p under the live table — i.e. whether sid is a
 // covering shard that replicates p when p is stored.
 func (r *Router) ownsExtensionLocked(sid int, p bitstr.String) bool {
-	lo, hi := slotRange(p, r.routeBits)
+	lo, hi := slotRange(p)
 	for s := lo; s < hi; s++ {
 		if r.table[s] == sid {
 			return true

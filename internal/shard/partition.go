@@ -1,90 +1,47 @@
 package shard
 
 import (
-	"fmt"
 	"math/rand"
 
 	"github.com/pimlab/pimtrie/internal/bitstr"
 )
 
-// A Partitioner chooses the initial assignment of route slots to
-// shards. The router partitions the key space by the first RouteBits
-// bits of every key into 2^RouteBits contiguous "slots" (lexicographic
-// prefix ranges, bitstr.PrefixIndex order); the partitioner only picks
-// which shard initially owns which slot — ownership afterwards is the
-// router's live routing table, which hot-range migration rewrites.
-type Partitioner interface {
-	// Name identifies the scheme in reports and metrics.
-	Name() string
-	// Assign returns the initial slot -> shard table: a slice of length
-	// slots with values in [0, shards).
-	Assign(slots, shards int) []int
-}
+// routeBits is the routing granularity: keys route by their first 8
+// bits, into one of 256 slots (contiguous lexicographic prefix ranges,
+// bitstr.PrefixIndex order).
+const (
+	routeBits = 8
+	slots     = 1 << routeBits
+)
 
-// Contiguous assigns equal contiguous slot runs to consecutive shards —
-// classic range partitioning. Ordered scans (Subtree) touch few shards
-// and migration moves whole prefix ranges, but contiguous key hotspots
-// land on one shard until migration spreads them.
-type Contiguous struct{}
-
-// Name implements Partitioner.
-func (Contiguous) Name() string { return "contiguous" }
-
-// Assign implements Partitioner: slot s goes to shard s*shards/slots.
-func (Contiguous) Assign(slots, shards int) []int {
+// deal returns the initial slot -> shard table: the slots dealt to the
+// shards round-robin in an order shuffled by seed, so every shard owns
+// the same number of slots (±1) and the slots of one shard are
+// scattered across the key space. Equal seeds give equal tables.
+// Ownership afterwards is the router's live table, which migration
+// rewrites.
+func deal(seed int64, shards int) []int {
 	table := make([]int, slots)
-	for s := range table {
-		table[s] = s * shards / slots
-	}
-	return table
-}
-
-// HashedPrefix deals the slots to shards in a seeded pseudo-random
-// order: every shard owns the same number of slots (±1) but the slots
-// of one shard are scattered across the key space, so contiguous key
-// hotspots spread over all shards by construction — the skew-resistant
-// default, at the price of full fan-out for wide Subtree scans.
-type HashedPrefix struct {
-	// Seed fixes the shuffle; equal seeds give equal assignments.
-	Seed int64
-}
-
-// Name implements Partitioner.
-func (h HashedPrefix) Name() string { return "hashed-prefix" }
-
-// Assign implements Partitioner.
-func (h HashedPrefix) Assign(slots, shards int) []int {
-	table := make([]int, slots)
-	perm := rand.New(rand.NewSource(h.Seed ^ 0x5a17)).Perm(slots)
-	for i, s := range perm {
+	for i, s := range rand.New(rand.NewSource(seed ^ 0x5a17)).Perm(slots) {
 		table[s] = i % shards
 	}
 	return table
 }
 
-// slotKey returns the RouteBits-bit key whose PrefixIndex is slot —
+// slotKey returns the routeBits-bit key whose PrefixIndex is slot —
 // the prefix identifying the slot's key range (every key in the slot
 // extends it, except the replicated shorter keys).
-func slotKey(slot, routeBits int) bitstr.String {
+func slotKey(slot int) bitstr.String {
 	return bitstr.FromUint64(uint64(slot), routeBits)
 }
 
 // slotRange returns the half-open slot interval that keys extending
 // prefix can land in: a single slot when the prefix is at least
-// RouteBits long, the whole subrange below the prefix otherwise.
-func slotRange(prefix bitstr.String, routeBits int) (lo, hi int) {
+// routeBits long, the whole subrange below the prefix otherwise.
+func slotRange(prefix bitstr.String) (lo, hi int) {
 	lo = prefix.PrefixIndex(routeBits)
 	if prefix.Len() >= routeBits {
 		return lo, lo + 1
 	}
 	return lo, lo + 1<<uint(routeBits-prefix.Len())
-}
-
-func validShards(table []int, shards int) error {
-	for s, sid := range table {
-		if sid < 0 || sid >= shards {
-			return fmt.Errorf("shard: partitioner assigned slot %d to shard %d (have %d shards)", s, sid, shards)
-		}
-	}
-	return nil
 }

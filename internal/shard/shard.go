@@ -7,14 +7,15 @@
 // by side, which is the unlock for serving traffic far beyond one PIM
 // system's capacity.
 //
-// Partitioning. Keys are routed by their first RouteBits bits: the key
-// space splits into 2^RouteBits contiguous "slots" (lexicographic
-// prefix ranges) and a live routing table maps slots to shards. The
-// pluggable Partitioner picks the initial table — Contiguous for
-// range partitioning, HashedPrefix for scattered skew-resistant
-// placement. Keys shorter than RouteBits bits are replicated to every
-// shard owning a slot that extends them, so LCP and prefix scans stay
-// single-scatter correct; folds drop the replicas.
+// Partitioning. Keys are routed by their first 8 bits (routeBits): the
+// key space splits into 256 contiguous "slots" (lexicographic prefix
+// ranges) and a live routing table maps slots to shards. The initial
+// table deals the slots to shards in a pseudo-random order seeded by
+// Index.Seed, so every shard owns the same number of slots (±1) and
+// contiguous key hotspots spread over all shards. Keys shorter than 8
+// bits are replicated to every shard owning a slot that extends them,
+// so LCP and prefix scans stay single-scatter correct; folds drop the
+// replicas.
 //
 // Scatter. Every op splits its batch with one scatter. The shard set
 // of key k is the shards owning a slot of k's range, with the owner of
@@ -31,18 +32,21 @@
 // shard server answers its queue as if in arrival order, so on every
 // shard an op submitted before a migration is answered before the
 // migration's export, insert and delete touch anything. The router
-// runs no goroutine per request: one executor per shard, plus the
-// migration loop when it is enabled.
+// runs one executor goroutine per shard and none per request.
 //
-// Skew. True to the paper's theme, the router watches per-shard load —
-// the serving layer's per-prefix executed-key counters
-// (serve.Options.PrefixLoadBits) aggregated per shard and scored with
-// metrics.Imbalance — and when the max/mean imbalance crosses a
-// threshold it migrates hot slots to cool shards: the slot's pairs are
-// exported with a Subtree scan on the old owner, replayed with one
-// Insert batch on the new owner, and the routing table flips while
-// the migration holds the router's lock exclusively, so no request
-// observes a half-moved range.
+// Skew. The router counts its own load: scatter adds every key copy it
+// sends to a (shard, slot) counter, and a snapshot read adds its keys
+// once it commits to their answers. Rebalance diffs those counters
+// against its previous call, scores the per-shard sums with
+// metrics.Imbalance, and when max/mean crosses a threshold migrates hot
+// slots to cool shards: the slot's pairs are exported with a Subtree
+// scan on the old owner, replayed with one Insert batch on the new
+// owner, and the routing table flips while the migration holds the
+// router's lock exclusively, so no request observes a half-moved
+// range. A migration talks to the shard servers directly, never
+// through scatter, so its own traffic never reaches the load counters.
+// The router starts no policy goroutine: the caller decides when
+// Rebalance runs, typically on a ticker.
 package shard
 
 import (
@@ -51,7 +55,6 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/pimlab/pimtrie"
 	"github.com/pimlab/pimtrie/internal/bitstr"
@@ -65,63 +68,22 @@ type (
 	KV  = pimtrie.KV
 )
 
-// Migration configures the hot-range migration loop.
-type Migration struct {
-	// Enabled starts the background load-watcher goroutine.
-	Enabled bool
-	// Interval between load samples (default 100ms).
-	Interval time.Duration
-	// Threshold is the max/mean per-shard load imbalance that triggers
-	// migration (default 1.3; metrics.Imbalance semantics, 1.0 = even).
-	Threshold float64
-	// MaxMoves bounds slots migrated per cycle (default 8).
-	MaxMoves int
-	// MinKeys is the minimum executed keys per interval before the
-	// sample is trusted (default 256) — idle systems never migrate.
-	MinKeys uint64
-}
-
-func (m Migration) withDefaults() Migration {
-	if m.Interval <= 0 {
-		m.Interval = 100 * time.Millisecond
-	}
-	if m.Threshold <= 1 {
-		m.Threshold = 1.3
-	}
-	if m.MaxMoves <= 0 {
-		m.MaxMoves = 8
-	}
-	if m.MinKeys == 0 {
-		m.MinKeys = 256
-	}
-	return m
-}
-
 // Config configures a Router. Zero values select the noted defaults.
 type Config struct {
 	// Shards is the number of independent Index+Server shards (>= 1).
 	Shards int
-	// RouteBits sets the routing granularity: 2^RouteBits slots
-	// (default 8, clamped to [1, 14]). More bits mean finer migration
-	// units and larger routing tables.
-	RouteBits int
-	// Partitioner picks the initial slot assignment (default
-	// HashedPrefix{} seeded from Index.Seed).
-	Partitioner Partitioner
 	// Modules is the number of PIM modules per shard (default 32).
 	Modules int
-	// Index configures every shard's index; Seed is offset per shard so
-	// placement decisions stay independent.
+	// Index configures every shard's index; Seed also seeds the initial
+	// slot deal, and is offset per shard so placement decisions stay
+	// independent.
 	Index pimtrie.Options
-	// Serve configures every shard's server. PrefixLoadBits is forced
-	// to RouteBits (the migration policy needs slot-granular load) and
-	// MetricLabels to shard="i".
+	// Serve configures every shard's server; MetricLabels gains
+	// shard="i".
 	Serve serve.Options
 	// Metrics, when non-nil, registers router instruments and per-shard
 	// serving instruments (labelled shard="i") in the given registry.
 	Metrics *metrics.Registry
-	// Migration configures the hot-range migration loop.
-	Migration Migration
 }
 
 // Router owns N shards and routes batched operations across them; see
@@ -129,11 +91,8 @@ type Config struct {
 // methods are safe for concurrent use; futures may be waited from any
 // goroutine, any number of times.
 type Router struct {
-	cfg       Config
-	routeBits int
-	slots     int
-	shards    []*serve.Server
-	met       *routerMetrics
+	shards []*serve.Server
+	met    *routerMetrics
 
 	// mu orders ops against migrations. An op holds it shared while it
 	// reads the table and queues its sub-calls on the shard servers,
@@ -155,24 +114,18 @@ type Router struct {
 	snapKeys      atomic.Uint64 // keys served via shard-local snapshot reads
 	snapFallbacks atomic.Uint64 // ReadSnapshot keys sent to the strong path
 
-	// migMu serializes migration cycles and guards the load snapshots.
+	// load counts the key copies routed to each (shard, slot), at
+	// load[shard*slots+slot]: scatter adds every copy it sends, a
+	// snapshot read its keys once it commits.
+	load []atomic.Uint64
+
+	// migMu serializes Rebalance calls and guards their sample.
 	migMu     sync.Mutex
-	prevLoad  [][]uint64
-	loadBuf   [][]uint64
+	prevLoad  []uint64 // load at the previous Rebalance; nil until primed
 	lastImbal float64
-	// skipNext marks the next load window as polluted: a migration's
-	// own replay traffic (export scan, insert, delete) runs through the
-	// shard servers and is counted by PrefixLoad, so the window that
-	// contains it shows the destination shard spuriously hot. Acting on
-	// that window ping-pongs slots; instead it only advances the
-	// cumulative sample base.
-	skipNext bool
 
 	migration atomic.Uint64
 	movedKeys atomic.Uint64
-
-	stop     chan struct{}
-	loopDone chan struct{}
 }
 
 // New builds the shards and starts the router. It panics on an invalid
@@ -181,41 +134,19 @@ func New(cfg Config) *Router {
 	if cfg.Shards < 1 {
 		panic(fmt.Sprintf("shard: New requires at least one shard, got %d", cfg.Shards))
 	}
-	if cfg.RouteBits == 0 {
-		cfg.RouteBits = 8
-	}
-	if cfg.RouteBits < 1 || cfg.RouteBits > 14 {
-		panic(fmt.Sprintf("shard: RouteBits %d outside [1, 14]", cfg.RouteBits))
-	}
 	if cfg.Modules <= 0 {
 		cfg.Modules = 32
 	}
-	if cfg.Partitioner == nil {
-		cfg.Partitioner = HashedPrefix{Seed: cfg.Index.Seed}
-	}
-	cfg.Migration = cfg.Migration.withDefaults()
-	slots := 1 << uint(cfg.RouteBits)
-	table := cfg.Partitioner.Assign(slots, cfg.Shards)
-	if len(table) != slots {
-		panic(fmt.Sprintf("shard: partitioner %s returned %d slots, want %d", cfg.Partitioner.Name(), len(table), slots))
-	}
-	if err := validShards(table, cfg.Shards); err != nil {
-		panic(err.Error())
-	}
+	table := deal(cfg.Index.Seed, cfg.Shards)
 	r := &Router{
-		cfg:       cfg,
-		routeBits: cfg.RouteBits,
-		slots:     slots,
-		table:     table,
-		stop:      make(chan struct{}),
-		loopDone:  make(chan struct{}),
+		table: table,
+		load:  make([]atomic.Uint64, cfg.Shards*slots),
 	}
 	r.tableP.Store(&table)
 	for i := 0; i < cfg.Shards; i++ {
 		iopts := cfg.Index
 		iopts.Seed = iopts.Seed*int64(cfg.Shards) + int64(i) + 1
 		sopts := cfg.Serve
-		sopts.PrefixLoadBits = cfg.RouteBits
 		sopts.Metrics = cfg.Metrics
 		if cfg.Metrics != nil {
 			sopts.MetricLabels = append(append([]metrics.Label(nil), cfg.Serve.MetricLabels...),
@@ -227,16 +158,10 @@ func New(cfg Config) *Router {
 		r.met = newRouterMetrics(cfg.Metrics, cfg.Shards)
 		r.met.updateSlots(r.table, cfg.Shards)
 	}
-	if cfg.Migration.Enabled {
-		go r.migrationLoop()
-	} else {
-		close(r.loopDone)
-	}
 	return r
 }
 
-// Close stops the migration loop, drains every shard's server and
-// refuses further requests.
+// Close drains every shard's server and refuses further requests.
 func (r *Router) Close() {
 	r.mu.Lock()
 	if r.closed {
@@ -245,9 +170,7 @@ func (r *Router) Close() {
 	}
 	r.closed = true
 	r.closedA.Store(true)
-	close(r.stop)
 	r.mu.Unlock()
-	<-r.loopDone
 	// Every op submitted before closed was set has queued its sub-calls,
 	// and closing a server answers its whole queue.
 	for _, sh := range r.shards {
@@ -258,8 +181,8 @@ func (r *Router) Close() {
 // Shards returns the shard count.
 func (r *Router) Shards() int { return len(r.shards) }
 
-// Slots returns the routing-table size (2^RouteBits).
-func (r *Router) Slots() int { return r.slots }
+// Slots returns the routing-table size (256).
+func (r *Router) Slots() int { return slots }
 
 // Table returns a copy of the live slot -> shard routing table.
 func (r *Router) Table() []int {
@@ -278,8 +201,8 @@ type Stats struct {
 	// Migrations counts completed slot migrations; MovedKeys the pairs
 	// they replayed.
 	Migrations, MovedKeys uint64
-	// LastImbalance is the max/mean per-shard load of the most recent
-	// migration-policy sample (0 until the first sample).
+	// LastImbalance is the max/mean per-shard load of the window the
+	// most recent Rebalance scored (0 until the second call).
 	LastImbalance float64
 	// SnapshotReads counts keys served wait-free from shard snapshots;
 	// SnapshotFallbacks counts ReadSnapshot keys rerouted to the strong
@@ -292,7 +215,7 @@ func (r *Router) Stats() Stats {
 	r.mu.RLock()
 	st := Stats{
 		Shards:       len(r.shards),
-		Slots:        r.slots,
+		Slots:        slots,
 		SlotsByShard: make([]int, len(r.shards)),
 		KeysByShard:  make([]int, len(r.shards)),
 	}
@@ -349,7 +272,8 @@ type plan struct {
 }
 
 // scatter splits an op's keys (and values, for Insert) over the shards
-// by the live table; the caller holds r.mu. The shard set of key k is
+// by the live table and counts every copy it sends in r.load at the
+// key's first slot; the caller holds r.mu. The shard set of key k is
 // the shards owning a slot of slotRange(k), the primary table[lo]
 // first, each once. Insert, Delete and Subtree send k to its whole
 // set: a write must reach every replica, and a scan every shard the
@@ -361,7 +285,8 @@ func (r *Router) scatter(op int, keys []Key, values []uint64) *plan {
 	if values != nil {
 		p.vals = make([][]uint64, n)
 	}
-	send := func(s, i int) {
+	send := func(s, i, lo int) {
+		r.load[s*slots+lo].Add(1)
 		p.refs = append(p.refs, keyRef{shard: int32(s), pos: int32(len(p.keys[s]))})
 		p.keys[s] = append(p.keys[s], keys[i])
 		if values != nil {
@@ -370,14 +295,14 @@ func (r *Router) scatter(op int, keys []Key, values []uint64) *plan {
 	}
 	var sentTo []int // sentTo[s] == i+1 once key i went to shard s
 	for i, k := range keys {
-		lo, hi := slotRange(k, r.routeBits)
+		lo, hi := slotRange(k)
 		switch {
 		case op == opLCP:
 			for s := range n {
-				send(s, i)
+				send(s, i, lo)
 			}
 		case op == opGet || hi == lo+1:
-			send(r.table[lo], i)
+			send(r.table[lo], i, lo)
 		default:
 			if sentTo == nil {
 				sentTo = make([]int, n)
@@ -385,7 +310,7 @@ func (r *Router) scatter(op int, keys []Key, values []uint64) *plan {
 			for slot := lo; slot < hi; slot++ {
 				if s := r.table[slot]; sentTo[s] != i+1 {
 					sentTo[s] = i + 1
-					send(s, i)
+					send(s, i, lo)
 				}
 			}
 		}
@@ -531,8 +456,8 @@ func (f *LCPFuture) Wait() ([]int, error) {
 
 // LCPAsync broadcasts a longest-common-prefix batch to every shard and
 // takes the per-query maximum. Broadcast is required for correctness,
-// not convenience: an answer longer than RouteBits comes from the
-// query's own slot, but an answer of length L < RouteBits can be
+// not convenience: an answer longer than 8 bits comes from the
+// query's own slot, but an answer of length L < 8 can be
 // witnessed by a stored key diverging from the query at bit L — a key
 // in a sibling slot that may live on any shard. Each shard's answer
 // only ranges over genuinely stored keys (replicas are copies), so
@@ -560,7 +485,7 @@ func (f *InsertFuture) Wait() error {
 }
 
 // InsertAsync scatters a mutation storing the given pairs; it panics
-// if the slices disagree in length. Keys shorter than RouteBits are
+// if the slices disagree in length. Keys shorter than 8 bits are
 // replicated to every shard covering their extensions so prefix
 // queries stay single-scatter.
 func (r *Router) InsertAsync(keys []Key, values []uint64) *InsertFuture {

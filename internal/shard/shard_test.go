@@ -1,7 +1,7 @@
 package shard_test
 
-// Oracle-equality tests: a Router over any shard count, routing
-// granularity and partitioner must answer every operation bit-identically
+// Oracle-equality tests: a Router over any shard count and slot layout
+// must answer every operation bit-identically
 // to one pimtrie.Index holding all the keys — including cross-shard
 // Subtrees merges and answers straddling forced mid-script migrations.
 
@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -40,7 +41,7 @@ func driveOracle(t *testing.T, r *shard.Router, oracle *pimtrie.Index, seed int6
 	rng := rand.New(rand.NewSource(seed + 77))
 
 	// Variable-length keys starting at 1 bit: lots of keys shorter than
-	// any RouteBits under test, exercising replication.
+	// the router's 8 routing bits, exercising replication.
 	keys := dedupeKeys(gen.VarLen(500, 1, 48))
 	vals := gen.Values(len(keys))
 
@@ -153,29 +154,41 @@ func dedupeKeys(keys []bitstr.String) []bitstr.String {
 	return out
 }
 
+// layContiguous migrates the slots of an empty router into equal
+// contiguous runs on consecutive shards, the range-partitioned layout
+// the dealt table never starts from.
+func layContiguous(t *testing.T, r *shard.Router) {
+	t.Helper()
+	for slot := range r.Slots() {
+		if _, err := r.MigrateSlot(slot, slot*r.Shards()/r.Slots()); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestRouterMatchesOracle(t *testing.T) {
 	cases := []struct {
-		name   string
-		shards int
-		bits   int
-		part   shard.Partitioner
+		name       string
+		shards     int
+		seed       int64
+		contiguous bool
 	}{
-		{"1shard-contiguous", 1, 4, shard.Contiguous{}},
-		{"3shard-hashed", 3, 4, shard.HashedPrefix{Seed: 9}},
-		{"4shard-contiguous", 4, 6, shard.Contiguous{}},
-		{"8shard-hashed", 8, 5, shard.HashedPrefix{Seed: 2}},
+		{"1shard-contiguous", 1, 11, true},
+		{"3shard-hashed", 3, 9, false},
+		{"4shard-contiguous", 4, 11, true},
+		{"8shard-hashed", 8, 2, false},
 	}
 	for _, tc := range cases {
-		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			r := shard.New(shard.Config{
-				Shards:      tc.shards,
-				RouteBits:   tc.bits,
-				Partitioner: tc.part,
-				Modules:     8,
-				Index:       pimtrie.Options{Seed: 11},
+				Shards:  tc.shards,
+				Modules: 8,
+				Index:   pimtrie.Options{Seed: tc.seed},
 			})
 			defer r.Close()
+			if tc.contiguous {
+				layContiguous(t, r)
+			}
 			oracle := pimtrie.New(8, pimtrie.Options{Seed: 5})
 			driveOracle(t, r, oracle, 321, nil)
 		})
@@ -187,13 +200,11 @@ func TestRouterMatchesOracle(t *testing.T) {
 // still match the oracle, and moved ranges must not resurface on their
 // old shard.
 func TestRouterMatchesOracleAcrossMigrations(t *testing.T) {
-	const shards, bits = 4, 5
+	const shards = 4
 	r := shard.New(shard.Config{
-		Shards:      shards,
-		RouteBits:   bits,
-		Partitioner: shard.Contiguous{},
-		Modules:     8,
-		Index:       pimtrie.Options{Seed: 3},
+		Shards:  shards,
+		Modules: 8,
+		Index:   pimtrie.Options{Seed: 3},
 	})
 	defer r.Close()
 	oracle := pimtrie.New(8, pimtrie.Options{Seed: 8})
@@ -220,8 +231,7 @@ func TestRouterMatchesOracleAcrossMigrations(t *testing.T) {
 // TestRouterAsyncPipelining checks that overlapping async batches from
 // one caller resolve correctly (futures are independent).
 func TestRouterAsyncPipelining(t *testing.T) {
-	r := shard.New(shard.Config{Shards: 3, RouteBits: 4, Modules: 8,
-		Index: pimtrie.Options{Seed: 4}, Partitioner: shard.HashedPrefix{Seed: 1}})
+	r := shard.New(shard.Config{Shards: 3, Modules: 8, Index: pimtrie.Options{Seed: 1}})
 	defer r.Close()
 	gen := workload.New(7)
 	keys := dedupeKeys(gen.VarLen(300, 2, 40))
@@ -249,7 +259,7 @@ func TestRouterAsyncPipelining(t *testing.T) {
 
 // TestRouterClosed: operations after Close fail cleanly.
 func TestRouterClosed(t *testing.T) {
-	r := shard.New(shard.Config{Shards: 2, RouteBits: 3, Modules: 4, Index: pimtrie.Options{Seed: 1}})
+	r := shard.New(shard.Config{Shards: 2, Modules: 4, Index: pimtrie.Options{Seed: 1}})
 	r.Close()
 	r.Close() // idempotent
 	if _, _, err := r.Get([]shard.Key{pimtrie.KeyFromBits("0101")}); err == nil {
@@ -265,14 +275,13 @@ func TestRouterClosed(t *testing.T) {
 // value, so that it survives a migration that makes a replica the
 // primary copy.
 func TestRouterReplicaDedupeManyShards(t *testing.T) {
-	r := shard.New(shard.Config{Shards: 65, RouteBits: 7, Partitioner: shard.Contiguous{},
-		Modules: 2, Index: pimtrie.Options{Seed: 3}})
+	r := shard.New(shard.Config{Shards: 65, Modules: 2, Index: pimtrie.Options{Seed: 3}})
 	defer r.Close()
 	k := pimtrie.KeyFromBits("0")
 	if err := r.Insert([]shard.Key{k, k}, []uint64{1, 2}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.MigrateSlot(0, 1); err != nil {
+	if _, err := r.MigrateSlot(0, (r.Table()[0]+1)%r.Shards()); err != nil {
 		t.Fatal(err)
 	}
 	if v, found, err := r.Get([]shard.Key{k}); err != nil || !found[0] || v[0] != 2 {
@@ -307,68 +316,72 @@ func settleGoroutines(want int) int {
 }
 
 // TestRouterAddsOneGoroutinePerShard asserts a router runs one
-// goroutine per shard (each shard server's executor), plus the
-// migration loop when it is enabled, and none per request: 256
-// pipelined Gets leave the count where it was. Close stops them all.
-// At GOMAXPROCS 1 the shards' PIM simulators run module programs
-// inline and start no workers.
+// goroutine per shard (each shard server's executor) and none per
+// request or for its migration policy: 256 pipelined Gets and a
+// Rebalance leave the count where it was. Close stops them all. At
+// GOMAXPROCS 1 the shards' PIM simulators run module programs inline
+// and start no workers.
 func TestRouterAddsOneGoroutinePerShard(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const shards, pipelined = 3, 256
 	gen := workload.New(5)
 	keys := dedupeKeys(gen.FixedLen(pipelined, 24))
 	vals := gen.Values(len(keys))
-	for _, loop := range []bool{false, true} {
-		base := settleGoroutines(-1)
-		want := base + shards
-		if loop {
-			want++
+	base := settleGoroutines(-1)
+	want := base + shards
+	r := shard.New(shard.Config{Shards: shards, Modules: 4, Index: pimtrie.Options{Seed: 8}})
+	if err := r.Insert(keys, vals); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Rebalance(); err != nil {
+		t.Fatal(err)
+	}
+	if got := settleGoroutines(want); got != want {
+		t.Fatalf("running router has %d goroutines, want %d", got, want)
+	}
+	futs := make([]*shard.GetFuture, len(keys))
+	for i, k := range keys {
+		futs[i] = r.GetAsync(k)
+	}
+	if got := runtime.NumGoroutine(); got > want {
+		t.Fatalf("%d goroutines with %d Gets in flight, want %d", got, len(futs), want)
+	}
+	for i, f := range futs {
+		if v, found, err := f.Wait(); err != nil || !found[0] || v[0] != vals[i] {
+			t.Fatalf("Get %d = (%v, %v, %v), want %d", i, v, found, err, vals[i])
 		}
-		r := shard.New(shard.Config{Shards: shards, RouteBits: 4, Modules: 4,
-			Index: pimtrie.Options{Seed: 8}, Migration: shard.Migration{Enabled: loop, Interval: time.Hour}})
-		if err := r.Insert(keys, vals); err != nil {
-			t.Fatal(err)
-		}
-		if got := settleGoroutines(want); got != want {
-			t.Fatalf("migration loop %v: running router has %d goroutines, want %d", loop, got, want)
-		}
-		futs := make([]*shard.GetFuture, len(keys))
-		for i, k := range keys {
-			futs[i] = r.GetAsync(k)
-		}
-		if got := runtime.NumGoroutine(); got > want {
-			t.Fatalf("migration loop %v: %d goroutines with %d Gets in flight, want %d", loop, got, len(futs), want)
-		}
-		for i, f := range futs {
-			if v, found, err := f.Wait(); err != nil || !found[0] || v[0] != vals[i] {
-				t.Fatalf("Get %d = (%v, %v, %v), want %d", i, v, found, err, vals[i])
-			}
-		}
-		r.Close()
-		if got := settleGoroutines(base); got != base {
-			t.Fatalf("migration loop %v: %d goroutines after Close, want %d", loop, got, base)
-		}
+	}
+	r.Close()
+	if got := settleGoroutines(base); got != base {
+		t.Fatalf("%d goroutines after Close, want %d", got, base)
 	}
 }
 
-func TestPartitionersCoverSlots(t *testing.T) {
-	for _, p := range []shard.Partitioner{shard.Contiguous{}, shard.HashedPrefix{Seed: 4}} {
+// TestDealBalancesSlots pins the initial slot deal: every shard owns
+// the same number of slots (±1), and the table is the one earlier
+// releases dealt for the same Index.Seed — a seeded shuffle of the 256
+// slots dealt round-robin.
+func TestDealBalancesSlots(t *testing.T) {
+	for _, seed := range []int64{1, 6} {
 		for _, shards := range []int{1, 2, 3, 5, 8} {
-			table := p.Assign(64, shards)
-			if len(table) != 64 {
-				t.Fatalf("%s: %d slots", p.Name(), len(table))
+			r := shard.New(shard.Config{Shards: shards, Modules: 2, Index: pimtrie.Options{Seed: seed}})
+			table := r.Table()
+			r.Close()
+
+			want := make([]int, 256)
+			for i, s := range rand.New(rand.NewSource(seed ^ 0x5a17)).Perm(256) {
+				want[s] = i % shards
+			}
+			if !slices.Equal(table, want) {
+				t.Errorf("seed %d shards=%d: table differs from the seeded deal", seed, shards)
 			}
 			counts := make([]int, shards)
 			for _, sid := range table {
 				counts[sid]++
 			}
 			for sid, n := range counts {
-				if n == 0 && shards <= 64 {
-					t.Errorf("%s shards=%d: shard %d owns no slots", p.Name(), shards, sid)
-				}
-				if min, max := 64/shards, (64+shards-1)/shards; n < min || n > max+1 {
-					t.Errorf("%s shards=%d: shard %d owns %d slots, want ≈%d",
-						p.Name(), shards, sid, n, 64/shards)
+				if lo := 256 / shards; n < lo || n > lo+1 {
+					t.Errorf("seed %d shards=%d: shard %d owns %d slots, want %d or %d", seed, shards, sid, n, lo, lo+1)
 				}
 			}
 		}

@@ -51,18 +51,22 @@ func (r *Router) GetAsyncWith(c Consistency, keys ...Key) *GetFuture {
 
 // snapshotGet serves one Get batch entirely from the shards' published
 // snapshots, or returns nil to route the call through the strong path
-// (all-or-nothing: one consistency decision per call). Wait-free end to
-// end — no locks, no goroutines, no channels.
+// (all-or-nothing: one consistency decision per call). The shard probes
+// count nothing; the router counts the call, its fallback or its keys'
+// load, only once it decides. Wait-free end to end — no locks, no
+// goroutines, no channels.
 func (r *Router) snapshotGet(keys []Key) *GetFuture {
 	tp := r.tableP.Load()
 	table := *tp
 	subKeys := make([][]Key, len(r.shards))
 	subIdx := make([][]int, len(r.shards))
+	cells := make([]int, len(keys)) // each key's r.load counter
 	for i, k := range keys {
-		lo, _ := slotRange(k, r.routeBits)
+		lo, _ := slotRange(k)
 		sid := table[lo]
 		subKeys[sid] = append(subKeys[sid], k)
 		subIdx[sid] = append(subIdx[sid], i)
+		cells[i] = sid*slots + lo
 	}
 	vals := make([]uint64, len(keys))
 	found := make([]bool, len(keys))
@@ -75,10 +79,7 @@ func (r *Router) snapshotGet(keys []Key) *GetFuture {
 		if !r.shards[sid].SnapshotGet(sk, sv, sf) {
 			// Some key on this shard needs the epoch path; keep the call
 			// whole rather than splitting consistency across shards.
-			r.snapFallbacks.Add(uint64(len(keys)))
-			if r.met != nil {
-				r.met.snapFallbacks.Add(uint64(len(keys)))
-			}
+			r.noteSnapshotFallback(len(keys))
 			return nil
 		}
 		for j, i := range subIdx[sid] {
@@ -88,11 +89,11 @@ func (r *Router) snapshotGet(keys []Key) *GetFuture {
 	if r.tableP.Load() != tp {
 		// A migration completed while we probed: some answer may have
 		// come from a source shard's post-delete snapshot. Retry strong.
-		r.snapFallbacks.Add(uint64(len(keys)))
-		if r.met != nil {
-			r.met.snapFallbacks.Add(uint64(len(keys)))
-		}
+		r.noteSnapshotFallback(len(keys))
 		return nil
+	}
+	for _, c := range cells {
+		r.load[c].Add(1)
 	}
 	r.snapKeys.Add(uint64(len(keys)))
 	if r.met != nil {
@@ -100,4 +101,11 @@ func (r *Router) snapshotGet(keys []Key) *GetFuture {
 		r.met.snapReads.Add(uint64(len(keys)))
 	}
 	return &GetFuture{vals: vals, found: found}
+}
+
+func (r *Router) noteSnapshotFallback(keys int) {
+	r.snapFallbacks.Add(uint64(keys))
+	if r.met != nil {
+		r.met.snapFallbacks.Add(uint64(keys))
+	}
 }
