@@ -442,9 +442,6 @@ func (s String) Reverse() String {
 	return FromBits(b)
 }
 
-// CommonPrefix returns the longest common prefix of s and t as a string.
-func CommonPrefix(s, t String) String { return s.Prefix(LCP(s, t)) }
-
 // Sort sorts a slice of bit strings in Compare order using a most
 // significant digit radix sort on 64-bit chunks, falling back to
 // insertion sort for tiny buckets. ArgSort shares the same core for

@@ -353,13 +353,6 @@ func TestSortLongSharedPrefixes(t *testing.T) {
 	}
 }
 
-func TestCommonPrefix(t *testing.T) {
-	a, b := MustParse("101001"), MustParse("101011")
-	if got := CommonPrefix(a, b).String(); got != "1010" {
-		t.Errorf("CommonPrefix = %q, want 1010", got)
-	}
-}
-
 func TestImmutability(t *testing.T) {
 	s := MustParse("0101")
 	_ = s.Concat(MustParse("1111"))

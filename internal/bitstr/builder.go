@@ -120,9 +120,6 @@ func (b *Builder) Truncate(n int) {
 	clearTail(b.words, n)
 }
 
-// Reset empties the builder, retaining capacity.
-func (b *Builder) Reset() { b.Truncate(0) }
-
 // String snapshots the accumulated bits as an immutable String. The
 // builder remains usable; the snapshot shares no state with it.
 func (b *Builder) String() String {

@@ -58,9 +58,6 @@ type Config struct {
 	// block matching. Zero selects 4·BlockWords (the paper's log⁴P scaled
 	// to our flattened descent).
 	PullThreshold int
-	// MasterChunkWords bounds, in words, the query-trie edges and so the
-	// chunks of the master round. Zero selects 64.
-	MasterChunkWords int
 	// HashSeed seeds the hash function; HashWidth ≤ 61 selects the output
 	// width in bits (narrow widths force collisions; tests only).
 	HashSeed  uint64
@@ -73,6 +70,10 @@ type Config struct {
 	// pim.FaultPlan.
 	Recoverable bool
 }
+
+// masterChunkWords bounds, in words, the query-trie edges and so the
+// chunks of the master round.
+const masterChunkWords = 64
 
 func (c Config) withDefaults(p int) Config {
 	lg := bits.Len(uint(p))
@@ -90,9 +91,6 @@ func (c Config) withDefaults(p int) Config {
 	}
 	if c.PullThreshold == 0 {
 		c.PullThreshold = 4 * c.BlockWords
-	}
-	if c.MasterChunkWords == 0 {
-		c.MasterChunkWords = 64
 	}
 	if c.MaxRedo == 0 {
 		c.MaxRedo = 20

@@ -1,10 +1,10 @@
 package core
 
 // Determinism regression test for the wall-clock fast path: the PIM
-// Model metrics and every query result must be bit-identical no matter
-// how many host workers or module executors run. Parallelism is an
-// implementation detail of the simulator; the model's costs are defined
-// by the round structure alone.
+// Model metrics and every query result must be bit-identical whatever
+// the one worker cap (host workers and module executors) is.
+// Parallelism is an implementation detail of the simulator; the model's
+// costs are defined by the round structure alone.
 
 import (
 	"math/rand"
@@ -32,9 +32,9 @@ type suiteResult struct {
 }
 
 // runOpSuite drives Build, LCP, Insert, Get, Delete, SubtreeQueryBatch
-// and a final LCP with both the module-executor fan-out and the
-// host-side worker count fixed to par. Extra system options (e.g. a
-// fault plan) apply on top of the fixed seed.
+// and a final LCP with the one worker cap (host phases and module
+// programs) fixed to par. Extra system options (e.g. a fault plan)
+// apply on top of the fixed seed.
 func runOpSuite(par int, sysOpts ...pim.Option) (suiteResult, Health) {
 	return runOpSuiteCfg(par, Config{HashSeed: 1}, sysOpts...)
 }
@@ -55,7 +55,7 @@ func runOpSuiteCfg(par int, cfg Config, sysOpts ...pim.Option) (suiteResult, Hea
 	fresh := g.FixedLen(batch, 96)
 	freshVals := g.Values(len(fresh))
 
-	opts := append([]pim.Option{pim.WithSeed(1), pim.WithMaxParallelism(par)}, sysOpts...)
+	opts := append([]pim.Option{pim.WithSeed(1)}, sysOpts...)
 	sys := pim.NewSystem(p, opts...)
 	defer sys.Close()
 	pt := New(sys, cfg)
@@ -177,7 +177,7 @@ func runSizeSequence(t *testing.T, par int, cfg Config, gen func(*workload.Gen) 
 	g := workload.New(7)
 	keys := gen(g)
 	values := g.Values(len(keys))
-	sys := pim.NewSystem(16, pim.WithSeed(3), pim.WithMaxParallelism(par))
+	sys := pim.NewSystem(16, pim.WithSeed(3))
 	defer sys.Close()
 	pt := New(sys, cfg)
 	pt.Build(keys, values)

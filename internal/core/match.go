@@ -405,7 +405,7 @@ type prep struct {
 func (t *PIMTrie) prepare(batch []bitstr.String) *prep {
 	qt := querytrie.Build(batch)
 	// Bound edge sizes so chunks and pieces stay shippable.
-	qt.Trie.SplitLongEdges(t.cfg.MasterChunkWords * bitstr.WordBits)
+	qt.Trie.SplitLongEdges(masterChunkWords * bitstr.WordBits)
 	t.sys.CPUWork(qt.SizeWords())
 	p := &t.prepScratch
 	p.qt = qt
@@ -825,7 +825,7 @@ func (t *PIMTrie) chunkEdges(p *prep, bound int) [][]segment {
 				s := segment{edge: e, off: 0, end: min(e.Label.Len(), bound-nd.Depth), startVal: p.hashes[i]}
 				cur = append(cur, s)
 				words += s.words()
-				if words >= t.cfg.MasterChunkWords {
+				if words >= masterChunkWords {
 					arena[n] = cur
 					n++
 					cur, words = grab(), 0

@@ -343,12 +343,13 @@ func TestSuffixWindow(t *testing.T) {
 // round still runs as one (empty) round.
 func TestChunkEdgesClampToMasterBound(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
-	pt, _ := newTestTrie(2, Config{MasterChunkWords: 16})
+	pt, _ := newTestTrie(2, Config{})
 	batch := make([]bitstr.String, 200)
 	for i := range batch {
 		batch[i] = randomKey(r, 200)
 	}
 	p := prepFor(pt, batch)
+	maxChunks := 0
 	for _, bound := range []int{0, 1, 5, 14, 64, 130, 1000} {
 		// The positions at depth ≤ bound, edge by edge.
 		want := map[*trie.Edge]int{}
@@ -364,6 +365,7 @@ func TestChunkEdgesClampToMasterBound(t *testing.T) {
 		seen := map[*trie.Edge]bool{}
 		bits := 0
 		chunks := pt.chunkEdges(p, bound)
+		maxChunks = max(maxChunks, len(chunks))
 		for _, ch := range chunks {
 			if len(ch) == 0 {
 				t.Fatalf("bound %d: empty chunk", bound)
@@ -384,8 +386,8 @@ func TestChunkEdgesClampToMasterBound(t *testing.T) {
 				}
 			}
 			// Chunks respect the bound up to one oversized tail edge.
-			if w > 2*pt.cfg.MasterChunkWords+4 {
-				t.Fatalf("chunk of %d words (bound %d)", w, pt.cfg.MasterChunkWords)
+			if w > 2*masterChunkWords+4 {
+				t.Fatalf("chunk of %d words (bound %d)", w, masterChunkWords)
 			}
 		}
 		if len(seen) != len(want) || bits != wantBits {
@@ -394,6 +396,10 @@ func TestChunkEdgesClampToMasterBound(t *testing.T) {
 		if bound >= 1000 && bits != p.qt.Trie.EdgeBits() {
 			t.Fatalf("a bound past every key covers %d of %d bits", bits, p.qt.Trie.EdgeBits())
 		}
+	}
+	// Some bound must split the batch, or the chunk bound went unchecked.
+	if maxChunks < 2 {
+		t.Fatalf("no bound yields more than one chunk (max %d)", maxChunks)
 	}
 	// The fresh index holds only the root region: its master bound is 0.
 	if pt.masterBound() != 0 || len(pt.chunkEdges(p, pt.masterBound())) != 0 {

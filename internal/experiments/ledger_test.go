@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"os"
-	"runtime"
 	"testing"
 
 	"github.com/pimlab/pimtrie/internal/parallel"
@@ -20,8 +19,8 @@ var ledgerScale = Scale{P: 16, N: 2000, Batch: 256, Seed: 1}
 
 // TestLedgerSmall pins every experiment's model numbers: the JSON of
 // every table at a small scale must match the checked-in ledger byte for
-// byte, with the host fan-out and the module executor at parallelism 1
-// (everything inline) and at parallelism 4 (the pooled executor).
+// byte, with the one worker cap at 1 (everything inline) and at 4 (the
+// pooled module executor).
 func TestLedgerSmall(t *testing.T) {
 	want, err := os.ReadFile(ledgerPath)
 	if err != nil {
@@ -29,7 +28,6 @@ func TestLedgerSmall(t *testing.T) {
 	}
 	for _, par := range []int{1, 4} {
 		t.Run(fmt.Sprintf("par=%d", par), func(t *testing.T) {
-			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(par))
 			defer parallel.SetMaxProcs(parallel.SetMaxProcs(par))
 			var got bytes.Buffer
 			if err := WriteResultsJSON(&got, All(ledgerScale)); err != nil {

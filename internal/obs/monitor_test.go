@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/pimlab/pimtrie/internal/metrics"
+	"github.com/pimlab/pimtrie/internal/parallel"
 	"github.com/pimlab/pimtrie/internal/pim"
 )
 
@@ -34,7 +35,8 @@ func driveRounds(sys *pim.System) pim.Metrics {
 }
 
 func TestMonitorMatchesSystemMetrics(t *testing.T) {
-	sys := pim.NewSystem(4, pim.WithSeed(1), pim.WithMaxParallelism(1))
+	defer parallel.SetMaxProcs(parallel.SetMaxProcs(1))
+	sys := pim.NewSystem(4, pim.WithSeed(1))
 	reg := metrics.NewRegistry()
 	mon := NewMonitor(reg, sys.P())
 	sys.SetRecorder(mon)
@@ -92,7 +94,8 @@ func TestMonitorMatchesSystemMetrics(t *testing.T) {
 // for instrumentation — this is the same contract sys.Phase documents,
 // checked here from the monitor's side (attach, detach, keep running).
 func TestMonitorDetach(t *testing.T) {
-	sys := pim.NewSystem(4, pim.WithSeed(1), pim.WithMaxParallelism(1))
+	defer parallel.SetMaxProcs(parallel.SetMaxProcs(1))
+	sys := pim.NewSystem(4, pim.WithSeed(1))
 	reg := metrics.NewRegistry()
 	mon := NewMonitor(reg, sys.P())
 	sys.SetRecorder(mon)

@@ -122,7 +122,10 @@ func TestSpanSumsMatchSystemTotals(t *testing.T) {
 		t.Fatalf("trace recorded no cost: %+v", d.Total)
 	}
 
-	paths := d.DistinctPaths()
+	var paths []string // one entry per distinct span path
+	for _, st := range d.PhaseStats() {
+		paths = append(paths, st.Path)
+	}
 	want := []string{"init", "build", "lcp", "insert", "delete", "subtree"}
 	for _, w := range want {
 		found := false

@@ -84,17 +84,3 @@ func (tr *Trace) HotModules(k int) []ModuleLoad {
 	}
 	return loads
 }
-
-// DistinctPaths returns the set of span paths present, sorted.
-func (tr *Trace) DistinctPaths() []string {
-	seen := map[string]bool{}
-	var out []string
-	for i := range tr.Spans {
-		if p := tr.Spans[i].Path; !seen[p] {
-			seen[p] = true
-			out = append(out, p)
-		}
-	}
-	sort.Strings(out)
-	return out
-}

@@ -1,13 +1,10 @@
 package parallel
 
 import (
-	"math/rand"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"testing/quick"
 )
 
 func TestForCoversAllIndices(t *testing.T) {
@@ -87,200 +84,10 @@ func TestDefaultFollowsGOMAXPROCS(t *testing.T) {
 	}
 }
 
-func TestMap(t *testing.T) {
-	in := make([]int, 3000)
-	for i := range in {
-		in[i] = i
-	}
-	out := Map(in, func(x int) int { return x * x })
-	for i, v := range out {
-		if v != i*i {
-			t.Fatalf("out[%d] = %d", i, v)
-		}
-	}
-}
-
-func TestReduceMatchesSequential(t *testing.T) {
-	r := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 20; trial++ {
-		n := r.Intn(5000)
-		xs := make([]int, n)
-		want := 0
-		for i := range xs {
-			xs[i] = r.Intn(100) - 50
-			want += xs[i]
-		}
-		if got := SumInt(xs); got != want {
-			t.Fatalf("SumInt = %d, want %d", got, want)
-		}
-	}
-}
-
-func TestMaxInt(t *testing.T) {
-	if MaxInt(nil) != 0 {
-		t.Error("MaxInt(nil) != 0")
-	}
-	xs := make([]int, 4000)
-	for i := range xs {
-		xs[i] = i % 977
-	}
-	xs[3123] = 99999
-	if got := MaxInt(xs); got != 99999 {
-		t.Fatalf("MaxInt = %d", got)
-	}
-}
-
-func TestScanIntProperty(t *testing.T) {
-	f := func(raw []uint16) bool {
-		xs := make([]int, len(raw))
-		for i, v := range raw {
-			xs[i] = int(v)
-		}
-		out, total := ScanInt(xs)
-		acc := 0
-		for i, x := range xs {
-			if out[i] != acc {
-				return false
-			}
-			acc += x
-		}
-		return total == acc
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestScanLarge(t *testing.T) {
-	n := 100_000
-	xs := make([]int, n)
-	for i := range xs {
-		xs[i] = 1
-	}
-	out, total := ScanInt(xs)
-	if total != n {
-		t.Fatalf("total = %d", total)
-	}
-	for i := 0; i < n; i += 997 {
-		if out[i] != i {
-			t.Fatalf("out[%d] = %d", i, out[i])
-		}
-	}
-}
-
-func TestScanNonCommutativeOp(t *testing.T) {
-	// String concatenation is associative but not commutative; the block
-	// scan must still produce left-to-right results.
-	xs := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
-	out, total := Scan(xs, "", func(a, b string) string { return a + b })
-	want := ""
-	for i, x := range xs {
-		if out[i] != want {
-			t.Fatalf("out[%d] = %q, want %q", i, out[i], want)
-		}
-		want += x
-	}
-	if total != "abcdefgh" {
-		t.Fatalf("total = %q", total)
-	}
-}
-
-func TestFilter(t *testing.T) {
-	xs := make([]int, 10_000)
-	for i := range xs {
-		xs[i] = i
-	}
-	out := Filter(xs, func(x int) bool { return x%3 == 0 })
-	if len(out) != (len(xs)+2)/3 {
-		t.Fatalf("len = %d", len(out))
-	}
-	for i, v := range out {
-		if v != i*3 {
-			t.Fatalf("out[%d] = %d", i, v)
-		}
-	}
-}
-
-func TestFlattenInto(t *testing.T) {
-	groups := [][]int{{1, 2}, nil, {3}, {}, {4, 5, 6}}
-	got := FlattenInto(groups)
-	want := []int{1, 2, 3, 4, 5, 6}
-	if len(got) != len(want) {
-		t.Fatalf("len = %d", len(got))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got[%d] = %d", i, got[i])
-		}
-	}
-}
-
-func BenchmarkScan1M(b *testing.B) {
-	xs := make([]int, 1<<20)
-	for i := range xs {
-		xs[i] = i & 7
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ScanInt(xs)
-	}
-}
-
 func BenchmarkParallelFor1M(b *testing.B) {
 	dst := make([]int, 1<<20)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		For(len(dst), func(j int) { dst[j] = j * 2 })
-	}
-}
-
-func TestMergeSortMatchesStdlib(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 25; trial++ {
-		n := r.Intn(20000)
-		xs := make([]int, n)
-		for i := range xs {
-			xs[i] = r.Intn(1000)
-		}
-		want := append([]int(nil), xs...)
-		MergeSort(xs, func(a, b int) bool { return a < b })
-		slices.Sort(want)
-		for i := range xs {
-			if xs[i] != want[i] {
-				t.Fatalf("trial %d: mismatch at %d", trial, i)
-			}
-		}
-	}
-}
-
-func TestMergeSortStable(t *testing.T) {
-	type kv struct{ k, seq int }
-	r := rand.New(rand.NewSource(8))
-	xs := make([]kv, 30000)
-	for i := range xs {
-		xs[i] = kv{k: r.Intn(50), seq: i}
-	}
-	MergeSort(xs, func(a, b kv) bool { return a.k < b.k })
-	for i := 1; i < len(xs); i++ {
-		if xs[i-1].k == xs[i].k && xs[i-1].seq > xs[i].seq {
-			t.Fatalf("stability violated at %d", i)
-		}
-		if xs[i-1].k > xs[i].k {
-			t.Fatalf("order violated at %d", i)
-		}
-	}
-}
-
-func BenchmarkMergeSort100k(b *testing.B) {
-	r := rand.New(rand.NewSource(9))
-	base := make([]uint64, 100_000)
-	for i := range base {
-		base[i] = r.Uint64()
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cp := append([]uint64(nil), base...)
-		MergeSort(cp, func(a, b uint64) bool { return a < b })
 	}
 }

@@ -5,7 +5,7 @@
 // those failures deterministically — every draw comes from a dedicated
 // RNG derived from the system seed, and every draw happens on the host
 // at a round boundary, so a chaos run is exactly replayable and its
-// model metrics are independent of the module-program parallelism.
+// model metrics are independent of the worker cap.
 package pim
 
 import (

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"reflect"
 	"testing"
+
+	"github.com/pimlab/pimtrie/internal/parallel"
 )
 
 // allocOn allocates a one-word object on each module and returns the
@@ -166,11 +168,13 @@ func TestTruncationRetries(t *testing.T) {
 }
 
 // TestFaultDeterminism drives the same scripted rounds on two systems
-// with identical plans and on a third with different parallelism; all
+// with identical plans and on a third under a different worker cap; all
 // three must produce bit-identical metrics and fault counts.
 func TestFaultDeterminism(t *testing.T) {
+	defer parallel.SetMaxProcs(parallel.SetMaxProcs(0))
 	run := func(par int) (Metrics, [3]int64) {
-		s := NewSystem(8, WithSeed(5), WithMaxParallelism(par), WithFaults(FaultPlan{
+		parallel.SetMaxProcs(par)
+		s := NewSystem(8, WithSeed(5), WithFaults(FaultPlan{
 			Seed:         11,
 			CrashProb:    0.05,
 			StraggleProb: 0.2,

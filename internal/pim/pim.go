@@ -18,13 +18,16 @@
 //   - CPU work      — host-side accounted operations,
 //   - space         — words of module memory in use.
 //
-// Module programs run as real Go closures on a persistent pool of
-// worker goroutines (one job per busy module per round), so wall-clock
-// also benefits from module parallelism, but all reproduction claims
-// are made on the model metrics above. Model metrics are deterministic
-// for a fixed seed regardless of the parallelism level: module programs
-// are data-race-free by contract, and all accounting happens on the
-// host after the round barrier.
+// Module programs run as real Go closures. The host's worker cap,
+// parallel.MaxProcs(), also caps them: at cap 1 (or with one busy
+// module) a round runs its programs inline on the host goroutine,
+// otherwise on a persistent pool of worker goroutines (one job per busy
+// module per round), so wall-clock also benefits from module
+// parallelism, but all reproduction claims are made on the model
+// metrics above. Model metrics are deterministic for a fixed seed
+// regardless of the cap: module programs are data-race-free by
+// contract, and all accounting happens on the host after the round
+// barrier.
 package pim
 
 import (
@@ -344,23 +347,20 @@ type System struct {
 	rngMu   sync.Mutex
 	seed    int64
 	metrics Metrics
-	maxPar  int // cap on concurrently executing module programs
 
 	faults     *faultState // nil on a fault-free system
 	phaseDepth int         // open phases, for post-panic unwinding
 
-	// Persistent round executor (started lazily by Round) and pooled
-	// per-round scratch. perModule buckets task indices by module and is
-	// cleared — not reallocated — between rounds; touched lists the
-	// modules bucketed this round so clearing is O(busy), never O(P).
+	// Persistent round executor (started at the first round that runs
+	// programs concurrently) and pooled per-round scratch. perModule
+	// buckets task indices by module and is cleared — not reallocated —
+	// between rounds; touched lists the modules bucketed this round so
+	// clearing is O(busy), never O(P).
 	exec      *executor
 	closeOnce sync.Once
 	wg        sync.WaitGroup
 	perModule [][]int
 	touched   []int
-	sendBy    []int64 // per-busy-module send words, accounting scratch
-	recvBy    []int64 // per-busy-module recv words
-	wrkBy     []int64 // per-busy-module accounted work
 
 	// Pooled RoundTrace vectors, reused across rounds so an attached
 	// always-on Recorder (obs.Monitor) costs zero allocations per round.
@@ -416,25 +416,13 @@ func runModuleTasks(mod *Module, idxs []int, tasks []Task, resps []Resp) {
 	}
 }
 
-// workerCount is the effective module-program parallelism: never more
-// workers than modules, never more than the maxPar cap.
-func (s *System) workerCount() int {
-	w := s.maxPar
-	if w > s.p {
-		w = s.p
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// ensureExec starts the persistent worker pool on first use. A
-// finalizer backstops Close so systems that are simply dropped (the
-// common pattern in tests and experiment sweeps) do not leak workers.
-func (s *System) ensureExec() *executor {
+// ensureExec starts the persistent pool of min(P, workers) goroutines
+// on first use; its size is fixed from then on. A finalizer backstops
+// Close so systems that are simply dropped (the common pattern in tests
+// and experiment sweeps) do not leak workers.
+func (s *System) ensureExec(workers int) *executor {
 	if s.exec == nil {
-		s.exec = newExecutor(s.workerCount())
+		s.exec = newExecutor(min(s.p, workers))
 		runtime.SetFinalizer(s, (*System).Close)
 	}
 	return s.exec
@@ -481,33 +469,15 @@ func WithSeed(seed int64) Option {
 	}
 }
 
-// WithMaxParallelism caps how many module programs run concurrently;
-// useful to keep tests deterministic in scheduling-sensitive scenarios.
-// With n == 1 the executor runs every module program inline on the host
-// goroutine in dispatch order; model metrics are identical either way
-// (module programs are data-race-free by the Round contract, so every
-// schedule observes the same state).
-func WithMaxParallelism(n int) Option {
-	return func(s *System) {
-		if n > 0 {
-			s.maxPar = n
-		}
-	}
-}
-
-// NewSystem creates a system with p PIM modules. Module-program
-// parallelism defaults to the machine's CPU count: simulated module
-// programs are pure compute, so workers beyond GOMAXPROCS only add
-// scheduling overhead (override with WithMaxParallelism).
+// NewSystem creates a system with p PIM modules.
 func NewSystem(p int, opts ...Option) *System {
 	if p <= 0 {
 		panic("pim: need at least one module")
 	}
 	s := &System{
-		p:      p,
-		rng:    rand.New(rand.NewSource(1)),
-		seed:   1,
-		maxPar: runtime.GOMAXPROCS(0),
+		p:    p,
+		rng:  rand.New(rand.NewSource(1)),
+		seed: 1,
 	}
 	s.modules = make([]*Module, p)
 	for i := range s.modules {
@@ -667,9 +637,10 @@ func (s *System) checkTarget(tasks []Task, i int) {
 // the fault plan's StraggleFactor.
 //
 // Execution goes through the System's persistent worker pool — one
-// roundJob per busy module — except when the effective parallelism is 1
-// or only one module is busy, in which case the programs run inline on
-// the host goroutine (same observable behavior, no scheduling cost).
+// roundJob per busy module — except when the worker cap
+// (parallel.MaxProcs, read once per round) is 1 or only one module is
+// busy, in which case the programs run inline on the host goroutine in
+// dispatch order (same observable behavior, no scheduling cost).
 func (s *System) runRound(tasks []Task, straggler int) []Resp {
 	if len(tasks) == 0 {
 		// An empty round still synchronizes; count it to keep algorithms
@@ -696,14 +667,14 @@ func (s *System) runRound(tasks []Task, straggler int) []Resp {
 	}
 	s.touched = touched
 
-	// Execute: inline when nothing can run concurrently, else dispatch
+	// Execute: inline when nothing may run concurrently, else dispatch
 	// one job per busy module to the persistent pool.
-	if len(touched) == 1 || s.workerCount() == 1 {
+	if workers := parallel.MaxProcs(); len(touched) == 1 || workers == 1 {
 		for _, mi := range touched {
 			runModuleTasks(s.modules[mi], s.perModule[mi], tasks, resps)
 		}
 	} else {
-		e := s.ensureExec()
+		e := s.ensureExec(workers)
 		s.wg.Add(len(touched))
 		for _, mi := range touched {
 			e.jobs <- roundJob{mod: s.modules[mi], idxs: s.perModule[mi], tasks: tasks, resps: resps, wg: &s.wg}
@@ -711,21 +682,11 @@ func (s *System) runRound(tasks []Task, straggler int) []Resp {
 		s.wg.Wait()
 	}
 
-	// Accounting (host side, after the barrier). Per-busy-module sums
-	// run as a chunked parallel reduction — disjoint writes into pooled
-	// scratch indexed by busy-module rank — followed by a serial O(busy)
-	// fold; for small rounds parallel.ForChunked degrades to the plain
-	// loop. touched is sorted so per-module trace vectors keep their
+	// Accounting (host side, after the barrier): a serial O(busy) fold.
+	// touched is sorted so per-module trace vectors keep their
 	// module-order layout.
-	sort.Ints(s.touched)
-	touched = s.touched
+	sort.Ints(touched)
 	nb := len(touched)
-	if cap(s.sendBy) < nb {
-		s.sendBy = make([]int64, nb)
-		s.recvBy = make([]int64, nb)
-		s.wrkBy = make([]int64, nb)
-	}
-	sendBy, recvBy, wrkBy := s.sendBy[:nb], s.recvBy[:nb], s.wrkBy[:nb]
 	observing := s.recorder != nil
 	var modID []int
 	var modIO, modWork []int64
@@ -739,44 +700,34 @@ func (s *System) runRound(tasks []Task, straggler int) []Resp {
 		modIO = s.modIOBuf[:nb]
 		modWork = s.modWorkBuf[:nb]
 	}
-	parallel.ForChunked(nb, func(lo, hi int) {
-		for k := lo; k < hi; k++ {
-			mi := touched[k]
-			var sw, rw int64
-			for _, ti := range s.perModule[mi] {
-				sw += int64(tasks[ti].SendWords)
-				rw += int64(resps[ti].RecvWords)
-			}
-			m := s.modules[mi]
-			w := m.work
-			m.work = 0
-			if mi == straggler {
-				w *= s.faults.plan.StraggleFactor
-			}
-			sendBy[k], recvBy[k], wrkBy[k] = sw, rw, w
-			s.metrics.PerModuleIO[mi] += sw + rw
-			s.metrics.PerModuleWrk[mi] += w
-			if observing {
-				modID[k], modIO[k], modWork[k] = mi, sw+rw, w
-			}
-		}
-	})
 	s.metrics.Rounds++
 	var roundMaxIO, roundMaxWork, sendW, recvW, workW int64
-	for k := 0; k < nb; k++ {
-		io, w := sendBy[k]+recvBy[k], wrkBy[k]
-		sendW += sendBy[k]
-		recvW += recvBy[k]
+	for k, mi := range touched {
+		var sw, rw int64
+		for _, ti := range s.perModule[mi] {
+			sw += int64(tasks[ti].SendWords)
+			rw += int64(resps[ti].RecvWords)
+		}
+		m := s.modules[mi]
+		w := m.work
+		m.work = 0
+		if mi == straggler {
+			w *= s.faults.plan.StraggleFactor
+		}
+		io := sw + rw
+		s.metrics.PerModuleIO[mi] += io
+		s.metrics.PerModuleWrk[mi] += w
+		if observing {
+			modID[k], modIO[k], modWork[k] = mi, io, w
+		}
+		sendW += sw
+		recvW += rw
 		workW += w
-		s.metrics.IOWords += io
-		s.metrics.PIMWork += w
-		if io > roundMaxIO {
-			roundMaxIO = io
-		}
-		if w > roundMaxWork {
-			roundMaxWork = w
-		}
+		roundMaxIO = max(roundMaxIO, io)
+		roundMaxWork = max(roundMaxWork, w)
 	}
+	s.metrics.IOWords += sendW + recvW
+	s.metrics.PIMWork += workW
 	s.metrics.IOTime += roundMaxIO
 	s.metrics.PIMTime += roundMaxWork
 	if observing {

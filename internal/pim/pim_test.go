@@ -3,6 +3,9 @@ package pim
 import (
 	"sync/atomic"
 	"testing"
+	"time"
+
+	"github.com/pimlab/pimtrie/internal/parallel"
 )
 
 type sizedObj struct{ w int }
@@ -142,9 +145,10 @@ func TestTasksOnSameModuleRunSequentially(t *testing.T) {
 func TestModulesRunConcurrently(t *testing.T) {
 	// With P modules and a rendezvous counter, all programs must be in
 	// flight at once (they wait for each other), proving cross-module
-	// parallelism. Guarded by a generous parallelism cap.
+	// parallelism. Guarded by a worker cap of P.
 	p := 8
-	s := NewSystem(p, WithMaxParallelism(p))
+	defer parallel.SetMaxProcs(parallel.SetMaxProcs(p))
+	s := NewSystem(p)
 	var arrived int32
 	done := make(chan struct{})
 	tasks := make([]Task, p)
@@ -158,6 +162,40 @@ func TestModulesRunConcurrently(t *testing.T) {
 		}}
 	}
 	s.Round(tasks) // would deadlock if modules were serialized
+}
+
+// TestCapOneRunsProgramsOneAtATime pins the one worker cap on module
+// programs: at parallel.SetMaxProcs(1) a round over several busy
+// modules never has two programs in flight. Each program waits briefly
+// for another to start; run one at a time, none sees that happen.
+func TestCapOneRunsProgramsOneAtATime(t *testing.T) {
+	defer parallel.SetMaxProcs(parallel.SetMaxProcs(1))
+	const p = 4
+	s := NewSystem(p)
+	defer s.Close()
+	var started, inFlight atomic.Int32
+	var overlap atomic.Bool
+	tasks := make([]Task, p)
+	for i := range tasks {
+		tasks[i] = Task{Module: i, Run: func(m *Module) Resp {
+			started.Add(1)
+			if inFlight.Add(1) > 1 {
+				overlap.Store(true)
+			}
+			for deadline := time.Now().Add(50 * time.Millisecond); started.Load() < 2 && time.Now().Before(deadline); {
+				time.Sleep(time.Millisecond)
+			}
+			if inFlight.Load() > 1 {
+				overlap.Store(true)
+			}
+			inFlight.Add(-1)
+			return Resp{}
+		}}
+	}
+	s.Round(tasks)
+	if overlap.Load() {
+		t.Fatal("two module programs ran at once under SetMaxProcs(1)")
+	}
 }
 
 func TestBroadcast(t *testing.T) {

@@ -9,6 +9,8 @@ package pim
 
 import (
 	"testing"
+
+	"github.com/pimlab/pimtrie/internal/parallel"
 )
 
 // counterObj is deliberately unsynchronized: the Round contract says
@@ -24,7 +26,8 @@ func TestRoundStressOverlappingModules(t *testing.T) {
 		rounds = 300
 		tasks  = 64
 	)
-	sys := NewSystem(p, WithSeed(42), WithMaxParallelism(4))
+	defer parallel.SetMaxProcs(parallel.SetMaxProcs(4))
+	sys := NewSystem(p, WithSeed(42))
 	defer sys.Close()
 
 	ids := make([]uint64, p)
@@ -88,7 +91,8 @@ func TestRoundStressOverlappingModules(t *testing.T) {
 // paths share scratch without corrupting accounting.
 func TestRoundStressSingleTask(t *testing.T) {
 	const p = 4
-	sys := NewSystem(p, WithSeed(7), WithMaxParallelism(4))
+	defer parallel.SetMaxProcs(parallel.SetMaxProcs(4))
+	sys := NewSystem(p, WithSeed(7))
 	defer sys.Close()
 	var pimWork int64
 	for round := 0; round < 200; round++ {

@@ -153,13 +153,3 @@ func (q *QueryTrie) NodeHashes(h *hashing.Hasher, buf []hashing.Value) []hashing
 	}
 	return out
 }
-
-// LeafDepths returns, for every unique key, its length in bits; used by
-// result assembly to clip LCP answers.
-func (q *QueryTrie) LeafDepths() []int {
-	out := make([]int, len(q.Keys))
-	for i, k := range q.Keys {
-		out[i] = k.Len()
-	}
-	return out
-}

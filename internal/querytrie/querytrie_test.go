@@ -160,14 +160,6 @@ func TestNodeHashesMatchDirect(t *testing.T) {
 	}
 }
 
-func TestLeafDepths(t *testing.T) {
-	qt := Build([]bitstr.String{bitstr.MustParse("010"), bitstr.MustParse("11")})
-	d := qt.LeafDepths()
-	if len(d) != 2 || d[0] != 3 || d[1] != 2 {
-		t.Fatalf("LeafDepths = %v", d)
-	}
-}
-
 func BenchmarkBuild4k(b *testing.B) {
 	r := rand.New(rand.NewSource(5))
 	batch := make([]bitstr.String, 4096)

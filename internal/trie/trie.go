@@ -10,15 +10,13 @@
 //
 // Besides the dictionary operations (Insert, Delete, Get, LCPLen,
 // SubtreeKeys), the package provides the structural operations PIM-trie
-// needs: splitting long edges, weighted Euler-tour block partitioning
-// ([9] extended to node weights, §4.2), extraction of stand-alone block
-// tries, and pre/post-order scans (the sequential core of the paper's
-// treefix operations).
+// needs: splitting long edges, weighted block partitioning (§4.2, by
+// bottom-up clustering; see partition.go), extraction of stand-alone
+// block tries, and a preorder walk.
 package trie
 
 import (
 	"fmt"
-	"strings"
 
 	"github.com/pimlab/pimtrie/internal/bitstr"
 )
@@ -63,13 +61,6 @@ func (n *Node) Parent() *Node {
 type Edge struct {
 	Label    bitstr.String
 	From, To *Node
-}
-
-// HiddenRef identifies a hidden node: Offset bits down Edge's label
-// (0 < Offset < Label.Len()); see §4 "Basic Structures".
-type HiddenRef struct {
-	Edge   *Edge
-	Offset int
 }
 
 // NodeCostWords and EdgeCostWords are the fixed per-object space charges
@@ -391,21 +382,6 @@ func walkPre(n *Node, fn func(*Node) bool) {
 	}
 }
 
-// WalkPostorder visits every compressed node bottom-up (the sequential
-// form of the paper's leaffix scan).
-func (t *Trie) WalkPostorder(fn func(n *Node)) {
-	walkPost(t.root, fn)
-}
-
-func walkPost(n *Node, fn func(*Node)) {
-	for b := 0; b < 2; b++ {
-		if e := n.Child[b]; e != nil {
-			walkPost(e.To, fn)
-		}
-	}
-	fn(n)
-}
-
 // MinKey returns the lexicographically smallest stored key.
 func (t *Trie) MinKey() (bitstr.String, bool) {
 	return extremeKey(t.root, bitstr.Empty, 0)
@@ -552,25 +528,4 @@ func (t *Trie) CheckInvariants() error {
 		return fmt.Errorf("edge bits %d != counter %d", bits, t.edgeBits)
 	}
 	return nil
-}
-
-// Dump renders the trie structure for debugging.
-func (t *Trie) Dump() string {
-	var b strings.Builder
-	var rec func(n *Node, indent string)
-	rec = func(n *Node, indent string) {
-		mark := ""
-		if n.HasValue {
-			mark = fmt.Sprintf(" =%d", n.Value)
-		}
-		fmt.Fprintf(&b, "%s•(d=%d)%s\n", indent, n.Depth, mark)
-		for bit := 0; bit < 2; bit++ {
-			if e := n.Child[bit]; e != nil {
-				fmt.Fprintf(&b, "%s├─%s\n", indent, e.Label)
-				rec(e.To, indent+"│ ")
-			}
-		}
-	}
-	rec(t.root, "")
-	return b.String()
 }

@@ -245,7 +245,7 @@ func TestDeleteRecompresses(t *testing.T) {
 	}
 	tr.Delete(bitstr.MustParse("0011"))
 	if tr.NodeCount() != 2 { // root and the single remaining leaf
-		t.Fatalf("nodes after delete = %d\n%s", tr.NodeCount(), tr.Dump())
+		t.Fatalf("nodes after delete = %d", tr.NodeCount())
 	}
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -330,25 +330,6 @@ func TestNodeString(t *testing.T) {
 		if !found[k] {
 			t.Fatalf("NodeString never produced %q (found %v)", k, found)
 		}
-	}
-}
-
-func TestWalkPostorderVisitsChildrenFirst(t *testing.T) {
-	tr := New()
-	for _, k := range []string{"00", "01", "10", "11"} {
-		tr.Insert(bitstr.MustParse(k), 1)
-	}
-	visited := map[*Node]bool{}
-	tr.WalkPostorder(func(n *Node) {
-		for b := 0; b < 2; b++ {
-			if e := n.Child[b]; e != nil && !visited[e.To] {
-				t.Fatal("postorder visited a parent before its child")
-			}
-		}
-		visited[n] = true
-	})
-	if len(visited) != tr.NodeCount() {
-		t.Fatalf("visited %d of %d nodes", len(visited), tr.NodeCount())
 	}
 }
 

@@ -9,7 +9,6 @@
 package workload
 
 import (
-	"math"
 	"math/rand"
 	"sort"
 	"sync/atomic"
@@ -175,12 +174,6 @@ func (g *Gen) IPv4Prefixes(n int) []bitstr.String {
 		out[i] = bitstr.FromUint64(uint64(g.r.Uint32())>>uint(32-plen), plen)
 	}
 	return out
-}
-
-// ZipfExponentForSkew maps a [0,1] skew knob to a Zipf exponent in
-// [1.01, 3]; convenience for sweeps.
-func ZipfExponentForSkew(knob float64) float64 {
-	return 1.01 + 2*math.Min(1, math.Max(0, knob))
 }
 
 // KeyStream draws stored keys one at a time: the per-client request

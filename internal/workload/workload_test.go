@@ -176,15 +176,6 @@ func TestIPv4Prefixes(t *testing.T) {
 	}
 }
 
-func TestZipfExponentForSkew(t *testing.T) {
-	if ZipfExponentForSkew(0) < 1.0 || ZipfExponentForSkew(1) > 3.01 {
-		t.Fatal("knob mapping out of range")
-	}
-	if ZipfExponentForSkew(-5) != ZipfExponentForSkew(0) || ZipfExponentForSkew(9) != ZipfExponentForSkew(1) {
-		t.Fatal("knob not clamped")
-	}
-}
-
 func TestKeyStream(t *testing.T) {
 	keys := New(1).FixedLen(200, 64)
 	// Determinism: equal inputs replay identically.

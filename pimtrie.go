@@ -51,19 +51,11 @@ func KeyFromUint(v uint64, width int) Key { return bitstr.FromUint64(v, width) }
 // characters (intended for tests and examples).
 func KeyFromBits(s string) Key { return bitstr.MustParse(s) }
 
-// Options configures an Index. The zero value selects the paper's
-// defaults for every parameter.
+// Options configures an Index. The block, region and push/pull bounds
+// and the hash width are always the paper's defaults (core.Config).
 type Options struct {
 	// Seed fixes all randomized placement decisions.
 	Seed int64
-	// BlockWords overrides K_B, the data-trie block size bound in words.
-	BlockWords int
-	// MetaBlockMax overrides K_MB, the meta-block (region) size bound.
-	MetaBlockMax int
-	// PullThreshold overrides the push/pull boundary in words.
-	PullThreshold int
-	// HashWidth narrows the hash output (testing the collision paths).
-	HashWidth uint
 	// Faults installs a deterministic fault-injection plan on the
 	// simulated system (module crash-stops, stragglers, truncated
 	// transfers). Installing a plan implies Recoverable.
@@ -137,12 +129,8 @@ func New(p int, opts Options) *Index {
 	}
 	sys := pim.NewSystem(p, sysOpts...)
 	cfg := core.Config{
-		BlockWords:    opts.BlockWords,
-		MetaBlockMax:  opts.MetaBlockMax,
-		PullThreshold: opts.PullThreshold,
-		HashSeed:      uint64(opts.Seed) ^ 0x5eed,
-		HashWidth:     opts.HashWidth,
-		Recoverable:   opts.Recoverable,
+		HashSeed:    uint64(opts.Seed) ^ 0x5eed,
+		Recoverable: opts.Recoverable,
 	}
 	return &Index{sys: sys, core: core.New(sys, cfg)}
 }
