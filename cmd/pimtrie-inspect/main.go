@@ -77,7 +77,8 @@ func main() {
 	}
 	fmt.Printf("pimtrie-inspect: P=%d dist=%s\n", *p, *dist)
 	fmt.Printf("keys            %d\n", st.Keys)
-	fmt.Printf("blocks          %d (K_B=%d words)\n", st.Blocks, pt.Config().BlockWords)
+	fmt.Printf("blocks          %d (K_B=%d words, largest %d; inserts split a block past 2·K_B)\n",
+		st.Blocks, pt.Config().BlockWords, st.MaxBlock)
 	fmt.Printf("regions         %d (K_MB=%d metas)\n", st.Regions, pt.Config().MetaBlockMax)
 	fmt.Printf("depth bounds    master %d; regions median %d / max %d bits (hashing stops there; ≈ key length means deep data)\n",
 		st.MasterBound, st.RegionBoundMedian, st.RegionBoundMax)
@@ -153,6 +154,7 @@ func printRounds(pt *core.PIMTrie, sys *pim.System, g *workload.Gen, keys []bits
 	}
 	tr.Detach()
 	printRoundTable(fmt.Sprintf("phase-attributed rounds (%s batch)", op), tr.Data())
+	fmt.Printf("largest block   %d words after the batch (K_B=%d)\n", pt.CollectStats().MaxBlock, pt.Config().BlockWords)
 }
 
 // printRoundTable checks a detached trace's conservation and prints one

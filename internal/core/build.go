@@ -248,7 +248,8 @@ func (t *PIMTrie) assembleHVM(metas []*blockMeta) error {
 			return err
 		}
 	}
-	regAddrs := t.placeRegions(regions)
+	regAddrs, place := t.placeRegions(regions)
+	t.sys.Round(place)
 	// Master table: every region root.
 	master := newMetaTable(len(regions))
 	for i, p := range regions {
@@ -260,7 +261,7 @@ func (t *PIMTrie) assembleHVM(metas []*blockMeta) error {
 	}
 	t.master = master
 	t.broadcastMaster()
-	t.pointBlocksAtRegions(regions, regAddrs)
+	t.sys.Round(pointBlocksAtRegions(regions, regAddrs))
 	return nil
 }
 
@@ -356,41 +357,47 @@ type rehashReply struct {
 	meta *blockMeta
 }
 
-// place allocates objs[i] on a uniformly random module, all in one
-// round, and returns the addresses. It ships send(i) words for object
-// i, or — with a nil send — the object's current size. The module draws
-// are serial in index order, so the placement RNG sequence is the
-// caller's; the sizes, a walk of each object, fan out. Placing nothing
-// runs no round.
+// place stores objs[i] on a uniformly random module, all in one round,
+// and returns the addresses (see placeTasks). Placing nothing runs no
+// round.
 func (t *PIMTrie) place(objs []pim.Sized, send func(i int) int) []pim.Addr {
 	if len(objs) == 0 {
 		return nil
 	}
-	mods := make([]int, len(objs))
-	for i := range mods {
-		mods[i] = t.sys.RandModule()
+	addrs, tasks := t.placeTasks(objs, send)
+	t.sys.Round(tasks)
+	return addrs
+}
+
+// placeTasks draws a uniformly random module for each object, reserves
+// its address there, and returns the addresses with the tasks that store
+// the objects, for a round of the caller's. Task i ships send(i) words —
+// or, with a nil send, the object's current size — and the address. The
+// draws are serial in index order, so the placement RNG sequence is the
+// caller's; the sizes, a walk of each object, fan out.
+func (t *PIMTrie) placeTasks(objs []pim.Sized, send func(i int) int) ([]pim.Addr, []pim.Task) {
+	addrs := make([]pim.Addr, len(objs))
+	for i := range addrs {
+		addrs[i] = t.sys.Reserve(t.sys.RandModule())
 	}
 	tasks := make([]pim.Task, len(objs))
 	parallel.For(len(objs), func(i int) {
-		obj, words := objs[i], 0
+		obj, a, words := objs[i], addrs[i], 0
 		if send != nil {
 			words = send(i)
 		} else {
 			words = obj.SizeWords()
 		}
 		tasks[i] = pim.Task{
-			Module:    mods[i],
-			SendWords: words,
+			Module:    a.Module,
+			SendWords: words + 1,
 			Run: func(m *pim.Module) pim.Resp {
-				return pim.Resp{RecvWords: 1, Value: m.Alloc(obj)}
+				m.Store(a.ID, obj)
+				return pim.Resp{}
 			},
 		}
 	})
-	addrs := make([]pim.Addr, len(objs))
-	for i, r := range t.sys.Round(tasks) {
-		addrs[i] = r.Value.(pim.Addr)
-	}
-	return addrs
+	return addrs, tasks
 }
 
 // regionPart is a region to place, with the meta-node whose
@@ -418,26 +425,28 @@ func (t *PIMTrie) splitToFit(reg *hvm.Region) []regionPart {
 	return parts
 }
 
-// placeRegions places the regions (see place), records each one's
-// depth bound and links it from its cut node.
-func (t *PIMTrie) placeRegions(parts []regionPart) []pim.Addr {
+// placeRegions reserves a random module's address for each region (see
+// placeTasks), records the region's depth bound and links it from its
+// cut node; it returns the addresses with the tasks that store the
+// regions, for a round of the caller's.
+func (t *PIMTrie) placeRegions(parts []regionPart) ([]pim.Addr, []pim.Task) {
 	objs := make([]pim.Sized, len(parts))
 	for i, p := range parts {
 		objs[i] = &regionObj{r: p.reg}
 	}
-	addrs := t.place(objs, nil)
+	addrs, tasks := t.placeTasks(objs, nil)
 	for i, a := range addrs {
 		t.regionBound[a] = parts[i].reg.MaxLen()
 		if c := parts[i].cut; c != nil {
 			c.ChildRegions = append(c.ChildRegions, a)
 		}
 	}
-	return addrs
+	return addrs, tasks
 }
 
-// pointBlocksAtRegions sets bo.region for every block whose meta-node
-// lives in one of the placed regions, in one round.
-func (t *PIMTrie) pointBlocksAtRegions(parts []regionPart, addrs []pim.Addr) {
+// pointBlocksAtRegions returns the tasks that set bo.region for every
+// block whose meta-node lives in one of the placed regions.
+func pointBlocksAtRegions(parts []regionPart, addrs []pim.Addr) []pim.Task {
 	var point []pim.Task
 	for i, p := range parts {
 		ra := addrs[i]
@@ -453,7 +462,7 @@ func (t *PIMTrie) pointBlocksAtRegions(parts []regionPart, addrs []pim.Addr) {
 			})
 		})
 	}
-	t.sys.Round(point)
+	return point
 }
 
 // freeObjects frees, in one round over every module, every region

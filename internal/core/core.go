@@ -4,8 +4,9 @@
 //
 // Layout. The data trie is decomposed into blocks of at most
 // Config.BlockWords words (§4.2) placed on uniformly random modules;
-// each block is a stand-alone compressed trie whose mirror leaves stand
-// in for the roots of its child blocks. The hash value manager (§4.4)
+// inserts let a block grow to twice that before it splits (§5.2). Each
+// block is a stand-alone compressed trie whose mirror leaves stand in
+// for the roots of its child blocks. The hash value manager (§4.4)
 // keeps one meta-node per block, grouped into regions (meta-blocks) of
 // at most Config.MetaBlockMax nodes, each region on a random module; a
 // master table mapping region-root hashes to region addresses is
@@ -47,7 +48,8 @@ import (
 // Config holds the PIM-trie parameters (paper Table 2; defaults follow
 // DESIGN.md §4).
 type Config struct {
-	// BlockWords is K_B, the block size bound in words. Zero selects
+	// BlockWords is K_B, the size in words of the pieces a block is cut
+	// into; a block splits once it exceeds 2·K_B. Zero selects
 	// bits.Len(P)²; any value below trie.MinBlockWords (32) is raised to
 	// it, so the default is max(32, bits.Len(P)²).
 	BlockWords int
@@ -391,25 +393,29 @@ func (t *PIMTrie) masterRemoveAndAdd(drop []uint64, add map[uint64]masterEntry) 
 	})
 }
 
-// masterDelta broadcasts a set of added master entries.
-func (t *PIMTrie) masterDelta(add map[uint64]masterEntry) error {
-	defer t.sys.Phase("master-delta")()
+// masterDelta adds entries to the host master table and returns the
+// broadcast that adds them to every replica, one task per module, for a
+// round of the caller's. It fails on an entry that collides with a
+// different one already present.
+func (t *PIMTrie) masterDelta(add map[uint64]masterEntry) ([]pim.Task, error) {
 	for k, v := range add {
 		if old, dup := t.master.Get(k); dup && (old.Len != v.Len || !bitstr.Equal(old.SLast, v.SLast) || old.Block != v.Block) {
-			return hvm.ErrHashCollision{Hash: k}
+			return nil, hvm.ErrHashCollision{Hash: k}
 		}
 		t.master.Put(k, v)
 	}
-	addrs := t.masterAddrs
-	t.sys.Broadcast(len(add)*metaInfoWords, func(m *pim.Module) pim.Resp {
-		mo := m.Get(addrs[m.ID()].ID).(*masterObj)
-		for k, v := range add {
-			mo.entries.Put(k, v)
-		}
-		m.Resize(addrs[m.ID()].ID)
-		return pim.Resp{}
-	})
-	return nil
+	tasks := make([]pim.Task, t.sys.P())
+	for i, a := range t.masterAddrs {
+		tasks[i] = pim.Task{Module: i, SendWords: len(add) * metaInfoWords, Run: func(m *pim.Module) pim.Resp {
+			mo := m.Get(a.ID).(*masterObj)
+			for k, v := range add {
+				mo.entries.Put(k, v)
+			}
+			m.Resize(a.ID)
+			return pim.Resp{}
+		}}
+	}
+	return tasks, nil
 }
 
 // MasterEntries returns the size of the replicated master table.
@@ -427,6 +433,7 @@ func (t *PIMTrie) masterBound() int { return t.master.MaxLen() }
 type Stats struct {
 	Keys       int
 	Blocks     int
+	MaxBlock   int // the largest block's words; at most 2·K_B (Validate)
 	Regions    int
 	SpaceWords int
 	Rehashes   int
@@ -446,9 +453,10 @@ func (t *PIMTrie) CollectStats() Stats {
 	s.MasterBound = t.masterBound()
 	for i := 0; i < t.sys.P(); i++ {
 		t.sys.Module(i).Each(func(o any) {
-			switch o.(type) {
+			switch o := o.(type) {
 			case *blockObj:
 				s.Blocks++
+				s.MaxBlock = max(s.MaxBlock, o.tr.SizeWords())
 			case *regionObj:
 				s.Regions++
 			}

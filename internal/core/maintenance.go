@@ -22,205 +22,69 @@ import (
 	"github.com/pimlab/pimtrie/internal/trie"
 )
 
-// splitBlocks re-partitions every oversized block into child blocks,
-// distributes the children, and registers and re-parents meta-nodes.
+// splitBlocks splits every oversized block in place, in two rounds. In
+// the first, each block's module partitions its block into pieces of at
+// most K_B words, keeps the piece at the block's root, and replies with
+// the others, the spilled pieces. In the second, the spilled pieces are
+// stored on random modules at addresses the host reserved for them
+// (placeTasks); the kept pieces learn those addresses; the old children
+// that moved under a spilled piece learn their new parent; and each
+// region inserts the spilled pieces' metas and re-parents the moved
+// children's. Every task of the second round names only addresses the
+// host already holds, so none waits on another.
 func (t *PIMTrie) splitBlocks(oversized []pim.Addr) {
 	defer t.sys.Phase("block-split")()
-	// Round 1: pull the oversized blocks.
+	kb := t.cfg.BlockWords
 	tasks := make([]pim.Task, len(oversized))
 	for i, addr := range oversized {
-		addr := addr
 		tasks[i] = pim.Task{
 			Module:    addr.Module,
 			SendWords: 1,
 			Run: func(m *pim.Module) pim.Resp {
 				bo := m.Get(addr.ID).(*blockObj)
-				return pim.Resp{RecvWords: bo.SizeWords(), Value: bo}
+				m.Work(bo.tr.SizeWords())
+				sp := bo.splitInPlace(kb)
+				m.Resize(addr.ID)
+				if sp == nil {
+					return pim.Resp{RecvWords: 1}
+				}
+				return pim.Resp{RecvWords: sp.words(), Value: sp}
 			},
 		}
 	}
 	resps := t.sys.Round(tasks)
 
-	type newBlock struct {
-		bo     *blockObj
-		parent int // index into allNew, or -1 when parented by the old block
-		oldIdx int // which oversized block it came from
-		val    hashing.Value
-		rel    bitstr.String // root string relative to the old block's root
-		// pendingNew lists, in slot order, the allNew indices of the
-		// children whose slots await addresses from the allocation round.
-		pendingNew []int
-	}
-	type replacement struct {
-		addr     pim.Addr
-		tr       *trie.Trie
-		children []pim.Addr
-		region   pim.Addr
-		newIdxs  []int
-	}
-	var allNew []newBlock
-	var repls []replacement
-	pulled := make([]*blockObj, len(resps))
-
+	// Host: the spilled pieces as blocks, in preorder per split block.
+	// first[oi] is where block oi's pieces start in objs.
+	spills := make([]*spill, len(resps))
+	first := make([]int, len(resps))
+	var objs []pim.Sized
 	for oi, r := range resps {
-		bo := r.Value.(*blockObj)
-		pulled[oi] = bo
-		cuts := dropMirrorCuts(bo.tr.Partition(t.cfg.BlockWords))
-		if len(cuts) == 0 {
+		first[oi] = len(objs)
+		sp, _ := r.Value.(*spill)
+		if sp == nil {
 			continue
 		}
-		specs := bo.tr.ExtractBlocks(cuts)
-		t.sys.CPUWork(bo.tr.SizeWords())
-		// Allocate slots: spec 0 replaces the old block; the rest are new.
-		slot := make([]int, len(specs)) // spec index -> allNew index (or -1)
-		slot[0] = -1
-		for si := 1; si < len(specs); si++ {
-			sp := specs[si]
-			val := t.h.Extend(bo.rootVal, sp.RootString)
-			nb := &blockObj{
-				tr:      sp.Trie,
-				rootLen: bo.rootLen + sp.RootString.Len(),
-				rootVal: val,
-				sLast:   slastExtend(bo.sLast, sp.RootString),
-				region:  bo.region,
-			}
-			nb.rootHash = t.h.Out(val)
-			slot[si] = len(allNew)
-			allNew = append(allNew, newBlock{bo: nb, parent: -1, oldIdx: oi, val: val, rel: sp.RootString})
-		}
-		// Children lists: new-cut mirrors point at new blocks, surviving
-		// old mirrors keep their old addresses (Value preserved by
-		// ExtractBlocks).
-		for si, sp := range specs {
-			newCut := map[*trie.Node]int{}
-			for _, ref := range sp.Mirrors {
-				newCut[ref.Node] = ref.ChildIndex
-			}
-			var children []pim.Addr
-			var newIdxs []int
-			sp.Trie.WalkPreorder(func(n *trie.Node) bool {
-				if !n.Mirror {
-					return true
-				}
-				if ci, ok := newCut[n]; ok {
-					// Parent relationship resolved after allocation.
-					if si == 0 {
-						allNew[slot[ci]].parent = -1
-					} else {
-						allNew[slot[ci]].parent = slot[si]
-					}
-					n.Value = uint64(len(children))
-					children = append(children, pim.NilAddr) // patched below
-					newIdxs = append(newIdxs, slot[ci])
-				} else {
-					old := bo.children[n.Value]
-					n.Value = uint64(len(children))
-					children = append(children, old)
-				}
-				return false
+		spills[oi] = sp
+		t.sys.CPUWork(r.RecvWords)
+		for _, pc := range sp.pieces {
+			val := t.h.Extend(sp.rootVal, pc.rel)
+			objs = append(objs, &blockObj{
+				tr:       pc.tr,
+				rootLen:  sp.rootLen + pc.rel.Len(),
+				rootVal:  val,
+				rootHash: t.h.Out(val),
+				sLast:    slastExtend(sp.sLast, pc.rel),
+				children: pc.children,
+				region:   sp.region,
 			})
-			if si == 0 {
-				repls = append(repls, replacement{
-					addr: oversized[oi], tr: sp.Trie, children: children,
-					region: bo.region, newIdxs: newIdxs,
-				})
-			} else {
-				allNew[slot[si]].bo.children = children
-				allNew[slot[si]].pendingNew = newIdxs
-			}
 		}
 	}
-	if len(allNew) == 0 {
+	if len(objs) == 0 {
 		return
 	}
+	newAddr, round := t.placeTasks(objs, nil)
 
-	// Round 2: allocate the new blocks on random modules.
-	objs := make([]pim.Sized, len(allNew))
-	for i := range allNew {
-		objs[i] = allNew[i].bo
-	}
-	newAddr := t.place(objs, nil)
-	if t.recoverable {
-		// Register the new blocks in the directory; the old (replaced)
-		// blocks keep their address and root string.
-		for i := range allNew {
-			base := t.blockDir[oversized[allNew[i].oldIdx]]
-			t.blockDir[newAddr[i]] = base.Concat(allNew[i].rel)
-		}
-	}
-
-	// Host: patch child slots that point at new blocks, and set parents.
-	// Every other child of a new block is a surviving old block that
-	// moves under it (round 3).
-	type childMove struct {
-		child pim.Addr
-		owner int // the new block it moves under, an allNew index
-	}
-	var moves []childMove
-	for i := range allNew {
-		nb := allNew[i]
-		k := 0
-		for ci, c := range nb.bo.children {
-			if c.IsNil() {
-				nb.bo.children[ci] = newAddr[nb.pendingNew[k]]
-				k++
-			} else {
-				moves = append(moves, childMove{child: c, owner: i})
-			}
-		}
-	}
-	for _, rp := range repls {
-		k := 0
-		for ci := range rp.children {
-			if rp.children[ci].IsNil() {
-				rp.children[ci] = newAddr[rp.newIdxs[k]]
-				k++
-			}
-		}
-	}
-	for i := range allNew {
-		if allNew[i].parent >= 0 {
-			allNew[i].bo.parent = newAddr[allNew[i].parent]
-		} else {
-			allNew[i].bo.parent = oversized[allNew[i].oldIdx]
-		}
-	}
-
-	// Round 3: install the replacement tries and fix the parent pointers
-	// of surviving old children that moved under a new block; their
-	// replies carry the (region, rootHash) needed to re-parent metas.
-	var fix []pim.Task
-	moveStart := len(repls)
-	for _, rp := range repls {
-		rp := rp
-		fix = append(fix, pim.Task{
-			Module:    rp.addr.Module,
-			SendWords: rp.tr.SizeWords() + len(rp.children) + 2,
-			Run: func(m *pim.Module) pim.Resp {
-				bo := m.Get(rp.addr.ID).(*blockObj)
-				bo.tr = rp.tr
-				bo.children = rp.children
-				m.Resize(rp.addr.ID)
-				return pim.Resp{}
-			},
-		})
-	}
-	for _, mv := range moves {
-		c, na := mv.child, newAddr[mv.owner]
-		fix = append(fix, pim.Task{
-			Module:    c.Module,
-			SendWords: 2,
-			Run: func(m *pim.Module) pim.Resp {
-				bo := m.Get(c.ID).(*blockObj)
-				bo.parent = na
-				return pim.Resp{RecvWords: 3, Value: [2]any{bo.region, bo.rootHash}}
-			},
-		})
-	}
-	fixResps := t.sys.Round(fix)
-
-	// Round 4: per region, insert the new metas (parents first — allNew
-	// is in preorder per split block) and re-parent the moved children.
 	type metaIns struct {
 		parentHash uint64
 		node       *hvm.MetaNode
@@ -234,50 +98,95 @@ func (t *PIMTrie) splitBlocks(oversized []pim.Addr) {
 	insByRegion := map[pim.Addr][]metaIns{}
 	repByRegion := map[pim.Addr][]reparent{}
 	var regionOrder []pim.Addr // first-seen order for deterministic emission
-	for i, nb := range allNew {
-		if _, seen := insByRegion[nb.bo.region]; !seen {
-			regionOrder = append(regionOrder, nb.bo.region)
+	for oi, sp := range spills {
+		if sp == nil {
+			continue
 		}
-		parentHash := uint64(0)
-		if nb.parent >= 0 {
-			parentHash = allNew[nb.parent].bo.rootHash
-		} else {
-			parentHash = pulled[nb.oldIdx].rootHash
+		old := oversized[oi]
+		if _, seen := insByRegion[sp.region]; !seen {
+			regionOrder = append(regionOrder, sp.region)
 		}
-		hashPre, srem := t.pivotAug(nb.bo.rootVal, nb.bo.sLast)
-		insByRegion[nb.bo.region] = append(insByRegion[nb.bo.region], metaIns{
-			parentHash: parentHash,
-			node: &hvm.MetaNode{
-				Hash: nb.bo.rootHash, Len: nb.bo.rootLen, SLast: nb.bo.sLast, Block: newAddr[i],
-				HashPre: hashPre, SRem: srem,
-			},
-		})
-	}
-	for mi, mv := range moves {
-		pair := fixResps[moveStart+mi].Value.([2]any)
-		childRegion := pair[0].(pim.Addr)
-		childHash := pair[1].(uint64)
-		owner := allNew[mv.owner]
-		old := pulled[owner.oldIdx]
-		repByRegion[old.region] = append(repByRegion[old.region], reparent{
-			childHash:   childHash,
-			childRegion: childRegion,
-			fromHash:    old.rootHash,
-			ownerHash:   owner.bo.rootHash,
-		})
+		// The kept piece's slots that name spilled pieces.
+		if len(sp.awaiting) > 0 {
+			fill := make([]pim.Addr, len(sp.awaiting))
+			for k, pi := range sp.awaiting {
+				fill[k] = newAddr[first[oi]+pi]
+			}
+			round = append(round, pim.Task{
+				Module:    old.Module,
+				SendWords: len(fill) + 1,
+				Run: func(m *pim.Module) pim.Resp {
+					m.Get(old.ID).(*blockObj).fillAwaiting(fill)
+					return pim.Resp{}
+				},
+			})
+		}
+		for pi, pc := range sp.pieces {
+			i := first[oi] + pi
+			nb, na := objs[i].(*blockObj), newAddr[i]
+			parentHash := sp.rootHash
+			nb.parent = old
+			if pc.parent >= 0 {
+				nb.parent = newAddr[first[oi]+pc.parent]
+				parentHash = objs[first[oi]+pc.parent].(*blockObj).rootHash
+			}
+			if t.recoverable {
+				t.blockDir[na] = t.blockDir[old].Concat(pc.rel)
+			}
+			hashPre, srem := t.pivotAug(nb.rootVal, nb.sLast)
+			insByRegion[sp.region] = append(insByRegion[sp.region], metaIns{
+				parentHash: parentHash,
+				node: &hvm.MetaNode{
+					Hash: nb.rootHash, Len: nb.rootLen, SLast: nb.sLast, Block: na,
+					HashPre: hashPre, SRem: srem,
+				},
+			})
+			// Slots in mirror preorder: a nil one names a spilled piece, in
+			// awaiting order; any other names an old child that moved under
+			// this piece, which needs its parent pointer and its meta's
+			// parent changed — or, for a child rooting a region of its
+			// own, the region reference the split block held moved.
+			k := 0
+			nb.tr.WalkPreorder(func(n *trie.Node) bool {
+				if !n.Mirror {
+					return true
+				}
+				c := nb.children[n.Value]
+				if c.IsNil() {
+					nb.children[n.Value] = newAddr[first[oi]+pc.awaiting[k]]
+					k++
+				} else {
+					round = append(round, pim.Task{
+						Module:    c.Module,
+						SendWords: 2,
+						Run: func(m *pim.Module) pim.Resp {
+							m.Get(c.ID).(*blockObj).parent = na
+							return pim.Resp{}
+						},
+					})
+					h := t.h.Out(t.h.Extend(nb.rootVal, trie.NodeString(n)))
+					childRegion := sp.region
+					if e, ok := t.master.Get(h); ok && e.Block == c {
+						childRegion = e.Region
+					}
+					repByRegion[sp.region] = append(repByRegion[sp.region], reparent{
+						childHash: h, childRegion: childRegion, fromHash: sp.rootHash, ownerHash: nb.rootHash,
+					})
+				}
+				return false
+			})
+		}
 	}
 	type regReply struct {
 		collided bool
 		size     int
 		bound    int // the region's depth bound after the update
 	}
-	rTasks := make([]pim.Task, 0, len(insByRegion))
-	rAddrs := make([]pim.Addr, 0, len(insByRegion))
+	regionAt := len(round)
 	for _, ra := range regionOrder {
-		ra := ra
 		ins := insByRegion[ra]
 		reps := repByRegion[ra]
-		rTasks = append(rTasks, pim.Task{
+		round = append(round, pim.Task{
 			Module:    ra.Module,
 			SendWords: len(ins)*(hvm.NodeCostWords+1) + len(reps)*3,
 			Run: func(m *pim.Module) pim.Resp {
@@ -322,18 +231,17 @@ func (t *PIMTrie) splitBlocks(oversized []pim.Addr) {
 				return pim.Resp{RecvWords: 3, Value: regReply{collided: collided, size: ro.r.Len(), bound: ro.r.MaxLen()}}
 			},
 		})
-		rAddrs = append(rAddrs, ra)
 	}
 	var overRegions []pim.Addr
 	collided := false
-	for i, r := range t.sys.Round(rTasks) {
+	for i, r := range t.sys.Round(round)[regionAt:] {
 		rep := r.Value.(regReply)
 		if rep.collided {
 			collided = true
 		}
-		t.regionBound[rAddrs[i]] = rep.bound
+		t.regionBound[regionOrder[i]] = rep.bound
 		if rep.size > t.cfg.MetaBlockMax {
-			overRegions = append(overRegions, rAddrs[i])
+			overRegions = append(overRegions, regionOrder[i])
 		}
 	}
 	if collided {
@@ -346,16 +254,111 @@ func (t *PIMTrie) splitBlocks(oversized []pim.Addr) {
 	}
 }
 
-// splitRegions pulls each oversized region, splits it with the optimal
-// cut (Lemma 4.5) until all pieces fit, redistributes the new pieces,
-// updates the master table and the host's region bounds, and re-points
-// the moved blocks.
+// spill is a block module's reply to an in-place split: the split
+// block's identity, which the host derives the pieces' from, and the
+// pieces it spilled, in preorder.
+type spill struct {
+	rootVal  hashing.Value
+	rootLen  int
+	rootHash uint64
+	sLast    bitstr.String
+	region   pim.Addr
+	pieces   []spilledPiece
+	awaiting []int // per nil slot of the kept piece, in order: the piece it names
+}
+
+// spilledPiece is one piece a split moves off its block's module.
+type spilledPiece struct {
+	rel      bitstr.String // root string relative to the split block's root
+	tr       *trie.Trie
+	children []pim.Addr // mirror.Value indexes it; nil slots await a piece's address
+	awaiting []int      // per nil slot, in order: the piece it names
+	parent   int        // the piece whose mirror names this one; -1 for the kept piece
+}
+
+// words is the reply's wire size: the block's identity, then per piece
+// its trie, children, relative root string and parent, then the kept
+// piece's awaiting list.
+func (s *spill) words() int {
+	w := 6 + len(s.awaiting)
+	for _, pc := range s.pieces {
+		w += pc.tr.SizeWords() + len(pc.children) + pc.rel.SizeWords() + 1
+	}
+	return w
+}
+
+// splitInPlace partitions the block into pieces of at most maxWords
+// words (§4.2), keeps the piece at its root, and returns the others; it
+// returns nil when the block needs no cut. Child slots are renumbered in
+// each piece's mirror preorder; a slot whose mirror roots a spilled
+// piece stays nil until the host has that piece's address.
+func (bo *blockObj) splitInPlace(maxWords int) *spill {
+	cuts := dropMirrorCuts(bo.tr.Partition(maxWords))
+	if len(cuts) == 0 {
+		return nil
+	}
+	specs, oldChildren := bo.tr.ExtractBlocks(cuts), bo.children
+	sp := &spill{
+		rootVal: bo.rootVal, rootLen: bo.rootLen, rootHash: bo.rootHash,
+		sLast: bo.sLast, region: bo.region,
+		pieces: make([]spilledPiece, len(specs)-1),
+	}
+	for si, spec := range specs {
+		// Spec si's cut mirrors name specs after it (preorder), so a
+		// piece's parent is set before the piece itself is filled in.
+		cut := map[*trie.Node]int{}
+		for _, ref := range spec.Mirrors {
+			cut[ref.Node] = ref.ChildIndex - 1
+		}
+		var children []pim.Addr
+		var awaiting []int
+		spec.Trie.WalkPreorder(func(n *trie.Node) bool {
+			if !n.Mirror {
+				return true
+			}
+			slot := pim.NilAddr
+			if pi, ok := cut[n]; ok {
+				sp.pieces[pi].parent = si - 1
+				awaiting = append(awaiting, pi)
+			} else {
+				slot = oldChildren[n.Value]
+			}
+			n.Value = uint64(len(children))
+			children = append(children, slot)
+			return false
+		})
+		if si == 0 {
+			bo.tr, bo.children, sp.awaiting = spec.Trie, children, awaiting
+			continue
+		}
+		pc := &sp.pieces[si-1]
+		pc.rel, pc.tr, pc.children, pc.awaiting = spec.RootString, spec.Trie, children, awaiting
+	}
+	return sp
+}
+
+// fillAwaiting gives the block's nil child slots, in order, the
+// addresses of the pieces they name.
+func (bo *blockObj) fillAwaiting(addrs []pim.Addr) {
+	k := 0
+	for ci, c := range bo.children {
+		if c.IsNil() {
+			bo.children[ci] = addrs[k]
+			k++
+		}
+	}
+}
+
+// splitRegions splits each oversized region with the optimal cut
+// (Lemma 4.5) until every piece fits, in two rounds. The first pulls the
+// regions. The second stores the split-off pieces at addresses the host
+// reserved for them, writes the shrunk sources back, adds the pieces'
+// roots to every master replica and points the moved blocks at their
+// new regions: all of it names only addresses the host already holds.
 func (t *PIMTrie) splitRegions(over []pim.Addr) {
 	defer t.sys.Phase("meta-split")()
-	// Round 1: pull regions.
 	tasks := make([]pim.Task, len(over))
 	for i, ra := range over {
-		ra := ra
 		tasks[i] = pim.Task{
 			Module:    ra.Module,
 			SendWords: 1,
@@ -365,45 +368,36 @@ func (t *PIMTrie) splitRegions(over []pim.Addr) {
 			},
 		}
 	}
-	resps := t.sys.Round(tasks)
-
 	var parts []regionPart
-	for _, r := range resps {
+	for i, r := range t.sys.Round(tasks) {
 		ro := r.Value.(*regionObj)
 		parts = append(parts, t.splitToFit(ro.r)...)
 		t.sys.CPUWork(ro.SizeWords())
+		t.regionBound[over[i]] = ro.r.MaxLen()
 	}
 	if len(parts) == 0 {
 		return
 	}
-	// Round 2: allocate the new regions.
-	partAddr := t.placeRegions(parts)
-	for i, r := range resps {
-		t.regionBound[over[i]] = r.Value.(*regionObj).r.MaxLen()
-	}
-	// The source regions shrank in place: charge a write-back resize.
-	resize := make([]pim.Task, len(over))
-	for i, ra := range over {
-		ra := ra
-		resize[i] = pim.Task{Module: ra.Module, SendWords: 1, Run: func(m *pim.Module) pim.Resp {
-			m.Resize(ra.ID)
-			return pim.Resp{}
-		}}
-	}
-	t.sys.Round(resize)
-	// Master delta for the new region roots.
+	partAddr, round := t.placeRegions(parts)
 	add := map[uint64]masterEntry{}
 	for i, p := range parts {
 		r := p.reg.Root
 		add[r.Hash] = masterEntry{Region: partAddr[i], Len: r.Len, SLast: r.SLast, Block: r.Block}
 	}
-	if err := t.masterDelta(add); err != nil {
+	master, err := t.masterDelta(add)
+	if err != nil {
 		t.redos++
 		t.rehash()
 		return
 	}
-	// Round: point the moved blocks at their new regions.
-	t.pointBlocksAtRegions(parts, partAddr)
+	for _, ra := range over {
+		round = append(round, pim.Task{Module: ra.Module, SendWords: 1, Run: func(m *pim.Module) pim.Resp {
+			m.Resize(ra.ID)
+			return pim.Resp{}
+		}})
+	}
+	round = append(round, master...)
+	t.sys.Round(append(round, pointBlocksAtRegions(parts, partAddr)...))
 }
 
 // removeBlocks reclaims blocks emptied by deletions: the block's
@@ -518,12 +512,13 @@ func (t *PIMTrie) removeBlocks(emptied []pim.Addr) {
 		}
 		// Place spawned regions and register their roots.
 		if len(spawned) > 0 {
-			addrs := t.placeRegions(spawned)
+			addrs, place := t.placeRegions(spawned)
+			t.sys.Round(place)
 			for i, a := range addrs {
 				root := spawned[i].reg.Root
 				masterAdd[root.Hash] = masterEntry{Region: a, Len: root.Len, SLast: root.SLast, Block: root.Block}
 			}
-			t.pointBlocksAtRegions(spawned, addrs)
+			t.sys.Round(pointBlocksAtRegions(spawned, addrs))
 		}
 		if len(masterDrop) > 0 || len(masterAdd) > 0 {
 			t.masterRemoveAndAdd(masterDrop, masterAdd)

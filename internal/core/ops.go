@@ -385,11 +385,15 @@ func (t *PIMTrie) applyInserts(out *matchOutcome, lo int, keys []bitstr.String, 
 		})
 	}
 	t.taskBuf = tasks
+	// A block splits only once it holds more than 2·K_B words, into
+	// pieces of at most K_B (§5.2): each piece then absorbs K_B words of
+	// inserts before it splits again, which is what makes the split's
+	// cost amortized.
 	var oversized []pim.Addr
 	for i, r := range t.sys.Round(tasks) {
 		rep := r.Value.(insReply)
 		t.nKeys += rep.newKeys
-		if rep.sizeWords > t.cfg.BlockWords {
+		if rep.sizeWords > 2*t.cfg.BlockWords {
 			oversized = append(oversized, groups[i].blk)
 		}
 	}

@@ -34,7 +34,9 @@ import (
 //  7. the host holds exactly one region bound per live region, equal to
 //     that region's MaxLen: the region round clamps shipped segments to
 //     it, so a bound too low would drop hits, and an entry for a dead
-//     region is a leak.
+//     region is a leak;
+//  8. no block holds more than 2·K_B words: an insert splits a block
+//     that outgrows that into pieces of at most K_B (§5.2).
 //
 // It returns the first violation found.
 func (t *PIMTrie) Validate() error {
@@ -80,6 +82,9 @@ func (t *PIMTrie) Validate() error {
 		}
 		if bo.rootHash != t.h.Out(rootVal) {
 			return fmt.Errorf("block %v rootHash inconsistent with rootVal", addr)
+		}
+		if w := bo.tr.SizeWords(); w > 2*t.cfg.BlockWords {
+			return fmt.Errorf("block %v holds %d words, more than 2·K_B = %d", addr, w, 2*t.cfg.BlockWords)
 		}
 		if err := bo.tr.CheckInvariants(); err != nil {
 			return fmt.Errorf("block %v: %w", addr, err)

@@ -81,12 +81,28 @@ func (m *Module) ID() int { return m.id }
 // Alloc stores obj in module memory and returns its address.
 func (m *Module) Alloc(obj any) Addr {
 	m.nextID++
-	id := m.nextID
+	m.store(m.nextID, obj)
+	return Addr{Module: m.id, ID: m.nextID}
+}
+
+// Store puts obj at an address the host reserved on this module
+// (System.Reserve). It panics on an address never reserved here or
+// already in use, which always indicates a bug in the index code.
+func (m *Module) Store(id uint64, obj any) {
+	if id == 0 || id > m.nextID {
+		panic(&InvariantError{Op: "store at unreserved address", Module: m.id, ID: id})
+	}
+	if _, ok := m.objects[id]; ok {
+		panic(&InvariantError{Op: "store over a live object", Module: m.id, ID: id})
+	}
+	m.store(id, obj)
+}
+
+func (m *Module) store(id uint64, obj any) {
 	m.objects[id] = obj
 	sz := sizeOf(obj)
 	m.sizes[id] = sz
 	m.space += sz
-	return Addr{Module: m.id, ID: id}
 }
 
 // Get loads the object at id; it panics on a dangling address, which
@@ -555,6 +571,22 @@ func (s *System) RandModule() int {
 	s.rngMu.Lock()
 	defer s.rngMu.Unlock()
 	return s.rng.Intn(s.p)
+}
+
+// Reserve names a fresh address on module mi for an object a later
+// round stores there (Module.Store). The host lays out every module's
+// memory, as a real PIM host does, so naming an address takes no round:
+// the round that stores the object ships the address with it, and can
+// be the same round that tells other modules where the object is. Call
+// it on the host, between rounds; addresses are never reused, even
+// across a Respawn.
+func (s *System) Reserve(mi int) Addr {
+	if mi < 0 || mi >= s.p {
+		panic(&InvariantError{Op: "reserve on invalid module", Module: mi})
+	}
+	m := s.modules[mi]
+	m.nextID++
+	return Addr{Module: mi, ID: m.nextID}
 }
 
 // CPUWork accounts n host-side operations.

@@ -35,6 +35,35 @@ func TestAllocGetFreeSpace(t *testing.T) {
 	}
 }
 
+// TestReserveThenStore: an address the host reserves is the one the
+// object is later stored at, Alloc never hands it out again, and a store
+// at an address never reserved or already live panics.
+func TestReserveThenStore(t *testing.T) {
+	s := NewSystem(2)
+	a := s.Reserve(1)
+	b := s.Module(1).Alloc("next")
+	if a.Module != 1 || b.ID == a.ID {
+		t.Fatalf("reserved %v, then Alloc gave %v", a, b)
+	}
+	s.Round([]Task{{Module: 1, SendWords: 3, Run: func(m *Module) Resp {
+		m.Store(a.ID, sizedObj{w: 7})
+		return Resp{}
+	}}})
+	if got := s.Module(1).Get(a.ID).(sizedObj); got.w != 7 || s.Module(1).SpaceWords() != 8 {
+		t.Fatalf("stored %+v, space %d", got, s.Module(1).SpaceWords())
+	}
+	for _, id := range []uint64{a.ID, b.ID + 1} {
+		func() {
+			defer func() {
+				if _, ok := recover().(*InvariantError); !ok {
+					t.Errorf("Store at %d did not panic with an InvariantError", id)
+				}
+			}()
+			s.Module(1).Store(id, 1)
+		}()
+	}
+}
+
 func TestGetDanglingPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
