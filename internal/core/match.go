@@ -11,8 +11,21 @@ package core
 //	          their region's index down to the region's depth bound —
 //	          one pivot class per word where a window runs words deep
 //	          (§4.4.2) — push-pull by piece size;
-//	phase D — block round: pieces below the combined hits matched
-//	          bit-by-bit against their blocks, push-pull.
+//	phase D — block round: the pieces below the combined hits that hold
+//	          a batch key's node matched bit-by-bit against their
+//	          blocks, push-pull.
+//
+// Only keyed pieces are shipped, because every answer is read at a key
+// node, and a key's reach and exact entry come only from its anchor
+// piece's walk. Walks run downward and halt at deeper hits, so only a
+// shallower piece can touch a key node outside its anchor's walk. Hits
+// are verified, so a shallower walk cannot diverge from the query above
+// the anchor hit; it can only stop at a mirror. There it diverge-marks
+// at the mirror's depth, which is no deeper than the anchor hit. The
+// anchor's own walk reports at least that hit's depth. A shallower walk
+// that halts exactly on a hit node records a mirror there, and fold
+// prefers the anchor's block root. Every unkeyed piece still cuts the
+// walks above it through the full edgeStops table.
 //
 // Every hit is verified host-side by length and S_last before being
 // trusted (§4.4.3's differentiated verification: interior certification
@@ -422,7 +435,6 @@ type matchOutcome struct {
 	exact []exactHit // set when the node's string coincided with a data node
 	// anchorPiece[i] is the piece (bottommost hit) owning query node i.
 	anchorPiece []*piece
-	pieces      []*piece
 }
 
 // lcpOf returns the LCP length for unique key i.
@@ -616,9 +628,19 @@ func (t *PIMTrie) match(p *prep) (*matchOutcome, error) {
 	endBlock := t.sys.Phase("block-match")
 	defer endBlock()
 	pieces := t.decompose(p, hits)
+	for _, n := range p.qt.Nodes {
+		t.anchorBuf[n.Index].keyed = true
+	}
+	keyed := pieces[:0] // in hit order: fold keeps the first non-mirror exact entry
+	for _, pc := range pieces {
+		if pc.keyed {
+			keyed = append(keyed, pc)
+		}
+	}
+	pieces = keyed
 	nodes := len(p.qt.PreNodes)
 	out := &t.outcome
-	out.qt, out.pieces, out.anchorPiece = p.qt, pieces, t.anchorBuf
+	out.qt, out.anchorPiece = p.qt, t.anchorBuf
 	out.reach, out.exact = sized(out.reach, nodes), sized(out.exact, nodes)
 	clear(out.reach)
 	clear(out.exact)
@@ -869,6 +891,7 @@ type piece struct {
 	segs  []segment
 	words int
 	group int32 // ordinal among an update's block groups; -1 until grouped
+	keyed bool  // holds the node of a batch key: the block round ships it
 }
 
 // newPiece hands out a piece from the batch-scoped arena, reset for
@@ -887,6 +910,7 @@ func (t *PIMTrie) newPiece(hit hitRec, root qpos) *piece {
 	pc.segs = pc.segs[:0]
 	pc.words = 0
 	pc.group = -1
+	pc.keyed = false
 	return pc
 }
 

@@ -1,8 +1,8 @@
 package core
 
-// The wire format of the master and region rounds: what a match ships to
-// modules and reads back, phase by phase, against an independent count of
-// what a module can match.
+// The wire format of the master, region and block rounds: what a match
+// ships to modules and reads back, phase by phase, against an independent
+// count of what a module can match.
 
 import (
 	"testing"
@@ -45,15 +45,19 @@ func (r *phaseRecorder) wire(t *testing.T, phase string) wire {
 	return wire{rs[0].Tasks, int(rs[0].SendWords), int(rs[0].RecvWords)}
 }
 
-// expectedWire derives the master and region rounds' traffic for batch
-// from the wire contract, counting hits with the every-bit reference and
-// not with the module programs: the master round ships every chunk of
-// edges cut at the master bound and reads back 1 word per probe that
-// finds a master entry, plus 1 per task; each master piece,
-// cut at its region's bound, is pushed (its words + 2, reading back 3 per
-// member as long as the probed depth, plus 1) or, above the pull
-// threshold, its region is fetched once (1 word out, the region back).
-func expectedWire(t *testing.T, pt *PIMTrie, batch []bitstr.String) (master, region wire) {
+// expectedWire derives the three match rounds' traffic for batch from
+// the wire contract, counting hits with the every-bit reference and not
+// with the module programs: the master round ships every chunk of edges
+// cut at the master bound and reads back 1 word per probe that finds a
+// master entry, plus 1 per task; each master piece, cut at its region's
+// bound, is pushed (its words + 2, reading back 3 per member as long as
+// the probed depth, plus 1) or, above the pull threshold, its region is
+// fetched once (1 word out, the region back). The block round ships one
+// task per distinct anchor piece of the batch's keys, whatever other
+// pieces the hits make: pushed (its words + 2, the walk's report + 1
+// back) or, above the pull threshold, its block fetched (1 word out, the
+// block back).
+func expectedWire(t *testing.T, pt *PIMTrie, batch []bitstr.String) (master, region, block wire) {
 	t.Helper()
 	p := pt.prepare(batch)
 	chunks := pt.chunkEdges(p, pt.masterBound())
@@ -86,6 +90,7 @@ func expectedWire(t *testing.T, pt *PIMTrie, batch []bitstr.String) (master, reg
 		})
 	}
 	fetched := map[pim.Addr]bool{}
+	var regionHits []hitRec
 	for _, pc := range pt.decompose(p, hits) {
 		ra := pc.hit.info.Region
 		segs, words := clampSegs(pc.segs, regions[ra].r.MaxLen())
@@ -102,26 +107,52 @@ func expectedWire(t *testing.T, pt *PIMTrie, batch []bitstr.String) (master, reg
 			region.tasks++
 			region.send += words + 2
 			region.recv++
-			for _, rh := range probeEveryBit(pt.h, segs, func(h uint64) (metaInfo, bool) {
-				n := regions[ra].r.Lookup(h)
-				if n == nil {
-					return metaInfo{}, false
-				}
-				return metaInfo{Len: n.Len}, true
-			}) {
-				if rh.info.Len == rh.edge.From.Depth+rh.off {
-					region.recv += regionHitWords
-				}
+		}
+		for _, rh := range probeEveryBit(pt.h, segs, func(h uint64) (metaInfo, bool) {
+			n := regions[ra].r.Lookup(h)
+			if n == nil {
+				return metaInfo{}, false
+			}
+			return metaInfo{Hash: h, Len: n.Len, SLast: n.SLast, Block: n.Block, Region: ra}, true
+		}) {
+			if rh.info.Len != rh.edge.From.Depth+rh.off {
+				continue
+			}
+			if words <= pt.cfg.PullThreshold {
+				region.recv += regionHitWords
+			}
+			if h, ok := pt.checkHit(rh); ok {
+				regionHits = append(regionHits, h)
 			}
 		}
 	}
-	return master, region
+	pt.decompose(p, append(hits, regionHits...))
+	shipped := map[*piece]bool{}
+	for _, n := range p.qt.Nodes {
+		pc := pt.anchorBuf[n.Index]
+		if shipped[pc] {
+			continue
+		}
+		shipped[pc] = true
+		bo := pt.sys.Module(pc.hit.info.Block.Module).Get(pc.hit.info.Block.ID).(*blockObj)
+		block.tasks++
+		if pc.words > pt.cfg.PullThreshold {
+			block.send++
+			block.recv += bo.SizeWords()
+			continue
+		}
+		block.send += pc.words + 2
+		block.recv += matchPiece(pc.root, &pt.stops, bo.tr).words + 1
+	}
+	return master, region, block
 }
 
-// TestMatchWireAccounting: the master and region rounds of an LCP and a
-// Get batch, of a 4096-key batch and of one key, ship and read back
-// exactly what the wire contract says (expectedWire), and the one-key
-// calls' traffic is pinned to the word.
+// TestMatchWireAccounting: the three match rounds of an LCP and a Get
+// batch, of a 4096-key batch and of one key, ship and read back exactly
+// what the wire contract says (expectedWire), and the one-key calls'
+// traffic is pinned to the word. The block round ships only the pieces
+// that hold a key: one task per distinct key anchor, so one for one key
+// however many block roots its path crosses.
 func TestMatchWireAccounting(t *testing.T) {
 	g := workload.New(11)
 	keys := g.VarLen(3000, 48, 160)
@@ -133,36 +164,39 @@ func TestMatchWireAccounting(t *testing.T) {
 	one := []bitstr.String{keys[17]}
 
 	for _, tc := range []struct {
-		name           string
-		batch          []bitstr.String
-		run            func([]bitstr.String)
-		master, region wire // the one-key calls' exact traffic
+		name                  string
+		batch                 []bitstr.String
+		run                   func([]bitstr.String)
+		master, region, block wire // the one-key calls' exact traffic
 	}{
-		{"LCP", batch, func(q []bitstr.String) { pt.LCP(q) }, wire{}, wire{}},
-		{"Get", batch, func(q []bitstr.String) { pt.Get(q) }, wire{}, wire{}},
+		{"LCP", batch, func(q []bitstr.String) { pt.LCP(q) }, wire{}, wire{}, wire{}},
+		{"Get", batch, func(q []bitstr.String) { pt.Get(q) }, wire{}, wire{}, wire{}},
 		// The stored key's path crosses 4 region roots below the root: one
 		// 2-word segment out, 4 hits + 1 back. Of the 5 pieces it makes, 3
 		// reach above their region's bound, each one 2-word segment (+2),
-		// and they hit 3 members (3 words each, +1 per task).
-		{"LCP/one-key", one, func(q []bitstr.String) { pt.LCP(q) }, wire{1, 2, 5}, wire{3, 12, 12}},
-		{"Get/one-key", one, func(q []bitstr.String) { pt.Get(q) }, wire{1, 2, 5}, wire{3, 12, 12}},
+		// and they hit 3 members (3 words each, +1 per task). Of the
+		// pieces below the hits only the key's anchor is matched: one
+		// 2-word segment (+2) out, the key node's reach and exact entry
+		// (+1) back.
+		{"LCP/one-key", one, func(q []bitstr.String) { pt.LCP(q) }, wire{1, 2, 5}, wire{3, 12, 12}, wire{1, 4, 3}},
+		{"Get/one-key", one, func(q []bitstr.String) { pt.Get(q) }, wire{1, 2, 5}, wire{3, 12, 12}, wire{1, 4, 3}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			wantMaster, wantRegion := expectedWire(t, pt, tc.batch)
+			wantMaster, wantRegion, wantBlock := expectedWire(t, pt, tc.batch)
 			rec := &phaseRecorder{}
 			sys.SetRecorder(rec)
 			tc.run(tc.batch)
 			sys.SetRecorder(nil)
-			gotMaster, gotRegion := rec.wire(t, "master-match"), rec.wire(t, "region-match")
-			if gotMaster != wantMaster || gotRegion != wantRegion {
-				t.Fatalf("master round %+v, region round %+v; the wire contract says %+v and %+v",
-					gotMaster, gotRegion, wantMaster, wantRegion)
+			gotMaster, gotRegion, gotBlock := rec.wire(t, "master-match"), rec.wire(t, "region-match"), rec.wire(t, "block-match")
+			if gotMaster != wantMaster || gotRegion != wantRegion || gotBlock != wantBlock {
+				t.Fatalf("master round %+v, region round %+v, block round %+v; the wire contract says %+v, %+v and %+v",
+					gotMaster, gotRegion, gotBlock, wantMaster, wantRegion, wantBlock)
 			}
-			if len(tc.batch) == 1 && (gotMaster != tc.master || gotRegion != tc.region) {
-				t.Fatalf("one key: master round %+v, region round %+v; want %+v and %+v",
-					gotMaster, gotRegion, tc.master, tc.region)
+			if len(tc.batch) == 1 && (gotMaster != tc.master || gotRegion != tc.region || gotBlock != tc.block) {
+				t.Fatalf("one key: master round %+v, region round %+v, block round %+v; want %+v, %+v and %+v",
+					gotMaster, gotRegion, gotBlock, tc.master, tc.region, tc.block)
 			}
-			t.Logf("master round %+v, region round %+v", gotMaster, gotRegion)
+			t.Logf("master round %+v, region round %+v, block round %+v", gotMaster, gotRegion, gotBlock)
 		})
 	}
 }

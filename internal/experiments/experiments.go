@@ -413,9 +413,9 @@ func CommSubtree(sc Scale) Table {
 func SkewBalance(sc Scale) Table {
 	t := Table{
 		ID:     "E7",
-		Title:  "skew resistance: IO balance (P·max/total) per LCP batch",
+		Title:  "skew resistance: IO balance, io-time / (io-words/P + 2·rounds), per LCP batch",
 		Header: []string{"workload", "pim-trie", "range-part", "dist-radix(s=8)", "pt io-time", "rp io-time"},
-		Notes:  "expected shape: pim-trie stays near 1–3 for every row; range-part degrades toward P under range/point skew; dist-radix degrades under shared-prefix skew. A batch that dedupes to a few query-trie nodes moves so few words that its ratio is noisy: read it with the io-time columns (busiest module's words)",
+		Notes:  "balance is IO time against a balanced layout's makespan, c = 2 words (one out, one back) per round: 1 balanced, P serialized. Expected shape: pim-trie stays far below range-part on every skewed row, and its io-time falls with the batch's distinct keys; range-part tends to P under range/point skew; dist-radix serializes its rounds under shared-prefix skew",
 	}
 	g := workload.New(sc.Seed)
 	keys := g.VarLen(sc.N/2, 48, 160)
@@ -448,11 +448,26 @@ func SkewBalance(sc Scale) Table {
 
 		before = drSys.Metrics()
 		dr.LCP(c.batch)
-		drBal := drSys.Metrics().Sub(before).IOBalance()
+		drD := drSys.Metrics().Sub(before)
 
-		t.Rows = append(t.Rows, []string{c.name, f64(ptD.IOBalance()), f64(rpD.IOBalance()), f64(drBal), i64(ptD.IOTime), i64(rpD.IOTime)})
+		t.Rows = append(t.Rows, []string{c.name,
+			f64(makespanBalance(ptD, sc.P)), f64(makespanBalance(rpD, sc.P)), f64(makespanBalance(drD, sc.P)),
+			i64(ptD.IOTime), i64(rpD.IOTime)})
 	}
 	return t
+}
+
+// roundFloorWords is the c of makespanBalance: the least a round costs a
+// module it gives a task, one word out and one back.
+const roundFloorWords = 2
+
+// makespanBalance is a batch's IO time against the makespan of a
+// perfectly balanced layout, io-words/P plus roundFloorWords per round:
+// 1 when no module waits on another, about P when one module carries
+// every word. The per-round floor keeps a batch that dedupes to a few
+// dozen words from reading as skewed, as P·max/total does.
+func makespanBalance(d pim.Metrics, p int) float64 {
+	return float64(d.IOTime) / (float64(d.IOWords)/float64(p) + roundFloorWords*float64(d.Rounds))
 }
 
 // SkewedDataBalance complements E7 with data skew: a deep shared-prefix
@@ -687,7 +702,9 @@ func AblationRegionSize(sc Scale) Table {
 // FaultRecovery reproduces the robustness claim: under a seeded fault
 // plan, answers stay bit-identical to a fault-free oracle while the
 // module-loss repair cost is first-class in the model metrics. Each
-// scenario runs the same build + LCP/Insert/Delete/LCP script; the
+// scenario runs the same build + LCP/Insert/Delete/LCP script, its
+// crashes at the first round of an op of the fault-free run (crash-1
+// and chaos: the insert; crash-2: the first LCP and the delete); the
 // answers-ok column compares every result against the fault-free run.
 func FaultRecovery(sc Scale) Table {
 	t := Table{
@@ -711,7 +728,12 @@ func FaultRecovery(sc Scale) Table {
 		dels       []bool
 		n          int
 	}
-	run := func(plan *pim.FaultPlan) (outcome, core.Health, int64) {
+	// run plays the script; starts holds the round at which the first
+	// LCP, the insert, the delete and the second LCP begin, so that a
+	// crash is scheduled by op and stays in its op when an op's round
+	// count changes.
+	const lcp1, insert, del = 0, 1, 2
+	run := func(plan *pim.FaultPlan) (o outcome, h core.Health, starts [4]int64) {
 		opts := []pim.Option{pim.WithSeed(sc.Seed)}
 		if plan != nil {
 			opts = append(opts, pim.WithFaults(*plan))
@@ -720,33 +742,33 @@ func FaultRecovery(sc Scale) Table {
 		defer sys.Close()
 		pt := core.New(sys, core.Config{HashSeed: uint64(sc.Seed), Recoverable: true})
 		pt.Build(keys, values)
-		var o outcome
+		starts[0] = sys.Metrics().Rounds
 		o.lcp1 = pt.LCP(queries)
+		starts[1] = sys.Metrics().Rounds
 		pt.Insert(fresh, freshVals)
+		starts[2] = sys.Metrics().Rounds
 		o.dels = pt.Delete(keys[:sc.Batch])
+		starts[3] = sys.Metrics().Rounds
 		o.lcp2 = pt.LCP(queries)
 		o.n = pt.KeyCount()
-		return o, pt.Health(), sys.Metrics().Rounds
+		return o, pt.Health(), starts
 	}
 
-	oracle, _, rounds := run(nil)
-	mid := rounds / 2
+	oracle, _, starts := run(nil)
+	crashAt := func(op int) pim.FaultEvent {
+		return pim.FaultEvent{Round: starts[op], Kind: pim.FaultCrash, Module: -1}
+	}
 	scenarios := []struct {
 		name string
 		plan *pim.FaultPlan
 	}{
 		{"fault-free", nil},
-		{"crash-1", &pim.FaultPlan{Events: []pim.FaultEvent{
-			{Round: mid, Kind: pim.FaultCrash, Module: -1},
-		}}},
-		{"crash-2", &pim.FaultPlan{Events: []pim.FaultEvent{
-			{Round: rounds / 3, Kind: pim.FaultCrash, Module: -1},
-			{Round: 2 * rounds / 3, Kind: pim.FaultCrash, Module: -1},
-		}}},
+		{"crash-1", &pim.FaultPlan{Events: []pim.FaultEvent{crashAt(insert)}}},
+		{"crash-2", &pim.FaultPlan{Events: []pim.FaultEvent{crashAt(lcp1), crashAt(del)}}},
 		{"chaos", &pim.FaultPlan{
 			Seed: sc.Seed, CrashProb: 0.01, StraggleProb: 0.05,
 			TruncateProb: 0.02, MaxCrashes: 4,
-			Events: []pim.FaultEvent{{Round: mid, Kind: pim.FaultCrash, Module: -1}},
+			Events: []pim.FaultEvent{crashAt(insert)},
 		}},
 	}
 	for _, s := range scenarios {

@@ -11,14 +11,20 @@ package serve
 // process stopped.
 //
 // Ordering contract. The executor applies an epoch to the index, then
-// appends it to the WAL (fsync per Options on the log), then resolves
-// futures. A crash between apply and append loses only epochs no
-// client ever saw acknowledged; a crash after append may recover an
-// epoch whose acks never went out — both are within the serial-order
-// contract (recovered state is always a prefix of the committed epoch
-// order that contains every acknowledged epoch). Checkpoints are
-// captured on the executor thread between epochs, so a checkpoint at
-// sequence S holds exactly the state after epoch S.
+// appends it to the WAL (fsync per Options on the log), then publishes
+// it to snapshot readers and resolves its write futures. A crash
+// between apply and append loses only epochs no client ever saw
+// acknowledged; a crash after append may recover an epoch whose acks
+// never went out — both are within the serial-order contract (recovered
+// state is always a prefix of the committed epoch order that contains
+// every acknowledged epoch). A failed append or fsync, or a failed
+// Apply of a write epoch, stops the server (fail stop): the write is
+// never acknowledged nor read, every later call fails with the sticky
+// error, and OpenDurable recovers exactly the acknowledged state. An
+// fsync is never retried: the kernel may have dropped the dirty pages.
+// Checkpoint errors do not stop it. Checkpoints are captured on the
+// executor thread between epochs, so a checkpoint at sequence S holds
+// exactly the state after epoch S.
 
 import (
 	"fmt"
@@ -124,8 +130,7 @@ func (d *durableState) commitEpoch(ix *pimtrie.Index, plan *epochPlan) error {
 	b := &plan.batch
 	seq, err := d.cfg.Log.AppendEpoch(b.Inserts, b.Values, b.Deletes)
 	if err != nil {
-		d.noteErr(err)
-		return err
+		return err // the caller fails stop on it
 	}
 	d.sinceCkpt++
 	if d.cfg.CheckpointEvery > 0 && d.sinceCkpt >= d.cfg.CheckpointEvery && !d.inFlight.Load() {
@@ -216,10 +221,11 @@ func (s *Server) WAL() *wal.Log {
 }
 
 // DurabilityErr returns the first write-ahead-log or checkpoint error
-// the durability layer has hit, or nil. Append errors additionally
-// fail the affected epoch's futures; checkpoint errors only surface
-// here (the log keeps the state recoverable, just with a longer
-// replay tail).
+// the durability layer has hit, or nil. A failed append or a failed
+// Apply of a write epoch also stops the server: every call pending or
+// submitted after it fails with it.
+// Checkpoint errors only surface here (the log keeps the state
+// recoverable, just with a longer replay tail).
 func (s *Server) DurabilityErr() error {
 	if s.dur == nil {
 		return nil

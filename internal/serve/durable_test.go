@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"maps"
 	"strings"
 	"sync"
 	"testing"
@@ -352,4 +353,60 @@ func TestDurableRequiresRecoverable(t *testing.T) {
 		}
 	}()
 	NewServer(pimtrie.New(4, pimtrie.Options{Seed: 1}), Options{Durable: &Durable{Log: log}})
+}
+
+// TestFailedAppendStopsServer pins the fail-stop contract. Once an
+// append fails (here the log is closed under the server), the write is
+// never acknowledged nor read, and every later call fails with the
+// sticky error: reads, snapshot reads and writes alike. A restart then
+// recovers exactly the acknowledged state.
+func TestFailedAppendStopsServer(t *testing.T) {
+	dir := t.TempDir()
+	open := func() *Server {
+		srv, _, err := OpenDurable(dir, wal.Options{Policy: wal.SyncEveryEpoch}, Options{SnapshotReads: true}, newRecoverableIndex)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return srv
+	}
+	alpha, beta := bitstr.FromBytes([]byte("alpha")), bitstr.FromBytes([]byte("beta"))
+	srv := open()
+	if err := srv.Insert(alpha, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.WAL().Close(); err != nil {
+		t.Fatal(err)
+	}
+	failed := srv.Insert(beta, 2)
+	if failed == nil {
+		t.Fatal("insert on a closed log succeeded")
+	}
+	sticky := func(what string, err error) {
+		t.Helper()
+		if err == nil || err.Error() != failed.Error() {
+			t.Fatalf("%s after the failed append: err %v, want %v", what, err, failed)
+		}
+	}
+	for _, k := range []Key{beta, alpha} {
+		_, _, err := srv.Get(k)
+		sticky("Get "+k.String(), err)
+		_, _, err = srv.GetAsyncWith(ReadSnapshot, k).Wait()
+		sticky("snapshot Get "+k.String(), err)
+		if srv.SnapshotGet([]Key{k}, make([]uint64, 1), make([]bool, 1)) {
+			t.Fatalf("SnapshotGet %s served after the failed append", k)
+		}
+	}
+	_, err := srv.LCP(beta)
+	sticky("LCP", err)
+	sticky("Insert", srv.Insert(bitstr.FromBytes([]byte("gamma")), 3))
+	_, err = srv.Delete(alpha)
+	sticky("Delete", err)
+	sticky("DurabilityErr", srv.DurabilityErr())
+	srv.Close()
+
+	srv = open()
+	defer srv.Close()
+	if got, want := dumpIndex(srv.ix), map[string]uint64{alpha.String(): 1}; !maps.Equal(got, want) {
+		t.Fatalf("recovered %v, want the acknowledged %v", got, want)
+	}
 }

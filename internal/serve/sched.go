@@ -74,6 +74,9 @@ type Server struct {
 
 	met *serveMetrics // nil unless Options.Metrics is set
 	dur *durableState // nil unless Options.Durable is set
+	// stopped is the error a durable write epoch failed with: once set,
+	// every queued and later call fails with it (see execute).
+	stopped atomic.Pointer[error]
 
 	// health is the post-epoch Index.Health sample behind Server.Health;
 	// written only by the goroutine that owns the index. keyCount and
@@ -188,6 +191,11 @@ func (s *Server) submit(op Op, keys []Key, values []uint64) *future {
 	if s.closed {
 		s.mu.Unlock()
 		f.fail(ErrClosed)
+		return f
+	}
+	if err := s.stopErr(); err != nil {
+		s.mu.Unlock()
+		f.fail(err)
 		return f
 	}
 	s.stats.Requests[op]++
@@ -453,27 +461,35 @@ func (s *Server) apply(b pimtrie.Batch) (res pimtrie.Result, err error) {
 }
 
 // execute commits one epoch with one Index.Apply and settles every
-// future of it before returning: the reads first; then, once the
-// recent-writes filter is stamped and the write sections are logged as
-// one record, the writes — so a read never waits for an fsync. The
-// epoch is all-or-nothing towards its callers: if Apply fails every
-// future fails, and if the append fails every write future does. The
-// index may then hold part of the epoch's writes; a durable server
-// records either failure as its sticky DurabilityErr, because its
-// memory is now ahead of its log and a restart rolls the epoch back.
-// The health, key-count and model sample is taken before any future
-// settles, so a caller that waited on the epoch reads its effect.
+// future of it before returning: the reads first; then, once the write
+// sections are logged as one record, the writes — so a read never waits
+// for an fsync. The write keys stamp the recent-writes filter before
+// Apply, and the committed-write counter advances only after the append
+// returns, so no snapshot reader sees an unlogged write. If Apply fails
+// every future fails. A durable server fails stop (failStop) when the
+// append or its fsync fails, or when Apply fails on a write epoch: its
+// memory is then ahead of its log. The health, key-count and model
+// sample is taken before any future settles, so a caller that waited on
+// the epoch reads its effect.
 func (s *Server) execute(plan *epochPlan) {
 	if s.met != nil {
 		start := time.Now()
 		defer func() { s.met.executeSec.Observe(time.Since(start).Seconds()) }()
+	}
+	if plan.stamp != 0 && s.snapFilter != nil {
+		for _, keys := range [][]Key{plan.batch.Inserts, plan.batch.Deletes} {
+			for _, k := range keys {
+				s.snapFilter.note(keyHash(k), plan.stamp)
+			}
+		}
 	}
 	res, err := s.apply(plan.batch)
 	s.sampleHealth()
 	if err != nil {
 		err = fmt.Errorf("serve: index failure: %w", err)
 		if plan.stamp != 0 && s.dur != nil {
-			s.dur.noteErr(err)
+			s.failStop(plan, err)
+			return
 		}
 		for _, c := range plan.calls {
 			s.finishErr(c, err)
@@ -529,34 +545,20 @@ func (s *Server) execute(plan *epochPlan) {
 	if plan.stamp == 0 {
 		return
 	}
-	// Snapshot-path ordering: stamp the recent-writes filter, THEN
-	// advance the committed-write counter, THEN (below) acknowledge.
-	// A reader that observed this write as acked therefore finds its
-	// filter stamp already in place, so it either falls back to the
-	// epoch path or reads a snapshot that contains the write — never a
-	// stale snapshot answer for an acknowledged key.
-	if s.snapFilter != nil {
-		for _, keys := range [][]Key{plan.batch.Inserts, plan.batch.Deletes} {
-			for _, k := range keys {
-				s.snapFilter.note(keyHash(k), plan.stamp)
-			}
+	// Log-before-ack: the epoch's writes reach the WAL before any caller
+	// or snapshot observes them as committed, so an acknowledged write
+	// survives the process and a failed one is never read.
+	if s.dur != nil {
+		if err := s.dur.commitEpoch(s.ix, plan); err != nil {
+			s.failStop(plan, fmt.Errorf("serve: wal append: %w", err))
+			return
 		}
+	}
+	if s.snapFilter != nil {
 		s.committedW.Store(plan.stamp)
 		select {
 		case s.snapDirty <- struct{}{}:
 		default: // publisher already pending; it reloads the counter
-		}
-	}
-	// Log-before-ack: the epoch's writes reach the WAL before any caller
-	// observes them as committed, so an acknowledged write survives the
-	// process.
-	if s.dur != nil {
-		if err := s.dur.commitEpoch(s.ix, plan); err != nil {
-			err = fmt.Errorf("serve: wal append: %w", err)
-			for _, c := range plan.calls {
-				s.finishErr(c, err)
-			}
-			return
 		}
 	}
 	for _, c := range plan.calls {
@@ -564,4 +566,31 @@ func (s *Server) execute(plan *epochPlan) {
 			s.finish(c)
 		}
 	}
+}
+
+// failStop stops a durable server on err: it becomes the sticky
+// DurabilityErr, and plan's pending calls, every queued call and every
+// call submitted from now on fail with it, reads included, until
+// OpenDurable replays the log.
+func (s *Server) failStop(plan *epochPlan, err error) {
+	s.dur.noteErr(err)
+	s.stopped.Store(&err)
+	s.mu.Lock()
+	queued := s.queue
+	s.queue = nil
+	s.mu.Unlock()
+	if s.met != nil {
+		s.met.queueDepth.Add(-float64(len(queued)))
+	}
+	for _, c := range append(plan.calls, queued...) {
+		s.finishErr(c, err)
+	}
+}
+
+// stopErr returns the error the server failed stop with, or nil.
+func (s *Server) stopErr() error {
+	if err := s.stopped.Load(); err != nil {
+		return *err
+	}
+	return nil
 }

@@ -13,10 +13,10 @@ package serve
 // Staleness is bounded per key by a recent-writes filter: a power-of-two
 // table of write-epoch stamps, two slots per key (derived from one
 // 64-bit hash), written only by the executor as each write epoch
-// commits. A reader trusts the published snapshot for a key iff
+// starts. A reader trusts the published snapshot for a key iff
 // min(slot1, slot2) <= published stamp — the key cannot have been
 // written by any epoch later than the snapshot. Slot stamps only grow
-// and are recorded BEFORE the write's futures resolve, so the filter
+// and are recorded BEFORE the write reaches the index, so the filter
 // has no false negatives: a snapshot answer for a trusted key is
 // per-key identical to ReadStrong at that instant. False positives
 // (unrelated keys sharing a slot) only cause spurious fallbacks to the
@@ -155,13 +155,14 @@ func (s *Server) SnapshotView() (*pimtrie.Snapshot, uint64) {
 
 // SnapshotGet answers every key from the published snapshot into the
 // caller's slices, or serves none of them and returns false: one
-// consistency decision per call. It is a pure probe that counts
+// consistency decision per call. A server stopped by a failed durable
+// write serves none. It is a pure probe that counts
 // nothing, so a caller that combines several probes (the shard router)
 // counts a call only once it commits to the answers. vals and found
 // must have len(keys). Wait-free: no locks, no channels, no goroutines.
 func (s *Server) SnapshotGet(keys []Key, vals []uint64, found []bool) bool {
 	ss := s.pub.Load()
-	return ss != nil && s.probe(ss, keys, vals, found)
+	return ss != nil && s.stopErr() == nil && s.probe(ss, keys, vals, found)
 }
 
 // probe answers keys from ss unless the recent-writes filter distrusts
@@ -179,11 +180,12 @@ func (s *Server) probe(ss *snapState, keys []Key, vals []uint64, found []bool) b
 // GetAsyncWith is GetAsync with an explicit consistency mode.
 // ReadSnapshot resolves immediately (wait-free) when the published
 // snapshot can answer every key; otherwise — filter conflict, no
-// snapshot published, or snapshot reads disabled — it transparently
-// degrades to the ReadStrong epoch path. It counts the keys it serves
+// snapshot published, snapshot reads disabled, or a server stopped by a
+// failed durable write — it transparently degrades to the ReadStrong
+// epoch path. It counts the keys it serves
 // and those the filter sends back.
 func (s *Server) GetAsyncWith(c Consistency, keys ...Key) *GetFuture {
-	if ss := s.pub.Load(); c == ReadSnapshot && ss != nil && len(keys) > 0 {
+	if ss := s.pub.Load(); c == ReadSnapshot && ss != nil && len(keys) > 0 && s.stopErr() == nil {
 		vals := make([]uint64, len(keys))
 		found := make([]bool, len(keys))
 		if s.probe(ss, keys, vals, found) {
