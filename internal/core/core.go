@@ -14,9 +14,9 @@
 //
 // Matching (§4.3). A batch is turned into a query trie on the host; its
 // edges, cut at the master table's depth bound — the largest root length
-// it holds; nothing deeper can hit — are chunked and pushed to random
-// modules, which probe every bit position against the replicated master
-// table (Algorithm 4's role). Each master hit assigns the query piece
+// it holds; nothing deeper can hit — are dealt as at most P equal chunks
+// to distinct modules, which probe every bit position against the
+// replicated master table (Algorithm 4's role). Each master hit assigns the query piece
 // below it to one region; the piece, cut at that region's own depth
 // bound (which the host keeps for every live region), is then probed
 // push-pull style for interior block-root hits (Algorithm 5's role).
@@ -73,9 +73,10 @@ type Config struct {
 	Recoverable bool
 }
 
-// masterChunkWords bounds, in words, the query-trie edges and so the
-// chunks of the master round.
-const masterChunkWords = 64
+// maxEdgeWords bounds, in words, the query-trie edges: SplitLongEdges
+// cuts longer ones, so a master chunk exceeds its even share by less
+// than one edge.
+const maxEdgeWords = 64
 
 func (c Config) withDefaults(p int) Config {
 	lg := bits.Len(uint(p))
@@ -223,9 +224,9 @@ type PIMTrie struct {
 	// nothing on the batch path may cost O(a previous batch), which is
 	// why there is no map here (DESIGN.md §9).
 	prepScratch prep
-	segArena    [][]segment // master-round chunks
+	segBuf      []segment   // master-round segments, in preorder
+	chunkBuf    [][]segment // master-round chunks: views of segBuf
 	taskBuf     []pim.Task  // the round being assembled
-	modBuf      []int       // master-round target modules
 	rawHitBuf   []rawHit    // a round's unverified hits, in task order
 	replies     replyArena  // where the round's probe tasks wrote them
 	verifyRecs  []hitRec    // verifyHits' per-hit verdicts

@@ -4,9 +4,10 @@ package core
 // flattened region scheme; see the package comment). One call to
 // (*PIMTrie).match runs, for a prepared query trie:
 //
-//	phase B — master round: query-trie chunks to random modules, every
-//	          bit position down to the master table's depth bound probed
-//	          against the replicated master table;
+//	phase B — master round: at most P equal query-trie chunks on
+//	          distinct modules, every bit position down to the master
+//	          table's depth bound probed against the replicated master
+//	          table;
 //	phase C — region round: pieces below master hits probed against
 //	          their region's index down to the region's depth bound —
 //	          one pivot class per word where a window runs words deep
@@ -418,7 +419,7 @@ type prep struct {
 func (t *PIMTrie) prepare(batch []bitstr.String) *prep {
 	qt := querytrie.Build(batch)
 	// Bound edge sizes so chunks and pieces stay shippable.
-	qt.Trie.SplitLongEdges(masterChunkWords * bitstr.WordBits)
+	qt.Trie.SplitLongEdges(maxEdgeWords * bitstr.WordBits)
 	t.sys.CPUWork(qt.SizeWords())
 	p := &t.prepScratch
 	p.qt = qt
@@ -495,13 +496,10 @@ func (t *PIMTrie) match(p *prep) (*matchOutcome, error) {
 	})
 	t.taskBuf = sized(t.taskBuf, len(chunks))
 	bTasks := t.taskBuf
-	// Target modules are drawn serially first so the RNG sequence matches
-	// the serial loop; task construction then fans out (disjoint writes).
-	t.modBuf = sized(t.modBuf, len(chunks))
-	mods := t.modBuf
-	for i := range mods {
-		mods[i] = t.sys.RandModule()
-	}
+	// Every module holds the master table, so one draw places the whole
+	// round: chunk i goes to module (r + i) mod P, and the at most P
+	// chunks land on distinct modules.
+	r, nMods := t.sys.RandModule(), t.sys.P()
 	parallel.For(len(chunks), func(i int) {
 		ch := chunks[i]
 		words := 0
@@ -510,7 +508,7 @@ func (t *PIMTrie) match(p *prep) (*matchOutcome, error) {
 		}
 		addrs := t.masterAddrs
 		bTasks[i] = pim.Task{
-			Module:    mods[i],
+			Module:    (r + i) % nMods,
 			SendWords: words,
 			Run: func(m *pim.Module) pim.Resp {
 				mo := m.Get(addrs[m.ID()].ID).(*masterObj)
@@ -809,30 +807,23 @@ func suffixWindowEqual(e *trie.Edge, off int, want bitstr.String) bool {
 }
 
 // chunkEdges splits the query trie's edges, cut at the master table's
-// depth bound, into chunks of bounded words for the master round: an
-// edge is shipped up to depth bound (positions (0, min(len, bound −
-// From.Depth)]) and not at all when it starts at or below bound, so an
-// index whose master holds only the root ships no chunk. Chunk storage
-// is recycled across batches: the chunks only live until the master
-// round's responses are in.
+// depth bound, into at most P chunks of about equal words for the master
+// round: an edge is shipped up to depth bound (positions (0, min(len,
+// bound − From.Depth)]) and not at all when it starts at or below bound,
+// so an index whose master holds only the root ships no chunk. The
+// segments are cut in preorder into chunks of ⌈W/P⌉ words, W the words
+// of them all, so a chunk exceeds that by less than its last segment
+// (edges are split at maxEdgeWords). The chunks are views of one
+// segment buffer recycled across batches: they only live until the
+// master round's responses are in.
 //
 // It iterates the flattened preorder scaffolding NodeHashes built (one
 // linear array scan instead of a recursive pointer walk), with a
 // lookahead touch of upcoming nodes — the grouping path's prefetch
 // point. The edge order is exactly the recursive walk's (both child
-// edges of a node, in bit order, before descending), which the RNG
-// draw order of chunk target modules depends on.
+// edges of a node, in bit order, before descending).
 func (t *PIMTrie) chunkEdges(p *prep, bound int) [][]segment {
-	arena := t.segArena
-	n := 0 // completed chunks
-	grab := func() []segment {
-		if n == len(arena) {
-			arena = append(arena, nil)
-		}
-		return arena[n][:0]
-	}
-	cur := grab()
-	words := 0
+	segs, words := t.segBuf[:0], 0
 	pre := p.qt.PreNodes
 	sink := uint64(0)
 	for i, nd := range pre {
@@ -845,25 +836,26 @@ func (t *PIMTrie) chunkEdges(p *prep, bound int) [][]segment {
 		for b := 0; b < 2; b++ {
 			if e := nd.Child[b]; e != nil {
 				s := segment{edge: e, off: 0, end: min(e.Label.Len(), bound-nd.Depth), startVal: p.hashes[i]}
-				cur = append(cur, s)
+				segs = append(segs, s)
 				words += s.words()
-				if words >= masterChunkWords {
-					arena[n] = cur
-					n++
-					cur, words = grab(), 0
-				}
 			}
 		}
 	}
 	if sink == sinkSentinel {
 		probeSink = sink
 	}
-	if len(cur) > 0 {
-		arena[n] = cur
-		n++
+	t.segBuf = segs
+	chunks := t.chunkBuf[:0]
+	target := (words + t.sys.P() - 1) / t.sys.P()
+	start, w := 0, 0
+	for i, s := range segs {
+		if w += s.words(); w >= target || i == len(segs)-1 {
+			chunks = append(chunks, segs[start:i+1:i+1])
+			start, w = i+1, 0
+		}
 	}
-	t.segArena = arena
-	return arena[:n]
+	t.chunkBuf = chunks
+	return chunks
 }
 
 // chunkLookahead is the preorder lookahead distance of chunkEdges'

@@ -338,7 +338,8 @@ func TestSuffixWindow(t *testing.T) {
 
 // TestChunkEdgesClampToMasterBound: the master round's chunks cover
 // exactly the query positions no deeper than the master table's depth
-// bound, each once and from its edge's start, in bounded chunks; an index
+// bound, each once and from its edge's start, in at most P chunks of
+// ⌈W/P⌉ words plus one segment (W the words of every segment); an index
 // whose master holds only the root ships no chunk at all, and its master
 // round still runs as one (empty) round.
 func TestChunkEdgesClampToMasterBound(t *testing.T) {
@@ -351,21 +352,26 @@ func TestChunkEdgesClampToMasterBound(t *testing.T) {
 	p := prepFor(pt, batch)
 	maxChunks := 0
 	for _, bound := range []int{0, 1, 5, 14, 64, 130, 1000} {
-		// The positions at depth ≤ bound, edge by edge.
+		// The positions at depth ≤ bound, edge by edge, and their words.
 		want := map[*trie.Edge]int{}
-		wantBits := 0
+		wantBits, wantWords := 0, 0
 		for _, nd := range p.qt.PreNodes {
 			for b := 0; b < 2; b++ {
 				if e := nd.Child[b]; e != nil && nd.Depth < bound {
 					want[e] = min(e.Label.Len(), bound-nd.Depth)
 					wantBits += want[e]
+					wantWords += segment{end: want[e]}.words()
 				}
 			}
 		}
+		share := (wantWords + pt.sys.P() - 1) / pt.sys.P()
 		seen := map[*trie.Edge]bool{}
 		bits := 0
 		chunks := pt.chunkEdges(p, bound)
 		maxChunks = max(maxChunks, len(chunks))
+		if len(chunks) > pt.sys.P() {
+			t.Fatalf("bound %d: %d chunks for %d modules", bound, len(chunks), pt.sys.P())
+		}
 		for _, ch := range chunks {
 			if len(ch) == 0 {
 				t.Fatalf("bound %d: empty chunk", bound)
@@ -385,9 +391,9 @@ func TestChunkEdgesClampToMasterBound(t *testing.T) {
 					t.Fatal("segment startVal mismatch")
 				}
 			}
-			// Chunks respect the bound up to one oversized tail edge.
-			if w > 2*masterChunkWords+4 {
-				t.Fatalf("chunk of %d words (bound %d)", w, masterChunkWords)
+			// A chunk passes its even share by at most its last segment.
+			if last := ch[len(ch)-1].words(); w > share+last {
+				t.Fatalf("bound %d: chunk of %d words, share %d plus a %d-word segment", bound, w, share, last)
 			}
 		}
 		if len(seen) != len(want) || bits != wantBits {

@@ -200,3 +200,67 @@ func TestMatchWireAccounting(t *testing.T) {
 		})
 	}
 }
+
+// TestMasterRoundBalanced: the master table is on every module, so the
+// master round deals its chunks over distinct modules, and the busiest
+// module moves no more than an even share of the round's segment words
+// (⌈W/P⌉) plus one segment, plus its reply: 1 word per task and
+// masterHitWords per hit. The hits per chunk are counted with the
+// every-bit reference. A round that placed each chunk on its own random
+// module would stack two chunks on one module almost surely.
+func TestMasterRoundBalanced(t *testing.T) {
+	const p = 64
+	g := workload.New(12)
+	keys := g.VarLen(20000, 48, 160)
+	sys := pim.NewSystem(p, pim.WithSeed(12))
+	defer sys.Close()
+	pt := New(sys, Config{HashSeed: 12})
+	pt.Build(keys, g.Values(len(keys)))
+	batch := append(g.PrefixQueries(keys, 2048, 16), g.FixedLen(2048, 96)...)
+	replica := pt.sys.Module(0).Get(pt.masterAddrs[0].ID).(*masterObj).entries
+
+	for _, tc := range []struct {
+		name string
+		run  func([]bitstr.String)
+	}{
+		{"LCP", func(q []bitstr.String) { pt.LCP(q) }},
+		{"Get", func(q []bitstr.String) { pt.Get(q) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			words, maxSeg, maxHits := 0, 0, 0
+			for _, ch := range pt.chunkEdges(pt.prepare(batch), pt.masterBound()) {
+				for _, s := range ch {
+					words += s.words()
+					maxSeg = max(maxSeg, s.words())
+				}
+				hits := probeEveryBit(pt.h, ch, func(h uint64) (metaInfo, bool) {
+					_, ok := replica.Get(h)
+					return metaInfo{}, ok
+				})
+				maxHits = max(maxHits, len(hits))
+			}
+			limit := (words+p-1)/p + maxSeg + 1 + maxHits*masterHitWords
+			rec := &phaseRecorder{}
+			sys.SetRecorder(rec)
+			tc.run(batch)
+			sys.SetRecorder(nil)
+			rs := rec.rounds["master-match"]
+			if len(rs) != 1 {
+				t.Fatalf("master phase ran %d rounds, want 1", len(rs))
+			}
+			r := rs[0]
+			if r.Tasks < p/2 {
+				t.Fatalf("master round of %d tasks on %d modules: too few to test the deal", r.Tasks, p)
+			}
+			if r.Modules != r.Tasks {
+				t.Fatalf("master round put %d tasks on %d modules, want each on its own", r.Tasks, r.Modules)
+			}
+			if r.MaxIO > int64(limit) {
+				t.Fatalf("master round's busiest module moved %d words, over ⌈%d/%d⌉ + a %d-word segment + 1 + %d hits = %d",
+					r.MaxIO, words, p, maxSeg, maxHits, limit)
+			}
+			t.Logf("master round: %d tasks, busiest module %d words (limit %d), mean %.1f",
+				r.Tasks, r.MaxIO, limit, float64(r.SendWords+r.RecvWords)/float64(r.Modules))
+		})
+	}
+}

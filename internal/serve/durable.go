@@ -208,8 +208,15 @@ func (d *durableState) noteErr(err error) {
 // boundary and returns the immutable view: Subtree exports, backups
 // and analytic scans read it while write epochs keep committing. Safe
 // from any goroutine while the server runs; the index must be
-// recoverable (it panics otherwise, like Index.Snapshot).
-func (s *Server) Snapshot() *pimtrie.Snapshot { return s.ix.Snapshot() }
+// recoverable (it panics otherwise, like Index.Snapshot). It returns nil
+// once a failed durable write stopped the server: the index still holds
+// that write until OpenDurable replays the log.
+func (s *Server) Snapshot() *pimtrie.Snapshot {
+	if s.stopErr() != nil {
+		return nil
+	}
+	return s.ix.Snapshot()
+}
 
 // WAL returns the server's write-ahead log for stats inspection, or
 // nil when the server is not durable.

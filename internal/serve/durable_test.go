@@ -2,6 +2,7 @@ package serve
 
 import (
 	"maps"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -374,12 +375,27 @@ func TestFailedAppendStopsServer(t *testing.T) {
 	if err := srv.Insert(alpha, 1); err != nil {
 		t.Fatal(err)
 	}
+	keys, model, health := srv.KeyCount(), srv.ModelMetrics(), srv.Health()
 	if err := srv.WAL().Close(); err != nil {
 		t.Fatal(err)
 	}
 	failed := srv.Insert(beta, 2)
 	if failed == nil {
 		t.Fatal("insert on a closed log succeeded")
+	}
+	// Outside keyed reads too, the server shows the last committed epoch
+	// and no snapshot, although its index still holds beta.
+	if got := srv.KeyCount(); got != keys || keys != 1 {
+		t.Fatalf("KeyCount %d after the failed append, want the committed %d (1)", got, keys)
+	}
+	if !reflect.DeepEqual(srv.ModelMetrics(), model) || !reflect.DeepEqual(srv.Health(), health) {
+		t.Fatal("ModelMetrics or Health moved with the failed append")
+	}
+	if snap, epoch := srv.SnapshotView(); snap != nil || epoch != 0 {
+		t.Fatalf("SnapshotView (%v, %d) after the failed append, want (nil, 0)", snap, epoch)
+	}
+	if srv.Snapshot() != nil {
+		t.Fatal("Snapshot served after the failed append")
 	}
 	sticky := func(what string, err error) {
 		t.Helper()

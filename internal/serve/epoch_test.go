@@ -442,8 +442,11 @@ func TestWriteEpochFailsWhole(t *testing.T) {
 					t.Errorf("call %d (%v) was acknowledged", i, c.op)
 				}
 			}
-			if n := s.KeyCount(); n != tc.keys {
+			if n := s.ix.Len(); n != tc.keys {
 				t.Errorf("index holds %d keys, want %d: the epoch was to reach memory and not the log", n, tc.keys)
+			}
+			if n := s.KeyCount(); n != 0 {
+				t.Errorf("KeyCount %d, want 0: the sample keeps the last committed epoch", n)
 			}
 			first := s.DurabilityErr()
 			if first == nil {

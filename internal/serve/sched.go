@@ -469,8 +469,9 @@ func (s *Server) apply(b pimtrie.Batch) (res pimtrie.Result, err error) {
 // every future fails. A durable server fails stop (failStop) when the
 // append or its fsync fails, or when Apply fails on a write epoch: its
 // memory is then ahead of its log. The health, key-count and model
-// sample is taken before any future settles, so a caller that waited on
-// the epoch reads its effect.
+// sample is taken before the epoch's writes settle, so a caller that
+// waited on a write reads its effect; on a durable write epoch it waits
+// for the append, so a failed write never shows there.
 func (s *Server) execute(plan *epochPlan) {
 	if s.met != nil {
 		start := time.Now()
@@ -484,10 +485,13 @@ func (s *Server) execute(plan *epochPlan) {
 		}
 	}
 	res, err := s.apply(plan.batch)
-	s.sampleHealth()
+	durableWrite := plan.stamp != 0 && s.dur != nil
+	if !durableWrite {
+		s.sampleHealth()
+	}
 	if err != nil {
 		err = fmt.Errorf("serve: index failure: %w", err)
-		if plan.stamp != 0 && s.dur != nil {
+		if durableWrite {
 			s.failStop(plan, err)
 			return
 		}
@@ -548,11 +552,12 @@ func (s *Server) execute(plan *epochPlan) {
 	// Log-before-ack: the epoch's writes reach the WAL before any caller
 	// or snapshot observes them as committed, so an acknowledged write
 	// survives the process and a failed one is never read.
-	if s.dur != nil {
+	if durableWrite {
 		if err := s.dur.commitEpoch(s.ix, plan); err != nil {
 			s.failStop(plan, fmt.Errorf("serve: wal append: %w", err))
 			return
 		}
+		s.sampleHealth()
 	}
 	if s.snapFilter != nil {
 		s.committedW.Store(plan.stamp)

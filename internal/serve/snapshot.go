@@ -143,11 +143,12 @@ func (s *Server) publishSnapshot() {
 }
 
 // SnapshotView returns the currently published (snapshot, write-epoch
-// stamp) pair, or (nil, 0) when snapshot reads are disabled. The pair
-// is immutable; safe from any goroutine.
+// stamp) pair, or (nil, 0) when snapshot reads are disabled or a failed
+// durable write stopped the server (the snapshot may hold that write).
+// The pair is immutable; safe from any goroutine.
 func (s *Server) SnapshotView() (*pimtrie.Snapshot, uint64) {
 	ss := s.pub.Load()
-	if ss == nil {
+	if ss == nil || s.stopErr() != nil {
 		return nil, 0
 	}
 	return ss.flat, ss.epoch
