@@ -9,8 +9,9 @@ package core
 //	          table's depth bound probed against the replicated master
 //	          table;
 //	phase C — region round: pieces below master hits probed against
-//	          their region's index down to the region's depth bound —
-//	          one pivot class per word where a window runs words deep
+//	          their region's index down to the region's depth bound,
+//	          bottom-up, for the deepest hit a key can anchor at — one
+//	          pivot class per word where a window runs words deep
 //	          (§4.4.2) — push-pull by piece size;
 //	phase D — block round: the pieces below the combined hits that hold
 //	          a batch key's node matched bit-by-bit against their
@@ -18,15 +19,17 @@ package core
 //
 // Only keyed pieces are shipped, because every answer is read at a key
 // node, and a key's reach and exact entry come only from its anchor
-// piece's walk. Walks run downward and halt at deeper hits, so only a
-// shallower piece can touch a key node outside its anchor's walk. Hits
-// are verified, so a shallower walk cannot diverge from the query above
-// the anchor hit; it can only stop at a mirror. There it diverge-marks
-// at the mirror's depth, which is no deeper than the anchor hit. The
-// anchor's own walk reports at least that hit's depth. A shallower walk
-// that halts exactly on a hit node records a mirror there, and fold
-// prefers the anchor's block root. Every unkeyed piece still cuts the
-// walks above it through the full edgeStops table.
+// piece's walk: the piece of the deepest hit on the key's root path. The
+// region round reports only the hits that can be such an anchor
+// (probeRegion), so every key keeps the anchor the full hit set gives it.
+// A walk halts at the next reported hit below it or at a mirror of its
+// block. A hit it runs past unreported is a block root on the query path,
+// so the block holds a mirror there. Hits are verified, so a walk cannot
+// diverge from the query above the hits; it can only stop at a mirror.
+// There it diverge-marks at the mirror's depth, no deeper than the anchor
+// of any key below, whose own walk reports at least that depth; fold keeps
+// the max. A walk that halts exactly on a hit node records a mirror there,
+// and fold prefers the anchor's block root.
 //
 // Every hit is verified host-side by length and S_last before being
 // trusted (§4.4.3's differentiated verification: interior certification
@@ -47,11 +50,10 @@ package core
 // query position (1 word): the host rehashes the position from its
 // segment's start value and reads the entry from its own master table. A
 // region hit is its position, S_last and block address (3 words): the
-// module drops a probe whose member is not as long as the probed depth —
-// the length half of the verification, done where the depth is known —
-// so the host knows the length, rehashes the position for the hash, and
-// knows the region from the piece it sent. Either way each task adds one
-// word, and every hit is then verified as above.
+// module reports only a member that verifies there, so the host knows the
+// length, rehashes the position for the hash, and knows the region from
+// the piece it sent. Either way each task adds one word, and every hit is
+// then verified as above.
 
 import (
 	"slices"
@@ -76,11 +78,14 @@ type hitRec struct {
 }
 
 // segment is a run of query-trie edge bits shipped for probing:
-// positions (off, end] of edge's label, with the hash value at off.
+// positions (off, end] of edge's label, with the hash value at off. cut
+// marks a segment that ends at a hit of the partition it belongs to
+// (decompose), which the next piece starts from.
 type segment struct {
 	edge     *trie.Edge
 	off, end int
 	startVal hashing.Value
+	cut      bool
 }
 
 func (s segment) words() int {
@@ -157,18 +162,18 @@ func (a *replyArena) reset() {
 	}
 }
 
-// probeSegments extends hash values bit-by-bit along each segment and
-// probes every position no deeper than bound — the largest Len the
-// lookup target holds — reporting all hits. A hit must verify against an
-// entry whose Len is the probed depth, so positions below bound cannot
-// hit and are neither hashed nor probed: each segment is clamped to
-// end' = min(end, bound − From.Depth), and a segment that starts at or
-// below bound costs one compare. The host ships segments already cut
-// this way (clampSegs), so in a match round the clamp only guards.
-// Within the clamp every position is probed, so the extension stays
-// per-bit; the label bits are pulled one packed word at a time instead
-// of through per-bit BitAt calls. lookup gets each probe's hash and
-// depth, and reports the reply a hit carries.
+// probeSegments is the master program: it extends hash values
+// bit-by-bit along each segment and probes every position no deeper than
+// bound — the largest Len the lookup target holds — reporting all hits. A
+// hit must verify against an entry whose Len is the probed depth, so
+// positions below bound cannot hit and are neither hashed nor probed:
+// each segment is clamped to end' = min(end, bound − From.Depth), and a
+// segment that starts at or below bound costs one compare. The host ships
+// segments already cut this way (chunkEdges), so in a match round the
+// clamp only guards. Within the clamp every position is probed, so the
+// extension stays per-bit; the label bits are pulled one packed word at a
+// time instead of through per-bit BitAt calls. lookup gets each probe's
+// hash and depth, and reports the reply a hit carries.
 //
 // The probes of one ≤w-bit window run in three grouped passes so their
 // cache misses overlap instead of serializing (memory-level
@@ -181,29 +186,17 @@ func (a *replyArena) reset() {
 // every bit of every segment (the reference in match_test.go) as long as
 // bound is sound, which Validate checks — less only the hash false
 // positives that loop raises below bound under a narrow test hash, which
-// checkHit drops anyway, and those lookup itself drops. Hits carry no
-// hash value (the host rehashes them, rehashHits). Work is charged for
-// what runs: per clamped segment one unit per probe plus one per 8 bits
-// hashed (the byte-table hashing cost of the unoptimized Algorithm 3)
-// plus one, and one unit for a skipped segment.
+// checkHit drops anyway. Hits carry no hash value (the host rehashes
+// them, rehashHits). Work is charged for what runs: per clamped segment
+// one unit per probe plus one per 8 bits hashed (the byte-table hashing
+// cost of the unoptimized Algorithm 3) plus one, and one unit for a
+// skipped segment.
 //
-// On a region (reg non-nil, its index behind lookup) a segment may take
-// §4.4.2's class path instead: when its clamped window reaches at least
-// one whole word past the word its start depth lies in, it probes per bit
-// only to that word's end and from there one pivot class per word
-// (probeClasses), plus the rebuild of the region's class index if a
-// mutation made it stale. The rule is fixed by w and the bound, so it has
-// nothing to tune; every other segment, and every master segment, probes
-// per bit to its clamp. A class-path segment reports the same hits that
-// verify as the per-bit loop, not the same false positives
-// (TestRegionProbeMatchesEveryBit).
-//
-// touch may be nil when the lookup target has no useful early-load form
-// (e.g. a pointer-chasing map). The window scratch lives on the stack
-// and the reply in chunks of arena, because probeSegments runs
-// concurrently on module executors and host workers; the reply is nil
-// when nothing hit and is the caller's until it resets the arena.
-func probeSegments(h *hashing.Hasher, segs []segment, bound int, arena *replyArena, lookup func(h uint64, depth int) (metaInfo, bool), touch func(uint64) uint64, reg *hvm.Region, work func(int)) []rawHit {
+// touch may be nil when the lookup target has no useful early-load form.
+// The window scratch lives on the stack and the reply in chunks of arena,
+// because probeSegments runs concurrently on module executors; the reply
+// is nil when nothing hit and is the caller's until it resets the arena.
+func probeSegments(h *hashing.Hasher, segs []segment, bound int, arena *replyArena, lookup func(h uint64, depth int) (metaInfo, bool), touch func(uint64) uint64, work func(int)) []rawHit {
 	var hits []rawHit
 	var outs [bitstr.WordBits]uint64
 	sink := uint64(0)
@@ -212,12 +205,6 @@ func probeSegments(h *hashing.Hasher, segs []segment, bound int, arena *replyAre
 		if end <= s.off {
 			work(1)
 			continue
-		}
-		b1, dEnd, classes := 0, 0, false
-		if reg != nil {
-			if b1, dEnd, classes = classWindow(s, bound); classes {
-				end = b1 - s.edge.From.Depth
-			}
 		}
 		v := s.startVal
 		l := s.edge.Label
@@ -253,19 +240,148 @@ func probeSegments(h *hashing.Hasher, segs []segment, bound int, arena *replyAre
 			}
 			i = to
 		}
-		cost := (end-s.off)/8 + (end - s.off) + 1
-		if classes {
-			cost += reg.Pivot()
-			var classCost int
-			hits, classCost = probeClasses(h, s, b1, dEnd, v, reg, arena, hits)
-			cost += classCost
-		}
-		work(cost)
+		work((end-s.off)/8 + (end - s.off) + 1)
 	}
 	if sink == sinkSentinel {
 		probeSink = sink
 	}
 	return hits
+}
+
+// openMark records, for a node of a region piece, whether one of the
+// child segments below it is open and holds no hit (probeRegion).
+type openMark struct {
+	node *trie.Node
+	open bool
+}
+
+// probeRegion is the region program (§4.4). It looks for what
+// HashMatching is for: the deepest block root above each key, where the
+// key's bit-by-bit match starts. So it reports, per segment of the piece,
+// at most the deepest hit, and only when the segment's end is open: a
+// key may lie below it with no deeper hit between. An end is open when it
+// reaches the region's depth bound or a key node (HasValue), or when a
+// child segment holds no hit and is open itself; an end cut by a master
+// hit is closed. Every key's anchor — the deepest hit on its root path —
+// is therefore reported, as the segments from it down to the key (or to
+// the bound) are all open and hold no deeper hit.
+//
+// The piece's segments arrive in preorder, so walking them in reverse
+// meets every child segment before its parent, and a stack of openMarks
+// carries each node's verdict up. A closed segment is neither hashed nor
+// probed (one unit of work). An open one is searched by deepestRegionHit.
+// top is the piece root's depth. Hits come back in the segments' order,
+// one at most per segment, in chunks of t.replies.
+func (t *PIMTrie) probeRegion(segs []segment, top int, reg *hvm.Region, work func(int)) []rawHit {
+	bound := reg.MaxLen()
+	var hits []rawHit
+	var markBuf [64]openMark
+	marks := markBuf[:0]
+	for i := len(segs) - 1; i >= 0; i-- {
+		s := segs[i]
+		childOpen := false
+		if n := len(marks); n > 0 && marks[n-1].node == s.edge.To {
+			childOpen, marks = marks[n-1].open, marks[:n-1]
+		}
+		// A segment shipped whole may run past the bound; the round ships
+		// it clamped (clampSegs), ending mid-edge at the bound uncut.
+		d := s.edge.From.Depth + s.end
+		open := d > bound || !s.cut && (s.end < s.edge.Label.Len() || d >= bound || s.edge.To.HasValue || childOpen)
+		found := false
+		if open {
+			rh, ok, cost := deepestRegionHit(t.h, s, top, bound, reg)
+			work(cost)
+			if found = ok; ok {
+				if len(hits) == cap(hits) {
+					hits = t.replies.extend(hits)
+				}
+				hits = append(hits, rh)
+			}
+		} else {
+			work(1)
+		}
+		if s.off == 0 {
+			if n := len(marks); n > 0 && marks[n-1].node == s.edge.From {
+				marks[n-1].open = marks[n-1].open || open && !found
+			} else {
+				marks = append(marks, openMark{node: s.edge.From, open: open && !found})
+			}
+		}
+	}
+	slices.Reverse(hits)
+	return hits
+}
+
+// deepestRegionHit searches an open segment s of a region piece rooted at
+// depth top: it hashes the segment top-down from its start value and
+// probes it bottom-up, up to the region's depth bound, stopping at the
+// first member that verifies on the module. That is Len equal to the
+// probed depth, and S_last equal to the query's window bits below top;
+// the bits above top are the master-verified region root's, which every
+// member of the region extends. So the module's check is the host's
+// checkHit, and a hash false positive at a deeper probe cannot hide the
+// true hit above it.
+//
+// When the clamped window reaches at least one whole word past the word
+// its start depth lies in (classWindow), the segment probes per bit only
+// to that word's end and from there one pivot class per word (§4.4.2),
+// deepest class first, after making the region's class index current
+// (rebuild charged). Either way the per-bit window spans less than two
+// words. Work: one unit per 8 bits hashed, one per per-bit probe, 8 per
+// class looked up and one per class member examined, plus one.
+func deepestRegionHit(h *hashing.Hasher, s segment, top, bound int, reg *hvm.Region) (rawHit, bool, int) {
+	const w = bitstr.WordBits
+	from, l := s.edge.From.Depth, s.edge.Label
+	end := min(s.end, bound-from)
+	if end <= s.off {
+		return rawHit{}, false, 1
+	}
+	b1, dEnd, classes := classWindow(s, bound)
+	if classes {
+		end = b1 - from
+	}
+	var outs [2 * w]uint64
+	v := s.startVal
+	for i := s.off; i < end; {
+		to := min((i|(w-1))+1, end)
+		x := l.RangeWord(i, to)
+		for j := i; j < to; j++ {
+			v = h.ExtendBit(v, byte(x&1))
+			x >>= 1
+			outs[j-s.off] = h.Out(v)
+		}
+		i = to
+	}
+	cost := (end-s.off)/8 + 1
+	hit := func(off int, n *hvm.MetaNode) rawHit {
+		return rawHit{edge: s.edge, off: off, info: metaInfo{SLast: n.SLast, Block: n.Block}}
+	}
+	if classes {
+		cost += reg.Pivot() + (dEnd-b1)/8
+		var valBuf [maxEdgeWords + 1]hashing.Value
+		vals := valBuf[:0]
+		for b := b1; b <= dEnd; b += w {
+			if b > b1 {
+				v = h.ExtendRange(v, l, b-w-from, b-from)
+			}
+			vals = append(vals, v)
+		}
+		for k := len(vals) - 1; k >= 0; k-- {
+			b := b1 + k*w
+			hi := min(b+w-1, dEnd)
+			cost += 8
+			if n, ok := deepestInClass(h, s, top, b1, b, hi, vals[k], reg, &cost); ok {
+				return hit(n.Len-from, n), true, cost
+			}
+		}
+	}
+	for p := end; p > s.off; p-- {
+		cost++
+		if n := reg.Lookup(outs[p-1-s.off]); n != nil && n.Len == from+p && suffixWindowEqual(s.edge, p, n.SLast, top) {
+			return hit(p, n), true, cost
+		}
+	}
+	return rawHit{}, false, cost
 }
 
 // classWindow returns where a region segment's class path would start —
@@ -280,69 +396,33 @@ func classWindow(s segment, bound int) (b1, dEnd int, ok bool) {
 	return b1, dEnd, dEnd >= b1+w
 }
 
-// probeClasses is §4.4.2's region walk over depths (b1, dEnd] of segment
-// s, v being the hash value at b1: one pivot class per word boundary
-// b = b1, b1+w, … ≤ dEnd, looked up with the window bits [b, min(b+w−1,
-// dEnd)). A block root on the query path whose length lies in the class's
-// range [b, b+w−1] is an ancestor of the lookup's candidate, or the
-// candidate itself: its S_rem is a prefix of the window bits, so a member
-// with a longer LCP extends it, and a tie goes to the shortest. The
-// candidate's meta-ancestors in that range are therefore the class's hits
-// — pre-verified against the window bits from the segment start, so an
-// ancestor the query diverges from is never reported — emitted shallowest
-// first, as the per-bit walk would. Depth b1 itself belongs to the per-bit
-// walk, so no class reaches above the segment start. The index must be
-// current (hvm.Region.Pivot). A hit's reply is a region hit's: position,
-// S_last and block. Work: one unit per 8 bits hashed, 8 per class and
-// one per ancestor examined.
-func probeClasses(h *hashing.Hasher, s segment, b1, dEnd int, v hashing.Value, reg *hvm.Region, arena *replyArena, hits []rawHit) ([]rawHit, int) {
-	const w = bitstr.WordBits
-	l, from := s.edge.Label, s.edge.From.Depth
-	d0 := from + s.off
-	classes, ops := 0, 0
-	for b := b1; b <= dEnd; b += w {
-		if b > b1 {
-			v = h.ExtendRange(v, l, b-w-from, b-from)
-		}
-		classes++
-		hi := min(b+w-1, dEnd)
-		cand, ok := reg.LookupPivot(h.OutFull(v), l.RangeWord(b-from, hi-from), hi-b)
-		if !ok {
+// deepestInClass is one step of §4.4.2's region walk on segment s: the
+// pivot class at word boundary b, looked up with hash value v at b and
+// the window bits [b, hi). A block root on the query path whose length
+// lies in the class's range [b, hi] is an ancestor of the lookup's
+// candidate, or the candidate itself: its S_rem is a prefix of the window
+// bits, so a member with a longer LCP extends it, and a tie goes to the
+// shortest. So the deepest such root is the first of the candidate's
+// meta-ancestors in that range that verifies (deepestRegionHit). Depth b1
+// itself belongs to the per-bit walk, so no class reaches above the
+// segment's first word end. The index must be current
+// (hvm.Region.Pivot). It adds one unit of work per ancestor examined.
+func deepestInClass(h *hashing.Hasher, s segment, top, b1, b, hi int, v hashing.Value, reg *hvm.Region, cost *int) (*hvm.MetaNode, bool) {
+	from, l := s.edge.From.Depth, s.edge.Label
+	cand, ok := reg.LookupPivot(h.OutFull(v), l.RangeWord(b-from, hi-from), hi-b)
+	if !ok {
+		return nil, false
+	}
+	for n := cand; n != nil && n.Len >= max(b, b1+1); n = n.Parent {
+		if n.Len > hi {
 			continue
 		}
-		lo, first := max(b, b1+1), len(hits)
-		for n := cand; n != nil && n.Len >= lo; n = n.Parent {
-			if n.Len > hi {
-				continue
-			}
-			ops++
-			top := n.Len - n.SLast.Len()
-			x := max(top, d0)
-			if !bitstr.EqualRange(l, x-from, n.SLast, x-top, n.Len-x) {
-				continue
-			}
-			if len(hits) == cap(hits) {
-				hits = arena.extend(hits)
-			}
-			hits = append(hits, rawHit{edge: s.edge, off: n.Len - from, info: metaInfo{SLast: n.SLast, Block: n.Block}})
+		*cost++
+		if suffixWindowEqual(s.edge, n.Len-from, n.SLast, top) {
+			return n, true
 		}
-		slices.Reverse(hits[first:])
 	}
-	return hits, (dEnd-b1)/8 + 8*classes + ops
-}
-
-// probeRegion is the region program: probeSegments against the region's
-// hash index and, where a window is long enough, its pivot classes. A
-// probe whose member is not as long as the probed depth cannot verify
-// and is dropped here; a hit replies with its S_last and block.
-func (t *PIMTrie) probeRegion(segs []segment, reg *hvm.Region, work func(int)) []rawHit {
-	return probeSegments(t.h, segs, reg.MaxLen(), &t.replies, func(h uint64, depth int) (metaInfo, bool) {
-		n := reg.Lookup(h)
-		if n == nil || n.Len != depth {
-			return metaInfo{}, false
-		}
-		return metaInfo{SLast: n.SLast, Block: n.Block}, true
-	}, nil, reg, work)
+	return nil, false
 }
 
 // rehashHits sets the hash value of every hit in raw, which modules do
@@ -396,11 +476,15 @@ func (t *PIMTrie) resolveRegion(segs []segment, raw []rawHit, region pim.Addr) i
 
 // clampSegs cuts segs, in place, to the positions no deeper than bound —
 // all a target of that depth bound can match — dropping the segments
-// left empty, and returns what is left and its wire size in words.
+// left empty, and returns what is left and its wire size in words. A
+// segment cut short ends at the bound, no longer at its hit.
 func clampSegs(segs []segment, bound int) ([]segment, int) {
 	out, words := segs[:0], 0
 	for _, s := range segs {
-		if s.end = min(s.end, bound-s.edge.From.Depth); s.end > s.off {
+		if end := min(s.end, bound-s.edge.From.Depth); end < s.end {
+			s.end, s.cut = end, false
+		}
+		if s.end > s.off {
 			out = append(out, s)
 			words += s.words()
 		}
@@ -515,7 +599,7 @@ func (t *PIMTrie) match(p *prep) (*matchOutcome, error) {
 				hits := probeSegments(t.h, ch, mo.entries.MaxLen(), &t.replies, func(h uint64, _ int) (metaInfo, bool) {
 					_, ok := mo.entries.Get(h)
 					return metaInfo{}, ok
-				}, mo.entries.Touch, nil, m.Work)
+				}, mo.entries.Touch, m.Work)
 				return pim.Resp{RecvWords: len(hits)*masterHitWords + 1, Value: hits}
 			},
 		}
@@ -556,7 +640,7 @@ func (t *PIMTrie) match(p *prep) (*matchOutcome, error) {
 				SendWords: pc.words + 2,
 				Run: func(m *pim.Module) pim.Resp {
 					reg := m.Get(regAddr.ID).(*regionObj).r
-					hits := t.probeRegion(pc.segs, reg, m.Work)
+					hits := t.probeRegion(pc.segs, pc.hit.depth, reg, m.Work)
 					return pim.Resp{RecvWords: len(hits)*regionHitWords + 1, Value: hits}
 				},
 			})
@@ -601,7 +685,7 @@ func (t *PIMTrie) match(p *prep) (*matchOutcome, error) {
 		probeCPUBy[i] = 0
 		if sh.pull {
 			ro := cResps[sh.task].Value.(*regionObj)
-			hitsByShare[i] = t.probeRegion(sh.pc.segs, ro.r, func(w int) { probeCPUBy[i] += w })
+			hitsByShare[i] = t.probeRegion(sh.pc.segs, sh.pc.hit.depth, ro.r, func(w int) { probeCPUBy[i] += w })
 		} else {
 			hitsByShare[i] = cResps[sh.task].Value.([]rawHit)
 		}
@@ -734,7 +818,7 @@ func (t *PIMTrie) checkHit(rh rawHit) (hitRec, bool) {
 	if rh.info.Len != depth {
 		return hitRec{}, false
 	}
-	if !suffixWindowEqual(rh.edge, rh.off, rh.info.SLast) {
+	if !suffixWindowEqual(rh.edge, rh.off, rh.info.SLast, 0) {
 		return hitRec{}, false
 	}
 	return hitRec{pos: onEdge(rh.edge, rh.off), depth: depth, val: rh.val, info: rh.info}, true
@@ -770,30 +854,26 @@ func (t *PIMTrie) verifyHits(dst []hitRec, raw []rawHit) []hitRec {
 
 // suffixWindowEqual reports whether want equals the suffix window of the
 // position off bits down edge e — the last min(depth, WordBits) bits of
-// its represented string — without materializing it: the window is
-// matched back-to-front against the edge labels on the root path.
-func suffixWindowEqual(e *trie.Edge, off int, want bitstr.String) bool {
+// its represented string — in its bits at depth top and deeper (top 0
+// compares it whole), without materializing it: the window is matched
+// back-to-front against the edge labels on the root path.
+func suffixWindowEqual(e *trie.Edge, off int, want bitstr.String, top int) bool {
 	depth := e.From.Depth + off
-	win := bitstr.WordBits
-	if depth < win {
-		win = depth
-	}
+	win := min(depth, bitstr.WordBits)
 	if want.Len() != win {
 		return false
 	}
-	rem := win // unmatched prefix length of want
+	stop := max(win-(depth-top), 0) // want's bits above depth top are not compared
+	rem := win                      // unmatched prefix length of want
 	label, end := e.Label, off
 	cur := e.From
-	for {
-		take := end
-		if take > rem {
-			take = rem
-		}
+	for rem > stop {
+		take := min(end, rem-stop)
 		if !bitstr.EqualRange(label, end-take, want, rem-take, take) {
 			return false
 		}
 		rem -= take
-		if rem == 0 {
+		if rem == stop {
 			return true
 		}
 		pe := cur.ParentEdge
@@ -804,6 +884,7 @@ func suffixWindowEqual(e *trie.Edge, off int, want bitstr.String) bool {
 		label, end = pe.Label, pe.Label.Len()
 		cur = pe.From
 	}
+	return true
 }
 
 // chunkEdges splits the query trie's edges, cut at the master table's
@@ -1012,7 +1093,7 @@ func (t *PIMTrie) decompose(p *prep, hits []hitRec) []*piece {
 		}
 		for k := sp.lo; k < sp.lo+sp.n; k++ {
 			off, hi := int(st.offs[k]), st.hits[k]
-			cur.addSeg(segment{edge: e, off: from, end: off, startVal: fromVal})
+			cur.addSeg(segment{edge: e, off: from, end: off, startVal: fromVal, cut: true})
 			cur = t.newPiece(hits[hi], onEdge(e, off))
 			pieceOf[hi] = cur
 			from, fromVal = off, hits[hi].val

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -450,4 +451,59 @@ func TestCorruptCheckpointFallsBack(t *testing.T) {
 	if info.CheckpointSeq != 4 || len(info.Keys) != 1 || info.Values[0] != 11 {
 		t.Fatalf("info=%+v", info)
 	}
+}
+
+// FuzzDecodePayload: decoding any bytes as a record payload never
+// panics, and a payload that decodes re-encodes to one that decodes to
+// the same epoch: decodePayload(appendPayload(decodePayload(p))) =
+// decodePayload(p). Bytes need not round-trip, since a key's padding
+// bits are not read.
+func FuzzDecodePayload(f *testing.F) {
+	for _, ep := range []Epoch{
+		{Seq: 1},
+		{Seq: 7, Inserts: []bitstr.String{testKey(1), testKey(2)}, Values: []uint64{3, 1 << 63}},
+		{Seq: 9, Deletes: []bitstr.String{testKey(4), bitstr.Empty}},
+		{Seq: 1 << 40, Inserts: []bitstr.String{testKey(5)}, Values: []uint64{0}, Deletes: []bitstr.String{testKey(5)}},
+	} {
+		p, err := appendPayload(nil, ep.Seq, ep.Inserts, ep.Values, ep.Deletes)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(p)
+	}
+	f.Add([]byte{})
+	f.Add(make([]byte, payloadFixedSize))
+	f.Fuzz(func(t *testing.T, p []byte) {
+		e, err := decodePayload(p)
+		if err != nil {
+			return
+		}
+		q, err := appendPayload(nil, e.Seq, e.Inserts, e.Values, e.Deletes)
+		if err != nil {
+			t.Fatalf("re-encoding a decoded payload: %v", err)
+		}
+		again, err := decodePayload(q)
+		if err != nil {
+			t.Fatalf("decoding a re-encoded payload: %v", err)
+		}
+		if !sameEpoch(e, again) {
+			t.Fatalf("payload decodes to %+v, its re-encoding to %+v", e, again)
+		}
+	})
+}
+
+// sameEpoch compares two decoded epochs key by key.
+func sameEpoch(a, b Epoch) bool {
+	sameKeys := func(x, y []bitstr.String) bool {
+		if len(x) != len(y) {
+			return false
+		}
+		for i := range x {
+			if !bitstr.Equal(x[i], y[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	return a.Seq == b.Seq && sameKeys(a.Inserts, b.Inserts) && sameKeys(a.Deletes, b.Deletes) && slices.Equal(a.Values, b.Values)
 }
