@@ -33,28 +33,6 @@ import (
 	"github.com/pimlab/pimtrie/internal/telemetry"
 )
 
-var registry = []struct {
-	id, what string
-	run      func(experiments.Scale) experiments.Table
-}{
-	{"E1", "Table 1 space column", experiments.SpaceTable},
-	{"E2", "Table 1 IO rounds (LCP)", experiments.RoundsLCP},
-	{"E2b", "rounds/IO-time vs P", experiments.RoundsVsP},
-	{"E3", "Table 1 IO rounds (Insert/Delete)", experiments.RoundsUpdate},
-	{"E4", "Table 1 IO rounds (Subtree)", experiments.RoundsSubtree},
-	{"E5", "Table 1 communication (LCP/Insert)", experiments.CommPerOp},
-	{"E5b", "region probing vs key length", experiments.RegionProbeByKeyLength},
-	{"E6", "Table 1 communication (Subtree)", experiments.CommSubtree},
-	{"E7", "skew resistance (query skew)", experiments.SkewBalance},
-	{"E7b", "skew resistance (data skew)", experiments.SkewedDataBalance},
-	{"E8", "Theorem 4.3 bound check", experiments.TheoremBounds},
-	{"E9a", "ablation: block size", experiments.AblationBlockSize},
-	{"E9b", "ablation: push-pull threshold", experiments.AblationPushPull},
-	{"E9c", "ablation: hash width", experiments.AblationHashWidth},
-	{"E9d", "ablation: region size", experiments.AblationRegionSize},
-	{"EF", "fault injection: module-loss recovery", experiments.FaultRecovery},
-}
-
 // traceCollector attaches an obs.Tracer to every system an experiment
 // creates (via the pim system hook) and remembers them for export.
 type traceCollector struct {
@@ -187,8 +165,8 @@ func main() {
 	}
 
 	if *list {
-		for _, e := range registry {
-			fmt.Printf("%-4s %s\n", e.id, e.what)
+		for _, e := range experiments.Registry {
+			fmt.Printf("%-4s %s\n", e.ID, e.What)
 		}
 		return
 	}
@@ -214,17 +192,17 @@ func main() {
 	fmt.Printf("pimbench: P=%d n=%d batch=%d seed=%d\n\n", sc.P, sc.N, sc.Batch, sc.Seed)
 	ran := 0
 	var tables []experiments.Table
-	for _, e := range registry {
-		if len(want) > 0 && !want[e.id] {
+	for _, e := range experiments.Registry {
+		if len(want) > 0 && !want[e.ID] {
 			continue
 		}
 		if collector != nil {
-			collector.setExperiment(e.id)
+			collector.setExperiment(e.ID)
 		}
 		start := time.Now()
-		tb := e.run(sc)
+		tb := e.Run(sc)
 		fmt.Print(tb.Format())
-		fmt.Printf("(%s in %v)\n\n", e.id, time.Since(start).Round(time.Millisecond))
+		fmt.Printf("(%s in %v)\n\n", e.ID, time.Since(start).Round(time.Millisecond))
 		tables = append(tables, tb)
 		ran++
 	}

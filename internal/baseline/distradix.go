@@ -40,10 +40,9 @@ func (n *drNode) SizeWords() int {
 // modules; every query chases pointers from the root, one module hop per
 // round.
 type DistRadix struct {
-	sys   *pim.System
-	span  int
-	root  pim.Addr
-	nKeys int
+	sys  *pim.System
+	span int
+	root pim.Addr
 }
 
 // NewDistRadix builds the structure over the given keys with the given
@@ -59,7 +58,6 @@ func NewDistRadix(sys *pim.System, span int, keys []bitstr.String, values []uint
 	for i, k := range keys {
 		full.Insert(k, values[i])
 	}
-	d.nKeys = full.KeyCount()
 	full.SplitLongEdges(span)
 	// Allocate one module object per compressed node, then wire edges.
 	var order []*trie.Node
@@ -112,9 +110,6 @@ func NewDistRadix(sys *pim.System, span int, keys []bitstr.String, values []uint
 	d.root = addrOf[full.Root()]
 	return d
 }
-
-// KeyCount returns the number of stored keys.
-func (d *DistRadix) KeyCount() int { return d.nKeys }
 
 // drCursor tracks one in-flight query during pointer chasing.
 type drCursor struct {
@@ -214,11 +209,7 @@ func (d *DistRadix) insertOne(k bitstr.String, v uint64) {
 				n := m.Get(at.ID).(*drNode)
 				m.Work(1)
 				if pos == k.Len() {
-					if !n.hasValue {
-						n.hasValue = true
-						n.value = v
-						return pim.Resp{RecvWords: 1, Value: insDone{fresh: true}}
-					}
+					n.hasValue = true
 					n.value = v
 					return pim.Resp{RecvWords: 1, Value: insDone{}}
 				}
@@ -237,9 +228,6 @@ func (d *DistRadix) insertOne(k bitstr.String, v uint64) {
 		}})
 		switch r := res[0].Value.(type) {
 		case insDone:
-			if r.fresh {
-				d.nKeys++
-			}
 			return
 		case insStep:
 			at, pos = r.next, r.pos
@@ -253,7 +241,7 @@ func (d *DistRadix) insertOne(k bitstr.String, v uint64) {
 	}
 }
 
-type insDone struct{ fresh bool }
+type insDone struct{}
 type insStep struct {
 	next pim.Addr
 	pos  int
@@ -310,7 +298,6 @@ func (d *DistRadix) attachChain(at pim.Addr, k bitstr.String, pos int, v uint64)
 			return pim.Resp{}
 		},
 	}})
-	d.nKeys++
 }
 
 // splitAndAttach splits the edge below `at` at offset off and hangs the
@@ -337,7 +324,6 @@ func (d *DistRadix) splitAndAttach(at pim.Addr, k bitstr.String, pos, off int, v
 	if remainder.IsEmpty() {
 		mid.hasValue = true
 		mid.value = v
-		d.nKeys++
 	}
 	midRes := d.sys.Round([]pim.Task{{
 		Module:    d.sys.RandModule(),

@@ -17,7 +17,6 @@ type DistXFast struct {
 	width  int
 	h      *hashing.Hasher
 	shards []pim.Addr // one table object per module
-	nKeys  int
 }
 
 // xfShard is the per-module piece of the level tables: refcounted prefix
@@ -63,9 +62,6 @@ func (d *DistXFast) prefix(x uint64, level int) uint64 {
 	}
 	return x >> uint(d.width-level)
 }
-
-// KeyCount returns the number of stored keys.
-func (d *DistXFast) KeyCount() int { return d.nKeys }
 
 // Member reports presence for a batch of keys in one round.
 func (d *DistXFast) Member(batch []uint64) []bool {
@@ -153,7 +149,6 @@ func (d *DistXFast) Insert(keys []uint64, values []uint64) {
 			continue
 		}
 		seen[x] = true
-		d.nKeys++
 		for level := 0; level <= d.width; level++ {
 			level := level
 			p := d.prefix(x, level)
@@ -174,45 +169,6 @@ func (d *DistXFast) Insert(keys []uint64, values []uint64) {
 		}
 	}
 	d.sys.Round(tasks)
-}
-
-// Delete removes a batch of keys, decrementing prefix refcounts.
-func (d *DistXFast) Delete(keys []uint64) []bool {
-	member := d.Member(keys)
-	out := make([]bool, len(keys))
-	seen := map[uint64]bool{}
-	var tasks []pim.Task
-	for i, x := range keys {
-		if !member[i] || seen[x] {
-			continue
-		}
-		seen[x] = true
-		out[i] = true
-		d.nKeys--
-		for level := 0; level <= d.width; level++ {
-			level := level
-			p := d.prefix(x, level)
-			mod := d.owner(level, p)
-			shard := d.shards[mod]
-			x := x
-			last := level == d.width
-			tasks = append(tasks, pim.Task{Module: mod, SendWords: 2, Run: func(m *pim.Module) pim.Resp {
-				s := m.Get(shard.ID).(*xfShard)
-				k := xfKey{level: level, prefix: p}
-				if s.ref[k]--; s.ref[k] <= 0 {
-					delete(s.ref, k)
-				}
-				if last {
-					delete(s.values, x)
-				}
-				m.Work(1)
-				m.Resize(shard.ID)
-				return pim.Resp{}
-			}})
-		}
-	}
-	d.sys.Round(tasks)
-	return out
 }
 
 // SpaceWords sums module memory.

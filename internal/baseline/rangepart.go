@@ -18,7 +18,6 @@ type RangePart struct {
 	sys        *pim.System
 	separators []bitstr.String // separators[i] = smallest key of range i+1
 	parts      []pim.Addr      // one rpPart per module
-	nKeys      int
 }
 
 // rpPart is a module-local trie over one key range.
@@ -55,9 +54,7 @@ func NewRangePart(sys *pim.System, keys []bitstr.String, values []uint64) *Range
 		if rank > 0 && part > 0 && rank%per == 0 {
 			rp.separators = append(rp.separators, keys[ki])
 		}
-		if tries[part].Insert(keys[ki], values[ki]) {
-			rp.nKeys++
-		}
+		tries[part].Insert(keys[ki], values[ki])
 	}
 	for len(rp.separators) < p-1 {
 		// Degenerate separators for empty tails keep routing total.
@@ -77,9 +74,6 @@ func NewRangePart(sys *pim.System, keys []bitstr.String, values []uint64) *Range
 	}
 	return rp
 }
-
-// KeyCount returns the number of stored keys.
-func (rp *RangePart) KeyCount() int { return rp.nKeys }
 
 // route returns the partition index that owns key k.
 func (rp *RangePart) route(k bitstr.String) int {
@@ -101,7 +95,7 @@ func (rp *RangePart) route(k bitstr.String) int {
 // communication. The probed module also reports whether the query's
 // predecessor/successor could lie outside the range (query below the
 // range minimum / above its maximum); only then does the host probe the
-// neighbor, widening past ranges emptied by deletions. Under any
+// neighbor, widening past empty ranges. Under any
 // workload that hits stored ranges this stays one probe per query, so
 // the skew measurements see the undiluted single-module hotspot.
 func (rp *RangePart) LCP(batch []bitstr.String) []int {
@@ -177,11 +171,8 @@ func (rp *RangePart) Insert(keys []bitstr.String, values []uint64) {
 		groups[parts[i]] = append(groups[parts[i]], i)
 	}
 	var tasks []pim.Task
-	fresh := make([]int, len(groups))
-	gi := -1
 	for part, idxs := range groups {
-		gi++
-		part, idxs, slot := part, idxs, gi
+		part, idxs := part, idxs
 		words := 0
 		for _, i := range idxs {
 			words += keys[i].Words() + 2
@@ -192,68 +183,16 @@ func (rp *RangePart) Insert(keys []bitstr.String, values []uint64) {
 			SendWords: words,
 			Run: func(m *pim.Module) pim.Resp {
 				p := m.Get(addr.ID).(*rpPart)
-				n := 0
 				for _, i := range idxs {
-					if p.tr.Insert(keys[i], values[i]) {
-						n++
-					}
+					p.tr.Insert(keys[i], values[i])
 					m.Work(keys[i].Words() + 1)
 				}
 				m.Resize(addr.ID)
-				fresh[slot] = n
 				return pim.Resp{RecvWords: 1}
 			},
 		})
 	}
 	rp.sys.Round(tasks)
-	for _, n := range fresh {
-		rp.nKeys += n
-	}
-}
-
-// Delete routes and deletes locally, one round.
-func (rp *RangePart) Delete(keys []bitstr.String) []bool {
-	out := make([]bool, len(keys))
-	parts := make([]int, len(keys))
-	parallel.For(len(keys), func(i int) { parts[i] = rp.route(keys[i]) })
-	groups := map[int][]int{}
-	for i := range keys {
-		groups[parts[i]] = append(groups[parts[i]], i)
-	}
-	var tasks []pim.Task
-	var taskIdxs [][]int
-	for part, idxs := range groups {
-		part, idxs := part, idxs
-		addr := rp.parts[part]
-		words := 0
-		for _, i := range idxs {
-			words += keys[i].Words() + 1
-		}
-		tasks = append(tasks, pim.Task{
-			Module:    part,
-			SendWords: words,
-			Run: func(m *pim.Module) pim.Resp {
-				p := m.Get(addr.ID).(*rpPart)
-				res := make([]bool, len(idxs))
-				for j, i := range idxs {
-					res[j] = p.tr.Delete(keys[i])
-					m.Work(keys[i].Words() + 1)
-				}
-				m.Resize(addr.ID)
-				return pim.Resp{RecvWords: len(idxs), Value: res}
-			},
-		})
-		taskIdxs = append(taskIdxs, idxs)
-	}
-	for k, r := range rp.sys.Round(tasks) {
-		for j, ok := range r.Value.([]bool) {
-			if ok {
-				out[taskIdxs[k][j]] = true
-				rp.nKeys--
-			}
-		}
-	}
-	return out
 }
 
 // SpaceWords sums module memory.

@@ -24,7 +24,7 @@ func adversarialKeys(rng *rand.Rand, n int) []String {
 			for i := range tail {
 				tail[i] = byte(rng.Intn(2))
 			}
-			keys = append(keys, FromBits(append(append([]byte{}, prefix...), tail...)))
+			keys = append(keys, fromBits(append(append([]byte{}, prefix...), tail...)))
 		case 1: // saturated chunks: all-ones words, varying lengths
 			w := []uint64{^uint64(0), ^uint64(0), ^uint64(0)}
 			keys = append(keys, New(w, 1+rng.Intn(192)))
@@ -43,7 +43,7 @@ func adversarialKeys(rng *rand.Rand, n int) []String {
 			for i := range bits {
 				bits[i] = byte(rng.Intn(2))
 			}
-			keys = append(keys, FromBits(bits))
+			keys = append(keys, fromBits(bits))
 		default: // duplicate an earlier key
 			if len(keys) > 0 {
 				keys = append(keys, keys[rng.Intn(len(keys))])
@@ -122,7 +122,7 @@ func FuzzArgSort(f *testing.F) {
 			for j := range bits {
 				bits[j] = (fill >> uint(j%8)) & 1
 			}
-			keys = append(keys, FromBits(bits))
+			keys = append(keys, fromBits(bits))
 		}
 		if len(keys) == 0 {
 			return
@@ -166,35 +166,31 @@ func TestBuilderMatchesConcat(t *testing.T) {
 		var b Builder
 		ref := Empty
 		for step := 0; step < 40; step++ {
-			switch rng.Intn(5) {
+			switch rng.Intn(4) {
 			case 0: // Append a random string
 				bits := make([]byte, rng.Intn(150))
 				for i := range bits {
 					bits[i] = byte(rng.Intn(2))
 				}
-				s := FromBits(bits)
+				s := fromBits(bits)
 				b.Append(s)
 				ref = ref.Concat(s)
-			case 1: // AppendBit
-				bit := byte(rng.Intn(2))
-				b.AppendBit(bit)
-				ref = ref.AppendBit(bit)
-			case 2: // AppendWord
+			case 1: // AppendWord
 				n := rng.Intn(65)
 				w := rng.Uint64()
 				b.AppendWord(w, n)
-				ref = ref.Concat(FromWord(w, n))
-			case 3: // AppendRange
+				ref = ref.Concat(New([]uint64{w}, n))
+			case 2: // AppendRange
 				bits := make([]byte, 10+rng.Intn(200))
 				for i := range bits {
 					bits[i] = byte(rng.Intn(2))
 				}
-				s := FromBits(bits)
+				s := fromBits(bits)
 				from := rng.Intn(len(bits))
 				to := from + rng.Intn(len(bits)-from+1)
 				b.AppendRange(s, from, to)
 				ref = ref.Concat(s.Slice(from, to))
-			case 4: // Truncate
+			case 3: // Truncate
 				n := rng.Intn(ref.Len() + 1)
 				b.Truncate(n)
 				ref = ref.Prefix(n)

@@ -59,17 +59,6 @@ func clearTail(w []uint64, n int) {
 	}
 }
 
-// FromBits builds a bit string from a slice of 0/1 values, bit 0 first.
-func FromBits(b []byte) String {
-	w := make([]uint64, wordsFor(len(b)))
-	for i, v := range b {
-		if v != 0 {
-			w[i>>6] |= 1 << uint(i&63)
-		}
-	}
-	return String{words: w, n: len(b)}
-}
-
 // Parse builds a bit string from a textual form like "010110".
 // Characters other than '0' and '1' are rejected.
 func Parse(s string) (String, error) {
@@ -250,21 +239,6 @@ func EqualRange(a String, afrom int, b String, bfrom, n int) bool {
 	return LCPRange(a, afrom, b, bfrom, n) == n
 }
 
-// FromWord builds a string of n ≤ 64 bits from a packed word (position
-// i of w is bit i, the storage convention) — the inverse of RangeWord.
-func FromWord(w uint64, n int) String {
-	if n < 0 || n > 64 {
-		panic("bitstr: FromWord length out of range")
-	}
-	if n == 0 {
-		return Empty
-	}
-	if n < 64 {
-		w &= 1<<uint(n) - 1
-	}
-	return String{words: []uint64{w}, n: n}
-}
-
 // Prefix returns the first n bits.
 func (s String) Prefix(n int) String { return s.Slice(0, n) }
 
@@ -317,17 +291,6 @@ func (s String) Concat(t String) String {
 		}
 	}
 	clearTail(w, n)
-	return String{words: w, n: n}
-}
-
-// AppendBit returns s with one extra bit b (0 or 1) appended.
-func (s String) AppendBit(b byte) String {
-	n := s.n + 1
-	w := make([]uint64, wordsFor(n))
-	copy(w, s.words)
-	if b != 0 {
-		w[s.n>>6] |= 1 << uint(s.n&63)
-	}
 	return String{words: w, n: n}
 }
 
@@ -433,38 +396,19 @@ func (s String) Bytes() []byte {
 	return out
 }
 
-// Reverse returns the bits in reverse order; used by tests.
-func (s String) Reverse() String {
-	b := make([]byte, s.n)
-	for i := 0; i < s.n; i++ {
-		b[i] = s.BitAt(s.n - 1 - i)
-	}
-	return FromBits(b)
-}
-
-// Sort sorts a slice of bit strings in Compare order using a most
-// significant digit radix sort on 64-bit chunks, falling back to
-// insertion sort for tiny buckets. ArgSort shares the same core for
-// index permutations, with optional parallelism.
-func Sort(ss []String) {
-	var wg sync.WaitGroup
-	msdSort(identity{}, ss, 0, 1, &wg)
-	wg.Wait()
-}
-
 // ArgSort permutes idx so that keys[idx[0]], keys[idx[1]], ... ascend in
-// Compare order, running the radix core over the packed words directly —
-// no per-comparison closure. Up to procs goroutines sort disjoint
-// sub-ranges; the result is the exact permutation Sort would induce,
-// independent of procs and scheduling (partitions are computed
-// sequentially before any fork, only disjoint sub-slices run
+// Compare order, using a most significant digit radix sort on 64-bit
+// chunks of the packed words that falls back to insertion sort for tiny
+// buckets. Up to procs goroutines sort disjoint sub-ranges; the
+// permutation is independent of procs and scheduling (partitions are
+// computed sequentially before any fork, only disjoint sub-slices run
 // concurrently). Equal keys keep no particular relative order.
 func ArgSort(keys []String, idx []int, procs int) {
 	if procs < 1 {
 		procs = 1
 	}
 	var wg sync.WaitGroup
-	msdSort(argKeys(keys), idx, 0, procs, &wg)
+	msdSort(keys, idx, 0, procs, &wg)
 	wg.Wait()
 }
 
@@ -472,39 +416,6 @@ const insertionCutoff = 12
 
 // sortForkGrain is the smallest sub-slice worth handing to a goroutine.
 const sortForkGrain = 2048
-
-// strOf abstracts "the bit string of element e": the identity for Sort,
-// a slice lookup for ArgSort. A zero-size receiver keeps the core
-// monomorphic and call-free after inlining. touch performs the loads
-// chunkOf will need for the element — the software-prefetch point of
-// the partition loop (see prefetchDist).
-type strOf[E any] interface {
-	at(E) String
-	touch(E, int) uint64
-}
-
-type identity struct{}
-
-func (identity) at(s String) String { return s }
-
-func (identity) touch(s String, wordIdx int) uint64 {
-	if wordIdx < len(s.words) {
-		return s.words[wordIdx]
-	}
-	return 0
-}
-
-type argKeys []String
-
-func (k argKeys) at(i int) String { return k[i] }
-
-func (k argKeys) touch(i, wordIdx int) uint64 {
-	s := &k[i]
-	if wordIdx < len(s.words) {
-		return s.words[wordIdx]
-	}
-	return 0
-}
 
 // prefetchDist is how many elements ahead of the partition cursor the
 // chunk word of an upcoming element is loaded. Go has no portable
@@ -526,21 +437,31 @@ var prefetchSink uint64
 
 const sinkSentinel = 0x9e3779b97f4a7c15
 
-// msdSort 3-way-quicksorts es by the (live, reversed-word) chunk at
-// wordIdx: the left and right bands stay at this word, the equal band
-// advances to the next word (all its strings share this chunk) or — when
-// the shared chunk is exhausted — finishes with comparison sort, since
-// those strings end before this word and differ only in earlier length.
-func msdSort[E any, G strOf[E]](g G, es []E, wordIdx, procs int, wg *sync.WaitGroup) {
+// touch loads the word chunkOf will need for s: the software-prefetch
+// point of the partition loop.
+func touch(s *String, wordIdx int) uint64 {
+	if wordIdx < len(s.words) {
+		return s.words[wordIdx]
+	}
+	return 0
+}
+
+// msdSort 3-way-quicksorts es, indexes into keys, by the (live,
+// reversed-word) chunk at wordIdx: the left and right bands stay at this
+// word, the equal band advances to the next word (all its strings share
+// this chunk) or — when the shared chunk is exhausted — finishes with
+// comparison sort, since those strings end before this word and differ
+// only in earlier length.
+func msdSort(keys []String, es []int, wordIdx, procs int, wg *sync.WaitGroup) {
 	for len(es) > insertionCutoff {
-		pw, plive := chunkOf(g.at(es[(len(es)-1)/2]), wordIdx)
+		pw, plive := chunkOf(keys[es[(len(es)-1)/2]], wordIdx)
 		lt, gt, i := 0, len(es)-1, 0
 		sink := uint64(0)
 		for i <= gt {
 			if i+prefetchDist <= gt {
-				sink ^= g.touch(es[i+prefetchDist], wordIdx)
+				sink ^= touch(&keys[es[i+prefetchDist]], wordIdx)
 			}
-			kw, klive := chunkOf(g.at(es[i]), wordIdx)
+			kw, klive := chunkOf(keys[es[i]], wordIdx)
 			switch {
 			case chunkLess(kw, klive, pw, plive):
 				es[lt], es[i] = es[i], es[lt]
@@ -559,29 +480,29 @@ func msdSort[E any, G strOf[E]](g G, es []E, wordIdx, procs int, wg *sync.WaitGr
 		mid, left := es[lt:gt+1], es[:lt]
 		es = es[gt+1:]
 		if plive {
-			procs = forkSort(g, mid, wordIdx+1, procs, wg)
+			procs = forkSort(keys, mid, wordIdx+1, procs, wg)
 		} else {
-			insertionSort(g, mid)
+			insertionSort(keys, mid)
 		}
-		procs = forkSort(g, left, wordIdx, procs, wg)
+		procs = forkSort(keys, left, wordIdx, procs, wg)
 	}
-	insertionSort(g, es)
+	insertionSort(keys, es)
 }
 
 // forkSort recurses on a disjoint sub-slice, spawning a goroutine with
 // half the procs budget when the slice is big enough, and returns the
 // budget kept by the caller.
-func forkSort[E any, G strOf[E]](g G, es []E, wordIdx, procs int, wg *sync.WaitGroup) int {
+func forkSort(keys []String, es []int, wordIdx, procs int, wg *sync.WaitGroup) int {
 	if procs > 1 && len(es) >= sortForkGrain {
 		half := procs / 2
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			msdSort(g, es, wordIdx, half, wg)
+			msdSort(keys, es, wordIdx, half, wg)
 		}()
 		return procs - half
 	}
-	msdSort(g, es, wordIdx, 1, wg)
+	msdSort(keys, es, wordIdx, 1, wg)
 	return procs
 }
 
@@ -612,9 +533,9 @@ func chunkLess(aw uint64, alive bool, bw uint64, blive bool) bool {
 	return aw < bw
 }
 
-func insertionSort[E any, G strOf[E]](g G, es []E) {
+func insertionSort(keys []String, es []int) {
 	for i := 1; i < len(es); i++ {
-		for j := i; j > 0 && Compare(g.at(es[j]), g.at(es[j-1])) < 0; j-- {
+		for j := i; j > 0 && Compare(keys[es[j]], keys[es[j-1]]) < 0; j-- {
 			es[j], es[j-1] = es[j-1], es[j]
 		}
 	}

@@ -15,6 +15,29 @@ type refString string
 
 func (r refString) toBitstr() String { return MustParse(string(r)) }
 
+// fromBits builds a bit string from 0/1 values, bit 0 first.
+func fromBits(b []byte) String {
+	c := make([]byte, len(b))
+	for i, v := range b {
+		c[i] = '0' + v&1
+	}
+	return MustParse(string(c))
+}
+
+// argSorted returns a copy of ss in ArgSort's order.
+func argSorted(ss []String, procs int) []String {
+	idx := make([]int, len(ss))
+	for i := range idx {
+		idx[i] = i
+	}
+	ArgSort(ss, idx, procs)
+	out := make([]String, len(ss))
+	for i, j := range idx {
+		out[i] = ss[j]
+	}
+	return out
+}
+
 func randomRef(r *rand.Rand, maxLen int) refString {
 	n := r.Intn(maxLen + 1)
 	var b strings.Builder
@@ -105,7 +128,7 @@ func TestSliceConcatInverse(t *testing.T) {
 				b[i] = 1
 			}
 		}
-		s := FromBits(b)
+		s := fromBits(b)
 		if s.Len() == 0 {
 			return true
 		}
@@ -266,30 +289,6 @@ func TestPadTo(t *testing.T) {
 	}
 }
 
-func TestAppendBit(t *testing.T) {
-	s := Empty
-	want := ""
-	r := rand.New(rand.NewSource(9))
-	for i := 0; i < 200; i++ {
-		b := byte(r.Intn(2))
-		s = s.AppendBit(b)
-		want += string('0' + b)
-	}
-	if s.String() != want {
-		t.Fatalf("AppendBit sequence mismatch")
-	}
-}
-
-func TestReverse(t *testing.T) {
-	s := MustParse("00101")
-	if got := s.Reverse().String(); got != "10100" {
-		t.Errorf("Reverse = %q", got)
-	}
-	if got := s.Reverse().Reverse(); !Equal(got, s) {
-		t.Errorf("double Reverse != identity")
-	}
-}
-
 func TestWordsAccounting(t *testing.T) {
 	cases := []struct {
 		n, words int
@@ -320,11 +319,11 @@ func TestSortMatchesReference(t *testing.T) {
 		for i, rs := range refs {
 			ss[i] = rs.toBitstr()
 		}
-		Sort(ss)
+		ss = argSorted(ss, 1)
 		sort.Slice(refs, func(i, j int) bool { return refs[i] < refs[j] })
 		for i := range ss {
 			if ss[i].String() != string(refs[i]) {
-				t.Fatalf("trial %d: Sort mismatch at %d: %q vs %q", trial, i, ss[i], refs[i])
+				t.Fatalf("trial %d: ArgSort mismatch at %d: %q vs %q", trial, i, ss[i], refs[i])
 			}
 		}
 	}
@@ -344,7 +343,7 @@ func TestSortLongSharedPrefixes(t *testing.T) {
 	ss = append(ss, ss...)
 	refs = append(refs, refs...)
 	rand.New(rand.NewSource(11)).Shuffle(len(ss), func(i, j int) { ss[i], ss[j] = ss[j], ss[i] })
-	Sort(ss)
+	ss = argSorted(ss, 1)
 	sort.Strings(refs)
 	for i := range ss {
 		if ss[i].String() != refs[i] {
@@ -356,7 +355,6 @@ func TestSortLongSharedPrefixes(t *testing.T) {
 func TestImmutability(t *testing.T) {
 	s := MustParse("0101")
 	_ = s.Concat(MustParse("1111"))
-	_ = s.AppendBit(1)
 	_ = s.PadTo(10, 1)
 	_ = s.Slice(1, 3)
 	if s.String() != "0101" {
@@ -381,10 +379,12 @@ func BenchmarkSort1k(b *testing.B) {
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
+	idx := make([]int, len(base))
 	for i := 0; i < b.N; i++ {
-		cp := make([]String, len(base))
-		copy(cp, base)
-		Sort(cp)
+		for j := range idx {
+			idx[j] = j
+		}
+		ArgSort(base, idx, 1)
 	}
 }
 

@@ -94,15 +94,6 @@ func (b *Builder) AppendWord(w uint64, n int) {
 	clearTail(b.words, tot)
 }
 
-// AppendBit appends a single bit (0 or 1).
-func (b *Builder) AppendBit(bit byte) {
-	b.grow(b.n + 1)
-	if bit != 0 {
-		b.words[b.n>>6] |= 1 << uint(b.n&63)
-	}
-	b.n++
-}
-
 // Truncate shortens the builder to n bits; it panics if n exceeds the
 // current length. Backtracking tree walks append a label, recurse, then
 // truncate back — reconstructing every root-to-node key in O(total

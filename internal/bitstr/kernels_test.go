@@ -25,7 +25,7 @@ func TestSortSaturationRegression(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		ss = append(ss, s1, s2)
 	}
-	Sort(ss)
+	ss = argSorted(ss, 1)
 	for i := 0; i < 8; i++ {
 		if !Equal(ss[i], s2) {
 			t.Fatalf("position %d: got %q, want the smaller string %q", i, ss[i], s2)
@@ -58,6 +58,9 @@ func decodeFuzzStrings(data []byte) []String {
 	return ss
 }
 
+// FuzzSort drives ArgSort with arbitrary bit strings, where FuzzArgSort
+// draws periodic fills: the sorted order must match the sort.Slice
+// reference at every procs value.
 func FuzzSort(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 0xa0, 8, 0x55, 0, 9, 0xff, 0x80})
@@ -71,15 +74,15 @@ func FuzzSort(f *testing.F) {
 	f.Add(rep)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ss := decodeFuzzStrings(data)
-		got := make([]String, len(ss))
-		copy(got, ss)
-		Sort(got)
 		want := make([]String, len(ss))
 		copy(want, ss)
 		sort.Slice(want, func(i, j int) bool { return Compare(want[i], want[j]) < 0 })
-		for i := range want {
-			if !Equal(got[i], want[i]) {
-				t.Fatalf("Sort diverges from reference at %d: %q vs %q", i, got[i], want[i])
+		for _, procs := range []int{1, 3} {
+			got := argSorted(ss, procs)
+			for i := range want {
+				if !Equal(got[i], want[i]) {
+					t.Fatalf("procs %d: ArgSort diverges from reference at %d: %q vs %q", procs, i, got[i], want[i])
+				}
 			}
 		}
 	})
@@ -105,7 +108,7 @@ func TestArgSortMatchesSort(t *testing.T) {
 
 			want := make([]String, n)
 			copy(want, keys)
-			Sort(want)
+			sort.SliceStable(want, func(a, b int) bool { return Compare(want[a], want[b]) < 0 })
 			seen := make([]bool, n)
 			for i, j := range idx {
 				if j < 0 || j >= n || seen[j] {
@@ -141,8 +144,8 @@ func TestRangeWordMatchesSlice(t *testing.T) {
 		if got := s.RangeWord(from, to); got != want {
 			t.Fatalf("RangeWord(%d,%d) of %d bits = %#x, want %#x", from, to, s.Len(), got, want)
 		}
-		if !Equal(FromWord(s.RangeWord(from, to), to-from), sl) {
-			t.Fatalf("FromWord(RangeWord(%d,%d)) != Slice", from, to)
+		if !Equal(New([]uint64{s.RangeWord(from, to)}, to-from), sl) {
+			t.Fatalf("New(RangeWord(%d,%d)) != Slice", from, to)
 		}
 	}
 	// Boundary shapes: word-aligned, straddling, end-of-string, empty.

@@ -31,7 +31,7 @@ func randomKey(r *rand.Rand, maxLen int) bitstr.String {
 func skewedKeys(r *rand.Rand, n, prefixLen, tailLen int) []bitstr.String {
 	prefix := randomKey(r, 0)
 	for prefix.Len() < prefixLen {
-		prefix = prefix.AppendBit(byte(r.Intn(2)))
+		prefix = prefix.Concat(bitstr.FromUint64(uint64(r.Intn(2)), 1))
 	}
 	out := make([]bitstr.String, n)
 	for i := range out {

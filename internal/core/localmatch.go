@@ -38,13 +38,6 @@ func onEdge(e *trie.Edge, off int) qpos {
 	}
 }
 
-func (p qpos) depth() int {
-	if p.node != nil {
-		return p.node.Depth
-	}
-	return p.edge.From.Depth + p.off
-}
-
 // exactHit records that a query node's string coincided with a data
 // compressed node; the zero value (set false) records nothing.
 type exactHit struct {

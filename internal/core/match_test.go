@@ -64,6 +64,18 @@ func exactOf(rep *matchReport, n *trie.Node) (exactHit, bool) {
 	return exactHit{}, false
 }
 
+// edgeBits sums the label lengths of every edge of t.
+func edgeBits(t *trie.Trie) int {
+	n := 0
+	t.WalkPreorder(func(x *trie.Node) bool {
+		if e := x.ParentEdge; e != nil {
+			n += e.Label.Len()
+		}
+		return true
+	})
+	return n
+}
+
 // nodesOwned counts the query nodes the last decompose gave to pc.
 func nodesOwned(pt *PIMTrie, pc *piece) int {
 	n := 0
@@ -113,8 +125,8 @@ func TestDecomposeSinglePiece(t *testing.T) {
 	for _, s := range pc.segs {
 		bits += s.end - s.off
 	}
-	if bits != p.qt.Trie.EdgeBits() {
-		t.Fatalf("piece covers %d of %d bits", bits, p.qt.Trie.EdgeBits())
+	if want := edgeBits(p.qt.Trie); bits != want {
+		t.Fatalf("piece covers %d of %d bits", bits, want)
 	}
 	if len(pt.stops.offs) != 0 {
 		t.Fatalf("unexpected stops: %v", pt.stops.offs)
@@ -308,7 +320,7 @@ func TestSuffixWindow(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	long := bitstr.Empty
 	for long.Len() < 150 {
-		long = long.AppendBit(byte(r.Intn(2)))
+		long = long.Concat(bitstr.FromUint64(uint64(r.Intn(2)), 1))
 	}
 	tr := trie.New()
 	tr.Insert(long, 1)
@@ -331,12 +343,12 @@ func TestSuffixWindow(t *testing.T) {
 		if !suffixWindowEqual(e, off, win, 0) {
 			t.Fatalf("window at depth %d not matched", depth)
 		}
-		flipped := win.Prefix(win.Len() - 1).AppendBit(1 - win.BitAt(win.Len()-1))
+		flipped := win.Prefix(win.Len() - 1).Concat(bitstr.FromUint64(uint64(1-win.BitAt(win.Len()-1)), 1))
 		if suffixWindowEqual(e, off, flipped, 0) || suffixWindowEqual(e, off, win.Suffix(1), 0) {
 			t.Fatalf("window at depth %d matched a wrong window", depth)
 		}
 		flip := func(i int) bitstr.String {
-			return win.Prefix(i).AppendBit(1 - win.BitAt(i)).Concat(win.Suffix(i + 1))
+			return win.Prefix(i).Concat(bitstr.FromUint64(uint64(1-win.BitAt(i)), 1)).Concat(win.Suffix(i + 1))
 		}
 		for _, top := range []int{depth - win.Len() + 1, depth - 7, depth} {
 			at := win.Len() - (depth - top) // window index of depth top
@@ -413,8 +425,8 @@ func TestChunkEdgesClampToMasterBound(t *testing.T) {
 		if len(seen) != len(want) || bits != wantBits {
 			t.Fatalf("bound %d: chunks cover %d positions on %d edges, want %d on %d", bound, bits, len(seen), wantBits, len(want))
 		}
-		if bound >= 1000 && bits != p.qt.Trie.EdgeBits() {
-			t.Fatalf("a bound past every key covers %d of %d bits", bits, p.qt.Trie.EdgeBits())
+		if want := edgeBits(p.qt.Trie); bound >= 1000 && bits != want {
+			t.Fatalf("a bound past every key covers %d of %d bits", bits, want)
 		}
 	}
 	// Some bound must split the batch, or the chunk bound went unchecked.
@@ -1141,7 +1153,7 @@ func TestPivotClassesKeyedFullWidth(t *testing.T) {
 	word := func() bitstr.String {
 		s := bitstr.Empty
 		for s.Len() < bitstr.WordBits {
-			s = s.AppendBit(byte(r.Intn(2)))
+			s = s.Concat(bitstr.FromUint64(uint64(r.Intn(2)), 1))
 		}
 		return s
 	}

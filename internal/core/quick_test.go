@@ -180,11 +180,12 @@ func TestQuickLCPLaws(t *testing.T) {
 		k := keys[int(pick)%len(keys)]
 		extBits := make([]byte, len(ext))
 		for i, b := range ext {
+			extBits[i] = '0'
 			if b {
-				extBits[i] = 1
+				extBits[i] = '1'
 			}
 		}
-		q := k.Concat(bitstr.FromBits(extBits))
+		q := k.Concat(bitstr.MustParse(string(extBits)))
 		i := int(cut) % (q.Len() + 1)
 		res := pt.LCP([]bitstr.String{q, q.Prefix(i), k})
 		full, pre, kk := res[0], res[1], res[2]
@@ -223,7 +224,7 @@ func TestQuickInsertThenSubtreeConservation(t *testing.T) {
 		for i := range noise {
 			noise[i] = randomKey(r, 40)
 			if noise[i].HasPrefix(marker) {
-				noise[i] = noise[i].AppendBit(0) // cannot happen (len<20) but keep total
+				noise[i] = noise[i].Concat(bitstr.FromUint64(0, 1)) // cannot happen (len<20) but keep total
 			}
 		}
 		pt.Build(noise, make([]uint64, len(noise)))

@@ -786,24 +786,30 @@ func FaultRecovery(sc Scale) Table {
 	return t
 }
 
-// All runs every experiment at the given scale.
-func All(sc Scale) []Table {
-	return []Table{
-		SpaceTable(sc),
-		RoundsLCP(sc),
-		RoundsVsP(sc),
-		RoundsUpdate(sc),
-		RoundsSubtree(sc),
-		CommPerOp(sc),
-		RegionProbeByKeyLength(sc),
-		CommSubtree(sc),
-		SkewBalance(sc),
-		SkewedDataBalance(sc),
-		TheoremBounds(sc),
-		AblationBlockSize(sc),
-		AblationPushPull(sc),
-		AblationHashWidth(sc),
-		AblationRegionSize(sc),
-		FaultRecovery(sc),
-	}
+// Experiment is one entry of Registry: an experiment's ID, a one-line
+// description and the function that runs it.
+type Experiment struct {
+	ID, What string
+	Run      func(Scale) Table
+}
+
+// Registry lists every experiment in run order. pimbench's -list and
+// -exp and the ledger test all read it.
+var Registry = []Experiment{
+	{"E1", "Table 1 space column", SpaceTable},
+	{"E2", "Table 1 IO rounds (LCP)", RoundsLCP},
+	{"E2b", "rounds/IO-time vs P", RoundsVsP},
+	{"E3", "Table 1 IO rounds (Insert/Delete)", RoundsUpdate},
+	{"E4", "Table 1 IO rounds (Subtree)", RoundsSubtree},
+	{"E5", "Table 1 communication (LCP/Insert)", CommPerOp},
+	{"E5b", "region probing vs key length", RegionProbeByKeyLength},
+	{"E6", "Table 1 communication (Subtree)", CommSubtree},
+	{"E7", "skew resistance (query skew)", SkewBalance},
+	{"E7b", "skew resistance (data skew)", SkewedDataBalance},
+	{"E8", "Theorem 4.3 bound check", TheoremBounds},
+	{"E9a", "ablation: block size", AblationBlockSize},
+	{"E9b", "ablation: push-pull threshold", AblationPushPull},
+	{"E9c", "ablation: hash width", AblationHashWidth},
+	{"E9d", "ablation: region size", AblationRegionSize},
+	{"EF", "fault injection: module-loss recovery", FaultRecovery},
 }

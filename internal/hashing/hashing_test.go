@@ -13,9 +13,9 @@ func randomBits(r *rand.Rand, maxLen int) bitstr.String {
 	n := r.Intn(maxLen + 1)
 	b := make([]byte, n)
 	for i := range b {
-		b[i] = byte(r.Intn(2))
+		b[i] = '0' + byte(r.Intn(2))
 	}
-	return bitstr.FromBits(b)
+	return bitstr.MustParse(string(b))
 }
 
 // naiveHash computes the polynomial hash bit-by-bit, as the definition

@@ -181,32 +181,6 @@ func (r *Region) Insert(parent, child *MetaNode) error {
 	return nil
 }
 
-// Remove deletes a leaf meta-node (no Children and no ChildRegions) from
-// the region. It panics if n is the region root or not a leaf — callers
-// must drain children first, matching how blocks are deleted bottom-up.
-func (r *Region) Remove(n *MetaNode) {
-	if n == r.Root {
-		panic("hvm: Remove of region root")
-	}
-	if len(n.Children) != 0 || len(n.ChildRegions) != 0 {
-		panic("hvm: Remove of non-leaf meta-node")
-	}
-	if r.Index[n.Hash] != n {
-		panic("hvm: Remove of node not in region")
-	}
-	delete(r.Index, n.Hash)
-	r.lost(n.Len)
-	r.markDirty()
-	p := n.Parent
-	for i, c := range p.Children {
-		if c == n {
-			p.Children = append(p.Children[:i], p.Children[i+1:]...)
-			break
-		}
-	}
-	n.Parent = nil
-}
-
 // RemoveAny deletes n from the region regardless of its position, while
 // preserving the ancestry invariant the matching protocol relies on:
 // every region's root must be a data-trie ancestor of all its members.

@@ -48,9 +48,11 @@ func TestRegionInsertLookupRemove(t *testing.T) {
 		}
 	}
 	// Node 11 (index 11, hash 12) is a leaf under node index 7.
-	r.Remove(nodes[11])
+	if root, spawned := r.RemoveAny(nodes[11]); root != nodes[0] || spawned != nil {
+		t.Fatal("removing a leaf moved the root or split the region")
+	}
 	if r.Len() != 11 || r.Lookup(nodes[11].Hash) != nil {
-		t.Fatal("Remove failed")
+		t.Fatal("RemoveAny failed")
 	}
 	if err := r.Validate(); err != nil {
 		t.Fatal(err)
@@ -64,16 +66,6 @@ func TestInsertCollision(t *testing.T) {
 	if _, ok := err.(ErrHashCollision); !ok {
 		t.Fatalf("expected ErrHashCollision, got %v", err)
 	}
-}
-
-func TestRemovePanicsOnNonLeaf(t *testing.T) {
-	r, nodes := buildTree(t, figure3Parents)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic removing internal node")
-		}
-	}()
-	r.Remove(nodes[2])
 }
 
 func TestCutNodeLemma45(t *testing.T) {
@@ -215,8 +207,8 @@ func TestSizeWords(t *testing.T) {
 }
 
 // TestRegionMaxLenExact takes random regions apart through every mutator
-// that moves members — Split, RemoveAny (interior, promoting root,
-// splitting root), Remove, Reindex, NewRegionTree — and after each step
+// that moves members — Split, RemoveAny (leaf, interior, promoting root,
+// splitting root), Reindex, NewRegionTree — and after each step
 // every region's depth bound must be its deepest member's length
 // (Validate checks it): it comes down when a deepest member leaves, it
 // does not ratchet.
@@ -271,12 +263,8 @@ func TestRegionMaxLenExact(t *testing.T) {
 			var members []*MetaNode
 			cur.Walk(func(m *MetaNode) { members = append(members, m) })
 			victim := members[r.Intn(len(members))]
-			if victim != cur.Root && len(victim.Children) == 0 && len(victim.ChildRegions) == 0 && r.Intn(2) == 0 {
-				cur.Remove(victim)
-			} else {
-				_, spawned := cur.RemoveAny(victim)
-				regs = append(regs, spawned...)
-			}
+			_, spawned := cur.RemoveAny(victim)
+			regs = append(regs, spawned...)
 			check(trial, regs...)
 		}
 	}

@@ -153,11 +153,3 @@ func (m *Monitor) RecordCPUWork(n int) {
 	}
 	m.mu.Unlock()
 }
-
-// PerModuleIO returns a copy of the cumulative per-module IO vector
-// observed so far (diagnostics and tests).
-func (m *Monitor) PerModuleIO() []int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return append([]int64(nil), m.perModIO...)
-}

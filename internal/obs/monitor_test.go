@@ -77,7 +77,7 @@ func TestMonitorMatchesSystemMetrics(t *testing.T) {
 	if math.Abs(wantMM-d.IOBalance()) > 1e-12 {
 		t.Errorf("Imbalance max/mean %v != Metrics.IOBalance %v", wantMM, d.IOBalance())
 	}
-	if got := mon.PerModuleIO(); len(got) != 4 || got[0] != d.PerModuleIO[0] {
+	if got := mon.perModIO; len(got) != 4 || got[0] != d.PerModuleIO[0] {
 		t.Errorf("monitor per-module IO %v, system %v", got, d.PerModuleIO)
 	}
 

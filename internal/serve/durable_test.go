@@ -372,14 +372,19 @@ func TestFailedAppendStopsServer(t *testing.T) {
 	}
 	alpha, beta := bitstr.FromBytes([]byte("alpha")), bitstr.FromBytes([]byte("beta"))
 	srv := open()
-	if err := srv.Insert(alpha, 1); err != nil {
+	if err := srv.InsertAsync([]Key{alpha}, []uint64{1}).Wait(); err != nil {
 		t.Fatal(err)
 	}
-	keys, model, health := srv.KeyCount(), srv.ModelMetrics(), srv.Health()
+	healthSample := func() pimtrie.Health {
+		srv.healthMu.Lock()
+		defer srv.healthMu.Unlock()
+		return srv.health
+	}
+	keys, model, health := srv.KeyCount(), srv.ModelMetrics(), healthSample()
 	if err := srv.WAL().Close(); err != nil {
 		t.Fatal(err)
 	}
-	failed := srv.Insert(beta, 2)
+	failed := srv.InsertAsync([]Key{beta}, []uint64{2}).Wait()
 	if failed == nil {
 		t.Fatal("insert on a closed log succeeded")
 	}
@@ -388,8 +393,8 @@ func TestFailedAppendStopsServer(t *testing.T) {
 	if got := srv.KeyCount(); got != keys || keys != 1 {
 		t.Fatalf("KeyCount %d after the failed append, want the committed %d (1)", got, keys)
 	}
-	if !reflect.DeepEqual(srv.ModelMetrics(), model) || !reflect.DeepEqual(srv.Health(), health) {
-		t.Fatal("ModelMetrics or Health moved with the failed append")
+	if !reflect.DeepEqual(srv.ModelMetrics(), model) || !reflect.DeepEqual(healthSample(), health) {
+		t.Fatal("ModelMetrics or the health sample moved with the failed append")
 	}
 	if snap, epoch := srv.SnapshotView(); snap != nil || epoch != 0 {
 		t.Fatalf("SnapshotView (%v, %d) after the failed append, want (nil, 0)", snap, epoch)
@@ -404,7 +409,7 @@ func TestFailedAppendStopsServer(t *testing.T) {
 		}
 	}
 	for _, k := range []Key{beta, alpha} {
-		_, _, err := srv.Get(k)
+		_, _, err := srv.GetAsync(k).Wait()
 		sticky("Get "+k.String(), err)
 		_, _, err = srv.GetAsyncWith(ReadSnapshot, k).Wait()
 		sticky("snapshot Get "+k.String(), err)
@@ -412,10 +417,10 @@ func TestFailedAppendStopsServer(t *testing.T) {
 			t.Fatalf("SnapshotGet %s served after the failed append", k)
 		}
 	}
-	_, err := srv.LCP(beta)
+	_, err := srv.LCPAsync(beta).Wait()
 	sticky("LCP", err)
-	sticky("Insert", srv.Insert(bitstr.FromBytes([]byte("gamma")), 3))
-	_, err = srv.Delete(alpha)
+	sticky("Insert", srv.InsertAsync([]Key{bitstr.FromBytes([]byte("gamma"))}, []uint64{3}).Wait())
+	_, err = srv.DeleteAsync(alpha).Wait()
 	sticky("Delete", err)
 	sticky("DurabilityErr", srv.DurabilityErr())
 	srv.Close()

@@ -502,7 +502,7 @@ func TestWriteEpochFaultInDeleteSection(t *testing.T) {
 			t.Errorf("call %d: %v", i, c.fut.err)
 		}
 	}
-	if h := s.Health(); h.Crashes != 1 || h.Recoveries != 1 {
+	if h := s.ix.Health(); h.Crashes != 1 || h.Recoveries != 1 {
 		t.Fatalf("fault plan did not fire and recover inside the epoch: %+v", h)
 	}
 	// Arrival order: the reads saw keys 1 and 9 only.

@@ -57,7 +57,7 @@ func TestEpochTakesWholeWave(t *testing.T) {
 	srv := NewServer(ix, Options{RecordHistory: true})
 	rec.srv.Store(srv)
 
-	if v, found, err := srv.Get(keys[0]); err != nil || !found || v != vals[0] {
+	if v, found, err := srv.GetAsync(keys[0]).Wait(); err != nil || !found[0] || v[0] != vals[0] {
 		t.Fatalf("epoch 1 Get = %d,%v,%v, want %d", v, found, err, vals[0])
 	}
 	if len(rec.futs) != wave {
@@ -153,7 +153,7 @@ func TestServerAddsOneGoroutine(t *testing.T) {
 	}
 	base := settle(-1)
 	srv := NewServer(ix, Options{})
-	if _, _, err := srv.Get(epochKey(0)); err != nil {
+	if _, _, err := srv.GetAsync(epochKey(0)).Wait(); err != nil {
 		t.Fatal(err)
 	}
 	if got := settle(base + 1); got != base+1 {

@@ -154,9 +154,8 @@ func (m *serveMetrics) updateHealth(prev, h pimtrie.Health) {
 	delta(m.recoveryIO, h.RecoveryCost.IOWords, prev.RecoveryCost.IOWords)
 }
 
-// sampleHealth refreshes the post-epoch health snapshot behind
-// Server.Health() (and, when metrics are attached, the health
-// instruments). Called from the goroutine that owns the index: at
+// sampleHealth refreshes the post-epoch samples behind KeyCount and
+// ModelMetrics and, when metrics are attached, the health instruments. Called from the goroutine that owns the index: at
 // construction and after every executed epoch.
 func (s *Server) sampleHealth() {
 	h := s.ix.Health()
@@ -171,16 +170,6 @@ func (s *Server) sampleHealth() {
 	if s.met != nil {
 		s.met.updateHealth(prev, h)
 	}
-}
-
-// Health returns the index's fault/recovery status as sampled after
-// the most recently committed epoch. Unlike Index.Health it is safe to
-// call from any goroutine while the server is running — it is the
-// health feed behind a telemetry /healthz endpoint.
-func (s *Server) Health() pimtrie.Health {
-	s.healthMu.Lock()
-	defer s.healthMu.Unlock()
-	return s.health
 }
 
 // KeyCount returns the index's stored-key count as sampled after the

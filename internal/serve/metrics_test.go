@@ -34,7 +34,7 @@ func TestServeMetricsMatchStats(t *testing.T) {
 				k := pool[r.Intn(32)] // small hot set: dedupe traffic
 				switch r.Intn(8) {
 				case 0:
-					if err := srv.Insert(k, r.Uint64()); err != nil {
+					if err := srv.InsertAsync([]serve.Key{k}, []uint64{r.Uint64()}).Wait(); err != nil {
 						t.Errorf("insert: %v", err)
 					}
 				case 1:
@@ -129,8 +129,8 @@ func TestServeMetricsMatchStats(t *testing.T) {
 	if got := v["pimtrie_index_degraded"].(float64); got != 0 {
 		t.Errorf("degraded gauge = %v, want 0", got)
 	}
-	if h := srv.Health(); !h.Recoverable && len(h.DeadModules) != 0 {
-		t.Errorf("Health() = %+v, want clean", h)
+	if got := v["pimtrie_index_dead_modules"].(float64); got != 0 {
+		t.Errorf("dead-modules gauge = %v, want 0", got)
 	}
 }
 
@@ -171,7 +171,7 @@ func TestServeMetricsHealthFeed(t *testing.T) {
 		}
 	}
 	srv.Close()
-	h := srv.Health()
+	h := ix.Health()
 	if h.Crashes == 0 || h.Recoveries == 0 {
 		t.Fatalf("fault plan did not fire/recover: %+v", h)
 	}
@@ -211,8 +211,5 @@ func TestServeMetricsOff(t *testing.T) {
 	defer srv.Close()
 	if _, _, err := srv.GetAsync(pool...).Wait(); err != nil {
 		t.Fatal(err)
-	}
-	if h := srv.Health(); h.Degraded || len(h.DeadModules) != 0 {
-		t.Errorf("Health on plain server = %+v", h)
 	}
 }

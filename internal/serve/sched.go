@@ -78,10 +78,10 @@ type Server struct {
 	// every queued and later call fails with it (see execute).
 	stopped atomic.Pointer[error]
 
-	// health is the post-epoch Index.Health sample behind Server.Health;
-	// written only by the goroutine that owns the index. keyCount and
-	// model are sampled on the same schedule for Server.KeyCount and
-	// Server.ModelMetrics.
+	// health is the post-epoch Index.Health sample the health
+	// instruments diff against; written only by the goroutine that owns
+	// the index. keyCount and model are sampled on the same schedule for
+	// Server.KeyCount and Server.ModelMetrics.
 	healthMu sync.Mutex
 	health   pimtrie.Health
 	keyCount int

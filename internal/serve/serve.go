@@ -187,14 +187,6 @@ var closedDone = func() chan struct{} {
 	return ch
 }()
 
-// resolvedFuture returns a future born settled; the caller fills the
-// result fields before handing it out.
-func resolvedFuture() *future {
-	f := &future{done: closedDone}
-	f.state.Store(futSettled)
-	return f
-}
-
 // settle resolves the future successfully; it reports whether this call
 // won (false: already resolved, a no-op).
 func (f *future) settle() bool {
@@ -297,24 +289,6 @@ func (s *Server) DeleteAsync(keys ...Key) *DeleteFuture {
 	return &DeleteFuture{f: s.submit(OpDelete, keys, nil)}
 }
 
-// Get is the blocking single-key convenience form of GetAsync.
-func (s *Server) Get(key Key) (value uint64, found bool, err error) {
-	vals, fnd, err := s.GetAsync(key).Wait()
-	if err != nil {
-		return 0, false, err
-	}
-	return vals[0], fnd[0], nil
-}
-
-// LCP is the blocking single-key convenience form of LCPAsync.
-func (s *Server) LCP(key Key) (int, error) {
-	lcps, err := s.LCPAsync(key).Wait()
-	if err != nil {
-		return 0, err
-	}
-	return lcps[0], nil
-}
-
 // Subtree is the blocking single-prefix convenience form of
 // SubtreeAsync.
 func (s *Server) Subtree(prefix Key) ([]KV, error) {
@@ -323,18 +297,4 @@ func (s *Server) Subtree(prefix Key) ([]KV, error) {
 		return nil, err
 	}
 	return res[0], nil
-}
-
-// Insert is the blocking single-pair convenience form of InsertAsync.
-func (s *Server) Insert(key Key, value uint64) error {
-	return s.InsertAsync([]Key{key}, []uint64{value}).Wait()
-}
-
-// Delete is the blocking single-key convenience form of DeleteAsync.
-func (s *Server) Delete(key Key) (found bool, err error) {
-	fnd, err := s.DeleteAsync(key).Wait()
-	if err != nil {
-		return false, err
-	}
-	return fnd[0], nil
 }

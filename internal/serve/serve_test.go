@@ -276,7 +276,7 @@ func TestServeClosed(t *testing.T) {
 			t.Fatalf("pre-Close request %d not drained: %v", i, err)
 		}
 	}
-	if _, _, err := srv.Get(pool[0]); err != serve.ErrClosed {
+	if _, _, err := srv.GetAsync(pool[0]).Wait(); err != serve.ErrClosed {
 		t.Fatalf("post-Close Get err = %v, want ErrClosed", err)
 	}
 	srv.Close() // idempotent

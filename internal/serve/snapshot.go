@@ -191,8 +191,8 @@ func (s *Server) GetAsyncWith(c Consistency, keys ...Key) *GetFuture {
 		found := make([]bool, len(keys))
 		if s.probe(ss, keys, vals, found) {
 			s.noteSnapshotServed(len(keys), ss)
-			f := resolvedFuture()
-			f.vals, f.found = vals, found
+			f := &future{done: closedDone, vals: vals, found: found}
+			f.state.Store(futSettled)
 			return &GetFuture{f: f}
 		}
 		s.noteSnapshotFallback(len(keys), ss)

@@ -77,7 +77,7 @@ func TestSnapshotReadBasic(t *testing.T) {
 
 	// An acked write must be visible to the very next ReadSnapshot.
 	hot := pool[0]
-	if err := srv.Insert(hot, 424242); err != nil {
+	if err := srv.InsertAsync([]serve.Key{hot}, []uint64{424242}).Wait(); err != nil {
 		t.Fatal(err)
 	}
 	v, ok, err := getWith(srv, serve.ReadSnapshot, hot)
@@ -141,7 +141,7 @@ func TestSnapshotGetAllOrNothing(t *testing.T) {
 		if try == 200 {
 			t.Fatal("republication always beat the probe; the mixed case never ran")
 		}
-		if err := srv.Insert(hot, uint64(1000+try)); err != nil {
+		if err := srv.InsertAsync([]serve.Key{hot}, []uint64{uint64(1000 + try)}).Wait(); err != nil {
 			t.Fatal(err)
 		}
 		before := srv.Stats()
@@ -203,7 +203,7 @@ func TestSnapshotSoak(t *testing.T) {
 				}
 				i := (w*4 + r.Intn(4)) % len(hot) // writers own disjoint hot keys
 				val := v*100 + uint64(i)
-				if err := srv.Insert(hot[i], val); err != nil {
+				if err := srv.InsertAsync([]serve.Key{hot[i]}, []uint64{val}).Wait(); err != nil {
 					t.Errorf("insert: %v", err)
 					return
 				}
@@ -283,7 +283,7 @@ func TestSnapshotPairAtomicity(t *testing.T) {
 			default:
 			}
 			k := pimtrie.KeyFromUint(uint64(i), 64).Concat(randomKey(r, 8))
-			if err := srv.Insert(k, uint64(i)); err != nil {
+			if err := srv.InsertAsync([]serve.Key{k}, []uint64{uint64(i)}).Wait(); err != nil {
 				t.Errorf("insert: %v", err)
 				return
 			}
@@ -338,7 +338,7 @@ func TestSnapshotMetricsLint(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := srv.Insert(pool[0], 1); err != nil {
+	if err := srv.InsertAsync([]serve.Key{pool[0]}, []uint64{1}).Wait(); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := srv.GetAsync(pool[:32]...).Wait(); err != nil {
@@ -378,10 +378,10 @@ func TestSnapshotDeleteThenGet(t *testing.T) {
 			t.Fatalf("Get (mode %d) before Delete = %v,%v", mode, ok, err)
 		}
 	}
-	if found, err := srv.Delete(hot); err != nil || !found {
+	if found, err := srv.DeleteAsync(hot).Wait(); err != nil || !found[0] {
 		t.Fatalf("Delete = %v,%v", found, err)
 	}
-	if _, ok, err := srv.Get(hot); err != nil || ok {
+	if _, ok, err := srv.GetAsync(hot).Wait(); err != nil || ok[0] {
 		t.Fatalf("strong Get after Delete = found=%v,%v, want miss", ok, err)
 	}
 	if _, ok, err := getWith(srv, serve.ReadSnapshot, hot); err != nil || ok {
@@ -414,12 +414,12 @@ func TestSnapshotDeleteSoak(t *testing.T) {
 				i := r.Intn(len(hot))
 				muKey[i].Lock()
 				if present[i].Load() == 1 {
-					if _, err := srv.Delete(hot[i]); err != nil {
+					if _, err := srv.DeleteAsync(hot[i]).Wait(); err != nil {
 						t.Errorf("delete: %v", err)
 					}
 					present[i].Store(0)
 				} else {
-					if err := srv.Insert(hot[i], uint64(it)); err != nil {
+					if err := srv.InsertAsync([]serve.Key{hot[i]}, []uint64{uint64(it)}).Wait(); err != nil {
 						t.Errorf("insert: %v", err)
 					}
 					present[i].Store(1)
@@ -443,7 +443,7 @@ func TestSnapshotDeleteSoak(t *testing.T) {
 				var ok bool
 				var err error
 				if r.Intn(2) == 0 {
-					_, ok, err = srv.Get(hot[i])
+					_, ok, err = getWith(srv, serve.ReadStrong, hot[i])
 				} else {
 					_, ok, err = getWith(srv, serve.ReadSnapshot, hot[i])
 				}

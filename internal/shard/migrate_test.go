@@ -28,10 +28,7 @@ func TestRebalanceMovesHotLoad(t *testing.T) {
 	if err := r.Insert(keys, gen.Values(len(keys))); err != nil {
 		t.Fatal(err)
 	}
-	before, err := r.Subtree(bitstr.Empty)
-	if err != nil {
-		t.Fatal(err)
-	}
+	before := dumpAll(t, r)
 
 	// Prime the sample window, then slam shard 0's keys.
 	if moves, err := r.Rebalance(); err != nil || moves != 0 {
@@ -75,10 +72,7 @@ func TestRebalanceMovesHotLoad(t *testing.T) {
 	}
 
 	// Contents are untouched by migration.
-	after, err := r.Subtree(bitstr.Empty)
-	if err != nil {
-		t.Fatal(err)
-	}
+	after := dumpAll(t, r)
 	sameKVs(t, "post-rebalance dump", after, before)
 
 	// A balanced reload does not trigger further moves.
@@ -263,10 +257,7 @@ func TestMigrationUnderConcurrentWrites(t *testing.T) {
 			want[keysByW[w][i].String()] = valsByW[w][i]
 		}
 	}
-	dump, err := r.Subtree(bitstr.Empty)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dump := dumpAll(t, r)
 	if len(dump) != len(want) {
 		t.Fatalf("final dump has %d keys, want %d", len(dump), len(want))
 	}

@@ -181,9 +181,6 @@ func (r *Router) Close() {
 // Shards returns the shard count.
 func (r *Router) Shards() int { return len(r.shards) }
 
-// Slots returns the routing-table size (256).
-func (r *Router) Slots() int { return slots }
-
 // Table returns a copy of the live slot -> shard routing table.
 func (r *Router) Table() []int {
 	r.mu.RLock()
@@ -627,15 +624,6 @@ func (r *Router) Delete(keys []Key) ([]bool, error) {
 	return r.DeleteAsync(keys...).Wait()
 }
 
-// Subtree is the blocking single-prefix scan.
-func (r *Router) Subtree(prefix Key) ([]KV, error) {
-	res, err := r.SubtreeAsync(prefix).Wait()
-	if err != nil {
-		return nil, err
-	}
-	return res[0], nil
-}
-
 // Subtrees is the blocking form of SubtreeAsync.
 func (r *Router) Subtrees(prefixes []Key) ([][]KV, error) {
 	return r.SubtreeAsync(prefixes...).Wait()
@@ -644,7 +632,8 @@ func (r *Router) Subtrees(prefixes []Key) ([][]KV, error) {
 // Len returns the number of stored keys across all shards as of each
 // shard's last committed epoch. Replicated short keys are counted once
 // per covering shard, so this may exceed the logical key count by the
-// replica count — use Subtree(Empty) for exact logical contents.
+// replica count — use Subtrees of the empty prefix for exact logical
+// contents.
 func (r *Router) Len() int {
 	n := 0
 	for _, sh := range r.shards {

@@ -132,10 +132,7 @@ func driveOracle(t *testing.T, r *shard.Router, oracle *pimtrie.Index, seed int6
 	}
 
 	// Final full-state check.
-	gotAll, err := r.Subtree(bitstr.Empty)
-	if err != nil {
-		t.Fatalf("final subtree: %v", err)
-	}
+	gotAll := dumpAll(t, r)
 	sameKVs(t, "final full dump", gotAll, oracle.Subtree(bitstr.Empty))
 }
 
@@ -159,8 +156,8 @@ func dedupeKeys(keys []bitstr.String) []bitstr.String {
 // the dealt table never starts from.
 func layContiguous(t *testing.T, r *shard.Router) {
 	t.Helper()
-	for slot := range r.Slots() {
-		if _, err := r.MigrateSlot(slot, slot*r.Shards()/r.Slots()); err != nil {
+	for slot := range len(r.Table()) {
+		if _, err := r.MigrateSlot(slot, slot*r.Shards()/len(r.Table())); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -213,7 +210,7 @@ func TestRouterMatchesOracleAcrossMigrations(t *testing.T) {
 		// Force a couple of random moves per step, occasionally a no-op
 		// move to the current owner.
 		for i := 0; i < 2; i++ {
-			slot := rng.Intn(r.Slots())
+			slot := rng.Intn(len(r.Table()))
 			to := rng.Intn(shards)
 			if _, err := r.MigrateSlot(slot, to); err != nil {
 				t.Fatalf("step %d migrate slot %d -> %d: %v", step, slot, to, err)
@@ -287,14 +284,18 @@ func TestRouterReplicaDedupeManyShards(t *testing.T) {
 	if v, found, err := r.Get([]shard.Key{k}); err != nil || !found[0] || v[0] != 2 {
 		t.Fatalf("Get(0) after migration = (%v, %v, %v), want 2", v, found, err)
 	}
-	sameKVs(t, "full dump", must(r.Subtree(bitstr.Empty)), []shard.KV{{Key: k, Value: 2}})
+	sameKVs(t, "full dump", dumpAll(t, r), []shard.KV{{Key: k, Value: 2}})
 }
 
-func must[T any](v T, err error) T {
+// dumpAll returns every pair the router stores: one Subtrees call on
+// the empty prefix.
+func dumpAll(t *testing.T, r *shard.Router) []shard.KV {
+	t.Helper()
+	res, err := r.Subtrees([]shard.Key{bitstr.Empty})
 	if err != nil {
-		panic(err)
+		t.Fatalf("full dump: %v", err)
 	}
-	return v
+	return res[0]
 }
 
 // settleGoroutines polls until the goroutine count holds still at want

@@ -97,7 +97,7 @@ func TestSnapshotReadsUnderMigration(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(77))
 	for i := 0; i < 40; i++ {
-		if _, err := r.MigrateSlot(rng.Intn(r.Slots()), rng.Intn(shards)); err != nil {
+		if _, err := r.MigrateSlot(rng.Intn(len(r.Table())), rng.Intn(shards)); err != nil {
 			t.Errorf("migrate %d: %v", i, err)
 			break
 		}

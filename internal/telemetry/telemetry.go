@@ -35,9 +35,8 @@ type Options struct {
 	Addr string
 	// Registry backs /metrics and /varz; nil serves empty documents.
 	Registry *metrics.Registry
-	// Health, when non-nil, backs /healthz — typically
-	// (*serve.Server).Health, the post-epoch sample that is safe to read
-	// from any goroutine. Nil reports healthy unconditionally.
+	// Health, when non-nil, backs /healthz; it must be safe to call from
+	// any goroutine. Nil reports healthy unconditionally.
 	Health func() pimtrie.Health
 }
 

@@ -42,11 +42,8 @@ func liveSetup(t *testing.T, health func() pimtrie.Health) (*metrics.Registry, s
 			t.Fatalf("get: %v", err)
 		}
 	}
-	if err := srv.Insert(keys[0], 999); err != nil {
+	if err := srv.InsertAsync(keys[:1], []uint64{999}).Wait(); err != nil {
 		t.Fatalf("insert: %v", err)
-	}
-	if health == nil {
-		health = srv.Health
 	}
 	ts, err := telemetry.Start(telemetry.Options{Addr: "127.0.0.1:0", Registry: reg, Health: health})
 	if err != nil {

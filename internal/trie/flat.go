@@ -73,9 +73,6 @@ func Flatten(t *Trie) *Flat {
 	return f
 }
 
-// NodeCount returns the number of flattened nodes.
-func (f *Flat) NodeCount() int { return len(f.child) }
-
 // KeyCount returns the number of stored pairs.
 func (f *Flat) KeyCount() int { return f.keys }
 
@@ -191,70 +188,6 @@ func (f *Flat) GetBatch(keys []bitstr.String, values []uint64, found []bool) {
 	}
 }
 
-// LCPBatch answers LCPLen for every key with the same interleaved
-// structure as GetBatch: out[i] is the longest common prefix, in bits,
-// between key i and any stored prefix (compressed or hidden).
-func (f *Flat) LCPBatch(keys []bitstr.String, out []int) {
-	if len(out) != len(keys) {
-		panic("trie: LCPBatch result slice sized wrong")
-	}
-	var cur, pos, next [flatLanes]int32
-	sink := uint64(0)
-	for g := 0; g < len(keys); g += flatLanes {
-		m := len(keys) - g
-		if m > flatLanes {
-			m = flatLanes
-		}
-		live := uint32(1)<<uint(m) - 1
-		for j := 0; j < m; j++ {
-			cur[j], pos[j] = 0, 0
-		}
-		for live != 0 {
-			for j := 0; j < m; j++ {
-				if live&(1<<uint(j)) == 0 {
-					continue
-				}
-				key := keys[g+j]
-				if int(pos[j]) == key.Len() {
-					out[g+j] = int(pos[j])
-					live &^= 1 << uint(j)
-					continue
-				}
-				c := f.child[cur[j]][key.BitAt(int(pos[j]))]
-				next[j] = c
-				if c < 0 {
-					out[g+j] = int(pos[j])
-					live &^= 1 << uint(j)
-					continue
-				}
-				if ll := f.labelLen[c]; ll > 0 {
-					off := int(f.labelOff[c])
-					end := off + 64
-					if int(ll) < 64 {
-						end = off + int(ll)
-					}
-					sink ^= f.labels.RangeWord(off, end)
-				}
-				sink ^= uint64(f.child[c][0])
-			}
-			for j := 0; j < m; j++ {
-				if live&(1<<uint(j)) == 0 {
-					continue
-				}
-				nc, np, matched, _, done := f.step(keys[g+j], cur[j], pos[j], next[j])
-				cur[j], pos[j] = nc, np
-				if done {
-					out[g+j] = int(matched)
-					live &^= 1 << uint(j)
-				}
-			}
-		}
-	}
-	if sink == sinkSentinel {
-		prefetchSink = sink
-	}
-}
-
 // Get answers a single exact lookup.
 func (f *Flat) Get(key bitstr.String) (uint64, bool) {
 	var v [1]uint64
@@ -263,17 +196,30 @@ func (f *Flat) Get(key bitstr.String) (uint64, bool) {
 	return v[0], ok[0]
 }
 
-// LCPLen answers a single longest-common-prefix query.
+// LCPLen answers a single longest-common-prefix query: the length, in
+// bits, of the longest common prefix between key and any stored prefix
+// (compressed or hidden).
 func (f *Flat) LCPLen(key bitstr.String) int {
-	var out [1]int
-	f.LCPBatch([]bitstr.String{key}, out[:])
-	return out[0]
+	cur, pos := int32(0), int32(0)
+	for int(pos) < key.Len() {
+		c := f.child[cur][key.BitAt(int(pos))]
+		if c < 0 {
+			break
+		}
+		var matched int32
+		var done bool
+		cur, pos, matched, _, done = f.step(key, cur, pos, c)
+		if done {
+			return int(matched)
+		}
+	}
+	return int(pos)
 }
 
 // WalkKeys visits every stored pair in lexicographic key order,
 // reconstructing each key incrementally from the label pool — O(total
-// label bits) overall, where the pointer trie's Keys pays a Concat
-// chain per root-to-node path.
+// label bits) overall, where the pointer trie's SubtreeKeys pays a
+// Concat chain per root-to-node path.
 func (f *Flat) WalkKeys(fn func(key bitstr.String, value uint64)) {
 	var b bitstr.Builder
 	f.walkKeysFrom(0, &b, fn)
@@ -346,9 +292,9 @@ func (f *Flat) SubtreeKeys(prefix bitstr.String) []KV {
 
 // CheckAgainst verifies that f is a faithful snapshot of t (tests).
 func (f *Flat) CheckAgainst(t *Trie) error {
-	if f.NodeCount() != t.NodeCount() || f.KeyCount() != t.KeyCount() {
+	if len(f.child) != t.NodeCount() || f.KeyCount() != t.KeyCount() {
 		return fmt.Errorf("trie: flat has %d nodes/%d keys, trie %d/%d",
-			f.NodeCount(), f.KeyCount(), t.NodeCount(), t.KeyCount())
+			len(f.child), f.KeyCount(), t.NodeCount(), t.KeyCount())
 	}
 	i := 0
 	var err error

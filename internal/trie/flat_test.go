@@ -14,11 +14,12 @@ func randomFlatKey(rng *rand.Rand, maxBits int) bitstr.String {
 	bits := make([]byte, n)
 	for i := range bits {
 		// Bias toward zero so prefixes collide often.
+		bits[i] = '0'
 		if rng.Intn(3) == 0 {
-			bits[i] = 1
+			bits[i] = '1'
 		}
 	}
-	return bitstr.FromBits(bits)
+	return bitstr.MustParse(string(bits))
 }
 
 func buildRandomFlatTrie(rng *rand.Rand, n, maxBits int) (*Trie, []bitstr.String) {
@@ -68,7 +69,7 @@ func TestFlatGetLCPMatchTrie(t *testing.T) {
 					continue
 				}
 				i := rng.Intn(k.Len())
-				flip := k.Slice(0, i).Concat(bitstr.FromBits([]byte{1 - k.BitAt(i)})).Concat(k.Suffix(i + 1))
+				flip := k.Slice(0, i).Concat(bitstr.FromUint64(uint64(1-k.BitAt(i)), 1)).Concat(k.Suffix(i + 1))
 				queries = append(queries, flip)
 			default:
 				queries = append(queries, randomFlatKey(rng, 200))
@@ -78,8 +79,6 @@ func TestFlatGetLCPMatchTrie(t *testing.T) {
 		vals := make([]uint64, len(queries))
 		found := make([]bool, len(queries))
 		f.GetBatch(queries, vals, found)
-		lcps := make([]int, len(queries))
-		f.LCPBatch(queries, lcps)
 
 		for i, q := range queries {
 			wv, wf := tr.Get(q)
@@ -87,15 +86,12 @@ func TestFlatGetLCPMatchTrie(t *testing.T) {
 				t.Fatalf("trial %d query %d: flat Get=(%d,%v) trie=(%d,%v) key=%v",
 					trial, i, vals[i], found[i], wv, wf, q)
 			}
-			if wl := tr.LCPLen(q); lcps[i] != wl {
-				t.Fatalf("trial %d query %d: flat LCP=%d trie=%d key=%v", trial, i, lcps[i], wl, q)
+			if fl, wl := f.LCPLen(q), tr.LCPLen(q); fl != wl {
+				t.Fatalf("trial %d query %d: flat LCP=%d trie=%d key=%v", trial, i, fl, wl, q)
 			}
-			// Single-key forms agree with the batch.
+			// The single-key Get agrees with the batch.
 			if v, ok := f.Get(q); v != vals[i] && found[i] || ok != found[i] {
 				t.Fatalf("trial %d query %d: single Get disagrees with batch", trial, i)
-			}
-			if f.LCPLen(q) != lcps[i] {
-				t.Fatalf("trial %d query %d: single LCP disagrees with batch", trial, i)
 			}
 		}
 	}
@@ -106,7 +102,7 @@ func TestFlatKeysAndSubtree(t *testing.T) {
 	tr, stored := buildRandomFlatTrie(rng, 600, 120)
 	f := Flatten(tr)
 
-	want := tr.Keys()
+	want := tr.SubtreeKeys(bitstr.Empty)
 	got := f.Keys()
 	if len(want) != len(got) {
 		t.Fatalf("Keys: %d pairs, want %d", len(got), len(want))

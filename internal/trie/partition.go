@@ -205,22 +205,3 @@ func (t *Trie) ExtractBlocks(cutNodes []*Node) []*BlockSpec {
 	}
 	return blocks
 }
-
-// WeightWords returns the block weight of the subtree rooted at n when no
-// further cuts exist below it; used by tests to validate Partition.
-func WeightWords(n *Node, isCut func(*Node) bool) int {
-	acc := NodeCostWords
-	for b := 0; b < 2; b++ {
-		e := n.Child[b]
-		if e == nil {
-			continue
-		}
-		acc += EdgeCostWords + e.Label.Words()
-		if isCut != nil && isCut(e.To) {
-			acc += NodeCostWords // mirror
-			continue
-		}
-		acc += WeightWords(e.To, isCut)
-	}
-	return acc
-}

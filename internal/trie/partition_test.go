@@ -55,6 +55,25 @@ func TestSplitLongEdges(t *testing.T) {
 	}
 }
 
+// weightWords returns the block weight of the subtree rooted at n when
+// no further cuts exist below it: the bound Partition keeps.
+func weightWords(n *Node, isCut func(*Node) bool) int {
+	acc := NodeCostWords
+	for b := 0; b < 2; b++ {
+		e := n.Child[b]
+		if e == nil {
+			continue
+		}
+		acc += EdgeCostWords + e.Label.Words()
+		if isCut != nil && isCut(e.To) {
+			acc += NodeCostWords // mirror
+			continue
+		}
+		acc += weightWords(e.To, isCut)
+	}
+	return acc
+}
+
 func TestPartitionBlockWeightBound(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for _, maxWords := range []int{32, 64, 256} {
@@ -66,7 +85,7 @@ func TestPartitionBlockWeightBound(t *testing.T) {
 			isCut[c] = true
 		}
 		check := func(root *Node) {
-			w := WeightWords(root, func(n *Node) bool { return isCut[n] })
+			w := weightWords(root, func(n *Node) bool { return isCut[n] })
 			if w > maxWords {
 				t.Fatalf("maxWords=%d: block weight %d exceeds bound", maxWords, w)
 			}
@@ -99,11 +118,11 @@ func TestPartitionDeepSkewedTrie(t *testing.T) {
 	for _, c := range cuts {
 		isCut[c] = true
 	}
-	if w := WeightWords(tr.Root(), func(n *Node) bool { return isCut[n] }); w > 64 {
+	if w := weightWords(tr.Root(), func(n *Node) bool { return isCut[n] }); w > 64 {
 		t.Fatalf("root block weight %d", w)
 	}
 	for _, c := range cuts {
-		if w := WeightWords(c, func(n *Node) bool { return isCut[n] && n != c }); w > 64 {
+		if w := weightWords(c, func(n *Node) bool { return isCut[n] && n != c }); w > 64 {
 			t.Fatalf("block weight %d", w)
 		}
 	}
@@ -140,7 +159,7 @@ func TestExtractBlocksReassembleKeys(t *testing.T) {
 	// RootString · (path within block); union must equal the original set.
 	got := map[string]uint64{}
 	for _, b := range blocks {
-		for _, kv := range b.Trie.Keys() {
+		for _, kv := range b.Trie.SubtreeKeys(bitstr.Empty) {
 			full := b.RootString.Concat(kv.Key).String()
 			if _, dup := got[full]; dup {
 				t.Fatalf("key %q stored in two blocks", full)
@@ -200,7 +219,7 @@ func TestExtractBlocksPreservesValuesAtCutNodes(t *testing.T) {
 	blocks := tr.ExtractBlocks(cuts)
 	found := false
 	for _, b := range blocks {
-		for _, kv := range b.Trie.Keys() {
+		for _, kv := range b.Trie.SubtreeKeys(bitstr.Empty) {
 			if b.RootString.Concat(kv.Key).String() == deep[:100] && kv.Value == 7 {
 				found = true
 			}
@@ -228,7 +247,7 @@ func TestExtractNoCutsSingleBlock(t *testing.T) {
 func TestWeightWordsMatchesSizeForWholeTrie(t *testing.T) {
 	r := rand.New(rand.NewSource(10))
 	tr, _ := buildRandomTrie(r, 200, 100)
-	w := WeightWords(tr.Root(), nil)
+	w := weightWords(tr.Root(), nil)
 	// WeightWords uses ceil-per-edge word counts; SizeWords pools bits, so
 	// WeightWords ≥ SizeWords but within one word per edge.
 	sz := tr.SizeWords()

@@ -94,9 +94,6 @@ func (t *Trie) KeyCount() int { return t.keys }
 // NodeCount returns the number of compressed nodes.
 func (t *Trie) NodeCount() int { return t.nodes }
 
-// EdgeBits returns L_T, the aggregate length of all edge labels in bits.
-func (t *Trie) EdgeBits() int { return t.edgeBits }
-
 // SizeWords returns Q_T = O(L_T/w + n_T), the compressed-trie space in
 // machine words under the model's accounting.
 func (t *Trie) SizeWords() int {
@@ -420,24 +417,6 @@ func extremeKey(n *Node, prefix bitstr.String, dir int) (bitstr.String, bool) {
 		return prefix, true
 	}
 	return bitstr.Empty, false
-}
-
-// Keys returns all stored pairs in lexicographic key order.
-func (t *Trie) Keys() []KV {
-	var out []KV
-	var rec func(n *Node, prefix bitstr.String)
-	rec = func(n *Node, prefix bitstr.String) {
-		if n.HasValue {
-			out = append(out, KV{Key: prefix, Value: n.Value})
-		}
-		for b := 0; b < 2; b++ {
-			if e := n.Child[b]; e != nil {
-				rec(e.To, prefix.Concat(e.Label))
-			}
-		}
-	}
-	rec(t.root, bitstr.Empty)
-	return out
 }
 
 // SubtreeKeys returns, in order, every stored pair whose key has the

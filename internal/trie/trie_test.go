@@ -176,7 +176,7 @@ func TestKeysSortedAndComplete(t *testing.T) {
 		tr.Insert(bitstr.MustParse(k), v)
 		o[k] = v
 	}
-	kvs := tr.Keys()
+	kvs := tr.SubtreeKeys(bitstr.Empty)
 	if len(kvs) != len(o) {
 		t.Fatalf("Keys len = %d, want %d", len(kvs), len(o))
 	}

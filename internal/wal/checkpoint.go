@@ -151,6 +151,12 @@ func readCheckpoint(path string) (seq uint64, keys []bitstr.String, values []uin
 	if err != nil {
 		return 0, nil, nil, err
 	}
+	return decodeCheckpoint(raw)
+}
+
+// decodeCheckpoint verifies and decodes the bytes of one checkpoint
+// file.
+func decodeCheckpoint(raw []byte) (seq uint64, keys []bitstr.String, values []uint64, err error) {
 	if len(raw) < 28 || string(raw[:8]) != ckptMagic {
 		return 0, nil, nil, errBadCheckpoint
 	}
@@ -160,7 +166,10 @@ func readCheckpoint(path string) (seq uint64, keys []bitstr.String, values []uin
 	}
 	seq = binary.LittleEndian.Uint64(body[8:])
 	n := binary.LittleEndian.Uint64(body[16:])
-	if n > maxPayload {
+	// An entry takes at least 9 bytes (a one-byte empty key and its
+	// value), so a count the body cannot hold is refused before any
+	// room is reserved for it.
+	if n > uint64(len(body)-24)/9 {
 		return 0, nil, nil, errBadCheckpoint
 	}
 	keys = make([]bitstr.String, 0, n)

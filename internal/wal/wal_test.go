@@ -1,9 +1,12 @@
 package wal
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -451,6 +454,106 @@ func TestCorruptCheckpointFallsBack(t *testing.T) {
 	if info.CheckpointSeq != 4 || len(info.Keys) != 1 || info.Values[0] != 11 {
 		t.Fatalf("info=%+v", info)
 	}
+}
+
+// checkpointBody returns a checkpoint's bytes before its CRC: the
+// header for seq and n, then the given entry bytes.
+func checkpointBody(seq, n uint64, entries []byte) []byte {
+	b := append([]byte(ckptMagic), make([]byte, 16)...)
+	binary.LittleEndian.PutUint64(b[8:], seq)
+	binary.LittleEndian.PutUint64(b[16:], n)
+	return append(b, entries...)
+}
+
+// withCRC appends the checkpoint CRC to body.
+func withCRC(body []byte) []byte {
+	return binary.LittleEndian.AppendUint32(body, crc32.ChecksumIEEE(body))
+}
+
+// TestCheckpointCountBoundedByBody: a well-formed 28-byte checkpoint
+// whose header claims many entries is refused without reserving room
+// for them. Every entry takes at least 9 bytes, so the claim is checked
+// against the body before anything is allocated.
+func TestCheckpointCountBoundedByBody(t *testing.T) {
+	dir := t.TempDir()
+	for _, n := range []uint64{1, 1 << 20, maxPayload, 1<<64 - 1} {
+		path := filepath.Join(dir, fmt.Sprintf("claim-%d.ck", n))
+		if err := os.WriteFile(path, withCRC(checkpointBody(1, n, nil)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _, _, err := readCheckpoint(path)
+		runtime.ReadMemStats(&after)
+		if err != errBadCheckpoint {
+			t.Fatalf("claim %d: err %v, want errBadCheckpoint", n, err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
+			t.Fatalf("claim %d: reading a 28-byte checkpoint allocated %d bytes", n, got)
+		}
+	}
+	// The bound is exact: three empty keys fill 27 bytes.
+	entries := make([]byte, 27)
+	if _, keys, _, err := decodeCheckpoint(withCRC(checkpointBody(1, 3, entries))); err != nil || len(keys) != 3 {
+		t.Fatalf("three empty keys: %d keys, err %v", len(keys), err)
+	}
+}
+
+// FuzzReadCheckpoint: decoding any checkpoint body never panics, and a
+// body that decodes holds pairs that WriteCheckpoint writes back to a
+// file that decodes to the same seq and pairs. The fuzzer supplies the
+// bytes before the CRC and the harness appends a valid CRC, so that
+// mutations reach the entry decoder instead of failing the checksum.
+func FuzzReadCheckpoint(f *testing.F) {
+	dir := f.TempDir()
+	for i, pairs := range [][]uint64{nil, {1}, {2, 3, 5, 8}} {
+		n := len(pairs)
+		if _, err := WriteCheckpoint(dir, uint64(i), n, func(emit func(bitstr.String, uint64)) {
+			for _, p := range pairs {
+				emit(testKey(int(p)), p<<40)
+			}
+		}); err != nil {
+			f.Fatal(err)
+		}
+		raw, err := os.ReadFile(checkpointPath(dir, uint64(i)))
+		if err != nil {
+			f.Fatal(err)
+		}
+		seq, keys, values, err := decodeCheckpoint(raw)
+		if err != nil || seq != uint64(i) || len(keys) != n {
+			f.Fatalf("checkpoint %d: seq %d, %d keys, err %v", i, seq, len(keys), err)
+		}
+		for j, p := range pairs {
+			if !bitstr.Equal(keys[j], testKey(int(p))) || values[j] != p<<40 {
+				f.Fatalf("checkpoint %d pair %d: got (%v, %d)", i, j, keys[j], values[j])
+			}
+		}
+		f.Add(raw[:len(raw)-4])
+	}
+	f.Add(checkpointBody(1, 1<<20, nil))
+	f.Add(checkpointBody(2, 3, make([]byte, 27)))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		seq, keys, values, err := decodeCheckpoint(withCRC(body))
+		if err != nil {
+			return
+		}
+		dir := t.TempDir()
+		if _, err := WriteCheckpoint(dir, seq, len(keys), func(emit func(bitstr.String, uint64)) {
+			for i, k := range keys {
+				emit(k, values[i])
+			}
+		}); err != nil {
+			t.Fatalf("writing the decoded pairs: %v", err)
+		}
+		seq2, keys2, values2, err := readCheckpoint(checkpointPath(dir, seq))
+		if err != nil {
+			t.Fatalf("reading the rewritten checkpoint: %v", err)
+		}
+		if seq2 != seq || !slices.Equal(values2, values) {
+			t.Fatalf("rewritten checkpoint: seq %d values %v, want %d %v", seq2, values2, seq, values)
+		}
+		checkKeys(t, "rewritten checkpoint", keys2, keys)
+	})
 }
 
 // FuzzDecodePayload: decoding any bytes as a record payload never

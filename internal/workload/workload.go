@@ -228,10 +228,10 @@ func (ks *KeyStream) Next() bitstr.String {
 // otherwise. With period > 0 the hot group rotates to the next one
 // every period draws, the shifting-hotspot regime that exercises a
 // sharding router's hot-range migration end-to-end; with period = 0
-// the hotspot only moves when Shift or SetHot is called.
+// the hotspot only moves when Shift is called.
 //
-// Next must be called from one goroutine, but SetHot/Shift/Hot are
-// safe to call concurrently (a benchmark driver shifts many clients'
+// Next must be called from one goroutine, but Shift is safe to call
+// concurrently (a benchmark driver shifts many clients'
 // streams at once). Streams with equal inputs replay identically.
 type HotRangeStream struct {
 	sorted  []bitstr.String
@@ -291,18 +291,6 @@ func (hs *HotRangeStream) Next() bitstr.String {
 	return hs.sorted[hs.r.Intn(len(hs.sorted))]
 }
 
-// Hot returns the index of the current hot range.
-func (hs *HotRangeStream) Hot() int { return int(hs.hot.Load()) }
-
-// SetHot moves the hotspot to range g (mod ranges).
-func (hs *HotRangeStream) SetHot(g int) {
-	g %= hs.ranges
-	if g < 0 {
-		g += hs.ranges
-	}
-	hs.hot.Store(int32(g))
-}
-
 // Shift rotates the hotspot to the next contiguous range.
 func (hs *HotRangeStream) Shift() {
 	for {
@@ -312,11 +300,4 @@ func (hs *HotRangeStream) Shift() {
 			return
 		}
 	}
-}
-
-// HotKeys returns the keys of the current hot range, sorted — the
-// tests use it to check where migrated load should have landed.
-func (hs *HotRangeStream) HotKeys() []bitstr.String {
-	lo, hi := hs.rangeBounds(int(hs.hot.Load()))
-	return hs.sorted[lo:hi:hi]
 }

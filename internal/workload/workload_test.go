@@ -218,26 +218,26 @@ func TestHotRangeStreamDeterministicAndRotating(t *testing.T) {
 			t.Fatalf("streams diverged at draw %d", i)
 		}
 	}
-	if a.Hot() != b.Hot() {
-		t.Fatalf("hot ranges diverged: %d vs %d", a.Hot(), b.Hot())
+	if a.hot.Load() != b.hot.Load() {
+		t.Fatalf("hot ranges diverged: %d vs %d", a.hot.Load(), b.hot.Load())
 	}
 
 	// The hotspot rotates once per period, wrapping around.
 	c := NewHotRangeStream(keys, 9, 0.5, 4, 10)
-	if c.Hot() != 0 {
-		t.Fatalf("initial hot range = %d, want 0", c.Hot())
+	if c.hot.Load() != 0 {
+		t.Fatalf("initial hot range = %d, want 0", c.hot.Load())
 	}
 	for i := 0; i < 10; i++ {
 		c.Next()
 	}
-	if c.Hot() != 1 {
-		t.Fatalf("hot range after one period = %d, want 1", c.Hot())
+	if c.hot.Load() != 1 {
+		t.Fatalf("hot range after one period = %d, want 1", c.hot.Load())
 	}
 	for i := 0; i < 30; i++ {
 		c.Next()
 	}
-	if c.Hot() != 0 {
-		t.Fatalf("hot range after four periods = %d, want 0 (wrapped)", c.Hot())
+	if c.hot.Load() != 0 {
+		t.Fatalf("hot range after four periods = %d, want 0 (wrapped)", c.hot.Load())
 	}
 }
 
@@ -245,9 +245,15 @@ func TestHotRangeStreamSkew(t *testing.T) {
 	g := New(5)
 	keys := g.FixedLen(800, 64)
 	hs := NewHotRangeStream(keys, 3, 0.9, 8, 0) // manual shifting only
-	hs.SetHot(5)
+	shift := func(n int) {
+		for i := 0; i < n; i++ {
+			hs.Shift()
+		}
+	}
+	shift(5)
 	hot := map[string]bool{}
-	for _, k := range hs.HotKeys() {
+	lo, hi := hs.rangeBounds(5)
+	for _, k := range hs.sorted[lo:hi] {
 		hot[k.String()] = true
 	}
 	if len(hot) != 100 {
@@ -266,8 +272,9 @@ func TestHotRangeStreamSkew(t *testing.T) {
 	if frac < 0.85 || frac > 0.97 {
 		t.Fatalf("hot-range fraction = %.3f, want ≈0.91", frac)
 	}
-	// SetHot moves the mass: after shifting, the old range goes cold.
-	hs.SetHot(2)
+	// Shift moves the mass: after shifting to range 2, the old range
+	// goes cold.
+	shift(5)
 	inOld := 0
 	for i := 0; i < draws; i++ {
 		if hot[hs.Next().String()] {
@@ -275,6 +282,6 @@ func TestHotRangeStreamSkew(t *testing.T) {
 		}
 	}
 	if frac := float64(inOld) / draws; frac > 0.05 {
-		t.Fatalf("old hot range still draws %.3f of traffic after SetHot", frac)
+		t.Fatalf("old hot range still draws %.3f of traffic after Shift", frac)
 	}
 }
